@@ -65,7 +65,7 @@ class _RootEntry:
     full support table or a sparse map of computed pairs."""
 
     program: Program
-    table: object = None
+    table: list[int] | None = None
     values: dict[tuple[int, int], bool] = field(default_factory=dict)
 
 
@@ -91,7 +91,7 @@ class MemoCache:
 
     def lookup(self, entry: _RootEntry, node: int, mask: int) -> bool | None:
         if entry.table is not None:
-            return bool(entry.table[node, mask])
+            return bool(entry.table[node] >> mask & 1)
         return entry.values.get((node, mask))
 
 
@@ -230,7 +230,6 @@ def evaluate(
     q: CheckQuery,
     engine: str = "auto",
     cache: MemoCache | None = None,
-    kernel: str | None = None,
 ) -> CheckOutcome:
     """Evaluate a query with an explicit engine choice.
 
@@ -251,11 +250,12 @@ def evaluate(
         engine = "table" if table_bytes(entry.program, q.model) <= _table_cap() else "sparse"
     if engine == "table":
         if entry.table is None:
-            entry.table = support_table(entry.program, q.model, kernel=kernel)
+            entry.table = support_table(entry.program, q.model)
             visited = entry.program.num_nodes
         else:
             visited = 0
-        return CheckOutcome(bool(entry.table[entry.program.root, q.state.mask]), visited, "table")
+        value = bool(entry.table[entry.program.root] >> q.state.mask & 1)
+        return CheckOutcome(value, visited, "table")
     if engine == "sparse":
         value, misses = _eval_memo_sparse(q, entry)
         return CheckOutcome(value, misses, "sparse")

@@ -11,7 +11,8 @@ Subcommands:
 
 Reports go to standard output, diagnostics to standard error. Exit codes:
 0 success (SUPPORTED / TRUE / all AGREE), 1 negative decision
-(NOT-SUPPORTED / FALSE), 2 usage or input error, 3 oracle disagreement.
+(NOT-SUPPORTED / FALSE), 2 usage or input error, 3 oracle disagreement,
+4 internal error (a crash, never to be read as a decision).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import json
 import random
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 
 from .checker import (
@@ -323,7 +325,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if e.code not in (0, None) else 0
-    return args.run(args)
+    try:
+        return args.run(args)
+    except Exception as e:
+        # an escaped traceback would exit 1, which reads as a negative decision
+        if args.verbose:
+            traceback.print_exc()
+        print(f"inqcheck: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,44 +1,31 @@
-"""Bit-parallel support-table kernels.
+"""Bit-parallel support-table kernel.
 
 A formula is lowered to a flat postorder program whose rows are unique
 subformulas (structurally equal subtrees share a row). The table kernel
 then computes support of every row at every state of the powerset
-lattice, bottom-up. The implication clause quantifies over subsets of
-the state; instead of enumerating them per state, the kernel marks
-states where the antecedent holds and the consequent fails, then closes
-that marking upward under supersets with one sweep per world bit, so an
-implication row costs O(n * 2^n) instead of O(3^n).
+lattice, bottom-up. Each row is a Python int used as a bitset over the
+2^n states: bit s is set iff state s supports the row, so a conjunction
+or inquisitive disjunction row is one `&` or `|` over the whole lattice.
 
-Two interchangeable kernels exist: a numba-compiled loop nest and a pure
-numpy vectorized version. The INQCHECK_KERNEL environment variable picks
-one ("numba" or "numpy"); unset, numba is used when importable. Table
-memory is the caller's concern: a table holds rows * 2^n bytes.
+The implication clause quantifies over subsets of the state; instead of
+enumerating them per state, the kernel marks states where the antecedent
+holds and the consequent fails, then closes that marking upward under
+supersets with one masked shift per world bit, so an implication row
+costs O(n * 2^n) bit operations instead of O(3^n).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .model import InformationModel
 from .syntax import And, Atom, Bottom, Box, Formula, IVee, Implies, WBox
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# numba is no longer used; the constant stays for callers that import it.
+HAS_NUMBA = False
 
 
 OP_BOT = 0
@@ -122,7 +109,7 @@ def lower_formula(f: Formula) -> Program:
 
 
 def model_arrays(m: InformationModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pack the model data the kernels need: atom masks, per-world state
+    """Pack the model data the kernel needs: atom masks, per-world state
     map unions, and the flattened generator lists."""
     val_masks = np.asarray([v.mask for v in m.valuation], dtype=np.int64)
     if m.sigma is None:
@@ -143,134 +130,87 @@ def model_arrays(m: InformationModel) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return val_masks, box_masks, gen_off, np.asarray(flat, dtype=np.int64)
 
 
-@njit(cache=True)
-def _table_numba(ops, left, right, payload, val_masks, box_masks, gen_off, gen_masks, n):
+@lru_cache(maxsize=4)
+def _low_masks(n: int) -> tuple[int, ...]:
+    """LOW[i]: the bitset of the states (out of 2^n) that lack world i,
+    i.e. runs of 2^i set bits alternating with 2^i clear bits."""
     size = 1 << n
-    rows = ops.shape[0]
-    out = np.zeros((rows, size), dtype=np.uint8)
-    bad = np.zeros(size, dtype=np.uint8)
-    for r in range(rows):
-        op = ops[r]
-        if op == OP_BOT:
-            out[r, 0] = 1
-        elif op == OP_ATOM:
-            v = val_masks[payload[r]]
-            for s in range(size):
-                if s & ~v == 0:
-                    out[r, s] = 1
-        elif op == OP_AND:
-            a = left[r]
-            b = right[r]
-            for s in range(size):
-                out[r, s] = out[a, s] & out[b, s]
-        elif op == OP_IVEE:
-            a = left[r]
-            b = right[r]
-            for s in range(size):
-                out[r, s] = out[a, s] | out[b, s]
-        elif op == OP_IMPLIES:
-            a = left[r]
-            b = right[r]
-            for s in range(size):
-                bad[s] = 1 if out[a, s] and not out[b, s] else 0
-            for i in range(n):
-                bit = 1 << i
-                for s in range(size):
-                    if s & bit and bad[s ^ bit]:
-                        bad[s] = 1
-            for s in range(size):
-                out[r, s] = 1 - bad[s]
-        else:
-            a = left[r]
-            good = 0
-            if op == OP_BOX:
-                for w in range(n):
-                    if out[a, box_masks[w]]:
-                        good |= 1 << w
-            else:
-                for w in range(n):
-                    ok = True
-                    for t in range(gen_off[w], gen_off[w + 1]):
-                        if not out[a, gen_masks[t]]:
-                            ok = False
-                            break
-                    if ok:
-                        good |= 1 << w
-            for s in range(size):
-                if s & ~good == 0:
-                    out[r, s] = 1
-    return out
+    low = []
+    for i in range(n):
+        width = 2 << i
+        x = (1 << (1 << i)) - 1
+        while width < size:
+            x |= x << width
+            width <<= 1
+        low.append(x)
+    return tuple(low)
 
 
-def _table_numpy(ops, left, right, payload, val_masks, box_masks, gen_off, gen_masks, n):
-    size = 1 << n
-    rows = ops.shape[0]
-    states = np.arange(size, dtype=np.int64)
-    out = np.zeros((rows, size), dtype=np.uint8)
-    for r in range(rows):
-        op = ops[r]
+def _down_set(v: int) -> int:
+    """Bitset of the states that are subsets of world mask v."""
+    x = 1
+    i = 0
+    while v:
+        if v & 1:
+            x |= x << (1 << i)
+        v >>= 1
+        i += 1
+    return x
+
+
+def active_kernel() -> str:
+    """Name of the table kernel; there is one, over packed bitset rows."""
+    return "packed"
+
+
+def support_table(program: Program, m: InformationModel) -> list[int]:
+    """Support of every program row at every state: one int bitset per
+    row, where bit s of row r is set iff state s supports row r."""
+    val_masks, box_masks, gen_off, gen_masks = (a.tolist() for a in model_arrays(m))
+    ops = program.ops.tolist()
+    left = program.left.tolist()
+    right = program.right.tolist()
+    payload = program.payload.tolist()
+    n = m.n
+    full = (1 << (1 << n)) - 1
+    out: list[int] = []
+    for r, op in enumerate(ops):
         if op == OP_BOT:
-            out[r, 0] = 1
+            row = 1
         elif op == OP_ATOM:
-            out[r] = (states & ~val_masks[payload[r]]) == 0
+            row = _down_set(val_masks[payload[r]])
         elif op == OP_AND:
-            out[r] = out[left[r]] & out[right[r]]
+            row = out[left[r]] & out[right[r]]
         elif op == OP_IVEE:
-            out[r] = out[left[r]] | out[right[r]]
+            row = out[left[r]] | out[right[r]]
         elif op == OP_IMPLIES:
-            bad = (out[left[r]] == 1) & (out[right[r]] == 0)
-            for i in range(n):
-                view = bad.reshape(-1, 2, 1 << i)
-                view[:, 1, :] |= view[:, 0, :]
-            out[r] = ~bad
+            # states where the antecedent holds and the consequent fails,
+            # then every superset of one: sweep i moves each marked state
+            # without world i to the state with it
+            bad = out[left[r]] & ~out[right[r]]
+            if bad:
+                for i, low in enumerate(_low_masks(n)):
+                    bad |= (bad & low) << (1 << i)
+            row = full ^ bad
         else:
             body = out[left[r]]
             good = 0
             if op == OP_BOX:
                 for w in range(n):
-                    if body[box_masks[w]]:
+                    if body >> box_masks[w] & 1:
                         good |= 1 << w
             else:
                 for w in range(n):
-                    if body[gen_masks[gen_off[w] : gen_off[w + 1]]].all():
+                    if all(body >> g & 1 for g in gen_masks[gen_off[w] : gen_off[w + 1]]):
                         good |= 1 << w
-            out[r] = (states & ~good) == 0
+            row = _down_set(good)
+        out.append(row)
     return out
 
 
-def active_kernel(override: str | None = None) -> str:
-    """Resolve the kernel choice: explicit override, then INQCHECK_KERNEL,
-    then numba when available."""
-    choice = override or os.environ.get("INQCHECK_KERNEL", "")
-    if choice == "":
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice not in ("numba", "numpy"):
-        raise ValueError(f"unknown kernel {choice!r}, expected 'numba' or 'numpy'")
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba kernel requested but numba is not importable")
-    return choice
-
-
-def support_table(program: Program, m: InformationModel, kernel: str | None = None) -> np.ndarray:
-    """Support of every program row at every state: uint8 array of shape
-    (num_nodes, 2^n), entry [r, s] = 1 iff state s supports row r."""
-    val_masks, box_masks, gen_off, gen_masks = model_arrays(m)
-    args = (
-        program.ops,
-        program.left,
-        program.right,
-        program.payload,
-        val_masks,
-        box_masks,
-        gen_off,
-        gen_masks,
-        m.n,
-    )
-    if active_kernel(kernel) == "numba":
-        return _table_numba(*args)
-    return _table_numpy(*args)
-
-
 def table_bytes(program: Program, m: InformationModel) -> int:
-    """Memory a support table for this query would take."""
+    """Size of a support table for this query at one byte per state per
+    row, which is what the auto engine's byte cap is measured in. The
+    packed rows take an eighth of that; the cap is to be reworked in
+    terms of packed bytes (ROADMAP item 4)."""
     return program.num_nodes << m.n

@@ -134,8 +134,15 @@ def set_support(model: InformationModel, worlds: frozenset[int], formula: Formul
     raise TypeError(f"unknown node {formula!r}")
 
 
-def random_model(rng: random.Random, n_max: int = 5, l_max: int = 3, k_max: int = 3, modal: bool = True) -> InformationModel:
-    n = rng.randint(1, n_max)
+def random_model(
+    rng: random.Random,
+    n_max: int = 5,
+    l_max: int = 3,
+    k_max: int = 3,
+    modal: bool = True,
+    n_min: int = 1,
+) -> InformationModel:
+    n = rng.randint(n_min, n_max)
     l = rng.randint(1, l_max)
     valuation = tuple(InfoState(rng.randrange(1 << n), n) for _ in range(l))
     sigma = None

@@ -188,8 +188,8 @@ class TestEngines:
     def test_warm_table_reuses_everything(self, demo_model):
         cache = MemoCache()
         query = q(demo_model, "110", "p0 ior not p0")
-        first = evaluate(query, engine="table", cache=cache, kernel="numpy")
-        second = evaluate(query, engine="table", cache=cache, kernel="numpy")
+        first = evaluate(query, engine="table", cache=cache)
+        second = evaluate(query, engine="table", cache=cache)
         assert first.value == second.value
         assert second.nodes_visited == 0
 

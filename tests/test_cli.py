@@ -268,3 +268,12 @@ class TestEntryPoint:
 
     def test_unknown_command(self):
         assert cli.main(["frobnicate"]) == 2
+
+    def test_internal_error_exits_four(self, demo_file, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "evaluate", crash)
+        assert cli.main(["check", demo_file, "110", "--formula", "p0"]) == 4
+        err = capsys.readouterr().err
+        assert err == "inqcheck: internal error: RecursionError: maximum recursion depth exceeded\n"
