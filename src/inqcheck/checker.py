@@ -19,10 +19,12 @@ quantified clause cannot distinguish a family from its closure.
 check_support is the trusted baseline: plain structural recursion, its
 implication clause enumerating the subsets of s directly (never states
 outside s), with no caching and no pruning. check_support_memo is the
-fast path: it reuses results per (subformula, state) pair, and when the
-state space is small enough it computes a full support table through the
-kernels module in one shot. Both paths must and do agree; the test suite
-holds them against each other.
+fast path: when the byte cap allows, it builds one support table per
+(model, formula) through the kernels module (per-world truth masks of
+every subformula) and answers each query from it, building lattice rows
+only over the substates of the query state; otherwise it reuses results
+per (subformula, state) pair. Both paths must and do agree; the test
+suite holds them against each other.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .kernels import (
     OP_IMPLIES,
     OP_IVEE,
     Program,
+    SupportTable,
     lower_formula,
     support_table,
     table_bytes,
@@ -62,10 +65,10 @@ class CheckQuery:
 @dataclass(slots=True)
 class _RootEntry:
     """Per-(model, formula) cache body: the lowered program plus either a
-    full support table or a sparse map of computed pairs."""
+    support table or a sparse map of computed pairs."""
 
     program: Program
-    table: list[int] | None = None
+    table: SupportTable | None = None
     values: dict[tuple[int, int], bool] = field(default_factory=dict)
 
 
@@ -74,7 +77,7 @@ class MemoCache:
 
     Subformula identities are row numbers of the lowered program, assigned
     once per distinct (model, root formula) pair; structurally equal
-    subtrees share an identity. A full table, when present, stands for
+    subtrees share an identity. A support table, when present, stands for
     the total map of its pairs.
     """
 
@@ -91,7 +94,7 @@ class MemoCache:
 
     def lookup(self, entry: _RootEntry, node: int, mask: int) -> bool | None:
         if entry.table is not None:
-            return bool(entry.table[node] >> mask & 1)
+            return entry.table.holds(node, mask)
         return entry.values.get((node, mask))
 
 
@@ -159,7 +162,7 @@ def _eval_memo_sparse(q: CheckQuery, entry: _RootEntry) -> tuple[bool, int]:
     """Memoized recursion over program rows; misses counted as visits."""
     m = q.model
     prog = entry.program
-    ops, left, right, payload = prog.ops, prog.left, prog.right, prog.payload
+    ops, left, right, payload = (a.tolist() for a in (prog.ops, prog.left, prog.right, prog.payload))
     vmasks = [v.mask for v in m.valuation]
     union_masks = [sigma_union(m, w).mask for w in range(m.n)] if m.is_modal else None
     gen_masks = (
@@ -234,7 +237,7 @@ def evaluate(
     """Evaluate a query with an explicit engine choice.
 
     Engines: "naive" is the baseline recursion; "sparse" the memoized
-    recursion; "table" the full-lattice kernel evaluator; "auto" picks
+    recursion; "table" the truth-mask kernel evaluator; "auto" picks
     "table" when the table fits the byte cap and "sparse" otherwise.
     nodes_visited counts clause evaluations (naive), cache misses
     (sparse), or freshly computed table rows (table).
@@ -254,7 +257,7 @@ def evaluate(
             visited = entry.program.num_nodes
         else:
             visited = 0
-        value = bool(entry.table[entry.program.root] >> q.state.mask & 1)
+        value = entry.table.holds(entry.program.root, q.state.mask)
         return CheckOutcome(value, visited, "table")
     if engine == "sparse":
         value, misses = _eval_memo_sparse(q, entry)

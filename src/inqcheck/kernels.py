@@ -1,23 +1,28 @@
-"""Bit-parallel support-table kernel.
+"""Lowered programs and the support-table kernel.
 
 A formula is lowered to a flat postorder program whose rows are unique
 subformulas (structurally equal subtrees share a row). The table kernel
-then computes support of every row at every state of the powerset
-lattice, bottom-up. Each row is a Python int used as a bitset over the
-2^n states: bit s is set iff state s supports the row, so a conjunction
-or inquisitive disjunction row is one `&` or `|` over the whole lattice.
+gives every row an n-bit truth mask: the worlds w at which the singleton
+{w} supports it. Support is downward persistent, so a state with a world
+outside that mask never supports the row, and for a declarative row (one
+whose support is truth at each world) the mask decides support outright.
 
-The implication clause quantifies over subsets of the state; instead of
-enumerating them per state, the kernel marks states where the antecedent
-holds and the consequent fails, then closes that marking upward under
-supersets with one masked shift per world bit, so an implication row
-costs O(n * 2^n) bit operations instead of O(3^n).
+A query at state s descends through conjunctions and inquisitive
+disjunctions at s itself, and through an implication with a declarative
+antecedent to the part of s where the antecedent is true. Only the other
+implications need more: they quantify over the substates of s, so the
+kernel builds their sides as bitsets over the 2^|s| sub-lattice of s,
+with declarative rows as down-sets of their truth masks. An implication
+over the sub-lattice marks the substates where the antecedent holds and
+the consequent fails, then closes that marking upward under supersets
+with one masked shift per world, so it costs O(k * 2^k) bit operations
+for k = |s|, never touching the states of the model outside s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -130,13 +135,14 @@ def model_arrays(m: InformationModel) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return val_masks, box_masks, gen_off, np.asarray(flat, dtype=np.int64)
 
 
-@lru_cache(maxsize=4)
-def _low_masks(n: int) -> tuple[int, ...]:
-    """LOW[i]: the bitset of the states (out of 2^n) that lack world i,
-    i.e. runs of 2^i set bits alternating with 2^i clear bits."""
-    size = 1 << n
+@cache
+def _low_masks(k: int) -> tuple[int, ...]:
+    """LOW[i]: the bitset of the states (out of 2^k) that lack world i,
+    i.e. runs of 2^i set bits alternating with 2^i clear bits. Cached for
+    every k a query asks for; the masks for one k take k * 2^k bits."""
+    size = 1 << k
     low = []
-    for i in range(n):
+    for i in range(k):
         width = 2 << i
         x = (1 << (1 << i)) - 1
         while width < size:
@@ -163,54 +169,132 @@ def active_kernel() -> str:
     return "packed"
 
 
-def support_table(program: Program, m: InformationModel) -> list[int]:
-    """Support of every program row at every state: one int bitset per
-    row, where bit s of row r is set iff state s supports row r."""
-    val_masks, box_masks, gen_off, gen_masks = (a.tolist() for a in model_arrays(m))
-    ops = program.ops.tolist()
-    left = program.left.tolist()
-    right = program.right.tolist()
-    payload = program.payload.tolist()
-    n = m.n
-    full = (1 << (1 << n)) - 1
-    out: list[int] = []
-    for r, op in enumerate(ops):
-        if op == OP_BOT:
-            row = 1
-        elif op == OP_ATOM:
-            row = _down_set(val_masks[payload[r]])
-        elif op == OP_AND:
-            row = out[left[r]] & out[right[r]]
-        elif op == OP_IVEE:
-            row = out[left[r]] | out[right[r]]
-        elif op == OP_IMPLIES:
-            # states where the antecedent holds and the consequent fails,
-            # then every superset of one: sweep i moves each marked state
-            # without world i to the state with it
-            bad = out[left[r]] & ~out[right[r]]
-            if bad:
-                for i, low in enumerate(_low_masks(n)):
-                    bad |= (bad & low) << (1 << i)
-            row = full ^ bad
+class SupportTable:
+    """Truth masks of every program row, and support at any state read
+    off them.
+
+    truth[r] is the n-bit mask of the worlds w at which the singleton {w}
+    supports row r; declarative[r] says that row r is truth-conditional
+    (bot, atoms, box, wbox, & of declaratives, -> into a declarative), so
+    that a state supports it iff all its worlds are in truth[r].
+    """
+
+    __slots__ = ("ops", "left", "right", "truth", "declarative")
+
+    def __init__(self, program: Program) -> None:
+        self.ops = program.ops.tolist()
+        self.left = program.left.tolist()
+        self.right = program.right.tolist()
+        self.truth: list[int] = []
+        self.declarative: list[bool] = []
+
+    def holds(self, r: int, s: int) -> bool:
+        """Whether state s supports row r."""
+        return self._holds(r, s, {})
+
+    def _holds(self, r: int, s: int, memo: dict[int, int]) -> bool:
+        """holds, with memo keeping the lattice rows over the substates of
+        s that earlier calls at the same s built."""
+        if s & ~self.truth[r]:
+            # support is downward persistent, so s needs every {w} in s
+            return False
+        if self.declarative[r]:
+            return True
+        op = self.ops[r]
+        if op == OP_AND:
+            return self._holds(self.left[r], s, memo) and self._holds(self.right[r], s, memo)
+        if op == OP_IVEE:
+            return self._holds(self.left[r], s, memo) or self._holds(self.right[r], s, memo)
+        # an inquisitive implication: every substate of s that supports
+        # the antecedent must support the consequent
+        a, b = self.left[r], self.right[r]
+        if self.declarative[a]:
+            # those substates are the substates of t, so by persistence
+            # the consequent need only hold at t
+            t = s & self.truth[a]
+            return self._holds(b, t, memo if t == s else {})
+        worlds = [w for w in range(s.bit_length()) if s >> w & 1]
+        return self._lattice_row(a, worlds, memo) & ~self._lattice_row(b, worlds, memo) == 0
+
+    def _lattice_row(self, r: int, worlds: list[int], memo: dict[int, int]) -> int:
+        """Row r over the 2^k substates of the state made of `worlds`:
+        bit j is set iff the substate of the worlds[i] with bit i set in j
+        supports row r."""
+        row = memo.get(r)
+        if row is not None:
+            return row
+        if self.declarative[r]:
+            t = self.truth[r]
+            v = 0
+            for i, w in enumerate(worlds):
+                if t >> w & 1:
+                    v |= 1 << i
+            row = _down_set(v)
         else:
-            body = out[left[r]]
-            good = 0
-            if op == OP_BOX:
-                for w in range(n):
-                    if body >> box_masks[w] & 1:
-                        good |= 1 << w
+            a = self._lattice_row(self.left[r], worlds, memo)
+            b = self._lattice_row(self.right[r], worlds, memo)
+            op = self.ops[r]
+            if op == OP_AND:
+                row = a & b
+            elif op == OP_IVEE:
+                row = a | b
             else:
-                for w in range(n):
-                    if all(body >> g & 1 for g in gen_masks[gen_off[w] : gen_off[w + 1]]):
-                        good |= 1 << w
-            row = _down_set(good)
-        out.append(row)
-    return out
+                # substates where the antecedent holds and the consequent
+                # fails, then every superset of one: sweep i moves each
+                # marked substate without worlds[i] to the one with it
+                bad = a & ~b
+                if bad:
+                    for i, low in enumerate(_low_masks(len(worlds))):
+                        bad |= (bad & low) << (1 << i)
+                row = ((1 << (1 << len(worlds))) - 1) ^ bad
+        memo[r] = row
+        return row
+
+
+def support_table(program: Program, m: InformationModel) -> SupportTable:
+    """Truth masks of every program row, bottom-up. A box or wbox row
+    asks whether its body holds at each world's anchor states, so the
+    lattice rows built for one anchor serve every row that reaches it."""
+    val_masks, box_masks, gen_off, gen_masks = (a.tolist() for a in model_arrays(m))
+    table = SupportTable(program)
+    left, right, truth, declarative = table.left, table.right, table.truth, table.declarative
+    payload = program.payload.tolist()
+    all_worlds = (1 << m.n) - 1
+    anchors: dict[int, dict[int, int]] = {}
+
+    def holds_at(r: int, anchor: int) -> bool:
+        return table._holds(r, anchor, anchors.setdefault(anchor, {}))
+
+    for r, op in enumerate(table.ops):
+        a, b = left[r], right[r]
+        if op == OP_BOT:
+            t, d = 0, True
+        elif op == OP_ATOM:
+            t, d = val_masks[payload[r]], True
+        elif op == OP_AND:
+            t, d = truth[a] & truth[b], declarative[a] and declarative[b]
+        elif op == OP_IVEE:
+            t, d = truth[a] | truth[b], False
+        elif op == OP_IMPLIES:
+            t, d = (all_worlds & ~truth[a]) | truth[b], declarative[b]
+        elif op == OP_BOX:
+            t = sum(1 << w for w in range(m.n) if holds_at(a, box_masks[w]))
+            d = True
+        else:
+            t = sum(
+                1 << w
+                for w in range(m.n)
+                if all(holds_at(a, g) for g in gen_masks[gen_off[w] : gen_off[w + 1]])
+            )
+            d = True
+        truth.append(t)
+        declarative.append(d)
+    return table
 
 
 def table_bytes(program: Program, m: InformationModel) -> int:
-    """Size of a support table for this query at one byte per state per
-    row, which is what the auto engine's byte cap is measured in. The
-    packed rows take an eighth of that; the cap is to be reworked in
-    terms of packed bytes (ROADMAP item 4)."""
+    """Rows times 2^n, one byte per state per row: the unit of the auto
+    engine's byte cap. It is no longer what the table engine holds (n-bit
+    truth masks plus lattice rows over the query state's substates); the
+    cap is to be reworked together with the benchmark (ROADMAP item 4)."""
     return program.num_nodes << m.n

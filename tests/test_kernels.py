@@ -1,4 +1,4 @@
-"""Lowered programs, the packed support-table kernel, and engine choice."""
+"""Lowered programs, the truth-mask support-table kernel, and engine choice."""
 
 from __future__ import annotations
 
@@ -20,10 +20,10 @@ from inqcheck.kernels import (
     support_table,
     table_bytes,
 )
-from inqcheck.model import InfoState
+from inqcheck.model import InfoState, InformationModel
 from inqcheck.syntax import And, Atom, Bottom, Box, IVee, Implies, WBox, parse_formula
 
-from conftest import random_formula, random_model
+from conftest import bits, random_formula, random_model
 
 
 class TestLowering:
@@ -77,55 +77,147 @@ def row_bits(row, n):
     return [bool(row >> s & 1) for s in range(1 << n)]
 
 
+def question_formula(rng, l, depth):
+    """Like random_formula, with polar questions `p ior (p -> bot)` among
+    the leaves and ior twice as likely. Rows of random_formula are rarely
+    refuted at a state all of whose worlds make them true; these often
+    are, which is the case the truth masks cannot decide alone."""
+    if depth == 0 or rng.random() < 0.2:
+        x = rng.random()
+        if x < 0.1:
+            return Bottom()
+        atom = Atom(rng.randrange(l))
+        return IVee(atom, Implies(atom, Bottom())) if x < 0.5 else atom
+    kind = rng.choice(["and", "ior", "ior", "implies", "implies", "box", "wbox"])
+    if kind in ("box", "wbox"):
+        return (Box if kind == "box" else WBox)(question_formula(rng, l, depth - 1))
+    left = question_formula(rng, l, depth - 1)
+    right = question_formula(rng, l, depth - 1)
+    return {"and": And, "ior": IVee, "implies": Implies}[kind](left, right)
+
+
+def formulas(rng, l, depth):
+    """One formula of each generator."""
+    return [random_formula(rng, l, depth=depth, modal=True), question_formula(rng, l, depth)]
+
+
+def sparse_modal_model(rng, n, atoms=3):
+    """Each world gets one to three generators of one to three worlds, so
+    that box and wbox anchors stay small however wide the model is."""
+    valuation = tuple(InfoState(rng.randrange(1 << n), n) for _ in range(atoms))
+    sigma = tuple(
+        tuple(
+            InfoState(mask, n)
+            for mask in sorted({
+                sum(1 << w for w in rng.sample(range(n), rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 3))
+            })
+        )
+        for _ in range(n)
+    )
+    return InformationModel(n, atoms, valuation, sigma)
+
+
 class TestTables:
     def test_full_table_matches_naive(self):
         rng = random.Random(2718)
         for _ in range(40):
             m = random_model(rng, n_max=5, l_max=2)
-            f = random_formula(rng, m.l, depth=3, modal=True)
-            program = lower_formula(f)
-            table = support_table(program, m)
-            assert len(table) == program.num_nodes
-            assert all(0 <= row < 1 << (1 << m.n) for row in table)
-            assert row_bits(table[program.root], m.n) == reference_row(m, f)
+            for f in formulas(rng, m.l, 3):
+                program = lower_formula(f)
+                table = support_table(program, m)
+                assert len(table.truth) == len(table.declarative) == program.num_nodes
+                for r, g in enumerate(row_formulas(program)):
+                    assert 0 <= table.truth[r] < 1 << m.n
+                    for s in range(1 << m.n):
+                        assert table.holds(r, s) == naive_at(m, g, s), (s, g)
 
     @pytest.mark.parametrize("n", [6, 7, 8, 9])
     def test_wide_lattice_matches_naive_and_sparse(self, n):
-        # 2^n states span 64..512 bits, so the upward closure shifts rows
-        # by 64, 128 and 256 across machine-word boundaries
+        # states of 7..9 worlds give sub-lattices of 128..512 bits, so the
+        # upward closure of a nested implication shifts rows by 64, 128
+        # and 256 across machine-word boundaries
         rng = random.Random(31 * n)
         m = random_model(rng, n_max=n, n_min=n, l_max=3)
         checked = 0
-        while checked < 3:
-            f = random_formula(rng, m.l, depth=5, modal=True)
+        while checked < 6:
+            # question formulas nest more implications per level; depth 4
+            # keeps the naive reference to a second
+            f = random_formula(rng, m.l, 5, True) if checked % 2 else question_formula(rng, m.l, 4)
             program = lower_formula(f)
             if list(program.ops).count(OP_IMPLIES) < 3:
                 continue
             checked += 1
             table = support_table(program, m)
             masks = [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(32)]
-            for row, g in zip(table, row_formulas(program)):
-                assert 0 <= row < 1 << (1 << n)
+            for r, g in enumerate(row_formulas(program)):
                 for s in masks:
-                    assert bool(row >> s & 1) == naive_at(m, g, s), (s, g)
+                    assert table.holds(r, s) == naive_at(m, g, s), (s, g)
             cache = MemoCache()
             sparse = [
                 evaluate(CheckQuery(m, InfoState(s, n), f), engine="sparse", cache=cache).value
                 for s in range(1 << n)
             ]
-            assert row_bits(table[program.root], n) == sparse
+            assert [table.holds(program.root, s) for s in range(1 << n)] == sparse
+            # a query reads a nested implication's lattice row only where
+            # the enclosing one needs it, so pin every implication row over
+            # all substates of the full state directly
+            everything = list(range(n))
+            for r, g in enumerate(row_formulas(program)):
+                if program.ops[r] == OP_IMPLIES:
+                    row = table._lattice_row(r, everything, {})
+                    cache = MemoCache()
+                    assert row_bits(row, n) == [
+                        evaluate(CheckQuery(m, InfoState(s, n), g), engine="sparse", cache=cache).value
+                        for s in range(1 << n)
+                    ], g
+
+    def test_wide_model_small_states_match_naive(self):
+        # a 2^40-state lattice could not be built: the table must stay
+        # within the query state's substates and the anchors of its worlds
+        rng = random.Random(4040)
+        for _ in range(20):
+            m = sparse_modal_model(rng, 40)
+            for f in formulas(rng, m.l, 4):
+                state = InfoState(sum(1 << w for w in rng.sample(range(40), rng.randint(3, 6))), 40)
+                q = CheckQuery(m, state, f)
+                assert evaluate(q, engine="table").value == evaluate(q, engine="naive").value
+
+    def test_declarative_rows_follow_truth_masks(self):
+        rng = random.Random(1618)
+        seen = 0
+        for _ in range(15):
+            m = random_model(rng, n_max=6, l_max=3)
+            for f in formulas(rng, m.l, 4):
+                table = support_table(lower_formula(f), m)
+                for r, declarative in enumerate(table.declarative):
+                    if declarative:
+                        seen += 1
+                        for s in range(1 << m.n):
+                            assert table.holds(r, s) == (s & ~table.truth[r] == 0)
+        assert seen > 100
+
+    def test_query_lattice_rows_stay_with_their_state(self):
+        # the left conjunct builds rows for ?p0 and ?p1 over {w0, w1}; the
+        # right one then asks ?p0 -> ?p1 at {w0}, where it holds while it
+        # fails over {w0, w1}
+        m = InformationModel(2, 3, (bits("11"), bits("10"), bits("10")))
+        f = parse_formula("(?p1 -> ?p0) & (p2 -> (?p0 -> ?p1))")
+        q = CheckQuery(m, bits("11"), f)
+        assert evaluate(q, engine="naive").value
+        assert evaluate(q, engine="table").value
 
     def test_memo_lookup_reads_table(self):
         rng = random.Random(4242)
         for _ in range(20):
             m = random_model(rng, n_max=5, l_max=2)
-            f = random_formula(rng, m.l, depth=3, modal=True)
-            cache = MemoCache()
-            evaluate(CheckQuery(m, InfoState(0, m.n), f), engine="table", cache=cache)
-            entry = cache.root(m, f)
-            assert entry.table is not None
-            got = [cache.lookup(entry, entry.program.root, s) for s in range(1 << m.n)]
-            assert got == reference_row(m, f)
+            for f in formulas(rng, m.l, 3):
+                cache = MemoCache()
+                evaluate(CheckQuery(m, InfoState(0, m.n), f), engine="table", cache=cache)
+                entry = cache.root(m, f)
+                assert entry.table is not None
+                got = [cache.lookup(entry, entry.program.root, s) for s in range(1 << m.n)]
+                assert got == reference_row(m, f)
 
 
 class TestSelection:
