@@ -23,6 +23,7 @@ import random
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 
 from .checker import (
     CheckQuery,
@@ -56,19 +57,14 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _load_model(path: str) -> InformationModel:
-    model = read_model_file(_read_text(path))
-    validate_model(model)
-    return model
-
-
 def _load_qbf(path: str, rename: bool) -> Qbf:
     return parse_qbf(_read_text(path), rename=rename)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     try:
-        model = _load_model(args.model)
+        # read_model_file validates the model it decodes
+        model = read_model_file(_read_text(args.model))
     except (OSError, CodecError, ValidationError) as e:
         return _diag(f"{args.model}: {e}")
     try:
@@ -257,7 +253,13 @@ def cmd_random_model(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process.
+
+    It holds configuration only: parse_args returns a fresh Namespace per
+    call and no default is mutable, so calls to main share it safely.
+    """
     parser = argparse.ArgumentParser(
         prog="inqcheck",
         description="Support checking for inquisitive formulas and QBF compilation onto switching models.",

@@ -30,6 +30,16 @@ from dataclasses import dataclass
 KIND_INQB = "InqB"
 KIND_INQM = "InqM"
 
+# str.translate with this table leaves exactly the characters that are not
+# 0/1; the check runs before int(..., 2), which also accepts "_", "+",
+# surrounding whitespace, a "0b" prefix and non-ASCII digits
+_DELETE_01 = str.maketrans("", "", "01")
+
+
+def _bits_to_mask(bits: str) -> int:
+    """Mask of a checked 0/1 string, leftmost character as bit 0."""
+    return int(bits[::-1], 2) if bits else 0
+
 
 class ValidationError(Exception):
     """A model invariant does not hold.
@@ -75,13 +85,10 @@ class InfoState:
     def from_bits(cls, bits: str) -> InfoState:
         if not bits:
             raise ValueError("empty state string")
-        mask = 0
-        for i, c in enumerate(bits):
-            if c == "1":
-                mask |= 1 << i
-            elif c != "0":
-                raise ValueError(f"state string must be over 0/1, found {c!r}")
-        return cls(mask, len(bits))
+        if bits.translate(_DELETE_01):
+            bad = next(c for c in bits if c not in "01")
+            raise ValueError(f"state string must be over 0/1, found {bad!r}")
+        return cls(_bits_to_mask(bits), len(bits))
 
     @classmethod
     def empty(cls, width: int) -> InfoState:
@@ -92,7 +99,8 @@ class InfoState:
         return cls((1 << width) - 1, width)
 
     def bits(self) -> str:
-        return "".join("1" if self.mask >> i & 1 else "0" for i in range(self.width))
+        # format(0, "00b") is "0", so width 0 needs its own case
+        return format(self.mask, f"0{self.width}b")[::-1] if self.width else ""
 
     def worlds(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.width) if self.mask >> i & 1)
@@ -108,7 +116,7 @@ class InfoState:
         return self.mask == 0
 
     def popcount(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,11 +185,8 @@ def encode_model(m: InformationModel) -> tuple[str, list[str]]:
     generator list of world i as (0 + state)* blocks closed by 1. Plain
     models produce an empty epsilon list.
     """
-    delta = "".join(
-        "1" if m.valuation[j].contains(i) else "0"
-        for i in range(m.n)
-        for j in range(m.l)
-    )
+    # zip over the per-atom strings yields one (atom 0..l-1) tuple per world
+    delta = "".join(map("".join, zip(*(v.bits() for v in m.valuation))))
     if m.sigma is None:
         return delta, []
     epsilons = ["".join("0" + g.bits() for g in gens) + "1" for gens in m.sigma]
@@ -202,14 +207,10 @@ def decode_model(delta: str, epsilons: list[str], n: int, l: int) -> Information
     """
     if len(delta) != n * l:
         raise CodecError("length", f"delta has {len(delta)} bits, expected n*l = {n * l}")
-    if any(c not in "01" for c in delta):
+    if delta.translate(_DELETE_01):
         raise CodecError("alphabet", "delta must be over 0/1")
-    valuation = tuple(
-        InfoState(
-            sum(1 << i for i in range(n) if delta[l * i + j] == "1"), n
-        )
-        for j in range(l)
-    )
+    # delta[j::l] is atom j's extension, world 0 first
+    valuation = tuple(InfoState(_bits_to_mask(delta[j::l]), n) for j in range(l))
     if not epsilons:
         m = InformationModel(n, l, valuation, None)
         validate_model(m)
@@ -218,7 +219,7 @@ def decode_model(delta: str, epsilons: list[str], n: int, l: int) -> Information
         raise CodecError("length", f"expected {n} epsilon strings, got {len(epsilons)}")
     sigma = []
     for i, eps in enumerate(epsilons):
-        if any(c not in "01" for c in eps):
+        if eps.translate(_DELETE_01):
             raise CodecError("alphabet", f"epsilon {i} must be over 0/1")
         if len(eps) == 0 or eps[-1] != "1":
             raise CodecError("terminator", f"epsilon {i} does not end with the terminal 1")
@@ -228,12 +229,17 @@ def decode_model(delta: str, epsilons: list[str], n: int, l: int) -> Information
                 "terminator",
                 f"epsilon {i} has length {len(eps)}, expected (n+1)*k + 1 for some k",
             )
-        gens = []
-        for off in range(0, len(body), n + 1):
-            if body[off] != "0":
-                raise CodecError("separator", f"epsilon {i} block at bit {off} does not start with 0")
-            gens.append(InfoState.from_bits(body[off + 1 : off + 1 + n]))
-        sigma.append(tuple(gens))
+        # body[::n+1] holds the separator bit of every block
+        bad = body[:: n + 1].find("1")
+        if bad >= 0:
+            off = bad * (n + 1)
+            raise CodecError("separator", f"epsilon {i} block at bit {off} does not start with 0")
+        sigma.append(
+            tuple(
+                InfoState(_bits_to_mask(body[off + 1 : off + 1 + n]), n)
+                for off in range(0, len(body), n + 1)
+            )
+        )
     m = InformationModel(n, l, valuation, tuple(sigma))
     validate_model(m)
     return m

@@ -262,6 +262,36 @@ class TestRandomModel:
         assert cli.main(["random-model", "--seed", "1", "--worlds", "2", "--atoms", "0"]) == 2
 
 
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_do_not_leak_state(self, demo_file, tmp_path, capsys):
+        check = ["check", demo_file, "110", "--formula", "p1"]
+        assert cli.main(check + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"] == "SUPPORTED"
+        assert cli.main(check) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "SUPPORTED"
+        assert out[1].startswith("nodes visited:")
+
+        assert cli.main(["-v"] + check) == 0
+        assert "engine:" in capsys.readouterr().err
+        assert cli.main(check) == 0
+        assert "engine:" not in capsys.readouterr().err
+
+        qpath = write(tmp_path, "t.qbf", "exists x0 : x0\n")
+        assert cli.main(["verify", qpath]) == 0
+        assert capsys.readouterr().out.strip() == "AGREE(true)"
+        assert cli.main(["verify"]) == 2
+        assert "nothing to verify" in capsys.readouterr().err
+
+        assert cli.main(["check", demo_file, "110"]) == 2
+        capsys.readouterr()
+        assert cli.main(check) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "SUPPORTED"
+
+
 class TestEntryPoint:
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == 0

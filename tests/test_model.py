@@ -53,6 +53,19 @@ def models(draw, n_max=6, l_max=4, k_max=3, modal=None):
     return InformationModel(n, l, valuation, sigma)
 
 
+def reference_mask(bits: str) -> int:
+    """Per-character decoder the codec must agree with."""
+    mask = 0
+    for i, c in enumerate(bits):
+        if c == "1":
+            mask |= 1 << i
+    return mask
+
+
+# each is accepted by int(..., 2) but is not a 0/1 string
+INT_SYNTAX = ["1_0", " 10", "10\n", "+1", "0b1", "\u0661\u0660"]
+
+
 class TestInfoState:
     def test_from_bits_leftmost_is_world_zero(self):
         s = InfoState.from_bits("101")
@@ -64,6 +77,23 @@ class TestInfoState:
             InfoState.from_bits("10x")
         with pytest.raises(ValueError):
             InfoState.from_bits("")
+
+    @pytest.mark.parametrize("text", INT_SYNTAX)
+    def test_from_bits_rejects_int_syntax(self, text):
+        int(text, 2)
+        with pytest.raises(ValueError, match="over 0/1"):
+            InfoState.from_bits(text)
+
+    @given(st.text("01", min_size=1, max_size=200))
+    @settings(max_examples=200)
+    def test_from_bits_matches_reference(self, text):
+        s = InfoState.from_bits(text)
+        assert s == InfoState(reference_mask(text), len(text))
+        assert s.bits() == text
+        assert s.popcount() == text.count("1")
+
+    def test_zero_width_bits(self):
+        assert InfoState(0, 0).bits() == ""
 
     def test_mask_range_checked(self):
         with pytest.raises(ValueError):
@@ -159,6 +189,39 @@ class TestCodec:
         with pytest.raises(CodecError) as info:
             decode_model("x", [], 1, 1)
         assert info.value.what == "alphabet"
+
+    @pytest.mark.parametrize("text", INT_SYNTAX)
+    def test_alphabet_rejects_int_syntax(self, text):
+        with pytest.raises(CodecError) as info:
+            decode_model(text, [], len(text), 1)
+        assert info.value.what == "alphabet"
+        with pytest.raises(CodecError) as info:
+            decode_model("0", [text], 1, 1)
+        assert info.value.what == "alphabet"
+
+    @given(st.integers(1, 20), st.integers(0, 10), st.booleans(), st.data())
+    @settings(max_examples=200)
+    def test_decode_matches_reference(self, n, l, modal, data):
+        delta = data.draw(st.text("01", min_size=n * l, max_size=n * l))
+        # bit l*i + j of delta is atom j at world i
+        valuation = tuple(
+            InfoState(reference_mask("".join(delta[l * i + j] for i in range(n))), n)
+            for j in range(l)
+        )
+        blocks = st.text("01", min_size=n, max_size=n)
+        lists = [
+            data.draw(st.lists(blocks, min_size=1, max_size=min(3, 1 << n), unique=True))
+            for _ in range(n if modal else 0)
+        ]
+        epsilons = ["".join("0" + g for g in gens) + "1" for gens in lists]
+        sigma = (
+            tuple(tuple(InfoState(reference_mask(g), n) for g in gens) for gens in lists)
+            if modal
+            else None
+        )
+        m = decode_model(delta, epsilons, n, l)
+        assert m == InformationModel(n, l, valuation, sigma)
+        assert encode_model(m) == (delta, epsilons)
 
     @given(models())
     @settings(max_examples=200)
