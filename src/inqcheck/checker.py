@@ -42,6 +42,7 @@ from .kernels import (
     Program,
     SupportTable,
     lower_formula,
+    model_masks,
     support_table,
     table_bytes,
 )
@@ -163,11 +164,7 @@ def _eval_memo_sparse(q: CheckQuery, entry: _RootEntry) -> tuple[bool, int]:
     m = q.model
     prog = entry.program
     ops, left, right, payload = (a.tolist() for a in (prog.ops, prog.left, prog.right, prog.payload))
-    vmasks = [v.mask for v in m.valuation]
-    union_masks = [sigma_union(m, w).mask for w in range(m.n)] if m.is_modal else None
-    gen_masks = (
-        [[g.mask for g in gens] for gens in m.sigma] if m.is_modal else None
-    )
+    vmasks, union_masks, gen_masks = model_masks(m)
     values = entry.values
     misses = 0
 

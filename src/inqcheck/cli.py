@@ -65,7 +65,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         # read_model_file validates the model it decodes
         model = read_model_file(_read_text(args.model))
-    except (OSError, CodecError, ValidationError) as e:
+    except (OSError, UnicodeDecodeError, CodecError, ValidationError) as e:
         return _diag(f"{args.model}: {e}")
     try:
         state = InfoState.from_bits(args.state)
@@ -79,9 +79,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         else:
             text = args.formula
         formula = parse_formula(text)
-    except OSError as e:
-        return _diag(f"{source}: {e}")
-    except ParseError as e:
+    except (OSError, UnicodeDecodeError, ParseError) as e:
         return _diag(f"{source}: {e}")
     try:
         outcome = evaluate(
@@ -132,12 +130,17 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     except (OSError, ParseError, ClosureError, ValueError) as e:
         return _diag(f"{args.qbf}: {e}")
     stem = args.out_stem
-    with open(f"{stem}.im", "w", encoding="utf-8") as handle:
-        handle.write(write_model_file(instance.model.model))
-    with open(f"{stem}.state", "w", encoding="utf-8") as handle:
-        handle.write(instance.state.bits() + "\n")
-    with open(f"{stem}.formula", "w", encoding="utf-8") as handle:
-        handle.write(render_formula(instance.formula) + "\n")
+    outputs = {
+        f"{stem}.im": write_model_file(instance.model.model),
+        f"{stem}.state": instance.state.bits() + "\n",
+        f"{stem}.formula": render_formula(instance.formula) + "\n",
+    }
+    for path, text in outputs.items():
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as e:
+            return _diag(f"{path}: {e}")
     report = size_report(instance, bound=args.bound)
     print(_report_json(report) if args.json else _report_lines(report))
     return 0
@@ -146,7 +149,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def cmd_qbf_eval(args: argparse.Namespace) -> int:
     try:
         theta = _load_qbf(args.qbf, args.rename)
-    except (OSError, ParseError, ClosureError) as e:
+    except (OSError, UnicodeDecodeError, ParseError, ClosureError) as e:
         return _diag(f"{args.qbf}: {e}")
     value = eval_qbf(theta)
     if args.json:

@@ -17,14 +17,17 @@ over the sub-lattice marks the substates where the antecedent holds and
 the consequent fails, then closes that marking upward under supersets
 with one masked shift per world, so it costs O(k * 2^k) bit operations
 for k = |s|, never touching the states of the model outside s.
+
+States, truth masks and lattice rows are plain Python ints, which have no
+width, so models of any size share one code path.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from functools import cache
-
-import numpy as np
+from functools import cache, reduce
+from operator import or_
 
 from .model import InformationModel
 from .syntax import And, Atom, Bottom, Box, Formula, IVee, Implies, WBox
@@ -57,13 +60,15 @@ class Program:
     """Flat postorder form of a formula; children precede parents.
 
     payload holds the atom index for OP_ATOM rows and 0 elsewhere; left
-    and right hold child row numbers (right is 0 for unary rows).
+    and right hold child row numbers (right is 0 for unary rows). The
+    columns are array("q") only because perfbench/tracing.py calls
+    .tolist() on them and bincounts ops; without that they could be tuples.
     """
 
-    ops: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    payload: np.ndarray
+    ops: array
+    left: array
+    right: array
+    payload: array
     root: int
 
     @property
@@ -105,34 +110,21 @@ def lower_formula(f: Formula) -> Program:
 
     root = visit(f)
     return Program(
-        ops=np.asarray(ops, dtype=np.int64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        payload=np.asarray(payload, dtype=np.int64),
+        ops=array("q", ops),
+        left=array("q", left),
+        right=array("q", right),
+        payload=array("q", payload),
         root=root,
     )
 
 
-def model_arrays(m: InformationModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pack the model data the kernel needs: atom masks, per-world state
-    map unions, and the flattened generator lists."""
-    val_masks = np.asarray([v.mask for v in m.valuation], dtype=np.int64)
-    if m.sigma is None:
-        box_masks = np.zeros(m.n, dtype=np.int64)
-        gen_off = np.zeros(m.n + 1, dtype=np.int64)
-        gen_masks = np.zeros(0, dtype=np.int64)
-        return val_masks, box_masks, gen_off, gen_masks
-    box_masks = np.zeros(m.n, dtype=np.int64)
-    gen_off = np.zeros(m.n + 1, dtype=np.int64)
-    flat: list[int] = []
-    for i, gens in enumerate(m.sigma):
-        union = 0
-        for g in gens:
-            union |= g.mask
-            flat.append(g.mask)
-        box_masks[i] = union
-        gen_off[i + 1] = len(flat)
-    return val_masks, box_masks, gen_off, np.asarray(flat, dtype=np.int64)
+def model_masks(m: InformationModel) -> tuple[list[int], list[int], list[list[int]]]:
+    """The model as world masks: each atom's valuation, each world's
+    generator union (the box anchor) and each world's generator list (the
+    wbox anchors). A plain model gives every world no generators."""
+    val_masks = [v.mask for v in m.valuation]
+    gen_masks = [[g.mask for g in gens] for gens in m.sigma or ((),) * m.n]
+    return val_masks, [reduce(or_, gens, 0) for gens in gen_masks], gen_masks
 
 
 @cache
@@ -255,7 +247,7 @@ def support_table(program: Program, m: InformationModel) -> SupportTable:
     """Truth masks of every program row, bottom-up. A box or wbox row
     asks whether its body holds at each world's anchor states, so the
     lattice rows built for one anchor serve every row that reaches it."""
-    val_masks, box_masks, gen_off, gen_masks = (a.tolist() for a in model_arrays(m))
+    val_masks, union_masks, gen_masks = model_masks(m)
     table = SupportTable(program)
     left, right, truth, declarative = table.left, table.right, table.truth, table.declarative
     payload = program.payload.tolist()
@@ -278,13 +270,13 @@ def support_table(program: Program, m: InformationModel) -> SupportTable:
         elif op == OP_IMPLIES:
             t, d = (all_worlds & ~truth[a]) | truth[b], declarative[b]
         elif op == OP_BOX:
-            t = sum(1 << w for w in range(m.n) if holds_at(a, box_masks[w]))
+            t = sum(1 << w for w in range(m.n) if holds_at(a, union_masks[w]))
             d = True
         else:
             t = sum(
                 1 << w
                 for w in range(m.n)
-                if all(holds_at(a, g) for g in gen_masks[gen_off[w] : gen_off[w + 1]])
+                if all(holds_at(a, g) for g in gen_masks[w])
             )
             d = True
         truth.append(t)

@@ -76,13 +76,6 @@ class PNot(PropFormula):
     body: PropFormula
 
 
-@dataclass(frozen=True, slots=True)
-class _NameRef(PropFormula):
-    """Parse-time variable reference, replaced during name resolution."""
-
-    name: str
-
-
 def to_nnf(f: PropFormula) -> PropFormula:
     """Push negations to the variables and drop double negations.
 
@@ -206,9 +199,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _QbfParser:
-    def __init__(self, text: str):
+    """Recursive descent straight into NNF: names are looked up in the
+    already parsed prefix, and `~` is a polarity flag that negates
+    variables and swaps PAnd with POr. Binding and closure errors are only
+    recorded, so that parse_qbf can let a later syntax error win."""
+
+    def __init__(self, text: str, rename: bool):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.rename = rename
+        self.names: dict[str, int] = {}
+        self.binding_error: ParseError | None = None
+        self.unbound: str | None = None
 
     def peek(self):
         return self.tokens[self.pos]
@@ -223,7 +225,7 @@ class _QbfParser:
         found = "end of input" if kind == "eof" else repr(value)
         return ParseError(offset, expected, found)
 
-    def prefix(self) -> list[tuple[str, str, int]]:
+    def prefix(self) -> tuple[tuple[str, int], ...]:
         entries = []
         while self.peek()[0] in (FORALL, EXISTS):
             quant = self.advance()[0]
@@ -231,56 +233,54 @@ class _QbfParser:
             if kind != "ident":
                 raise self.fail(frozenset({"identifier"}))
             self.advance()
-            entries.append((quant, name, offset))
+            position = len(entries)
+            if self.binding_error is None:
+                if name in self.names:
+                    self.binding_error = ParseError(offset, frozenset({"fresh identifier"}), repr(name))
+                elif not self.rename and name != f"x{position}":
+                    self.binding_error = ParseError(offset, frozenset({f"x{position}"}), repr(name))
+                self.names[name] = position
+            entries.append((quant, position))
         if self.peek()[0] != ":":
             raise self.fail(frozenset({FORALL, EXISTS, ":"}))
         self.advance()
-        return entries
+        return tuple(entries)
 
-    def disj(self) -> PropFormula:
-        left = self.conj()
+    def disj(self, negate: bool) -> PropFormula:
+        join = PAnd if negate else POr
+        left = self.conj(negate)
         while self.peek()[0] == "|":
             self.advance()
-            left = POr(left, self.conj())
+            left = join(left, self.conj(negate))
         return left
 
-    def conj(self) -> PropFormula:
-        left = self.lit()
+    def conj(self, negate: bool) -> PropFormula:
+        join = POr if negate else PAnd
+        left = self.lit(negate)
         while self.peek()[0] == "&":
             self.advance()
-            left = PAnd(left, self.lit())
+            left = join(left, self.lit(negate))
         return left
 
-    def lit(self) -> PropFormula:
+    def lit(self, negate: bool) -> PropFormula:
         kind, value, _ = self.peek()
         if kind == "~":
             self.advance()
-            return PNot(self.lit())
+            return self.lit(not negate)
         if kind == "ident":
             self.advance()
-            return _NameRef(value)
+            if value not in self.names and self.unbound is None:
+                self.unbound = value
+            index = self.names.get(value, 0)
+            return NegVar(index) if negate else Var(index)
         if kind == "(":
             self.advance()
-            inner = self.disj()
+            inner = self.disj(negate)
             if self.peek()[0] != ")":
                 raise self.fail(frozenset({")", "&", "|"}))
             self.advance()
             return inner
         raise self.fail(frozenset({"identifier", "~", "("}))
-
-
-def _resolve(f: PropFormula, names: dict[str, int]) -> PropFormula:
-    if isinstance(f, _NameRef):
-        if f.name not in names:
-            raise ClosureError(f.name)
-        return Var(names[f.name])
-    if isinstance(f, PNot):
-        return PNot(_resolve(f.body, names))
-    if isinstance(f, PAnd):
-        return PAnd(_resolve(f.left, names), _resolve(f.right, names))
-    if isinstance(f, POr):
-        return POr(_resolve(f.left, names), _resolve(f.right, names))
-    raise TypeError(f"unexpected node during name resolution: {f!r}")
 
 
 def parse_qbf(text: str, rename: bool = False) -> Qbf:
@@ -295,22 +295,16 @@ def parse_qbf(text: str, rename: bool = False) -> Qbf:
             variable names.
         ClosureError: a matrix variable the prefix does not bind.
     """
-    parser = _QbfParser(text)
-    entries = parser.prefix()
-    matrix_raw = parser.disj()
+    parser = _QbfParser(text, rename)
+    prefix = parser.prefix()
+    matrix = parser.disj(False)
     if parser.peek()[0] != "eof":
         raise parser.fail(frozenset({"&", "|", "end of input"}))
-    names: dict[str, int] = {}
-    prefix = []
-    for position, (quant, name, offset) in enumerate(entries):
-        if name in names:
-            raise ParseError(offset, frozenset({"fresh identifier"}), repr(name))
-        if not rename and name != f"x{position}":
-            raise ParseError(offset, frozenset({f"x{position}"}), repr(name))
-        names[name] = position
-        prefix.append((quant, position))
-    matrix = to_nnf(_resolve(matrix_raw, names))
-    return Qbf(tuple(prefix), matrix)
+    if parser.binding_error is not None:
+        raise parser.binding_error
+    if parser.unbound is not None:
+        raise ClosureError(parser.unbound)
+    return Qbf(prefix, matrix)
 
 
 def eval_prop(f: PropFormula, v: BoolValuation) -> int:

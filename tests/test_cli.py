@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import inqcheck
 from inqcheck import cli
 from inqcheck.model import read_model_file, write_model_file
 from inqcheck.qbf import Qbf, Var, FORALL, parse_qbf
@@ -307,3 +312,51 @@ class TestEntryPoint:
         assert cli.main(["check", demo_file, "110", "--formula", "p0"]) == 4
         err = capsys.readouterr().err
         assert err == "inqcheck: internal error: RecursionError: maximum recursion depth exceeded\n"
+
+    @pytest.mark.parametrize("case", ["check-model", "check-formula-file", "qbf-eval", "reduce-out-dir"])
+    def test_input_errors_exit_two(self, case, tmp_path, demo_file, capsys):
+        # a file that is not UTF-8, or an output directory that does not
+        # exist, is the user's input error, not a crash (exit 4)
+        bad = str(tmp_path / "latin1.txt")
+        with open(bad, "wb") as handle:
+            handle.write("caf\xe9\n".encode("latin-1"))
+        argv, path = {
+            "check-model": (["check", bad, "110", "--formula", "p0"], bad),
+            "check-formula-file": (["check", demo_file, "110", "--formula-file", bad], bad),
+            "qbf-eval": (["qbf-eval", bad], bad),
+            "reduce-out-dir": (
+                ["reduce", write(tmp_path, "t.qbf", "exists x0 : x0\n"), "/nonexistent/dir/inst"],
+                "/nonexistent/dir/inst.im",
+            ),
+        }[case]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {path}: ")
+
+    def test_runs_without_numpy(self, tmp_path):
+        script = textwrap.dedent(
+            """
+            import sys
+            sys.modules["numpy"] = None  # any import of numpy now fails
+            import inqcheck
+            from inqcheck import cli
+            qbf, stem = sys.argv[1:]
+            assert cli.main(["reduce", qbf, stem]) == 0
+            with open(stem + ".state") as handle:
+                state = handle.read().strip()
+            assert cli.main(["check", stem + ".im", state, "--formula-file", stem + ".formula"]) == 0
+            assert cli.main(["verify", "--random", "5"]) == 0
+            """
+        )
+        qbf = write(tmp_path, "t.qbf", "forall x0 exists x1 : (x0 | x1) & (~x0 | ~x1)\n")
+        src = os.path.dirname(os.path.dirname(inqcheck.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", script, qbf, str(tmp_path / "inst")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr

@@ -16,7 +16,7 @@ from inqcheck.kernels import (
     OP_IVEE,
     OP_WBOX,
     lower_formula,
-    model_arrays,
+    model_masks,
     support_table,
     table_bytes,
 )
@@ -41,12 +41,15 @@ class TestLowering:
         program = lower_formula(parse_formula("p0 & p1"))
         assert table_bytes(program, demo_model) == program.num_nodes * 8
 
-    def test_model_arrays_shapes(self, demo_model):
-        val_masks, box_masks, gen_off, gen_masks = model_arrays(demo_model)
-        assert list(val_masks) == [0b101, 0b011]
-        assert list(box_masks) == [0b100, 0b111, 0b111]
-        assert list(gen_off) == [0, 1, 3, 5]
-        assert list(gen_masks) == [0b100, 0b001, 0b110, 0b011, 0b101]
+    def test_model_masks(self, demo_model):
+        val_masks, union_masks, gen_masks = model_masks(demo_model)
+        assert val_masks == [0b101, 0b011]
+        assert union_masks == [0b100, 0b111, 0b111]
+        assert gen_masks == [[0b100], [0b001, 0b110], [0b011, 0b101]]
+
+    def test_model_masks_of_a_plain_model(self):
+        m = InformationModel(3, 1, (InfoState(0b110, 3),))
+        assert model_masks(m) == ([0b110], [0, 0, 0], [[], [], []])
 
 
 def naive_at(model, formula, mask):
@@ -172,14 +175,16 @@ class TestTables:
                         for s in range(1 << n)
                     ], g
 
-    def test_wide_model_small_states_match_naive(self):
-        # a 2^40-state lattice could not be built: the table must stay
-        # within the query state's substates and the anchors of its worlds
+    @pytest.mark.parametrize("n", [40, 70])
+    def test_wide_model_small_states_match_naive(self, n):
+        # a 2^n-state lattice could not be built: the table must stay
+        # within the query state's substates and the anchors of its worlds;
+        # at n = 70 the masks no longer fit a 64-bit word
         rng = random.Random(4040)
         for _ in range(20):
-            m = sparse_modal_model(rng, 40)
+            m = sparse_modal_model(rng, n)
             for f in formulas(rng, m.l, 4):
-                state = InfoState(sum(1 << w for w in rng.sample(range(40), rng.randint(3, 6))), 40)
+                state = InfoState(sum(1 << w for w in rng.sample(range(n), rng.randint(3, 6))), n)
                 q = CheckQuery(m, state, f)
                 assert evaluate(q, engine="table").value == evaluate(q, engine="naive").value
 

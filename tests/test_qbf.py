@@ -77,6 +77,19 @@ class TestParse:
             parse_qbf("exists x0 : x0 & x1")
         assert "x1" in str(info.value)
 
+    def test_error_precedence(self):
+        # a syntax error anywhere beats a bad binding, which beats an
+        # unbound name; among unbound names the first in the text wins
+        with pytest.raises(ParseError) as info:
+            parse_qbf("forall x1 : x1 &")
+        assert info.value.offset == len("forall x1 : x1 &")
+        with pytest.raises(ParseError) as info:
+            parse_qbf("forall x1 : y")
+        assert info.value.offset == len("forall ")
+        with pytest.raises(ClosureError) as info:
+            parse_qbf("forall x0 : ~(x0 | y) & z")
+        assert info.value.name == "y"
+
     def test_missing_colon(self):
         with pytest.raises(ParseError):
             parse_qbf("exists x0 x0")
@@ -109,6 +122,9 @@ class TestNnf:
             nnf = to_nnf(f)
             for v in assignments(4):
                 assert _truth(f, v) == eval_prop(nnf, v)
+            # the parser pushes negations down as it reads, to the same tree
+            prefix = tuple((FORALL, i) for i in range(4))
+            assert parse_qbf(f"forall x0 forall x1 forall x2 forall x3 : {render_prop(f)}") == Qbf(prefix, nnf)
 
     def test_size_at_most_doubled(self):
         rng = random.Random(43)
