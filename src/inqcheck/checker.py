@@ -244,8 +244,10 @@ def evaluate(
         value, visits = _eval_naive(q)
         return CheckOutcome(value, visits, "naive")
     if cache is None:
-        cache = MemoCache()
-    entry = cache.root(q.model, q.formula)
+        # a one-off query needs no cache key, whose hash recurses over the formula
+        entry = _RootEntry(program=lower_formula(q.formula))
+    else:
+        entry = cache.root(q.model, q.formula)
     if engine == "auto":
         engine = "table" if table_bytes(entry.program, q.model) <= _table_cap() else "sparse"
     if engine == "table":

@@ -27,7 +27,6 @@ from functools import cache
 
 from .checker import (
     CheckQuery,
-    MemoCache,
     QueryError,
     check_support_memo,
     evaluate,
@@ -52,35 +51,32 @@ def _diag(message: str) -> int:
     return 2
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+class _InputError(Exception):
+    """User input that cannot be read or decoded, as `<source>: <message>`."""
 
 
-def _load_qbf(path: str, rename: bool) -> Qbf:
-    return parse_qbf(_read_text(path), rename=rename)
+def _read_input(source: str, decode, text: str | None = None, **options):
+    """Decode text, or the file named by source when no text is given.
+
+    source names the input in the error: a path, or "state argument" /
+    "formula argument" for command-line text. Only reading and decoding
+    are guarded; an exception from later work remains an internal error.
+    """
+    try:
+        if text is None:
+            with open(source, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        return decode(text, **options)
+    except (OSError, ValueError, ParseError, ClosureError, CodecError, ValidationError) as e:
+        raise _InputError(f"{source}: {e}") from e
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        # read_model_file validates the model it decodes
-        model = read_model_file(_read_text(args.model))
-    except (OSError, UnicodeDecodeError, CodecError, ValidationError) as e:
-        return _diag(f"{args.model}: {e}")
-    try:
-        state = InfoState.from_bits(args.state)
-    except ValueError as e:
-        return _diag(f"state argument: {e}")
-    source = "formula argument"
-    try:
-        if args.formula_file is not None:
-            source = args.formula_file
-            text = _read_text(args.formula_file)
-        else:
-            text = args.formula
-        formula = parse_formula(text)
-    except (OSError, UnicodeDecodeError, ParseError) as e:
-        return _diag(f"{source}: {e}")
+    # read_model_file validates the model it decodes
+    model = _read_input(args.model, read_model_file)
+    state = _read_input("state argument", InfoState.from_bits, args.state)
+    formula_source = args.formula_file if args.formula is None else "formula argument"
+    formula = _read_input(formula_source, parse_formula, args.formula)
     try:
         outcome = evaluate(
             CheckQuery(model, state, formula),
@@ -98,37 +94,31 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if outcome.value else 1
 
 
-def _report_lines(report) -> str:
-    verdict = "ok" if report.within_bound else "bound exceeded"
-    return "\n".join(
-        [
-            f"l: {report.l}",
-            f"matrix size: {report.matrix_size}",
-            f"translated size: {report.translated_size}",
-            f"ratio: {report.ratio:.4f}",
-            f"bound: {report.bound:.4f} ({verdict})",
-        ]
-    )
-
-
-def _report_json(report) -> str:
-    return json.dumps(
-        {
-            "l": report.l,
-            "matrix_size": report.matrix_size,
-            "translated_size": report.translated_size,
-            "ratio": report.ratio,
-            "result": "ok" if report.within_bound else "bound-exceeded",
-        }
-    )
+def _print_report(instance, args: argparse.Namespace) -> None:
+    """The size report of reduce and stats, as text or one JSON line."""
+    report = size_report(instance, bound=args.bound)
+    if args.json:
+        print(
+            json.dumps(
+                {
+                    "l": report.l,
+                    "matrix_size": report.matrix_size,
+                    "translated_size": report.translated_size,
+                    "ratio": report.ratio,
+                    "result": "ok" if report.within_bound else "bound-exceeded",
+                }
+            )
+        )
+        return
+    print(f"l: {report.l}")
+    print(f"matrix size: {report.matrix_size}")
+    print(f"translated size: {report.translated_size}")
+    print(f"ratio: {report.ratio:.4f}")
+    print(f"bound: {report.bound:.4f} ({'ok' if report.within_bound else 'bound exceeded'})")
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    try:
-        theta = _load_qbf(args.qbf, args.rename)
-        instance = reduce_tqbf(theta)
-    except (OSError, ParseError, ClosureError, ValueError) as e:
-        return _diag(f"{args.qbf}: {e}")
+    instance = reduce_tqbf(_read_input(args.qbf, parse_qbf, rename=args.rename))
     stem = args.out_stem
     outputs = {
         f"{stem}.im": write_model_file(instance.model.model),
@@ -141,41 +131,26 @@ def cmd_reduce(args: argparse.Namespace) -> int:
                 handle.write(text)
         except OSError as e:
             return _diag(f"{path}: {e}")
-    report = size_report(instance, bound=args.bound)
-    print(_report_json(report) if args.json else _report_lines(report))
+    _print_report(instance, args)
     return 0
 
 
 def cmd_qbf_eval(args: argparse.Namespace) -> int:
-    try:
-        theta = _load_qbf(args.qbf, args.rename)
-    except (OSError, UnicodeDecodeError, ParseError, ClosureError) as e:
-        return _diag(f"{args.qbf}: {e}")
-    value = eval_qbf(theta)
-    if args.json:
-        print(json.dumps({"result": "TRUE" if value else "FALSE"}))
-    else:
-        print("TRUE" if value else "FALSE")
+    value = eval_qbf(_read_input(args.qbf, parse_qbf, rename=args.rename))
+    verdict = "TRUE" if value else "FALSE"
+    print(json.dumps({"result": verdict}) if args.json else verdict)
     return 0 if value else 1
 
 
 def _verify_case(theta: Qbf) -> tuple[bool, bool]:
     expected = eval_qbf(theta)
     instance = reduce_tqbf(theta)
-    got = check_support_memo(
-        CheckQuery(instance.model.model, instance.state, instance.formula),
-        MemoCache(),
-    )
+    got = check_support_memo(CheckQuery(instance.model.model, instance.state, instance.formula))
     return expected, got
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cases: list[tuple[str, Qbf]] = []
-    for path in args.qbf:
-        try:
-            cases.append((path, _load_qbf(path, args.rename)))
-        except (OSError, ParseError, ClosureError, ValueError) as e:
-            return _diag(f"{path}: {e}")
+    cases = [(path, _read_input(path, parse_qbf, rename=args.rename)) for path in args.qbf]
     if args.random:
         if args.max_l < 1:
             return _diag("--max-l must be at least 1")
@@ -222,13 +197,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    try:
-        theta = _load_qbf(args.qbf, args.rename)
-        instance = reduce_tqbf(theta)
-    except (OSError, ParseError, ClosureError, ValueError) as e:
-        return _diag(f"{args.qbf}: {e}")
-    report = size_report(instance, bound=args.bound)
-    print(_report_json(report) if args.json else _report_lines(report))
+    theta = _read_input(args.qbf, parse_qbf, rename=args.rename)
+    _print_report(reduce_tqbf(theta), args)
     return 0
 
 
@@ -332,6 +302,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.run(args)
+    except _InputError as e:
+        return _diag(str(e))
     except Exception as e:
         # an escaped traceback would exit 1, which reads as a negative decision
         if args.verbose:

@@ -315,6 +315,11 @@ def write_model_file(m: InformationModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_decimal(word: str) -> bool:
+    # str.isdigit alone accepts "²", which int rejects, and "٠", which int reads as 0
+    return word.isascii() and word.isdigit()
+
+
 def read_model_file(text: str) -> InformationModel:
     """Parse the on-disk text format; inverse of write_model_file.
 
@@ -338,11 +343,11 @@ def read_model_file(text: str) -> InformationModel:
     if parts != ["inqmodel", "v1"]:
         raise CodecError("header", f"line {lineno}: expected 'inqmodel v1'")
     lineno, parts = take("atoms")
-    if len(parts) != 2 or parts[0] != "atoms" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "atoms" or not _is_decimal(parts[1]):
         raise CodecError("format", f"line {lineno}: expected 'atoms <count>'")
     l = int(parts[1])
     lineno, parts = take("worlds")
-    if len(parts) != 2 or parts[0] != "worlds" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "worlds" or not _is_decimal(parts[1]):
         raise CodecError("format", f"line {lineno}: expected 'worlds <count>'")
     n = int(parts[1])
     lineno, parts = take("delta")
@@ -352,7 +357,7 @@ def read_model_file(text: str) -> InformationModel:
     epsilons: list[str] = []
     while rows:
         lineno, parts = take("epsilon")
-        if len(parts) != 3 or parts[0] != "epsilon" or not parts[1].isdigit():
+        if len(parts) != 3 or parts[0] != "epsilon" or not _is_decimal(parts[1]):
             raise CodecError("format", f"line {lineno}: expected 'epsilon <world> <bits>'")
         if int(parts[1]) != len(epsilons):
             raise CodecError(

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 
 from .switching import BoolValuation
-from .syntax import ParseError
+from .syntax import ParseError, _Cursor
 
 FORALL = "forall"
 EXISTS = "exists"
@@ -198,32 +198,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _QbfParser:
+class _QbfParser(_Cursor):
     """Recursive descent straight into NNF: names are looked up in the
     already parsed prefix, and `~` is a polarity flag that negates
     variables and swaps PAnd with POr. Binding and closure errors are only
     recorded, so that parse_qbf can let a later syntax error win."""
 
     def __init__(self, text: str, rename: bool):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        super().__init__(_tokenize(text))
         self.rename = rename
         self.names: dict[str, int] = {}
         self.binding_error: ParseError | None = None
         self.unbound: str | None = None
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, expected: frozenset[str]) -> ParseError:
-        kind, value, offset = self.peek()
-        found = "end of input" if kind == "eof" else repr(value)
-        return ParseError(offset, expected, found)
 
     def prefix(self) -> tuple[tuple[str, int], ...]:
         entries = []

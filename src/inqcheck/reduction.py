@@ -36,20 +36,16 @@ from math import log2
 
 from .model import InfoState
 from .qbf import (
-    EXISTS,
     FORALL,
     ClosureError,
     NegVar,
     PAnd,
-    PNot,
     POr,
     PropFormula,
     Qbf,
     Var,
-    eval_prop,
     prop_size,
     prop_vars,
-    to_nnf,
 )
 from .switching import (
     SwitchingModel,
@@ -63,18 +59,10 @@ from .syntax import And, Formula, IVee, Implies, formula_size, neg
 
 __all__ = [
     "DEFAULT_SIZE_RATIO_BOUND",
-    "NegVar",
-    "PAnd",
-    "PNot",
-    "POr",
-    "PropFormula",
     "ReductionInstance",
     "SizeReport",
-    "Var",
-    "eval_prop",
     "reduce_tqbf",
     "size_report",
-    "to_nnf",
     "translate_prop",
     "translate_qbf",
 ]

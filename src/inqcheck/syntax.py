@@ -16,9 +16,9 @@ Grammar (whitespace-insensitive, `#` starts a comment to end of line):
     unary   := ("not"|"?"|"box"|"wbox") unary | atom
     atom    := "bot" | "p" DIGITS | "(" formula ")"
 
-`ior` and `or` may not be chained at the same level without parentheses:
-one is a connective of its own and the other an abbreviation, and silent
-mixing is a classic source of confusion.
+DIGITS are ASCII `0-9`. `ior` and `or` may not be chained at the same
+level without parentheses: one is a connective of its own and the other
+an abbreviation, and silent mixing is a classic source of confusion.
 """
 
 from __future__ import annotations
@@ -144,7 +144,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             word = text[i:j]
             if word in _KEYWORDS:
                 tokens.append((word, word, i))
-            elif word[0] == "p" and word[1:].isdigit():
+            # ASCII digits only: int() rejects "²" and reads "٣" as 3
+            elif word[0] == "p" and word[1:].isascii() and word[1:].isdigit():
                 tokens.append(("atom", word[1:], i))
             else:
                 raise ParseError(
@@ -162,9 +163,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 _ATOM_START = frozenset({"bot", "p<index>", "(", "not", "?", "box", "wbox"})
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+class _Cursor:
+    """A position in a (kind, value, offset) token list ending with EOF;
+    the formula parser and the QBF parser both read through one."""
+
+    def __init__(self, tokens: list[tuple[str, str, int]]):
+        self.tokens = tokens
         self.pos = 0
 
     def peek(self) -> tuple[str, str, int]:
@@ -180,6 +184,8 @@ class _Parser:
         found = "end of input" if kind == "eof" else repr(value)
         return ParseError(offset, expected, found)
 
+
+class _Parser(_Cursor):
     def impl(self) -> Formula:
         left = self.disj()
         if self.peek()[0] == "->":
@@ -252,7 +258,7 @@ def parse_formula(text: str) -> Formula:
         ParseError: on malformed input, with byte offset and the set of
             acceptable tokens at that point.
     """
-    parser = _Parser(text)
+    parser = _Parser(_tokenize(text))
     result = parser.impl()
     if parser.peek()[0] != "eof":
         raise parser.fail(frozenset({"->", "&", "ior", "or", "end of input"}))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -16,6 +18,8 @@ from inqcheck.model import read_model_file, write_model_file
 from inqcheck.qbf import Qbf, Var, FORALL, parse_qbf
 from inqcheck.reduction import reduce_tqbf
 from inqcheck.syntax import parse_formula
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 @pytest.fixture
@@ -196,6 +200,21 @@ class TestVerify:
         assert cli.main(["verify"]) == 2
 
 
+class TestDeepInput:
+    # a one-off query builds no MemoCache key, whose recursive hash was
+    # the first thing to fail on deep input
+    def test_verify_600_conjuncts(self, tmp_path, capsys):
+        matrix = " & ".join(["(x0 | x1)"] * 600)
+        qpath = write(tmp_path, "deep.qbf", f"forall x0 exists x1 : {matrix}\n")
+        assert cli.main(["verify", qpath]) == 0
+        assert capsys.readouterr().out == "AGREE(true)\n"
+
+    def test_check_600_conjuncts(self, demo_file, tmp_path, capsys):
+        fpath = write(tmp_path, "deep.formula", " & ".join(["p0"] * 600) + "\n")
+        assert cli.main(["check", demo_file, "101", "--formula-file", fpath]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "SUPPORTED"
+
+
 class TestStats:
     def test_json_keys(self, tmp_path, capsys):
         qpath = write(
@@ -313,13 +332,30 @@ class TestEntryPoint:
         err = capsys.readouterr().err
         assert err == "inqcheck: internal error: RecursionError: maximum recursion depth exceeded\n"
 
-    @pytest.mark.parametrize("case", ["check-model", "check-formula-file", "qbf-eval", "reduce-out-dir"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "check-model",
+            "check-formula-file",
+            "qbf-eval",
+            "reduce-out-dir",
+            "check-formula-digit",
+            "check-formula-file-digit",
+            "check-model-digit",
+            "stats",
+            "verify",
+        ],
+    )
     def test_input_errors_exit_two(self, case, tmp_path, demo_file, capsys):
-        # a file that is not UTF-8, or an output directory that does not
-        # exist, is the user's input error, not a crash (exit 4)
+        # a file that is not UTF-8, an output directory that does not
+        # exist, or a digit that str.isdigit accepts and int() does not, is
+        # the user's input error, not a crash (exit 4)
         bad = str(tmp_path / "latin1.txt")
         with open(bad, "wb") as handle:
             handle.write("caf\xe9\n".encode("latin-1"))
+        digit_formula = write(tmp_path, "f.formula", "p²\n")
+        with open(demo_file, encoding="utf-8") as handle:
+            digit_model = write(tmp_path, "digit.im", handle.read().replace("atoms 2", "atoms ²"))
         argv, path = {
             "check-model": (["check", bad, "110", "--formula", "p0"], bad),
             "check-formula-file": (["check", demo_file, "110", "--formula-file", bad], bad),
@@ -328,6 +364,11 @@ class TestEntryPoint:
                 ["reduce", write(tmp_path, "t.qbf", "exists x0 : x0\n"), "/nonexistent/dir/inst"],
                 "/nonexistent/dir/inst.im",
             ),
+            "check-formula-digit": (["check", demo_file, "110", "--formula", "p²"], "formula argument"),
+            "check-formula-file-digit": (["check", demo_file, "110", "--formula-file", digit_formula], digit_formula),
+            "check-model-digit": (["check", digit_model, "110", "--formula", "p0"], digit_model),
+            "stats": (["stats", bad], bad),
+            "verify": (["verify", bad], bad),
         }[case]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err.splitlines()
@@ -360,3 +401,48 @@ class TestEntryPoint:
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
+
+
+def readme_sessions(*sections: str) -> list[tuple[str, list[str]]]:
+    """Each `$ ` command in the code blocks of the named README sections,
+    with the lines printed under it."""
+    with open(README, encoding="utf-8") as handle:
+        text = handle.read()
+    sessions: list[tuple[str, list[str]]] = []
+    for section in sections:
+        body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+        for block in re.findall(r"^```\n(.*?)^```$", body, flags=re.S | re.M):
+            for line in block.splitlines():
+                if line.startswith("$ "):
+                    sessions.append((line[2:], []))
+                elif sessions:
+                    sessions[-1][1].append(line)
+    return sessions
+
+
+class TestReadme:
+    def test_examples_print_what_readme_shows(self, tmp_path, monkeypatch, capsys):
+        # the few shell forms the examples use: `> FILE`, `echo '...' > FILE`
+        # and "$(cat FILE)"
+        monkeypatch.chdir(tmp_path)
+        sessions = readme_sessions("Quick start", "Subcommands")
+        assert len(sessions) == 8
+        for command, expected in sessions:
+            words = shlex.split(command)
+            target = None
+            if words[-2] == ">":
+                words, target = words[:-2], words[-1]
+            if words[0] == "echo":
+                out = " ".join(words[1:]) + "\n"
+            else:
+                assert words[0] == "inqcheck", command
+                argv = []
+                for word in words[1:]:
+                    cat = re.fullmatch(r"\$\(cat (\S+)\)", word)
+                    argv.append((tmp_path / cat.group(1)).read_text().rstrip("\n") if cat else word)
+                assert cli.main(argv) in (0, 1), command
+                out = capsys.readouterr().out
+            if target is not None:
+                (tmp_path / target).write_text(out)
+                out = ""
+            assert out.splitlines() == expected, command

@@ -323,6 +323,23 @@ class TestFileFormat:
         with pytest.raises(CodecError):
             read_model_file("inqmodel v2\natoms 1\nworlds 1\ndelta 0\n")
 
+    @pytest.mark.parametrize(
+        "old, new, lineno",
+        [
+            ("atoms 2", "atoms ²", 2),
+            ("worlds 3", "worlds ³", 3),
+            ("epsilon 0", "epsilon ²", 5),
+            ("epsilon 0", "epsilon ٠", 5),
+        ],
+    )
+    def test_counts_are_ascii_digits(self, demo_model, old, new, lineno):
+        text = write_model_file(demo_model)
+        assert old in text
+        with pytest.raises(CodecError) as info:
+            read_model_file(text.replace(old, new))
+        assert info.value.what == "format"
+        assert info.value.detail.startswith(f"line {lineno}: expected")
+
     def test_epsilon_lines_must_ascend(self, demo_model):
         text = write_model_file(demo_model)
         lines = text.splitlines()

@@ -101,6 +101,15 @@ class TestParse:
     def test_multidigit_atom(self):
         assert parse_formula("p17") == Atom(17)
 
+    @pytest.mark.parametrize("word", ["p²", "p¹", "p٣", "p1٣"])
+    def test_atom_index_is_ascii_digits(self, word):
+        # str.isdigit accepts these; int() rejects the first two and reads
+        # the others as 3 and 13
+        with pytest.raises(ParseError) as info:
+            parse_formula(f"p0 & {word}")
+        assert info.value.offset == 5
+        assert info.value.found == repr(word)
+
 
 class TestRender:
     def test_binary_fully_parenthesized(self):
