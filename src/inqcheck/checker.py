@@ -46,7 +46,7 @@ from .kernels import (
     support_table,
     table_bytes,
 )
-from .model import InfoState, InformationModel, sigma_union
+from .model import InfoState, InformationModel, _is_decimal, sigma_union
 from .syntax import And, Atom, Bottom, Box, Formula, IVee, Implies, WBox, subformulas
 
 DEFAULT_TABLE_BYTE_CAP = 1 << 27
@@ -221,9 +221,17 @@ class CheckOutcome:
 
 def _table_cap() -> int:
     raw = os.environ.get("INQCHECK_TABLE_BYTES", "")
-    if raw.isdigit():
+    if _is_decimal(raw):
         return int(raw)
     return DEFAULT_TABLE_BYTE_CAP
+
+
+def _too_deep(engine: str, fn, *args):
+    """fn(*args), reporting that it ran out of Python frames as a QueryError."""
+    try:
+        return fn(*args)
+    except RecursionError:
+        raise QueryError(f"formula nests too deeply for the {engine} engine") from None
 
 
 def evaluate(
@@ -237,17 +245,19 @@ def evaluate(
     recursion; "table" the truth-mask kernel evaluator; "auto" picks
     "table" when the table fits the byte cap and "sparse" otherwise.
     nodes_visited counts clause evaluations (naive), cache misses
-    (sparse), or freshly computed table rows (table).
+    (sparse), or freshly computed table rows (table). Past about 1000
+    levels of nesting, "naive", "sparse" and the key of a given cache
+    raise QueryError; "table" answers formulas of any depth.
     """
     _validate_query(q)
     if engine == "naive":
-        value, visits = _eval_naive(q)
+        value, visits = _too_deep(engine, _eval_naive, q)
         return CheckOutcome(value, visits, "naive")
     if cache is None:
         # a one-off query needs no cache key, whose hash recurses over the formula
         entry = _RootEntry(program=lower_formula(q.formula))
     else:
-        entry = cache.root(q.model, q.formula)
+        entry = _too_deep(engine, cache.root, q.model, q.formula)
     if engine == "auto":
         engine = "table" if table_bytes(entry.program, q.model) <= _table_cap() else "sparse"
     if engine == "table":
@@ -259,7 +269,7 @@ def evaluate(
         value = entry.table.holds(entry.program.root, q.state.mask)
         return CheckOutcome(value, visited, "table")
     if engine == "sparse":
-        value, misses = _eval_memo_sparse(q, entry)
+        value, misses = _too_deep(engine, _eval_memo_sparse, q, entry)
         return CheckOutcome(value, misses, "sparse")
     raise ValueError(f"unknown engine {engine!r}")
 

@@ -30,7 +30,7 @@ from functools import cache, reduce
 from operator import or_
 
 from .model import InformationModel
-from .syntax import And, Atom, Bottom, Box, Formula, IVee, Implies, WBox
+from .syntax import And, Atom, Bottom, Box, Formula, IVee, Implies, WBox, subformulas
 
 # numba is no longer used; the constant stays for callers that import it.
 HAS_NUMBA = False
@@ -83,38 +83,35 @@ def lower_formula(f: Formula) -> Program:
     left: list[int] = []
     right: list[int] = []
     payload: list[int] = []
-
-    def visit(g: Formula) -> int:
+    done: list[int] = []  # the row of each finished child, innermost last
+    for g in subformulas(f):
         op = _OP_OF_TYPE[type(g)]
         if op == OP_BOT:
             key, a, b, p = (OP_BOT,), 0, 0, 0
         elif op == OP_ATOM:
             key, a, b, p = (OP_ATOM, g.index), 0, 0, g.index
         elif op in (OP_BOX, OP_WBOX):
-            a = visit(g.body)
+            a = done.pop()
             key, b, p = (op, a), 0, 0
         else:
-            a = visit(g.left)
-            b = visit(g.right)
+            b = done.pop()
+            a = done.pop()
             key, p = (op, a, b), 0
         row = rows.get(key)
-        if row is not None:
-            return row
-        row = len(ops)
-        rows[key] = row
-        ops.append(op)
-        left.append(a)
-        right.append(b)
-        payload.append(p)
-        return row
-
-    root = visit(f)
+        if row is None:
+            row = len(ops)
+            rows[key] = row
+            ops.append(op)
+            left.append(a)
+            right.append(b)
+            payload.append(p)
+        done.append(row)
     return Program(
         ops=array("q", ops),
         left=array("q", left),
         right=array("q", right),
         payload=array("q", payload),
-        root=root,
+        root=done[0],
     )
 
 
@@ -184,63 +181,79 @@ class SupportTable:
         """Whether state s supports row r."""
         return self._holds(r, s, {})
 
-    def _holds(self, r: int, s: int, memo: dict[int, int]) -> bool:
-        """holds, with memo keeping the lattice rows over the substates of
-        s that earlier calls at the same s built."""
-        if s & ~self.truth[r]:
-            # support is downward persistent, so s needs every {w} in s
-            return False
-        if self.declarative[r]:
-            return True
-        op = self.ops[r]
-        if op == OP_AND:
-            return self._holds(self.left[r], s, memo) and self._holds(self.right[r], s, memo)
-        if op == OP_IVEE:
-            return self._holds(self.left[r], s, memo) or self._holds(self.right[r], s, memo)
-        # an inquisitive implication: every substate of s that supports
-        # the antecedent must support the consequent
-        a, b = self.left[r], self.right[r]
-        if self.declarative[a]:
-            # those substates are the substates of t, so by persistence
-            # the consequent need only hold at t
-            t = s & self.truth[a]
-            return self._holds(b, t, memo if t == s else {})
-        worlds = [w for w in range(s.bit_length()) if s >> w & 1]
-        return self._lattice_row(a, worlds, memo) & ~self._lattice_row(b, worlds, memo) == 0
+    def _holds(self, r: int, s: int, memos: dict[int, dict[int, int]]) -> bool:
+        """holds, with memos[s] keeping the lattice rows over the substates
+        of s that earlier questions at s built. The right side of a & or an
+        ior waits on a stack until its left side leaves the answer open."""
+        truth, declarative, ops, left, right = self.truth, self.declarative, self.ops, self.left, self.right
+        waiting: list[tuple[bool, int, int]] = []  # (is ior, right row, state)
+        while True:
+            if s & ~truth[r]:
+                # support is downward persistent, so s needs every {w} in s
+                value = False
+            elif declarative[r]:
+                value = True
+            elif ops[r] != OP_IMPLIES:
+                waiting.append((ops[r] == OP_IVEE, right[r], s))
+                r = left[r]
+                continue
+            elif declarative[left[r]]:
+                # the substates that support the antecedent are those of t,
+                # so by persistence the consequent need only hold at t
+                s &= truth[left[r]]
+                r = right[r]
+                continue
+            else:
+                # an inquisitive implication: every substate of s that
+                # supports the antecedent must support the consequent
+                worlds = [w for w in range(s.bit_length()) if s >> w & 1]
+                memo = memos.setdefault(s, {})
+                value = self._lattice_row(left[r], worlds, memo) & ~self._lattice_row(right[r], worlds, memo) == 0
+            # a true left side decides an ior, a false one a &
+            while waiting:
+                is_ivee, r, s = waiting.pop()
+                if value != is_ivee:
+                    break
+            else:
+                return value
 
     def _lattice_row(self, r: int, worlds: list[int], memo: dict[int, int]) -> int:
         """Row r over the 2^k substates of the state made of `worlds`:
         bit j is set iff the substate of the worlds[i] with bit i set in j
         supports row r."""
-        row = memo.get(r)
-        if row is not None:
-            return row
-        if self.declarative[r]:
-            t = self.truth[r]
-            v = 0
-            for i, w in enumerate(worlds):
-                if t >> w & 1:
-                    v |= 1 << i
-            row = _down_set(v)
-        else:
-            a = self._lattice_row(self.left[r], worlds, memo)
-            b = self._lattice_row(self.right[r], worlds, memo)
-            op = self.ops[r]
-            if op == OP_AND:
-                row = a & b
-            elif op == OP_IVEE:
-                row = a | b
+        declarative, ops, left, right = self.declarative, self.ops, self.left, self.right
+        # the rows r needs that memo lacks; children precede parents in a
+        # program, so building in ascending row order builds children first
+        needed = set()
+        stack = [r]
+        while stack:
+            x = stack.pop()
+            if x not in needed and x not in memo:
+                needed.add(x)
+                if not declarative[x]:
+                    stack += (left[x], right[x])
+        for x in sorted(needed):
+            if declarative[x]:
+                t = self.truth[x]
+                row = _down_set(sum(1 << i for i, w in enumerate(worlds) if t >> w & 1))
             else:
-                # substates where the antecedent holds and the consequent
-                # fails, then every superset of one: sweep i moves each
-                # marked substate without worlds[i] to the one with it
-                bad = a & ~b
-                if bad:
-                    for i, low in enumerate(_low_masks(len(worlds))):
-                        bad |= (bad & low) << (1 << i)
-                row = ((1 << (1 << len(worlds))) - 1) ^ bad
-        memo[r] = row
-        return row
+                a, b = memo[left[x]], memo[right[x]]
+                op = ops[x]
+                if op == OP_AND:
+                    row = a & b
+                elif op == OP_IVEE:
+                    row = a | b
+                else:
+                    # substates where the antecedent holds and the consequent
+                    # fails, then every superset of one: sweep i moves each
+                    # marked substate without worlds[i] to the one with it
+                    bad = a & ~b
+                    if bad:
+                        for i, low in enumerate(_low_masks(len(worlds))):
+                            bad |= (bad & low) << (1 << i)
+                    row = ((1 << (1 << len(worlds))) - 1) ^ bad
+            memo[x] = row
+        return memo[r]
 
 
 def support_table(program: Program, m: InformationModel) -> SupportTable:
@@ -252,10 +265,8 @@ def support_table(program: Program, m: InformationModel) -> SupportTable:
     left, right, truth, declarative = table.left, table.right, table.truth, table.declarative
     payload = program.payload.tolist()
     all_worlds = (1 << m.n) - 1
-    anchors: dict[int, dict[int, int]] = {}
-
-    def holds_at(r: int, anchor: int) -> bool:
-        return table._holds(r, anchor, anchors.setdefault(anchor, {}))
+    # lattice rows per state, shared by every box and wbox row
+    memos: dict[int, dict[int, int]] = {}
 
     for r, op in enumerate(table.ops):
         a, b = left[r], right[r]
@@ -270,13 +281,13 @@ def support_table(program: Program, m: InformationModel) -> SupportTable:
         elif op == OP_IMPLIES:
             t, d = (all_worlds & ~truth[a]) | truth[b], declarative[b]
         elif op == OP_BOX:
-            t = sum(1 << w for w in range(m.n) if holds_at(a, union_masks[w]))
+            t = sum(1 << w for w in range(m.n) if table._holds(a, union_masks[w], memos))
             d = True
         else:
             t = sum(
                 1 << w
                 for w in range(m.n)
-                if all(holds_at(a, g) for g in gen_masks[w])
+                if all(table._holds(a, g, memos) for g in gen_masks[w])
             )
             d = True
         truth.append(t)

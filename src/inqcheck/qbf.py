@@ -1,8 +1,7 @@
 """Quantified Boolean formulas: AST, parser, and brute-force oracles.
 
 The matrix lives in negation normal form: negation occurs on variables
-only. A raw negation node exists solely as parser/to_nnf input and never
-appears in a stored matrix.
+only. The parser reads straight into that form.
 
 Concrete syntax (UTF-8 text, `#` starts a comment):
 
@@ -19,7 +18,7 @@ renumbered by binding order.
 Two independent evaluation routes exist on purpose: eval_qbf recurses
 over the prefix with short-circuiting, eval_qbf_table folds a fully
 materialized assignment table without short-circuiting. They are held
-against each other by the tests.
+against each other by the tests. Neither recurses on the matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from .switching import BoolValuation
-from .syntax import ParseError, _Cursor
+from .syntax import ParseError, _Cursor, subformulas
 
 FORALL = "forall"
 EXISTS = "exists"
@@ -69,85 +68,50 @@ class POr(PropFormula):
     right: PropFormula
 
 
-@dataclass(frozen=True, slots=True)
-class PNot(PropFormula):
-    """General negation; to_nnf input only, never part of a matrix."""
-
-    body: PropFormula
-
-
-def to_nnf(f: PropFormula) -> PropFormula:
-    """Push negations to the variables and drop double negations.
-
-    Accepts trees with PNot nodes; the result uses Var, NegVar, PAnd,
-    POr only and is at most twice the input size.
-    """
-
-    def go(g: PropFormula, negate: bool) -> PropFormula:
-        if isinstance(g, Var):
-            return NegVar(g.index) if negate else g
-        if isinstance(g, NegVar):
-            return Var(g.index) if negate else g
-        if isinstance(g, PNot):
-            return go(g.body, not negate)
-        if isinstance(g, PAnd):
-            a, b = go(g.left, negate), go(g.right, negate)
-            return POr(a, b) if negate else PAnd(a, b)
-        if isinstance(g, POr):
-            a, b = go(g.left, negate), go(g.right, negate)
-            return PAnd(a, b) if negate else POr(a, b)
-        raise TypeError(f"not a propositional node: {g!r}")
-
-    return go(f, False)
-
-
 def prop_vars(f: PropFormula) -> set[int]:
     """Variable indices occurring in f."""
-    if isinstance(f, (Var, NegVar)):
-        return {f.index}
-    if isinstance(f, PNot):
-        return prop_vars(f.body)
-    return prop_vars(f.left) | prop_vars(f.right)
+    return {g.index for g in subformulas(f) if isinstance(g, (Var, NegVar))}
 
 
 def prop_node_count(f: PropFormula) -> int:
     """Nodes of f, counting every operator and variable occurrence; a
     negated variable counts 2."""
-    if isinstance(f, Var):
-        return 1
-    if isinstance(f, NegVar):
-        return 2
-    if isinstance(f, PNot):
-        return 1 + prop_node_count(f.body)
-    return 1 + prop_node_count(f.left) + prop_node_count(f.right)
+    nodes = subformulas(f)
+    return len(nodes) + sum(type(g) is NegVar for g in nodes)
 
 
 def prop_size(f: PropFormula) -> int:
     """Weighted encoding size of an NNF matrix, mirroring formula_size:
     connectives cost 1, a variable costs 1 plus the binary length of its
     index, a negation costs 1 on top of its variable."""
-    if isinstance(f, Var):
-        return 1 + (f.index + 1).bit_length()
-    if isinstance(f, NegVar):
-        return 2 + (f.index + 1).bit_length()
-    if isinstance(f, (PAnd, POr)):
-        return 1 + prop_size(f.left) + prop_size(f.right)
-    raise TypeError(f"matrix must be in negation normal form: {f!r}")
+    size = 0
+    for g in subformulas(f):
+        if isinstance(g, Var):
+            size += 1 + (g.index + 1).bit_length()
+        elif isinstance(g, NegVar):
+            size += 2 + (g.index + 1).bit_length()
+        elif isinstance(g, (PAnd, POr)):
+            size += 1
+        else:
+            raise TypeError(f"matrix must be in negation normal form: {g!r}")
+    return size
 
 
 def render_prop(f: PropFormula) -> str:
     """Print a matrix in concrete syntax, fully parenthesized."""
-    if isinstance(f, Var):
-        return f"x{f.index}"
-    if isinstance(f, NegVar):
-        return f"~x{f.index}"
-    if isinstance(f, PNot):
-        return f"~{render_prop(f.body)}"
-    if isinstance(f, PAnd):
-        return f"({render_prop(f.left)} & {render_prop(f.right)})"
-    if isinstance(f, POr):
-        return f"({render_prop(f.left)} | {render_prop(f.right)})"
-    raise TypeError(f"not a propositional node: {f!r}")
+    parts: list[str] = []
+    for g in subformulas(f):
+        kind = type(g)
+        if kind is PAnd or kind is POr:
+            right = parts.pop()
+            parts[-1] = f"({parts[-1]} {'&' if kind is PAnd else '|'} {right})"
+        elif kind is Var:
+            parts.append(f"x{g.index}")
+        elif kind is NegVar:
+            parts.append(f"~x{g.index}")
+        else:
+            raise TypeError(f"not a propositional node: {g!r}")
+    return parts[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,116 +162,131 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _QbfParser(_Cursor):
-    """Recursive descent straight into NNF: names are looked up in the
-    already parsed prefix, and `~` is a polarity flag that negates
-    variables and swaps PAnd with POr. Binding and closure errors are only
-    recorded, so that parse_qbf can let a later syntax error win."""
-
-    def __init__(self, text: str, rename: bool):
-        super().__init__(_tokenize(text))
-        self.rename = rename
-        self.names: dict[str, int] = {}
-        self.binding_error: ParseError | None = None
-        self.unbound: str | None = None
-
-    def prefix(self) -> tuple[tuple[str, int], ...]:
-        entries = []
-        while self.peek()[0] in (FORALL, EXISTS):
-            quant = self.advance()[0]
-            kind, name, offset = self.peek()
-            if kind != "ident":
-                raise self.fail(frozenset({"identifier"}))
-            self.advance()
-            position = len(entries)
-            if self.binding_error is None:
-                if name in self.names:
-                    self.binding_error = ParseError(offset, frozenset({"fresh identifier"}), repr(name))
-                elif not self.rename and name != f"x{position}":
-                    self.binding_error = ParseError(offset, frozenset({f"x{position}"}), repr(name))
-                self.names[name] = position
-            entries.append((quant, position))
-        if self.peek()[0] != ":":
-            raise self.fail(frozenset({FORALL, EXISTS, ":"}))
-        self.advance()
-        return tuple(entries)
-
-    def disj(self, negate: bool) -> PropFormula:
-        join = PAnd if negate else POr
-        left = self.conj(negate)
-        while self.peek()[0] == "|":
-            self.advance()
-            left = join(left, self.conj(negate))
-        return left
-
-    def conj(self, negate: bool) -> PropFormula:
-        join = POr if negate else PAnd
-        left = self.lit(negate)
-        while self.peek()[0] == "&":
-            self.advance()
-            left = join(left, self.lit(negate))
-        return left
-
-    def lit(self, negate: bool) -> PropFormula:
-        kind, value, _ = self.peek()
-        if kind == "~":
-            self.advance()
-            return self.lit(not negate)
-        if kind == "ident":
-            self.advance()
-            if value not in self.names and self.unbound is None:
-                self.unbound = value
-            index = self.names.get(value, 0)
-            return NegVar(index) if negate else Var(index)
-        if kind == "(":
-            self.advance()
-            inner = self.disj(negate)
-            if self.peek()[0] != ")":
-                raise self.fail(frozenset({")", "&", "|"}))
-            self.advance()
-            return inner
-        raise self.fail(frozenset({"identifier", "~", "("}))
-
-
 def parse_qbf(text: str, rename: bool = False) -> Qbf:
     """Parse concrete syntax into a closed Qbf, matrix in NNF.
 
     Without rename, bound variables must be literally x0, x1, ... in
     ascending order. With rename, any identifiers are accepted and
-    renumbered by binding order.
+    renumbered by binding order. Binding and closure errors are only
+    recorded while reading, so that a later syntax error wins.
 
     Raises:
         ParseError: malformed text, duplicate binding, or out-of-order
             variable names.
         ClosureError: a matrix variable the prefix does not bind.
     """
-    parser = _QbfParser(text, rename)
-    prefix = parser.prefix()
-    matrix = parser.disj(False)
-    if parser.peek()[0] != "eof":
-        raise parser.fail(frozenset({"&", "|", "end of input"}))
-    if parser.binding_error is not None:
-        raise parser.binding_error
-    if parser.unbound is not None:
-        raise ClosureError(parser.unbound)
-    return Qbf(prefix, matrix)
+    cursor = _Cursor(_tokenize(text))
+    names: dict[str, int] = {}
+    binding_error = None
+    prefix = []
+    while cursor.peek()[0] in (FORALL, EXISTS):
+        quant = cursor.advance()[0]
+        kind, name, offset = cursor.peek()
+        if kind != "ident":
+            raise cursor.fail(frozenset({"identifier"}))
+        cursor.advance()
+        position = len(prefix)
+        if binding_error is None:
+            if name in names:
+                binding_error = ParseError(offset, frozenset({"fresh identifier"}), repr(name))
+            elif not rename and name != f"x{position}":
+                binding_error = ParseError(offset, frozenset({f"x{position}"}), repr(name))
+            names[name] = position
+        prefix.append((quant, position))
+    if cursor.peek()[0] != ":":
+        raise cursor.fail(frozenset({FORALL, EXISTS, ":"}))
+    cursor.advance()
+    matrix, unbound = _read_matrix(cursor, names)
+    if cursor.peek()[0] != "eof":
+        raise cursor.fail(frozenset({"&", "|", "end of input"}))
+    if binding_error is not None:
+        raise binding_error
+    if unbound is not None:
+        raise ClosureError(unbound)
+    return Qbf(tuple(prefix), matrix)
+
+
+def _read_matrix(cursor: _Cursor, names: dict[str, int]) -> tuple[PropFormula, str | None]:
+    """The grammar's `or` straight into NNF, and the first name in it that
+    `names` does not bind. `~` is a polarity flag that negates variables
+    and swaps PAnd with POr. As in parse_formula, one level per open
+    parenthesis is kept on a stack: its polarity, disjunction and conjunction."""
+    unbound = None
+    levels = []
+    negate, disj, conj = False, None, None
+    while True:
+        literal_negate = negate
+        while cursor.peek()[0] == "~":
+            cursor.advance()
+            literal_negate = not literal_negate
+        kind, value, _ = cursor.peek()
+        if kind == "(":
+            cursor.advance()
+            levels.append((negate, disj, conj))
+            negate, disj, conj = literal_negate, None, None
+            continue
+        if kind != "ident":
+            raise cursor.fail(frozenset({"identifier", "~", "("}))
+        cursor.advance()
+        if value not in names and unbound is None:
+            unbound = value
+        f = (NegVar if literal_negate else Var)(names.get(value, 0))
+        # f is a whole literal: fold it into the open level, and close
+        # levels for as long as a ")" follows a whole disjunction
+        while True:
+            conj = f if conj is None else (POr if negate else PAnd)(conj, f)
+            kind = cursor.peek()[0]
+            if kind == "&":
+                cursor.advance()
+                break
+            disj = conj if disj is None else (PAnd if negate else POr)(disj, conj)
+            conj = None
+            if kind == "|":
+                cursor.advance()
+                break
+            if not levels:
+                return disj, unbound
+            if kind != ")":
+                raise cursor.fail(frozenset({")", "&", "|"}))
+            cursor.advance()
+            f = disj
+            negate, disj, conj = levels.pop()
+
+
+def _postorder(f: PropFormula, k: int) -> list:
+    """The matrix in postorder for _truth: x_i as i, its negation as ~i, a
+    connective as its class; ClosureError for a variable past x_{k-1}."""
+    nodes = []
+    for g in subformulas(f):
+        if isinstance(g, (Var, NegVar)):
+            if g.index >= k:
+                raise ClosureError(f"x{g.index}")
+            nodes.append(g.index if isinstance(g, Var) else ~g.index)
+        elif isinstance(g, (PAnd, POr)):
+            nodes.append(type(g))
+        else:
+            raise TypeError(f"matrix must be in negation normal form: {g!r}")
+    return nodes
+
+
+def _truth(nodes: list, values) -> int:
+    """Truth value of a _postorder list under the bits values[i] of x_i."""
+    stack = []
+    for node in nodes:
+        if node is PAnd:
+            stack.append(stack.pop() & stack.pop())
+        elif node is POr:
+            stack.append(stack.pop() | stack.pop())
+        elif node >= 0:
+            stack.append(values[node])
+        else:
+            stack.append(1 - values[~node])
+    return stack[0]
 
 
 def eval_prop(f: PropFormula, v: BoolValuation) -> int:
     """Classical truth value of an NNF matrix under a total valuation."""
-    if isinstance(f, Var):
-        if f.index >= v.k:
-            raise ClosureError(f"x{f.index}")
-        return v.value(f.index)
-    if isinstance(f, NegVar):
-        if f.index >= v.k:
-            raise ClosureError(f"x{f.index}")
-        return 1 - v.value(f.index)
-    if isinstance(f, PAnd):
-        return eval_prop(f.left, v) & eval_prop(f.right, v)
-    if isinstance(f, POr):
-        return eval_prop(f.left, v) | eval_prop(f.right, v)
-    raise TypeError(f"matrix must be in negation normal form: {f!r}")
+    return _truth(_postorder(f, v.k), v.values)
 
 
 def eval_qbf(q: Qbf) -> bool:
@@ -315,11 +294,12 @@ def eval_qbf(q: Qbf) -> bool:
     an existential stops at the first true branch, a universal at the
     first false one."""
     l = q.l
+    nodes = _postorder(q.matrix, l)
     values = [0] * l
 
     def go(k: int) -> bool:
         if k == l:
-            return eval_prop(q.matrix, BoolValuation(tuple(values))) == 1
+            return _truth(nodes, values) == 1
         quant = q.prefix[k][0]
         for bit in (0, 1):
             values[k] = bit
@@ -338,10 +318,8 @@ def eval_qbf_table(q: Qbf) -> bool:
     table over all 2^l assignments, then fold the prefix outside-in with
     no short-circuiting. Kept for cross-validation at small l."""
     l = q.l
-    leaves = [
-        eval_prop(q.matrix, BoolValuation(tuple(a >> i & 1 for i in range(l))))
-        for a in range(1 << l)
-    ]
+    nodes = _postorder(q.matrix, l)
+    leaves = [_truth(nodes, [a >> i & 1 for i in range(l)]) for a in range(1 << l)]
 
     def fold(k: int, partial: int) -> int:
         if k == l:

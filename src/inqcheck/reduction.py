@@ -1,8 +1,8 @@
 """Compiling closed QBFs into support-checking instances.
 
 The target model is the degree-l switching model; the target state is
-the full state, the one 0-switching. The compiled formula is built by a
-polarity-tracking recursion so that, at any k-switching s encoding a
+the full state, the one 0-switching. The compiled formula is built with
+polarity tracking so that, at any k-switching s encoding a
 valuation of the first k variables, the positive translation is
 supported iff the remaining formula is true and the negative translation
 is supported iff it is false.
@@ -55,7 +55,7 @@ from .switching import (
     formula_D,
     formula_S,
 )
-from .syntax import And, Formula, IVee, Implies, formula_size, neg
+from .syntax import And, Formula, IVee, Implies, formula_size, neg, subformulas
 
 __all__ = [
     "DEFAULT_SIZE_RATIO_BOUND",
@@ -108,19 +108,17 @@ def translate_prop(z: PropFormula, polarity: str, l: int) -> Formula:
     if polarity not in ("p", "n"):
         raise ValueError(f"polarity must be 'p' or 'n', got {polarity!r}")
     positive = polarity == "p"
-    if isinstance(z, Var):
-        body = atom_p(z.index) if positive else neg(atom_p(z.index))
-        return Implies(atom_q(z.index, l), body)
-    if isinstance(z, NegVar):
-        body = neg(atom_p(z.index)) if positive else atom_p(z.index)
-        return Implies(atom_q(z.index, l), body)
-    if isinstance(z, PAnd):
-        a, b = translate_prop(z.left, polarity, l), translate_prop(z.right, polarity, l)
-        return And(a, b) if positive else IVee(a, b)
-    if isinstance(z, POr):
-        a, b = translate_prop(z.left, polarity, l), translate_prop(z.right, polarity, l)
-        return IVee(a, b) if positive else And(a, b)
-    raise TypeError(f"matrix must be in negation normal form: {z!r}")
+    parts: list[Formula] = []
+    for g in subformulas(z):
+        if isinstance(g, (Var, NegVar)):
+            body = atom_p(g.index) if positive == isinstance(g, Var) else neg(atom_p(g.index))
+            parts.append(Implies(atom_q(g.index, l), body))
+        elif isinstance(g, (PAnd, POr)):
+            right = parts.pop()
+            parts[-1] = (And if positive == isinstance(g, PAnd) else IVee)(parts[-1], right)
+        else:
+            raise TypeError(f"matrix must be in negation normal form: {g!r}")
+    return parts[0]
 
 
 def translate_qbf(theta: Qbf, polarity: str, l: int) -> Formula:
@@ -138,24 +136,16 @@ def translate_qbf(theta: Qbf, polarity: str, l: int) -> Formula:
         raise ValueError(
             f"prefix must bind consecutive variables up to x{l - 1}, got {indices}"
         )
-
-    def go(position: int, polarity: str) -> Formula:
-        if position == l - start:
-            return translate_prop(theta.matrix, "p" if polarity == "P" else "n", l)
-        quant, k = theta.prefix[position]
-        if polarity == "P":
-            if quant == FORALL:
-                return Implies(formula_D(k, l), go(position + 1, "P"))
-            return Implies(
-                Implies(formula_D(k, l), go(position + 1, "N")), formula_S(k, l)
-            )
-        if quant == FORALL:
-            return Implies(
-                Implies(formula_D(k, l), go(position + 1, "P")), formula_S(k, l)
-            )
-        return Implies(formula_D(k, l), go(position + 1, "N"))
-
-    return go(0, polarity)
+    # the body of a universal tracks truth and that of an existential
+    # falsity, whatever the polarity of the quantifier itself
+    polarities = [polarity] + ["P" if quant == FORALL else "N" for quant, _ in theta.prefix]
+    f = translate_prop(theta.matrix, polarities[-1].lower(), l)
+    for (quant, k), tracked in zip(reversed(theta.prefix), reversed(polarities[:-1])):
+        if (quant == FORALL) == (tracked == "P"):
+            f = Implies(formula_D(k, l), f)
+        else:
+            f = Implies(Implies(formula_D(k, l), f), formula_S(k, l))
+    return f
 
 
 def reduce_tqbf(theta: Qbf) -> ReductionInstance:

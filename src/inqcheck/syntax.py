@@ -185,84 +185,86 @@ class _Cursor:
         return ParseError(offset, expected, found)
 
 
-class _Parser(_Cursor):
-    def impl(self) -> Formula:
-        left = self.disj()
-        if self.peek()[0] == "->":
-            self.advance()
-            return Implies(left, self.impl())
-        return left
-
-    def disj(self) -> Formula:
-        left = self.conj()
-        mode = None
-        while self.peek()[0] in ("ior", "or"):
-            kind, _, offset = self.advance()
-            if mode is None:
-                mode = kind
-            elif kind != mode:
-                raise ParseError(
-                    offset,
-                    frozenset({mode, "->", "&", ")", "end of input"}),
-                    repr(kind),
-                )
-            right = self.conj()
-            left = IVee(left, right) if kind == "ior" else classical_or(left, right)
-        return left
-
-    def conj(self) -> Formula:
-        left = self.unary()
-        while self.peek()[0] == "&":
-            self.advance()
-            left = And(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        kind = self.peek()[0]
-        if kind == "not":
-            self.advance()
-            return neg(self.unary())
-        if kind == "?":
-            self.advance()
-            return question(self.unary())
-        if kind == "box":
-            self.advance()
-            return Box(self.unary())
-        if kind == "wbox":
-            self.advance()
-            return WBox(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, value, _ = self.peek()
-        if kind == "bot":
-            self.advance()
-            return Bottom()
-        if kind == "atom":
-            self.advance()
-            return Atom(int(value))
-        if kind == "(":
-            self.advance()
-            inner = self.impl()
-            if self.peek()[0] != ")":
-                raise self.fail(frozenset({")", "->", "&", "ior", "or"}))
-            self.advance()
-            return inner
-        raise self.fail(_ATOM_START)
+_PREFIX = {"not": neg, "?": question, "box": Box, "wbox": WBox}
 
 
 def parse_formula(text: str) -> Formula:
     """Parse concrete syntax into a Formula, expanding derived forms.
 
+    One level per open parenthesis is kept on an explicit stack, so
+    nesting costs no Python frames: the prefix operators pending on the
+    unary being read, the antecedents of its `->` chain, the disjunction
+    so far with its ior/or mode, and the conjunction so far.
+
     Raises:
         ParseError: on malformed input, with byte offset and the set of
             acceptable tokens at that point.
     """
-    parser = _Parser(_tokenize(text))
-    result = parser.impl()
-    if parser.peek()[0] != "eof":
-        raise parser.fail(frozenset({"->", "&", "ior", "or", "end of input"}))
-    return result
+    cursor = _Cursor(_tokenize(text))
+    levels = []
+    prefix, antecedents, disj, mode, conj = [], [], None, None, None
+    while True:
+        kind, value, _ = cursor.peek()
+        if kind in _PREFIX:
+            cursor.advance()
+            prefix.append(_PREFIX[kind])
+            continue
+        if kind == "(":
+            cursor.advance()
+            levels.append((prefix, antecedents, disj, mode, conj))
+            prefix, antecedents, disj, mode, conj = [], [], None, None, None
+            continue
+        if kind == "bot":
+            f = Bottom()
+        elif kind == "atom":
+            f = Atom(int(value))
+        else:
+            raise cursor.fail(_ATOM_START)
+        cursor.advance()
+        # f is a whole atom: fold it into the open level, and close levels
+        # for as long as a ")" follows a whole formula
+        while True:
+            while prefix:
+                f = prefix.pop()(f)
+            conj = f if conj is None else And(conj, f)
+            kind, _, offset = cursor.peek()
+            if kind == "&":
+                cursor.advance()
+                break
+            disj = conj if disj is None else (IVee if mode == "ior" else classical_or)(disj, conj)
+            conj = None
+            if kind in ("ior", "or"):
+                cursor.advance()
+                if mode is None:
+                    mode = kind
+                elif kind != mode:
+                    raise ParseError(
+                        offset,
+                        frozenset({mode, "->", "&", ")", "end of input"}),
+                        repr(kind),
+                    )
+                break
+            if kind == "->":
+                cursor.advance()
+                antecedents.append(disj)
+                disj = mode = None
+                break
+            # "->" is right associative
+            f = disj
+            while antecedents:
+                f = Implies(antecedents.pop(), f)
+            if not levels:
+                if kind != "eof":
+                    raise cursor.fail(frozenset({"->", "&", "ior", "or", "end of input"}))
+                return f
+            if kind != ")":
+                raise cursor.fail(frozenset({")", "->", "&", "ior", "or"}))
+            cursor.advance()
+            prefix, antecedents, disj, mode, conj = levels.pop()
+
+
+_INFIX = {And: " & ", IVee: " ior ", Implies: " -> "}
+_PREFIXED = {Box: "box ", WBox: "wbox "}
 
 
 def render_formula(f: Formula) -> str:
@@ -271,43 +273,55 @@ def render_formula(f: Formula) -> str:
     Binary connectives are always parenthesized, prefix modalities are
     bare, so the output is unambiguous without precedence knowledge.
     """
-    if isinstance(f, Bottom):
-        return "bot"
-    if isinstance(f, Atom):
-        return f"p{f.index}"
-    if isinstance(f, And):
-        return f"({render_formula(f.left)} & {render_formula(f.right)})"
-    if isinstance(f, IVee):
-        return f"({render_formula(f.left)} ior {render_formula(f.right)})"
-    if isinstance(f, Implies):
-        return f"({render_formula(f.left)} -> {render_formula(f.right)})"
-    if isinstance(f, Box):
-        return f"box {render_formula(f.body)}"
-    if isinstance(f, WBox):
-        return f"wbox {render_formula(f.body)}"
-    raise TypeError(f"not a formula node: {f!r}")
+    parts: list[str] = []
+    for g in subformulas(f):
+        kind = type(g)
+        if kind in _INFIX:
+            right = parts.pop()
+            parts[-1] = f"({parts[-1]}{_INFIX[kind]}{right})"
+        elif kind in _PREFIXED:
+            parts[-1] = _PREFIXED[kind] + parts[-1]
+        elif kind is Atom:
+            parts.append(f"p{g.index}")
+        elif kind is Bottom:
+            parts.append("bot")
+        else:
+            raise TypeError(f"not a formula node: {g!r}")
+    return parts[0]
 
 
 def formula_size(f: Formula) -> int:
     """Weighted encoding size: connectives cost 1, Atom(i) costs 1 plus
     the binary length of its index (so index growth is logarithmic, not
     free)."""
-    if isinstance(f, Bottom):
-        return 1
-    if isinstance(f, Atom):
-        return 1 + (f.index + 1).bit_length()
-    if isinstance(f, (Box, WBox)):
-        return 1 + formula_size(f.body)
-    if isinstance(f, (And, IVee, Implies)):
-        return 1 + formula_size(f.left) + formula_size(f.right)
-    raise TypeError(f"not a formula node: {f!r}")
+    size = 0
+    for g in subformulas(f):
+        if isinstance(g, Atom):
+            size += 1 + (g.index + 1).bit_length()
+        elif isinstance(g, (Bottom, And, IVee, Implies, Box, WBox)):
+            size += 1
+        else:
+            raise TypeError(f"not a formula node: {g!r}")
+    return size
 
 
-def subformulas(f: Formula):
-    """Yield every node of f, parents after children, duplicates included."""
-    if isinstance(f, (And, IVee, Implies)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, (Box, WBox)):
-        yield from subformulas(f.body)
-    yield f
+def subformulas(f) -> list:
+    """Every node of f, children before parents and left before right,
+    duplicates included: the one tree walk of the package. It reads the
+    `left`/`right` or `body` fields, so QBF matrices walk the same way,
+    and keeps its own stack, so depth costs no Python frames."""
+    nodes = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        # preorder with the right child first, left children kept for later
+        while g is not None:
+            nodes.append(g)
+            left = getattr(g, "left", None)
+            if left is not None:
+                stack.append(left)
+                g = g.right
+            else:
+                g = getattr(g, "body", None)
+    nodes.reverse()
+    return nodes

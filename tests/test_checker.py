@@ -203,3 +203,19 @@ class TestEngines:
     def test_unknown_engine_rejected(self, demo_model):
         with pytest.raises(ValueError):
             evaluate(q(demo_model, "110", "p1"), engine="mystery")
+
+
+class TestDeepFormulas:
+    # 10,000 nested modalities: table walks them with its own stacks, the
+    # engines that still recurse say the formula is too deep
+    def test_table_answers(self, demo_model):
+        # box box p0 is true at no world of the demo model, and further
+        # boxes keep it so; boxes over a tautology hold everywhere
+        assert not evaluate(q(demo_model, "101", "box " * 10_000 + "p0"), engine="table").value
+        assert evaluate(q(demo_model, "111", "box " * 10_000 + "(p0 -> p0)"), engine="table").value
+
+    @pytest.mark.parametrize("engine, cache", [("naive", None), ("sparse", None), ("table", MemoCache())])
+    def test_recursion_is_a_query_error(self, demo_model, engine, cache):
+        query = q(demo_model, "101", "box " * 10_000 + "p0")
+        with pytest.raises(QueryError, match=f"formula nests too deeply for the {engine} engine"):
+            evaluate(query, engine=engine, cache=cache)

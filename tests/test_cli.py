@@ -201,18 +201,54 @@ class TestVerify:
 
 
 class TestDeepInput:
-    # a one-off query builds no MemoCache key, whose recursive hash was
-    # the first thing to fail on deep input
-    def test_verify_600_conjuncts(self, tmp_path, capsys):
-        matrix = " & ".join(["(x0 | x1)"] * 600)
-        qpath = write(tmp_path, "deep.qbf", f"forall x0 exists x1 : {matrix}\n")
-        assert cli.main(["verify", qpath]) == 0
-        assert capsys.readouterr().out == "AGREE(true)\n"
+    # every walk over a formula or a matrix keeps its own stack; deep trees
+    # are compared by verdict only, as the dataclass __eq__ still recurses
+    FORMULAS = {
+        "and": ("101", lambda d: " & ".join(["p0"] * d), "SUPPORTED"),
+        "ior": ("101", lambda d: " ior ".join(["p1"] * (d - 1) + ["p0"]), "SUPPORTED"),
+        "implies": ("101", lambda d: " -> ".join(["p0"] * (d - 1) + ["p1"]), "NOT-SUPPORTED"),
+        "not": ("100", lambda d: "not " * d + "p1", "SUPPORTED"),
+        "parens": ("101", lambda d: "(p0 & " * d + "p0" + ")" * d, "SUPPORTED"),
+    }
 
-    def test_check_600_conjuncts(self, demo_file, tmp_path, capsys):
-        fpath = write(tmp_path, "deep.formula", " & ".join(["p0"] * 600) + "\n")
-        assert cli.main(["check", demo_file, "101", "--formula-file", fpath]) == 0
-        assert capsys.readouterr().out.splitlines()[0] == "SUPPORTED"
+    @pytest.mark.parametrize("depth", [600, 10_000])
+    @pytest.mark.parametrize("shape", sorted(FORMULAS))
+    def test_check_deep_formula(self, demo_file, tmp_path, capsys, shape, depth):
+        state, build, verdict = self.FORMULAS[shape]
+        fpath = write(tmp_path, "deep.formula", build(depth) + "\n")
+        code = cli.main(["check", demo_file, state, "--formula-file", fpath])
+        assert capsys.readouterr().out.splitlines()[0] == verdict
+        assert code == (0 if verdict == "SUPPORTED" else 1)
+
+    def test_naive_reports_a_deep_formula(self, demo_file, tmp_path, capsys):
+        # the reference engine stays plain recursion, and says so
+        fpath = write(tmp_path, "deep.formula", " & ".join(["p0"] * 10_000) + "\n")
+        assert cli.main(["check", demo_file, "101", "--naive", "--formula-file", fpath]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: query: formula nests too deeply for the naive engine"]
+
+    @pytest.mark.parametrize("depth", [600, 10_000])
+    @pytest.mark.parametrize(
+        "clause, truth",
+        [("(x0 | x1)", True), ("(x0 & ~x1)", False)],
+        ids=["conjuncts", "disjuncts"],
+    )
+    def test_deep_matrix(self, tmp_path, capsys, clause, truth, depth):
+        joiner = " & " if truth else " | "
+        qpath = write(tmp_path, "deep.qbf", f"forall x0 exists x1 : {joiner.join([clause] * depth)}\n")
+        assert cli.main(["qbf-eval", qpath]) == (0 if truth else 1)
+        assert capsys.readouterr().out == ("TRUE\n" if truth else "FALSE\n")
+        stem = str(tmp_path / "deep")
+        assert cli.main(["reduce", qpath, stem]) == 0
+        assert capsys.readouterr().out.startswith("l: 2\n")
+        with open(f"{stem}.state", encoding="utf-8") as handle:
+            state = handle.read().strip()
+        code = cli.main(["check", f"{stem}.im", state, "--formula-file", f"{stem}.formula"])
+        assert capsys.readouterr().out.splitlines()[0] == ("SUPPORTED" if truth else "NOT-SUPPORTED")
+        assert code == (0 if truth else 1)
+        assert cli.main(["verify", qpath]) == 0
+        assert capsys.readouterr().out == f"AGREE({'true' if truth else 'false'})\n"
 
 
 class TestStats:

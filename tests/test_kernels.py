@@ -232,3 +232,11 @@ class TestSelection:
         assert evaluate(query, engine="auto").engine == "sparse"
         monkeypatch.setenv("INQCHECK_TABLE_BYTES", str(1 << 20))
         assert evaluate(query, engine="auto").engine == "table"
+
+    @pytest.mark.parametrize("value", ["²", "٣"])
+    def test_cap_takes_ascii_digits_only(self, demo_model, monkeypatch, value):
+        # str.isdigit accepts both; int() rejects the first and reads the
+        # second as a 3-byte cap, so both now mean the default cap
+        query = CheckQuery(demo_model, InfoState.full(3), parse_formula("p0 ior p1"))
+        monkeypatch.setenv("INQCHECK_TABLE_BYTES", value)
+        assert evaluate(query, engine="auto").engine == "table"

@@ -1,8 +1,9 @@
-"""QBF parsing, normal forms, sizes, and the two brute-force evaluators."""
+"""QBF parsing into negation normal form, sizes, and the two brute-force evaluators."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import product
 
 import pytest
@@ -13,7 +14,6 @@ from inqcheck.qbf import (
     ClosureError,
     NegVar,
     PAnd,
-    PNot,
     POr,
     Qbf,
     Var,
@@ -27,7 +27,6 @@ from inqcheck.qbf import (
     random_qbf,
     render_prop,
     render_qbf,
-    to_nnf,
 )
 from inqcheck.switching import BoolValuation
 from inqcheck.syntax import ParseError
@@ -105,45 +104,60 @@ class TestParse:
 
 
 class TestNnf:
+    # parse_qbf reads straight into NNF; the general trees below, with a
+    # negation node of their own, stand for any text the parser accepts
     def test_de_morgan(self):
-        assert to_nnf(PNot(PAnd(Var(0), Var(1)))) == POr(NegVar(0), NegVar(1))
+        assert _matrix("~(x0 & x1)") == POr(NegVar(0), NegVar(1))
 
     def test_double_negation(self):
-        assert to_nnf(PNot(PNot(Var(0)))) == Var(0)
+        assert _matrix("~~x0") == Var(0)
 
     def test_nested(self):
-        f = PNot(POr(Var(0), PNot(PAnd(Var(1), Var(0)))))
-        assert to_nnf(f) == PAnd(NegVar(0), PAnd(Var(1), Var(0)))
+        assert _matrix("~(x0 | ~(x1 & x0))") == PAnd(NegVar(0), PAnd(Var(1), Var(0)))
 
     def test_truth_preserved(self):
-        rng = random.Random(42)
-        for _ in range(200):
-            f = _random_general(rng, 4, depth=4)
-            nnf = to_nnf(f)
+        for f in _random_general_trees(200):
+            matrix = _matrix(_render(f))
             for v in assignments(4):
-                assert _truth(f, v) == eval_prop(nnf, v)
-            # the parser pushes negations down as it reads, to the same tree
-            prefix = tuple((FORALL, i) for i in range(4))
-            assert parse_qbf(f"forall x0 forall x1 forall x2 forall x3 : {render_prop(f)}") == Qbf(prefix, nnf)
+                assert eval_prop(matrix, v) == _truth(f, v)
 
     def test_size_at_most_doubled(self):
-        rng = random.Random(43)
-        for _ in range(100):
-            f = _random_general(rng, 3, depth=4)
-            assert prop_node_count(to_nnf(f)) <= 2 * prop_node_count(f)
+        for f in _random_general_trees(200):
+            assert prop_node_count(_matrix(_render(f))) <= 2 * prop_node_count(f)
+
+
+@dataclass(frozen=True)
+class _Not:
+    """General negation, which a matrix never holds."""
+
+    body: object
+
+
+def _matrix(text):
+    return parse_qbf(f"forall x0 forall x1 forall x2 forall x3 : {text}").matrix
+
+
+def _render(f):
+    if isinstance(f, Var):
+        return f"x{f.index}"
+    if isinstance(f, _Not):
+        return f"~{_render(f.body)}"
+    return f"({_render(f.left)} {'&' if isinstance(f, PAnd) else '|'} {_render(f.right)})"
 
 
 def _truth(f, v):
-    # handles the pre-normalization shape too, unlike eval_prop
     if isinstance(f, Var):
         return v.value(f.index)
-    if isinstance(f, NegVar):
-        return 1 - v.value(f.index)
-    if isinstance(f, PNot):
+    if isinstance(f, _Not):
         return 1 - _truth(f.body, v)
     if isinstance(f, PAnd):
         return _truth(f.left, v) and _truth(f.right, v)
     return _truth(f.left, v) or _truth(f.right, v)
+
+
+def _random_general_trees(count):
+    rng = random.Random(42)
+    return [_random_general(rng, 4, depth=4) for _ in range(count)]
 
 
 def _random_general(rng, l, depth):
@@ -151,7 +165,7 @@ def _random_general(rng, l, depth):
         return Var(rng.randrange(l))
     kind = rng.choice(["and", "or", "not", "not"])
     if kind == "not":
-        return PNot(_random_general(rng, l, depth - 1))
+        return _Not(_random_general(rng, l, depth - 1))
     a = _random_general(rng, l, depth - 1)
     b = _random_general(rng, l, depth - 1)
     return PAnd(a, b) if kind == "and" else POr(a, b)
@@ -174,7 +188,7 @@ class TestPropMeasures:
 
     def test_size_rejects_unnormalized(self):
         with pytest.raises(TypeError):
-            prop_size(PNot(Var(0)))
+            prop_size(_Not(Var(0)))
 
     def test_render(self):
         f = PAnd(POr(Var(0), NegVar(1)), Var(2))
