@@ -63,14 +63,17 @@ class CheckQuery:
     formula: Formula
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _RootEntry:
     """Per-(model, formula) cache body: the lowered program plus either a
-    support table or a sparse map of computed pairs."""
+    support table or a sparse map of computed pairs. model and formula are
+    the objects the entry was last asked for, its one alias."""
 
     program: Program
     table: SupportTable | None = None
     values: dict[tuple[int, int], bool] = field(default_factory=dict)
+    model: InformationModel | None = None
+    formula: Formula | None = None
 
 
 class MemoCache:
@@ -80,17 +83,39 @@ class MemoCache:
     once per distinct (model, root formula) pair; structurally equal
     subtrees share an identity. A support table, when present, stands for
     the total map of its pairs.
+
+    root never hashes a formula. It first looks the pair up by object
+    identity: each entry keeps the model and formula it was last asked
+    for, so their ids stay valid, and keeps only that one alias, so
+    callers passing fresh equal objects do not grow the cache. Otherwise
+    it lowers the formula and looks the entry up by the model and the
+    program's rows, which are canonical for the formula and hash without
+    recursion, so equal formulas of any depth share one entry.
     """
 
     def __init__(self) -> None:
-        self._roots: dict[tuple[InformationModel, Formula], _RootEntry] = {}
+        self._roots: dict[tuple[InformationModel, int, bytes], _RootEntry] = {}
+        self._aliases: dict[tuple[int, int], _RootEntry] = {}
 
     def root(self, model: InformationModel, formula: Formula) -> _RootEntry:
-        key = (model, formula)
+        alias = (id(model), id(formula))
+        # an alias's entry holds the two objects, so no other live object
+        # can have their ids
+        entry = self._aliases.get(alias)
+        if entry is not None:
+            return entry
+        program = lower_formula(formula)
+        # the columns have one length, so their bytes concatenate unambiguously
+        rows = b"".join(a.tobytes() for a in (program.ops, program.left, program.right, program.payload))
+        key = (model, program.root, rows)
         entry = self._roots.get(key)
         if entry is None:
-            entry = _RootEntry(program=lower_formula(formula))
+            entry = _RootEntry(program=program)
             self._roots[key] = entry
+        else:
+            del self._aliases[id(entry.model), id(entry.formula)]
+        entry.model, entry.formula = model, formula
+        self._aliases[alias] = entry
         return entry
 
     def lookup(self, entry: _RootEntry, node: int, mask: int) -> bool | None:
@@ -245,19 +270,20 @@ def evaluate(
     recursion; "table" the truth-mask kernel evaluator; "auto" picks
     "table" when the table fits the byte cap and "sparse" otherwise.
     nodes_visited counts clause evaluations (naive), cache misses
-    (sparse), or freshly computed table rows (table). Past about 1000
-    levels of nesting, "naive", "sparse" and the key of a given cache
-    raise QueryError; "table" answers formulas of any depth.
+    (sparse), or freshly computed table rows (table). A given cache is
+    looked up by the identity of the query's model and formula, then by
+    the lowered formula's rows, so its key never recurses. Past about
+    1000 levels of nesting, "naive" and "sparse" raise QueryError;
+    "table" answers formulas of any depth, with or without a cache.
     """
     _validate_query(q)
     if engine == "naive":
         value, visits = _too_deep(engine, _eval_naive, q)
         return CheckOutcome(value, visits, "naive")
     if cache is None:
-        # a one-off query needs no cache key, whose hash recurses over the formula
         entry = _RootEntry(program=lower_formula(q.formula))
     else:
-        entry = _too_deep(engine, cache.root, q.model, q.formula)
+        entry = cache.root(q.model, q.formula)
     if engine == "auto":
         engine = "table" if table_bytes(entry.program, q.model) <= _table_cap() else "sparse"
     if engine == "table":

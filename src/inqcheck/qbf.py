@@ -15,10 +15,11 @@ order starting at 0; a closed formula binds every matrix variable. The
 rename option relaxes both: arbitrary identifiers are accepted and
 renumbered by binding order.
 
-Two independent evaluation routes exist on purpose: eval_qbf recurses
-over the prefix with short-circuiting, eval_qbf_table folds a fully
-materialized assignment table without short-circuiting. They are held
-against each other by the tests. Neither recurses on the matrix.
+Two independent evaluation routes exist on purpose: eval_qbf searches
+the prefix depth first with short-circuiting, eval_qbf_table folds a
+fully materialized assignment table without short-circuiting. They are
+held against each other by the tests. Neither recurses, on the matrix or
+on the prefix.
 """
 
 from __future__ import annotations
@@ -98,20 +99,25 @@ def prop_size(f: PropFormula) -> int:
 
 
 def render_prop(f: PropFormula) -> str:
-    """Print a matrix in concrete syntax, fully parenthesized."""
-    parts: list[str] = []
-    for g in subformulas(f):
+    """Print a matrix in concrete syntax, fully parenthesized; like
+    render_formula, tokens come off one stack and are joined once."""
+    out: list[str] = []
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
         kind = type(g)
-        if kind is PAnd or kind is POr:
-            right = parts.pop()
-            parts[-1] = f"({parts[-1]} {'&' if kind is PAnd else '|'} {right})"
+        if kind is str:
+            out.append(g)
+        elif kind is PAnd or kind is POr:
+            out.append("(")
+            stack += (")", g.right, " & " if kind is PAnd else " | ", g.left)
         elif kind is Var:
-            parts.append(f"x{g.index}")
+            out.append(f"x{g.index}")
         elif kind is NegVar:
-            parts.append(f"~x{g.index}")
+            out.append(f"~x{g.index}")
         else:
             raise TypeError(f"not a propositional node: {g!r}")
-    return parts[0]
+    return "".join(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,45 +296,49 @@ def eval_prop(f: PropFormula, v: BoolValuation) -> int:
 
 
 def eval_qbf(q: Qbf) -> bool:
-    """Truth of a closed formula by prefix recursion with short-circuit:
-    an existential stops at the first true branch, a universal at the
-    first false one."""
+    """Truth of a closed formula by a depth-first search of the prefix
+    with short-circuit: an existential stops at the first true branch, a
+    universal at the first false one. values[:k] is the path to the
+    current branch, so the search keeps no stack beyond it."""
     l = q.l
     nodes = _postorder(q.matrix, l)
+    exists = [quant == EXISTS for quant, _ in q.prefix]
     values = [0] * l
-
-    def go(k: int) -> bool:
-        if k == l:
-            return _truth(nodes, values) == 1
-        quant = q.prefix[k][0]
-        for bit in (0, 1):
-            values[k] = bit
-            result = go(k + 1)
-            if quant == EXISTS and result:
-                return True
-            if quant == FORALL and not result:
-                return False
-        return quant == FORALL
-
-    return go(0)
+    k = 0
+    while True:
+        # descend to a leaf through the 0 branches
+        while k < l:
+            values[k] = 0
+            k += 1
+        result = _truth(nodes, values) == 1
+        # climb while a quantifier is decided: by a short-circuit, or by
+        # its second branch, whose value is then its own
+        while True:
+            if k == 0:
+                return result
+            k -= 1
+            if exists[k] != result and values[k] == 0:
+                values[k] = 1
+                k += 1
+                break
 
 
 def eval_qbf_table(q: Qbf) -> bool:
     """Independent route to the same value: materialize the matrix truth
-    table over all 2^l assignments, then fold the prefix outside-in with
-    no short-circuiting. Kept for cross-validation at small l."""
+    table over all 2^l assignments, then fold the prefix innermost
+    quantifier first with no short-circuiting. Kept for cross-validation
+    at small l."""
     l = q.l
     nodes = _postorder(q.matrix, l)
     leaves = [_truth(nodes, [a >> i & 1 for i in range(l)]) for a in range(1 << l)]
-
-    def fold(k: int, partial: int) -> int:
-        if k == l:
-            return leaves[partial]
-        zero = fold(k + 1, partial)
-        one = fold(k + 1, partial | 1 << k)
-        return (zero | one) if q.prefix[k][0] == EXISTS else (zero & one)
-
-    return fold(0, 0) == 1
+    for k in reversed(range(l)):
+        # x_k is bit k of an assignment, the top bit of what is left
+        half = 1 << k
+        if q.prefix[k][0] == EXISTS:
+            leaves = [leaves[a] | leaves[a + half] for a in range(half)]
+        else:
+            leaves = [leaves[a] & leaves[a + half] for a in range(half)]
+    return leaves[0] == 1
 
 
 def random_qbf(seed: int, l: int, matrix_nodes: int) -> Qbf:

@@ -271,23 +271,30 @@ def render_formula(f: Formula) -> str:
     """Print a formula in core syntax; parse_formula inverts it exactly.
 
     Binary connectives are always parenthesized, prefix modalities are
-    bare, so the output is unambiguous without precedence knowledge.
+    bare, so the output is unambiguous without precedence knowledge. The
+    tokens come off one stack of nodes and pending strings in output
+    order and are joined once, so the time is linear in the output.
     """
-    parts: list[str] = []
-    for g in subformulas(f):
+    out: list[str] = []
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
         kind = type(g)
-        if kind in _INFIX:
-            right = parts.pop()
-            parts[-1] = f"({parts[-1]}{_INFIX[kind]}{right})"
+        if kind is str:
+            out.append(g)
+        elif kind in _INFIX:
+            out.append("(")
+            stack += (")", g.right, _INFIX[kind], g.left)
         elif kind in _PREFIXED:
-            parts[-1] = _PREFIXED[kind] + parts[-1]
+            out.append(_PREFIXED[kind])
+            stack.append(g.body)
         elif kind is Atom:
-            parts.append(f"p{g.index}")
+            out.append(f"p{g.index}")
         elif kind is Bottom:
-            parts.append("bot")
+            out.append("bot")
         else:
             raise TypeError(f"not a formula node: {g!r}")
-    return parts[0]
+    return "".join(out)
 
 
 def formula_size(f: Formula) -> int:
@@ -307,7 +314,8 @@ def formula_size(f: Formula) -> int:
 
 def subformulas(f) -> list:
     """Every node of f, children before parents and left before right,
-    duplicates included: the one tree walk of the package. It reads the
+    duplicates included: the one postorder walk of the package (the
+    printers, which emit in preorder, keep a token stack). It reads the
     `left`/`right` or `body` fields, so QBF matrices walk the same way,
     and keeps its own stack, so depth costs no Python frames."""
     nodes = []

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from inqcheck import checker
 from inqcheck.checker import (
     CheckQuery,
     MemoCache,
@@ -21,7 +22,7 @@ from inqcheck.checker import (
     render_result,
 )
 from inqcheck.model import InfoState, InformationModel, downward_closure
-from inqcheck.syntax import Atom, Box, WBox, parse_formula
+from inqcheck.syntax import Atom, Box, WBox, parse_formula, render_formula
 
 from conftest import (
     bits,
@@ -205,16 +206,81 @@ class TestEngines:
             evaluate(q(demo_model, "110", "p1"), engine="mystery")
 
 
+class TestMemoCache:
+    # root finds an entry by the identity of the model and formula it was
+    # last asked for, then by the lowered rows; it never hashes a formula
+    def test_equal_formulas_share_an_entry(self, demo_model):
+        cache = MemoCache()
+        text = "box (p0 ior not p1) -> wbox p0"
+        first = evaluate(q(demo_model, "111", text), engine="table", cache=cache)
+        second = evaluate(q(demo_model, "111", text), engine="table", cache=cache)
+        assert first.nodes_visited > 0
+        assert second.nodes_visited == 0
+        assert first.value == second.value
+
+    def test_alternating_formulas_stay_warm(self, demo_model, monkeypatch):
+        lowered = []
+        lower = checker.lower_formula
+        monkeypatch.setattr(checker, "lower_formula", lambda f: lowered.append(f) or lower(f))
+        cache = MemoCache()
+        a, b = parse_formula("p0 ior not p0"), parse_formula("box p1 -> p0")
+        entries = {id(f): cache.root(demo_model, f) for f in (a, b)}
+        for f in (a, b):
+            assert evaluate(CheckQuery(demo_model, bits("110"), f), engine="table", cache=cache).nodes_visited > 0
+        for _ in range(5):
+            for f in (a, b):
+                assert cache.root(demo_model, f) is entries[id(f)]
+                assert evaluate(CheckQuery(demo_model, bits("110"), f), engine="table", cache=cache).nodes_visited == 0
+        assert lowered == [a, b]
+
+    def test_fresh_parses_keep_one_entry_and_one_alias(self, demo_model):
+        cache = MemoCache()
+        for _ in range(1000):
+            check_support_memo(q(demo_model, "110", "(p0 -> p1) ior box p0"), cache)
+        assert len(cache._roots) == 1
+        assert len(cache._aliases) == 1
+
+    def test_distinct_equal_objects_agree_with_naive(self):
+        rng = random.Random(8080)
+        for _ in range(40):
+            m = random_model(rng, n_max=5, l_max=2)
+            formulas = [random_formula(rng, m.l, depth=3, modal=True) for _ in range(3)]
+            texts = [render_formula(f) for f in formulas]
+            cache = MemoCache()
+            for _ in range(15):
+                # a fresh model and a fresh parse, equal to the first ones
+                twin = InformationModel(m.n, m.l, m.valuation, m.sigma)
+                f = parse_formula(rng.choice(texts))
+                query = CheckQuery(twin, random_state(rng, m.n), f)
+                reference = evaluate(query, engine="naive").value
+                for engine in ("table", "sparse", "auto"):
+                    assert evaluate(query, engine=engine, cache=cache).value == reference
+            assert len(cache._roots) <= len(set(texts))
+
+    def test_models_keep_their_own_entries(self, demo_model):
+        cache = MemoCache()
+        f = parse_formula("p0")
+        other = InformationModel(demo_model.n, demo_model.l, tuple(reversed(demo_model.valuation)), demo_model.sigma)
+        # w1 is outside V(p0) and inside V(p1)
+        assert not check_support_memo(CheckQuery(demo_model, bits("010"), f), cache)
+        assert check_support_memo(CheckQuery(other, bits("010"), f), cache)
+        assert len(cache._roots) == 2
+
+
 class TestDeepFormulas:
-    # 10,000 nested modalities: table walks them with its own stacks, the
-    # engines that still recurse say the formula is too deep
+    # 10,000 nested modalities: table walks them with its own stacks, and a
+    # cache keys them by their lowered rows; the engines that still recurse
+    # say the formula is too deep
     def test_table_answers(self, demo_model):
         # box box p0 is true at no world of the demo model, and further
         # boxes keep it so; boxes over a tautology hold everywhere
-        assert not evaluate(q(demo_model, "101", "box " * 10_000 + "p0"), engine="table").value
-        assert evaluate(q(demo_model, "111", "box " * 10_000 + "(p0 -> p0)"), engine="table").value
+        cache = MemoCache()
+        for given in (None, cache, cache):
+            assert not evaluate(q(demo_model, "101", "box " * 10_000 + "p0"), engine="table", cache=given).value
+            assert evaluate(q(demo_model, "111", "box " * 10_000 + "(p0 -> p0)"), engine="table", cache=given).value
+        assert len(cache._roots) == 2
 
-    @pytest.mark.parametrize("engine, cache", [("naive", None), ("sparse", None), ("table", MemoCache())])
+    @pytest.mark.parametrize("engine, cache", [("naive", None), ("sparse", None)])
     def test_recursion_is_a_query_error(self, demo_model, engine, cache):
         query = q(demo_model, "101", "box " * 10_000 + "p0")
         with pytest.raises(QueryError, match=f"formula nests too deeply for the {engine} engine"):

@@ -250,6 +250,17 @@ class TestDeepInput:
         assert cli.main(["verify", qpath]) == 0
         assert capsys.readouterr().out == f"AGREE({'true' if truth else 'false'})\n"
 
+    @pytest.mark.parametrize(
+        "quantifier, matrix, truth",
+        [("exists", "x0 | ~x0", True), ("forall", "x0 & ~x0", False)],
+    )
+    def test_long_prefix(self, tmp_path, capsys, quantifier, matrix, truth):
+        # 1500 quantifiers, decided at the first leaf by short-circuit
+        prefix = " ".join(f"{quantifier} x{i}" for i in range(1500))
+        qpath = write(tmp_path, "long.qbf", f"{prefix} : {matrix}\n")
+        assert cli.main(["qbf-eval", qpath]) == (0 if truth else 1)
+        assert capsys.readouterr().out == ("TRUE\n" if truth else "FALSE\n")
+
 
 class TestStats:
     def test_json_keys(self, tmp_path, capsys):

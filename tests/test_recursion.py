@@ -22,8 +22,6 @@ PACKAGE = Path(inqcheck.__file__).parent
 ALLOWED = {
     "checker._eval_naive.go",  # the trusted reference engine
     "checker._eval_memo_sparse.go",  # the sparse engine
-    "qbf.eval_qbf.go",  # recursion on the prefix, depth l
-    "qbf.eval_qbf_table.fold",  # recursion on the prefix, depth l
     "qbf.random_qbf.gen",  # seeded output the benchmark inputs depend on
 }
 
