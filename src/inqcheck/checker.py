@@ -29,7 +29,6 @@ suite holds them against each other.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from .kernels import (
@@ -46,7 +45,7 @@ from .kernels import (
     support_table,
     table_bytes,
 )
-from .model import InfoState, InformationModel, _is_decimal, sigma_union
+from .model import InfoState, InformationModel, sigma_union
 from .syntax import And, Atom, Bottom, Box, Formula, IVee, Implies, WBox, subformulas
 
 DEFAULT_TABLE_BYTE_CAP = 1 << 27
@@ -117,11 +116,6 @@ class MemoCache:
         entry.model, entry.formula = model, formula
         self._aliases[alias] = entry
         return entry
-
-    def lookup(self, entry: _RootEntry, node: int, mask: int) -> bool | None:
-        if entry.table is not None:
-            return entry.table.holds(node, mask)
-        return entry.values.get((node, mask))
 
 
 def _validate_query(q: CheckQuery) -> None:
@@ -244,13 +238,6 @@ class CheckOutcome:
     engine: str
 
 
-def _table_cap() -> int:
-    raw = os.environ.get("INQCHECK_TABLE_BYTES", "")
-    if _is_decimal(raw):
-        return int(raw)
-    return DEFAULT_TABLE_BYTE_CAP
-
-
 def _too_deep(engine: str, fn, *args):
     """fn(*args), reporting that it ran out of Python frames as a QueryError."""
     try:
@@ -285,7 +272,7 @@ def evaluate(
     else:
         entry = cache.root(q.model, q.formula)
     if engine == "auto":
-        engine = "table" if table_bytes(entry.program, q.model) <= _table_cap() else "sparse"
+        engine = "table" if table_bytes(entry.program, q.model) <= DEFAULT_TABLE_BYTE_CAP else "sparse"
     if engine == "table":
         if entry.table is None:
             entry.table = support_table(entry.program, q.model)

@@ -202,6 +202,17 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _distinct_masks(rng: random.Random, n: int, k: int) -> list[int]:
+    """k distinct masks over n worlds, in the order drawn."""
+    if 1 << n <= sys.maxsize:
+        return rng.sample(range(1 << n), k)
+    # random.sample needs the length of its population as a C ssize_t
+    masks: dict[int, None] = {}
+    while len(masks) < k:
+        masks[rng.getrandbits(n)] = None
+    return list(masks)
+
+
 def cmd_random_model(args: argparse.Namespace) -> int:
     n, l = args.worlds, args.atoms
     if n < 1:
@@ -217,7 +228,7 @@ def cmd_random_model(args: argparse.Namespace) -> int:
     else:
         cap = min(args.max_generators, 1 << n)
         sigma = tuple(
-            tuple(InfoState(mask, n) for mask in rng.sample(range(1 << n), rng.randint(1, cap)))
+            tuple(InfoState(mask, n) for mask in _distinct_masks(rng, n, rng.randint(1, cap)))
             for _ in range(n)
         )
         model = InformationModel(n, l, valuation, sigma)

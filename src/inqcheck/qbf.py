@@ -28,10 +28,11 @@ import random
 from dataclasses import dataclass
 
 from .switching import BoolValuation
-from .syntax import ParseError, _Cursor, subformulas
+from .syntax import ParseError, _Cursor, _render, _tokenize, subformulas
 
 FORALL = "forall"
 EXISTS = "exists"
+_QUANTIFIERS = (FORALL, EXISTS)
 
 
 class ClosureError(Exception):
@@ -98,26 +99,12 @@ def prop_size(f: PropFormula) -> int:
     return size
 
 
+_PROP_FORMS = ({PAnd: " & ", POr: " | "}, {}, {Var: ("x", True), NegVar: ("~x", True)})
+
+
 def render_prop(f: PropFormula) -> str:
-    """Print a matrix in concrete syntax, fully parenthesized; like
-    render_formula, tokens come off one stack and are joined once."""
-    out: list[str] = []
-    stack: list = [f]
-    while stack:
-        g = stack.pop()
-        kind = type(g)
-        if kind is str:
-            out.append(g)
-        elif kind is PAnd or kind is POr:
-            out.append("(")
-            stack += (")", g.right, " & " if kind is PAnd else " | ", g.left)
-        elif kind is Var:
-            out.append(f"x{g.index}")
-        elif kind is NegVar:
-            out.append(f"~x{g.index}")
-        else:
-            raise TypeError(f"not a propositional node: {g!r}")
-    return "".join(out)
+    """Print a matrix in concrete syntax, fully parenthesized."""
+    return _render(f, *_PROP_FORMS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,35 +124,12 @@ def render_qbf(q: Qbf) -> str:
     return f"{head} : {render_prop(q.matrix)}" if head else f": {render_prop(q.matrix)}"
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in "()&|~:":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in (FORALL, EXISTS) else "ident"
-            tokens.append((kind, word, i))
-            i = j
-            continue
-        raise ParseError(i, frozenset({"forall", "exists", "identifier", ":", "~", "&", "|", "(", ")"}), repr(c))
-    tokens.append(("eof", "", n))
-    return tokens
+def _qbf_word(word: str, offset: int) -> tuple[str, str, int]:
+    return (word if word in _QUANTIFIERS else "ident", word, offset)
+
+
+_QBF_PUNCT = {c: c for c in "()&|~:"}
+_QBF_LEXICON = (_QBF_PUNCT, "_", _qbf_word, frozenset({*_QUANTIFIERS, "identifier", *_QBF_PUNCT}))
 
 
 def parse_qbf(text: str, rename: bool = False) -> Qbf:
@@ -181,11 +145,11 @@ def parse_qbf(text: str, rename: bool = False) -> Qbf:
             variable names.
         ClosureError: a matrix variable the prefix does not bind.
     """
-    cursor = _Cursor(_tokenize(text))
+    cursor = _Cursor(_tokenize(text, *_QBF_LEXICON))
     names: dict[str, int] = {}
     binding_error = None
     prefix = []
-    while cursor.peek()[0] in (FORALL, EXISTS):
+    while cursor.peek()[0] in _QUANTIFIERS:
         quant = cursor.advance()[0]
         kind, name, offset = cursor.peek()
         if kind != "ident":
@@ -259,6 +223,17 @@ def _read_matrix(cursor: _Cursor, names: dict[str, int]) -> tuple[PropFormula, s
             negate, disj, conj = levels.pop()
 
 
+def _check_prefix(prefix, start: int) -> None:
+    """Raise ValueError unless every quantifier in prefix is forall or
+    exists and the bound indices run start, start + 1, ... in order."""
+    for position, (quant, index) in enumerate(prefix, start):
+        if quant not in _QUANTIFIERS:
+            raise ValueError(f"unknown quantifier {quant!r}, expected {FORALL!r} or {EXISTS!r}")
+        if index != position:
+            indices = [i for _, i in prefix]
+            raise ValueError(f"prefix must bind x{start}, x{start + 1}, ... in order, got {indices}")
+
+
 def _postorder(f: PropFormula, k: int) -> list:
     """The matrix in postorder for _truth: x_i as i, its negation as ~i, a
     connective as its class; ClosureError for a variable past x_{k-1}."""
@@ -299,8 +274,15 @@ def eval_qbf(q: Qbf) -> bool:
     """Truth of a closed formula by a depth-first search of the prefix
     with short-circuit: an existential stops at the first true branch, a
     universal at the first false one. values[:k] is the path to the
-    current branch, so the search keeps no stack beyond it."""
+    current branch, so the search keeps no stack beyond it.
+
+    Raises:
+        ValueError: a prefix quantifier other than forall or exists, or
+            indices other than 0, 1, ... in order.
+        ClosureError: a matrix variable the prefix does not bind.
+    """
     l = q.l
+    _check_prefix(q.prefix, 0)
     nodes = _postorder(q.matrix, l)
     exists = [quant == EXISTS for quant, _ in q.prefix]
     values = [0] * l
@@ -327,8 +309,9 @@ def eval_qbf_table(q: Qbf) -> bool:
     """Independent route to the same value: materialize the matrix truth
     table over all 2^l assignments, then fold the prefix innermost
     quantifier first with no short-circuiting. Kept for cross-validation
-    at small l."""
+    at small l. Raises as eval_qbf does."""
     l = q.l
+    _check_prefix(q.prefix, 0)
     nodes = _postorder(q.matrix, l)
     leaves = [_truth(nodes, [a >> i & 1 for i in range(l)]) for a in range(1 << l)]
     for k in reversed(range(l)):

@@ -35,18 +35,7 @@ from dataclasses import dataclass
 from math import log2
 
 from .model import InfoState
-from .qbf import (
-    FORALL,
-    ClosureError,
-    NegVar,
-    PAnd,
-    POr,
-    PropFormula,
-    Qbf,
-    Var,
-    prop_size,
-    prop_vars,
-)
+from .qbf import FORALL, PAnd, POr, PropFormula, Qbf, _check_prefix, _postorder, prop_size
 from .switching import (
     SwitchingModel,
     atom_p,
@@ -55,7 +44,7 @@ from .switching import (
     formula_D,
     formula_S,
 )
-from .syntax import And, Formula, IVee, Implies, formula_size, neg, subformulas
+from .syntax import And, Formula, IVee, Implies, formula_size, neg
 
 __all__ = [
     "DEFAULT_SIZE_RATIO_BOUND",
@@ -104,20 +93,23 @@ def translate_prop(z: PropFormula, polarity: str, l: int) -> Formula:
     polarity "p" produces a formula supported where the matrix is true,
     "n" one supported where it is false. Output uses the pair atoms with
     conjunction, inquisitive disjunction, and implication only.
+
+    Raises:
+        ClosureError: a matrix variable past x_{l-1}.
     """
     if polarity not in ("p", "n"):
         raise ValueError(f"polarity must be 'p' or 'n', got {polarity!r}")
     positive = polarity == "p"
     parts: list[Formula] = []
-    for g in subformulas(z):
-        if isinstance(g, (Var, NegVar)):
-            body = atom_p(g.index) if positive == isinstance(g, Var) else neg(atom_p(g.index))
-            parts.append(Implies(atom_q(g.index, l), body))
-        elif isinstance(g, (PAnd, POr)):
+    for node in _postorder(z, l):
+        if node is PAnd or node is POr:
             right = parts.pop()
-            parts[-1] = (And if positive == isinstance(g, PAnd) else IVee)(parts[-1], right)
+            parts[-1] = (And if positive == (node is PAnd) else IVee)(parts[-1], right)
         else:
-            raise TypeError(f"matrix must be in negation normal form: {g!r}")
+            # x_i is i and its negation ~i
+            i = node if node >= 0 else ~node
+            body = atom_p(i) if positive == (node >= 0) else neg(atom_p(i))
+            parts.append(Implies(atom_q(i, l), body))
     return parts[0]
 
 
@@ -127,15 +119,15 @@ def translate_qbf(theta: Qbf, polarity: str, l: int) -> Formula:
 
     polarity "P" tracks truth, "N" falsity, of the suffix at matching
     switchings.
+
+    Raises:
+        ValueError: a bad polarity, a prefix quantifier other than forall
+            or exists, or a prefix not binding x_k..x_{l-1} in order.
+        ClosureError: a matrix variable past x_{l-1}.
     """
     if polarity not in ("P", "N"):
         raise ValueError(f"polarity must be 'P' or 'N', got {polarity!r}")
-    indices = [i for _, i in theta.prefix]
-    start = indices[0] if indices else l
-    if indices != list(range(start, l)):
-        raise ValueError(
-            f"prefix must bind consecutive variables up to x{l - 1}, got {indices}"
-        )
+    _check_prefix(theta.prefix, l - theta.l)
     # the body of a universal tracks truth and that of an existential
     # falsity, whatever the polarity of the quantifier itself
     polarities = [polarity] + ["P" if quant == FORALL else "N" for quant, _ in theta.prefix]
@@ -151,18 +143,13 @@ def translate_qbf(theta: Qbf, polarity: str, l: int) -> Formula:
 def reduce_tqbf(theta: Qbf) -> ReductionInstance:
     """Compile a closed formula into an equivalent support query: the
     formula is true iff the full state of the degree-l switching model
-    supports the positive translation."""
+    supports the positive translation. Raises as translate_qbf does, and
+    ValueError on an empty prefix."""
     l = theta.l
     if l == 0:
         raise ValueError("formula must bind at least one variable")
-    indices = [i for _, i in theta.prefix]
-    if indices != list(range(l)):
-        raise ValueError(f"prefix must bind x0..x{l - 1} in order, got {indices}")
-    unbound = sorted(i for i in prop_vars(theta.matrix) if i >= l)
-    if unbound:
-        raise ClosureError(f"x{unbound[0]}")
-    switching = build_switching_model(l)
     translated = translate_qbf(theta, "P", l)
+    switching = build_switching_model(l)
     return ReductionInstance(
         model=switching,
         state=InfoState.full(2 * l),

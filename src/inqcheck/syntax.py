@@ -93,7 +93,7 @@ def question(f: Formula) -> Formula:
 
 
 class ParseError(Exception):
-    """Malformed formula text.
+    """Malformed formula or QBF text.
 
     Carries the byte offset of the offending token and the set of token
     descriptions that would have been accepted there.
@@ -109,55 +109,69 @@ class ParseError(Exception):
         )
 
 
-_KEYWORDS = ("bot", "not", "ior", "or", "box", "wbox")
-_PUNCT = ("(", ")", "->", "&", "?")
+def _tokenize(text: str, punct: dict[str, str], word_start: str, word, expected: frozenset[str]):
+    """Split text into (kind, value, offset) triples, ending with EOF.
 
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Split text into (kind, value, offset) triples, ending with EOF."""
-    tokens: list[tuple[str, str, int]] = []
+    The lexing loop of both languages, which pass only data. Blanks are
+    space, tab, CR and LF; `#` starts a comment to end of line. punct maps
+    the first character of each punctuation token to the token, whose
+    kind and value are its text. A word is a letter or a character of
+    word_start, then letters, digits and `_`; word(text, offset) gives its
+    token or raises ParseError. At any other character the error lists
+    expected.
+    """
+    tokens = []
+    append = tokens.append
     i = 0
     n = len(text)
+    # tests in order of how often they hold on typical input
     while i < n:
         c = text[i]
-        if c in " \t\r\n":
+        if c == " ":
             i += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
+        elif c in punct:
+            tok = punct[c]
+            if tok == c:
+                append((c, c, i))
                 i += 1
-            continue
-        if c in "()&?":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c == "-":
-            if text.startswith("->", i):
-                tokens.append(("->", "->", i))
-                i += 2
-                continue
-            raise ParseError(i, frozenset(_PUNCT), repr(c))
-        if c.isalpha():
-            j = i
+            elif text.startswith(tok, i):
+                append((tok, tok, i))
+                i += len(tok)
+            else:
+                raise ParseError(i, frozenset(punct.values()), repr(c))
+        elif c.isalpha() or c in word_start:
+            j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            word = text[i:j]
-            if word in _KEYWORDS:
-                tokens.append((word, word, i))
-            # ASCII digits only: int() rejects "²" and reads "٣" as 3
-            elif word[0] == "p" and word[1:].isascii() and word[1:].isdigit():
-                tokens.append(("atom", word[1:], i))
-            else:
-                raise ParseError(
-                    i,
-                    frozenset(_KEYWORDS) | frozenset({"p<index>"}),
-                    repr(word),
-                )
+            append(word(text[i:j], i))
             i = j
-            continue
-        raise ParseError(i, frozenset(_KEYWORDS) | frozenset(_PUNCT), repr(c))
-    tokens.append(("eof", "", n))
+        elif c in "\t\r\n":
+            i += 1
+        elif c == "#":
+            i = text.find("\n", i)
+            if i < 0:
+                i = n
+        else:
+            raise ParseError(i, expected, repr(c))
+    append(("eof", "", n))
     return tokens
+
+
+_KEYWORDS = frozenset({"bot", "not", "ior", "or", "box", "wbox"})
+_PUNCT = {"(": "(", ")": ")", "-": "->", "&": "&", "?": "?"}
+_WORDS = _KEYWORDS | {"p<index>"}
+
+
+def _formula_word(word: str, offset: int) -> tuple[str, str, int]:
+    if word in _KEYWORDS:
+        return (word, word, offset)
+    # ASCII digits only: int() rejects "²" and reads "٣" as 3
+    if word[0] == "p" and word[1:].isascii() and word[1:].isdigit():
+        return ("atom", word[1:], offset)
+    raise ParseError(offset, _WORDS, repr(word))
+
+
+_FORMULA_LEXICON = (_PUNCT, "", _formula_word, _KEYWORDS | frozenset(_PUNCT.values()))
 
 
 _ATOM_START = frozenset({"bot", "p<index>", "(", "not", "?", "box", "wbox"})
@@ -200,7 +214,7 @@ def parse_formula(text: str) -> Formula:
         ParseError: on malformed input, with byte offset and the set of
             acceptable tokens at that point.
     """
-    cursor = _Cursor(_tokenize(text))
+    cursor = _Cursor(_tokenize(text, *_FORMULA_LEXICON))
     levels = []
     prefix, antecedents, disj, mode, conj = [], [], None, None, None
     while True:
@@ -263,17 +277,15 @@ def parse_formula(text: str) -> Formula:
             prefix, antecedents, disj, mode, conj = levels.pop()
 
 
-_INFIX = {And: " & ", IVee: " ior ", Implies: " -> "}
-_PREFIXED = {Box: "box ", WBox: "wbox "}
+def _render(f, infix: dict, prefix: dict, leaves: dict) -> str:
+    """Print a tree of either language, given as its tables of forms.
 
-
-def render_formula(f: Formula) -> str:
-    """Print a formula in core syntax; parse_formula inverts it exactly.
-
-    Binary connectives are always parenthesized, prefix modalities are
-    bare, so the output is unambiguous without precedence knowledge. The
-    tokens come off one stack of nodes and pending strings in output
-    order and are joined once, so the time is linear in the output.
+    infix maps a binary node class to its connective, printed between
+    parentheses around both children; prefix maps a unary class to the
+    text before its body; leaves maps a leaf class to its text and
+    whether the node's index follows it. The tokens come off one stack of
+    nodes and pending strings in output order and are joined once, so the
+    time is linear in the output.
     """
     out: list[str] = []
     stack: list = [f]
@@ -282,19 +294,34 @@ def render_formula(f: Formula) -> str:
         kind = type(g)
         if kind is str:
             out.append(g)
-        elif kind in _INFIX:
+        elif kind in infix:
             out.append("(")
-            stack += (")", g.right, _INFIX[kind], g.left)
-        elif kind in _PREFIXED:
-            out.append(_PREFIXED[kind])
+            stack += (")", g.right, infix[kind], g.left)
+        elif kind in leaves:
+            text, indexed = leaves[kind]
+            out.append(f"{text}{g.index}" if indexed else text)
+        elif kind in prefix:
+            out.append(prefix[kind])
             stack.append(g.body)
-        elif kind is Atom:
-            out.append(f"p{g.index}")
-        elif kind is Bottom:
-            out.append("bot")
         else:
-            raise TypeError(f"not a formula node: {g!r}")
+            raise TypeError(f"cannot print {g!r}")
     return "".join(out)
+
+
+_FORMULA_FORMS = (
+    {And: " & ", IVee: " ior ", Implies: " -> "},
+    {Box: "box ", WBox: "wbox "},
+    {Atom: ("p", True), Bottom: ("bot", False)},
+)
+
+
+def render_formula(f: Formula) -> str:
+    """Print a formula in core syntax; parse_formula inverts it exactly.
+
+    Binary connectives are always parenthesized, prefix modalities are
+    bare, so the output is unambiguous without precedence knowledge.
+    """
+    return _render(f, *_FORMULA_FORMS)
 
 
 def formula_size(f: Formula) -> int:

@@ -313,6 +313,15 @@ class TestRandomModel:
             model = read_model_file(capsys.readouterr().out)
             assert model.n == 3 and model.l == 2 and model.is_modal
 
+    @pytest.mark.parametrize("worlds", [63, 64, 100])
+    def test_masks_past_machine_word(self, capsys, worlds):
+        # random.sample cannot take range(1 << n) once its length overflows
+        # a C ssize_t
+        args = ["random-model", "--worlds", str(worlds), "--atoms", "1"]
+        assert cli.main(args) == 0
+        model = read_model_file(capsys.readouterr().out)
+        assert model.n == worlds and model.is_modal
+
     def test_plain_kind(self, capsys):
         args = [
             "random-model",

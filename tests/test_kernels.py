@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from inqcheck.checker import CheckQuery, MemoCache, check_support, evaluate
+from inqcheck.checker import DEFAULT_TABLE_BYTE_CAP, CheckQuery, MemoCache, check_support, evaluate
 from inqcheck.kernels import (
     OP_AND,
     OP_ATOM,
@@ -221,22 +221,22 @@ class TestTables:
                 evaluate(CheckQuery(m, InfoState(0, m.n), f), engine="table", cache=cache)
                 entry = cache.root(m, f)
                 assert entry.table is not None
-                got = [cache.lookup(entry, entry.program.root, s) for s in range(1 << m.n)]
+                got = [entry.table.holds(entry.program.root, s) for s in range(1 << m.n)]
                 assert got == reference_row(m, f)
 
 
 class TestSelection:
-    def test_auto_respects_byte_cap(self, demo_model, monkeypatch):
-        query = CheckQuery(demo_model, InfoState.full(3), parse_formula("p0 ior p1"))
-        monkeypatch.setenv("INQCHECK_TABLE_BYTES", "1")
-        assert evaluate(query, engine="auto").engine == "sparse"
-        monkeypatch.setenv("INQCHECK_TABLE_BYTES", str(1 << 20))
-        assert evaluate(query, engine="auto").engine == "table"
-
-    @pytest.mark.parametrize("value", ["²", "٣"])
-    def test_cap_takes_ascii_digits_only(self, demo_model, monkeypatch, value):
-        # str.isdigit accepts both; int() rejects the first and reads the
-        # second as a 3-byte cap, so both now mean the default cap
-        query = CheckQuery(demo_model, InfoState.full(3), parse_formula("p0 ior p1"))
-        monkeypatch.setenv("INQCHECK_TABLE_BYTES", value)
-        assert evaluate(query, engine="auto").engine == "table"
+    def test_auto_respects_byte_cap(self):
+        # at 24 worlds, 8 rows make a table of exactly the cap and 9 one
+        # past it
+        assert 8 << 24 == DEFAULT_TABLE_BYTE_CAP
+        valuation = (InfoState(0b101101, 24), InfoState(0b110011, 24))
+        model = InformationModel(24, 2, valuation, None)
+        at_cap = parse_formula("(p0 & p1) -> ((p1 ior p0) & (p0 -> bot))")
+        past_cap = IVee(at_cap, Atom(1))
+        for formula, rows, engine in ((at_cap, 8, "table"), (past_cap, 9, "sparse")):
+            assert table_bytes(lower_formula(formula), model) == rows << 24
+            query = CheckQuery(model, InfoState(0b111, 24), formula)
+            outcome = evaluate(query, engine="auto")
+            assert outcome.engine == engine
+            assert outcome.value == check_support(query)

@@ -101,6 +101,11 @@ class TestParse:
         text = "forall x0 exists x1 : (x0 | ~x1) & x1"
         theta = parse_qbf(text)
         assert parse_qbf(render_qbf(theta)) == theta
+        for l in range(1, 7):
+            for nodes in (1, 2, 5, 12, 40, 160):
+                for seed in range(10):
+                    theta = random_qbf(seed, l, nodes)
+                    assert parse_qbf(render_qbf(theta)) == theta
 
 
 class TestNnf:

@@ -25,6 +25,7 @@ from inqcheck.qbf import (
     Var,
     eval_prop,
     eval_qbf,
+    eval_qbf_table,
     random_qbf,
 )
 from inqcheck.reduction import (
@@ -239,6 +240,36 @@ class TestInstances:
     def test_unbound_matrix_variable_rejected(self):
         with pytest.raises(ClosureError):
             reduce_tqbf(Qbf(((FORALL, 0),), Var(1)))
+
+
+def _translate_whole(theta: Qbf):
+    return translate_qbf(theta, "P", theta.l)
+
+
+QBF_CONSUMERS = [eval_qbf, eval_qbf_table, reduce_tqbf, _translate_whole]
+
+
+class TestMalformedInput:
+    # each consumer of a Qbf checks it before answering anything
+    @pytest.mark.parametrize("consumer", QBF_CONSUMERS)
+    @pytest.mark.parametrize(
+        "prefix",
+        [
+            ((FORALL, 1), (EXISTS, 0)),
+            ((FORALL, 0), (EXISTS, 2), (EXISTS, 1)),
+            ((FORALL, 0), (EXISTS, 2)),
+            (("bogus", 0),),
+            ((FORALL, 0), ("Exists", 1)),
+        ],
+    )
+    def test_malformed_prefix_rejected(self, consumer, prefix):
+        with pytest.raises(ValueError):
+            consumer(Qbf(prefix, Var(0)))
+
+    @pytest.mark.parametrize("consumer", QBF_CONSUMERS)
+    def test_unbound_variable_rejected(self, consumer):
+        with pytest.raises(ClosureError):
+            consumer(Qbf(((FORALL, 0), (EXISTS, 1)), PAnd(Var(0), NegVar(2))))
 
 
 class TestSizes:
