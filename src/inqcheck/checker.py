@@ -25,6 +25,20 @@ every subformula) and answers each query from it, building lattice rows
 only over the substates of the query state; otherwise it reuses results
 per (subformula, state) pair. Both paths must and do agree; the test
 suite holds them against each other.
+
+The table's implication rows rest on two facts (Ciardelli & Roelofsen,
+"Inquisitive logic", J. Philos. Logic 40, 2011; Ciardelli, Groenendijk &
+Roelofsen, Inquisitive Semantics, OUP 2018, ch. 2-3). A formula built
+from declaratives with &, ior and -> out of a declarative is supported
+exactly by the subsets of one of its alternatives, the maximal states
+supporting it. And then, by persistence, s supports f -> g iff s & A
+supports g for every alternative A of f, so such an implication reads g
+at a few substates instead of quantifying over all of them. The table
+quantifies over the substates, marking those where f holds and g fails
+and closing that marking upward, only when f has no alternatives (it
+holds an implication out of an inquisitive formula), when it has so many
+that the closure is cheaper, and on lattices of fewer than 2^12 states,
+where finding the alternatives costs more than the closure's few steps.
 """
 
 from __future__ import annotations

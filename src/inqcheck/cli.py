@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import traceback
@@ -117,7 +118,15 @@ def _print_report(instance, args: argparse.Namespace) -> None:
     print(f"bound: {report.bound:.4f} ({'ok' if report.within_bound else 'bound exceeded'})")
 
 
+def _bad_bound(bound: float) -> bool:
+    """A size ratio bound that no ratio can be read against: nan, infinite,
+    zero or negative."""
+    return not 0 < bound < math.inf
+
+
 def cmd_reduce(args: argparse.Namespace) -> int:
+    if _bad_bound(args.bound):
+        return _diag("--bound must be a positive finite number")
     instance = reduce_tqbf(_read_input(args.qbf, parse_qbf, rename=args.rename))
     stem = args.out_stem
     outputs = {
@@ -150,10 +159,16 @@ def _verify_case(theta: Qbf) -> tuple[bool, bool]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    for flag, value, least in (
+        ("--random", args.random, 0),
+        ("--max-l", args.max_l, 1),
+        ("--matrix-nodes", args.matrix_nodes, 1),
+        ("--jobs", args.jobs, 1),
+    ):
+        if value < least:
+            return _diag(f"{flag} must be at least {least}")
     cases = [(path, _read_input(path, parse_qbf, rename=args.rename)) for path in args.qbf]
     if args.random:
-        if args.max_l < 1:
-            return _diag("--max-l must be at least 1")
         rng = random.Random(args.seed)
         for index in range(args.random):
             l = rng.randint(1, args.max_l)
@@ -197,6 +212,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    if _bad_bound(args.bound):
+        return _diag("--bound must be a positive finite number")
     theta = _read_input(args.qbf, parse_qbf, rename=args.rename)
     _print_report(reduce_tqbf(theta), args)
     return 0

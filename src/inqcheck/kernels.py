@@ -11,12 +11,33 @@ A query at state s descends through conjunctions and inquisitive
 disjunctions at s itself, and through an implication with a declarative
 antecedent to the part of s where the antecedent is true. Only the other
 implications need more: they quantify over the substates of s, so the
-kernel builds their sides as bitsets over the 2^|s| sub-lattice of s,
-with declarative rows as down-sets of their truth masks. An implication
-over the sub-lattice marks the substates where the antecedent holds and
-the consequent fails, then closes that marking upward under supersets
-with one masked shift per world, so it costs O(k * 2^k) bit operations
-for k = |s|, never touching the states of the model outside s.
+kernel builds bitsets over the 2^|s| sub-lattice of s, with declarative
+rows as down-sets of their truth masks, never touching the states of the
+model outside s. Two facts keep most implications cheap there:
+
+- Support by alternatives. A formula built from declaratives with &, ior
+  and -> out of a declarative is supported exactly by the subsets of one
+  of its alternatives, a family of world masks that does not depend on
+  the state (Ciardelli & Roelofsen, "Inquisitive logic", J. Philos. Logic
+  40, 2011; Ciardelli, Groenendijk & Roelofsen, Inquisitive Semantics,
+  OUP 2018, ch. 2-3). A declarative has one, its truth mask; ior unites
+  the families, & meets them pairwise, and alpha -> g with alpha
+  declarative maps each alternative B of g to B plus the worlds outside
+  alpha.
+- The alternatives form of ->. By persistence, t supports f -> g iff
+  t & A supports g for every alternative A of f. So an implication whose
+  antecedent has alternatives is the consequent's row projected onto each
+  t & A and AND-ed, and a query reads the consequent's row at s & A.
+
+Projection costs about 2 * |s - A| + 2 big-int operations per
+alternative. The kernel projects when that sum is below the 3 * |s| of
+the upward closure and s has at least MIN_PROJECTION_WORLDS worlds, so
+that big-int operations dominate. Otherwise, and always when the
+antecedent has no alternatives (it holds an implication out of an
+inquisitive formula), it closes upward: it marks the substates where the
+antecedent holds and the consequent fails, then closes that marking
+under supersets with one masked shift per world, O(k * 2^k) bit
+operations for k = |s|.
 
 States, truth masks and lattice rows are plain Python ints, which have no
 width, so models of any size share one code path.
@@ -141,8 +162,34 @@ def _low_masks(k: int) -> tuple[int, ...]:
     return tuple(low)
 
 
-def _down_set(v: int) -> int:
-    """Bitset of the states that are subsets of world mask v."""
+# Below 2^12 substates a big-int operation costs about what the
+# interpreter's steps around it cost, so operation counts no longer
+# predict time, and finding the alternatives costs more than the closure
+# saves. On compiled instances with 4..10 worlds, projecting wherever the
+# count allowed made the kernel 17-28% slower than closing; with 12
+# worlds the two were even, and with 14..18 projecting was 25-50% faster
+# (support_table plus holds, 40 instances per size, interleaved runs on
+# a 2-vCPU x86 host).
+MIN_PROJECTION_WORLDS = 12
+
+
+@cache
+def _all_states(k: int) -> int:
+    """The bitset of all 2^k states of a k-world lattice."""
+    return (1 << (1 << k)) - 1
+
+
+def _down_set(v: int, k: int) -> int:
+    """Bitset of the states, out of 2^k, that are subsets of local world
+    mask v: one doubling per world of v, or one LOW mask per world outside
+    it, whichever are fewer."""
+    present = v.bit_count()
+    if k - present < present:
+        x = _all_states(k)
+        for i, low in enumerate(_low_masks(k)):
+            if not v >> i & 1:
+                x &= low
+        return x
     x = 1
     i = 0
     while v:
@@ -151,6 +198,56 @@ def _down_set(v: int) -> int:
         v >>= 1
         i += 1
     return x
+
+
+def _local(v: int, worlds: list[int]) -> int:
+    """World mask v as a mask over the positions of `worlds`."""
+    # a loop, not sum() over a generator, which costs twice as much on the
+    # few worlds of most states
+    local = 0
+    for i, w in enumerate(worlds):
+        if v >> w & 1:
+            local |= 1 << i
+    return local
+
+
+def _maximal(masks) -> tuple[int, ...]:
+    """The distinct masks that lie inside no other one."""
+    kept: list[int] = []
+    for v in sorted(set(masks), key=int.bit_count, reverse=True):
+        if all(v & ~u for u in kept):
+            kept.append(v)
+    return tuple(kept)
+
+
+def _closure(a: int, b: int, k: int) -> int:
+    """Lattice row of f -> g over 2^k states from the rows a of f and b of
+    g: the substates where f holds and g fails, then every superset of
+    one, complemented. Sweep i moves each marked substate without world i
+    to the one with it."""
+    bad = a & ~b
+    if bad:
+        for i, low in enumerate(_low_masks(k)):
+            bad |= (bad & low) << (1 << i)
+    return _all_states(k) ^ bad
+
+
+def _projection(b: int, parts: list[int], worlds: list[int]) -> int:
+    """Lattice row of f -> g over the 2^k substates of the state made of
+    the k `worlds`, from the row b of g and the parts of that state that
+    f's alternatives leave: bit t is set iff bit t & a of b is, for each
+    part as a local mask a. The bits t inside a are b's; each world
+    outside a then copies them, all lacking it, to the states with it."""
+    k = len(worlds)
+    row = _all_states(k)
+    for part in parts:
+        a = _local(part, worlds)
+        projected = b & _down_set(a, k)
+        for i in range(k):
+            if not a >> i & 1:
+                projected |= projected << (1 << i)
+        row &= projected
+    return row
 
 
 def active_kernel() -> str:
@@ -166,16 +263,23 @@ class SupportTable:
     supports row r; declarative[r] says that row r is truth-conditional
     (bot, atoms, box, wbox, & of declaratives, -> into a declarative), so
     that a state supports it iff all its worlds are in truth[r].
+    families[r], filled on first use, holds row r's alternatives, or None
+    when r is outside the fragment that has them or has too many to pay
+    off at any state.
     """
 
-    __slots__ = ("ops", "left", "right", "truth", "declarative")
+    __slots__ = ("ops", "left", "right", "truth", "declarative", "families", "max_family")
 
-    def __init__(self, program: Program) -> None:
+    def __init__(self, program: Program, n: int) -> None:
         self.ops = program.ops.tolist()
         self.left = program.left.tolist()
         self.right = program.right.tolist()
         self.truth: list[int] = []
         self.declarative: list[bool] = []
+        self.families: dict[int, tuple[int, ...] | None] = {}
+        # each alternative costs projection at least 2 operations against
+        # the closure's 3 * |s| <= 3 * n, so a larger family never pays
+        self.max_family = 3 * n // 2
 
     def holds(self, r: int, s: int) -> bool:
         """Whether state s supports row r."""
@@ -204,11 +308,7 @@ class SupportTable:
                 r = right[r]
                 continue
             else:
-                # an inquisitive implication: every substate of s that
-                # supports the antecedent must support the consequent
-                worlds = [w for w in range(s.bit_length()) if s >> w & 1]
-                memo = memos.setdefault(s, {})
-                value = self._lattice_row(left[r], worlds, memo) & ~self._lattice_row(right[r], worlds, memo) == 0
+                value = self._implication_holds(r, s, memos.setdefault(s, {}))
             # a true left side decides an ior, a false one a &
             while waiting:
                 is_ivee, r, s = waiting.pop()
@@ -217,41 +317,117 @@ class SupportTable:
             else:
                 return value
 
-    def _lattice_row(self, r: int, worlds: list[int], memo: dict[int, int]) -> int:
-        """Row r over the 2^k substates of the state made of `worlds`:
-        bit j is set iff the substate of the worlds[i] with bit i set in j
-        supports row r."""
-        declarative, ops, left, right = self.declarative, self.ops, self.left, self.right
-        # the rows r needs that memo lacks; children precede parents in a
-        # program, so building in ascending row order builds children first
+    def _implication_holds(self, r: int, s: int, memo: dict[int, int]) -> bool:
+        """Whether s supports the implication row r out of an inquisitive
+        antecedent: whether every substate of s that supports the
+        antecedent supports the consequent, read off lattice rows over the
+        substates of s that memo keeps. It is apart from _holds because a
+        generator there would make cells of _holds's locals on every call."""
+        worlds = [w for w in range(s.bit_length()) if s >> w & 1]
+        consequent = self._lattice_row(self.right[r], s, worlds, memo)
+        parts = self._antecedent_parts(r, s) if len(worlds) >= MIN_PROJECTION_WORLDS else None
+        if parts is None:
+            return self._lattice_row(self.left[r], s, worlds, memo) & ~consequent == 0
+        # the maximal such substates are s & A for the antecedent's
+        # alternatives A
+        return all(consequent >> _local(part, worlds) & 1 for part in parts)
+
+    def _family(self, r: int) -> tuple[int, ...] | None:
+        """Row r's alternatives as world masks: the maximal states that
+        support it, when every state supporting it lies inside one. Rows
+        built from declaratives with &, ior and -> out of a declarative
+        have them; an implication out of an inquisitive row gets None, and
+        so does every row above a None or past max_family members."""
+        if self.declarative[r]:
+            return (self.truth[r],)
+        families = self.families
+        if r in families:
+            return families[r]
+        truth, declarative, ops, left, right = self.truth, self.declarative, self.ops, self.left, self.right
         needed = set()
         stack = [r]
         while stack:
             x = stack.pop()
-            if x not in needed and x not in memo:
-                needed.add(x)
-                if not declarative[x]:
-                    stack += (left[x], right[x])
-        for x in sorted(needed):
+            if x in needed or x in families:
+                continue
+            needed.add(x)
             if declarative[x]:
-                t = self.truth[x]
-                row = _down_set(sum(1 << i for i, w in enumerate(worlds) if t >> w & 1))
-            else:
-                a, b = memo[left[x]], memo[right[x]]
-                op = ops[x]
-                if op == OP_AND:
-                    row = a & b
-                elif op == OP_IVEE:
-                    row = a | b
+                continue
+            if ops[x] != OP_IMPLIES:
+                stack += (left[x], right[x])
+            elif declarative[left[x]]:
+                stack.append(right[x])
+        for x in sorted(needed):
+            a, b = left[x], right[x]
+            if declarative[x]:
+                family = (truth[x],)
+            elif ops[x] == OP_IMPLIES:
+                if not declarative[a] or families[b] is None:
+                    family = None
                 else:
-                    # substates where the antecedent holds and the consequent
-                    # fails, then every superset of one: sweep i moves each
-                    # marked substate without worlds[i] to the one with it
-                    bad = a & ~b
-                    if bad:
-                        for i, low in enumerate(_low_masks(len(worlds))):
-                            bad |= (bad & low) << (1 << i)
-                    row = ((1 << (1 << len(worlds))) - 1) ^ bad
+                    # the worlds outside the antecedent, which truth[x] holds
+                    outside = truth[x] & ~truth[a]
+                    family = _maximal(outside | v for v in families[b])
+            elif families[a] is None or families[b] is None:
+                family = None
+            elif ops[x] == OP_IVEE:
+                family = _maximal(families[a] + families[b])
+            else:
+                family = _maximal(u & v for u in families[a] for v in families[b])
+            if family is not None and len(family) > self.max_family:
+                family = None
+            families[x] = family
+        return families[r]
+
+    def _antecedent_parts(self, r: int, s: int) -> list[int] | None:
+        """For the implication row r at state s, the parts s & A of s over
+        the alternatives A of its antecedent, when projecting onto them
+        costs fewer big-int operations than the upward closure; else None."""
+        family = self._family(self.left[r])
+        if family is None or sum(2 * (s & ~v).bit_count() + 2 for v in family) >= 3 * s.bit_count():
+            return None
+        return [s & v for v in family]
+
+    def _lattice_row(self, r: int, s: int, worlds: list[int], memo: dict[int, int]) -> int:
+        """Row r over the 2^k substates of state s, whose worlds in
+        ascending order are `worlds`: bit j is set iff the substate of the
+        worlds[i] with bit i set in j supports row r."""
+        declarative, ops, left, right = self.declarative, self.ops, self.left, self.right
+        k = len(worlds)
+        project = k >= MIN_PROJECTION_WORLDS
+        # the rows r needs that memo lacks, and the parts of s that the
+        # implications among them project onto; children precede parents
+        # in a program, so building in ascending row order builds children
+        # first
+        needed = set()
+        projected: dict[int, list[int]] = {}
+        stack = [r]
+        while stack:
+            x = stack.pop()
+            if x in needed or x in memo:
+                continue
+            needed.add(x)
+            if declarative[x]:
+                continue
+            if project and ops[x] == OP_IMPLIES:
+                parts = self._antecedent_parts(x, s)
+                if parts is not None:
+                    projected[x] = parts
+                    stack.append(right[x])
+                    continue
+            stack += (left[x], right[x])
+        for x in sorted(needed):
+            op = ops[x]
+            if declarative[x]:
+                row = _down_set(_local(self.truth[x], worlds), k)
+            elif op == OP_AND:
+                row = memo[left[x]] & memo[right[x]]
+            elif op == OP_IVEE:
+                row = memo[left[x]] | memo[right[x]]
+            elif x in projected:
+                row = _projection(memo[right[x]], projected[x], worlds)
+            else:
+                row = _closure(memo[left[x]], memo[right[x]], k)
             memo[x] = row
         return memo[r]
 
@@ -261,7 +437,7 @@ def support_table(program: Program, m: InformationModel) -> SupportTable:
     asks whether its body holds at each world's anchor states, so the
     lattice rows built for one anchor serve every row that reaches it."""
     val_masks, union_masks, gen_masks = model_masks(m)
-    table = SupportTable(program)
+    table = SupportTable(program, m.n)
     left, right, truth, declarative = table.left, table.right, table.truth, table.declarative
     payload = program.payload.tolist()
     all_worlds = (1 << m.n) - 1

@@ -288,6 +288,33 @@ class TestStats:
         assert "bound exceeded" in capsys.readouterr().out
 
 
+class TestNumericFlags:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["reduce", "{qbf}", "{stem}", "--bound", "nan"], "--bound must be a positive finite number"),
+            (["reduce", "{qbf}", "{stem}", "--bound", "-1"], "--bound must be a positive finite number"),
+            (["stats", "{qbf}", "--bound", "nan"], "--bound must be a positive finite number"),
+            (["stats", "{qbf}", "--bound", "inf"], "--bound must be a positive finite number"),
+            (["stats", "{qbf}", "--bound", "0"], "--bound must be a positive finite number"),
+            (["verify", "--random", "3", "--matrix-nodes", "-5"], "--matrix-nodes must be at least 1"),
+            (["verify", "--random", "3", "--jobs", "0"], "--jobs must be at least 1"),
+            (["verify", "--random", "3", "--jobs", "-3"], "--jobs must be at least 1"),
+            (["verify", "--random", "-1"], "--random must be at least 0"),
+            (["verify", "--random", "3", "--max-l", "0"], "--max-l must be at least 1"),
+        ],
+    )
+    def test_nonsense_values_exit_two(self, tmp_path, capsys, argv, message):
+        qpath = write(tmp_path, "t.qbf", "exists x0 : x0\n")
+        stem = str(tmp_path / "out")
+        assert cli.main([word.format(qbf=qpath, stem=stem) for word in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        # reduce writes nothing before rejecting its flags
+        assert not list(tmp_path.glob("out.*"))
+
+
 class TestRandomModel:
     def test_deterministic(self, capsys):
         args = ["random-model", "--seed", "11", "--worlds", "4", "--atoms", "2"]

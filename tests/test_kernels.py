@@ -7,6 +7,7 @@ import random
 import pytest
 
 from inqcheck.checker import DEFAULT_TABLE_BYTE_CAP, CheckQuery, MemoCache, check_support, evaluate
+from inqcheck import kernels
 from inqcheck.kernels import (
     OP_AND,
     OP_ATOM,
@@ -21,7 +22,10 @@ from inqcheck.kernels import (
     table_bytes,
 )
 from inqcheck.model import InfoState, InformationModel
-from inqcheck.syntax import And, Atom, Bottom, Box, IVee, Implies, WBox, parse_formula
+from inqcheck.qbf import eval_qbf, random_qbf
+from inqcheck.reduction import reduce_tqbf
+from inqcheck.switching import formula_D, formula_S
+from inqcheck.syntax import And, Atom, Bottom, Box, IVee, Implies, WBox, parse_formula, subformulas
 
 from conftest import bits, random_formula, random_model
 
@@ -168,7 +172,7 @@ class TestTables:
             everything = list(range(n))
             for r, g in enumerate(row_formulas(program)):
                 if program.ops[r] == OP_IMPLIES:
-                    row = table._lattice_row(r, everything, {})
+                    row = table._lattice_row(r, (1 << n) - 1, everything, {})
                     cache = MemoCache()
                     assert row_bits(row, n) == [
                         evaluate(CheckQuery(m, InfoState(s, n), g), engine="sparse", cache=cache).value
@@ -223,6 +227,80 @@ class TestTables:
                 assert entry.table is not None
                 got = [entry.table.holds(entry.program.root, s) for s in range(1 << m.n)]
                 assert got == reference_row(m, f)
+
+
+class TestAlternatives:
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_families_and_projections_match_naive(self, n, monkeypatch):
+        # 7..9 worlds give sub-lattices of 128..512 bits, so projected
+        # rows copy bits across machine-word boundaries; without the size
+        # floor the cost rule alone decides where to project
+        monkeypatch.setattr(kernels, "MIN_PROJECTION_WORLDS", 0)
+        rng = random.Random(57 * n)
+        families = projections = 0
+        for _ in range(12):
+            m = random_model(rng, n_max=n, n_min=n, l_max=3)
+            for f in formulas(rng, m.l, 4):
+                program = lower_formula(f)
+                table = support_table(program, m)
+                rows = row_formulas(program)
+                for r, g in enumerate(rows):
+                    family = table._family(r)
+                    if family is None:
+                        continue
+                    families += not table.declarative[r]
+                    assert all(0 <= v < 1 << n for v in family)
+                    # each alternative supports the row, no state with one
+                    # more world does, and neither do random states outside
+                    # every alternative
+                    probes = [rng.randrange(1 << n) for _ in range(12)]
+                    probes += [v | 1 << w for v in family for w in range(n) if not v >> w & 1][:12]
+                    for t in family + tuple(probes):
+                        assert naive_at(m, g, t) == any(t & ~v == 0 for v in family), (t, g)
+                for s in ((1 << n) - 1, rng.randrange(1 << n), rng.randrange(1 << n)):
+                    worlds = [w for w in range(n) if s >> w & 1]
+                    memo: dict[int, int] = {}
+                    for r in range(program.num_nodes):
+                        if program.ops[r] != OP_IMPLIES or table._antecedent_parts(r, s) is None:
+                            continue
+                        projections += 1
+                        a = table._lattice_row(program.left[r], s, worlds, memo)
+                        b = table._lattice_row(program.right[r], s, worlds, memo)
+                        assert table._lattice_row(r, s, worlds, memo) == kernels._closure(a, b, len(worlds)), rows[r]
+                        # a query reads the consequent at the parts instead
+                        assert table.holds(r, s) == naive_at(m, rows[r], s), (s, rows[r])
+        # rows outside declaratives that have alternatives, and implications
+        # whose projection was checked
+        assert families >= 30 and projections >= 60, (families, projections)
+
+    def test_compiled_instances_close_only_their_wrappers(self, monkeypatch):
+        # at 12 or more worlds only (D_k -> X) -> S_k has an inquisitive
+        # antecedent without alternatives, and every lattice row of a
+        # compiled query is built over the full state, so each wrapper is
+        # closed at most once
+        closures = []
+
+        def counted(a, b, k):
+            closures.append(k)
+            return closure(a, b, k)
+
+        closure = kernels._closure
+        monkeypatch.setattr(kernels, "_closure", counted)
+        for l in range(6, 10):
+            for seed in range(3):
+                theta = random_qbf(100 * l + seed, l, 110)
+                instance = reduce_tqbf(theta)
+                wrappers = {
+                    g
+                    for g in subformulas(instance.formula)
+                    if isinstance(g, Implies)
+                    and isinstance(g.left, Implies)
+                    and any(g.left.left == formula_D(k, l) and g.right == formula_S(k, l) for k in range(l))
+                }
+                closures.clear()
+                q = CheckQuery(instance.model.model, instance.state, instance.formula)
+                assert evaluate(q, engine="table").value == eval_qbf(theta), (l, seed)
+                assert len(closures) <= len(wrappers), (l, seed)
 
 
 class TestSelection:
