@@ -26,19 +26,18 @@ only over the substates of the query state; otherwise it reuses results
 per (subformula, state) pair. Both paths must and do agree; the test
 suite holds them against each other.
 
-The table's implication rows rest on two facts (Ciardelli & Roelofsen,
-"Inquisitive logic", J. Philos. Logic 40, 2011; Ciardelli, Groenendijk &
-Roelofsen, Inquisitive Semantics, OUP 2018, ch. 2-3). A formula built
-from declaratives with &, ior and -> out of a declarative is supported
-exactly by the subsets of one of its alternatives, the maximal states
-supporting it. And then, by persistence, s supports f -> g iff s & A
-supports g for every alternative A of f, so such an implication reads g
-at a few substates instead of quantifying over all of them. The table
-quantifies over the substates, marking those where f holds and g fails
-and closing that marking upward, only when f has no alternatives (it
-holds an implication out of an inquisitive formula), when it has so many
-that the closure is cheaper, and on lattices of fewer than 2^12 states,
-where finding the alternatives costs more than the closure's few steps.
+The table decides every implication f -> g at a query state by one rule
+(Ciardelli & Roelofsen, "Inquisitive logic", J. Philos. Logic 40, 2011;
+Ciardelli, Groenendijk & Roelofsen, Inquisitive Semantics, OUP 2018, ch.
+2-3). A formula built from declaratives with &, ior and -> out of a
+declarative is supported exactly by the subsets of one of its
+alternatives, the maximal states supporting it; a declarative has one,
+its truth mask. By persistence, s supports f -> g iff s & A supports g for
+every alternative A of f, so the query descends to those substates. Only
+when f has no alternatives (it holds an implication out of an
+inquisitive formula) or too many does the table quantify over the
+substates of s, building lattice rows over them and checking that none
+supports f and fails g.
 """
 
 from __future__ import annotations
@@ -63,6 +62,8 @@ from .model import InfoState, InformationModel, sigma_union
 from .syntax import And, Atom, Bottom, Box, Formula, IVee, Implies, WBox, subformulas
 
 DEFAULT_TABLE_BYTE_CAP = 1 << 27
+
+ENGINES = ("auto", "table", "sparse", "naive")
 
 
 class QueryError(Exception):
@@ -275,8 +276,11 @@ def evaluate(
     looked up by the identity of the query's model and formula, then by
     the lowered formula's rows, so its key never recurses. Past about
     1000 levels of nesting, "naive" and "sparse" raise QueryError;
-    "table" answers formulas of any depth, with or without a cache.
+    "table" answers formulas of any depth, with or without a cache. An
+    engine outside ENGINES raises ValueError before any work.
     """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
     _validate_query(q)
     if engine == "naive":
         value, visits = _too_deep(engine, _eval_naive, q)
@@ -295,10 +299,8 @@ def evaluate(
             visited = 0
         value = entry.table.holds(entry.program.root, q.state.mask)
         return CheckOutcome(value, visited, "table")
-    if engine == "sparse":
-        value, misses = _too_deep(engine, _eval_memo_sparse, q, entry)
-        return CheckOutcome(value, misses, "sparse")
-    raise ValueError(f"unknown engine {engine!r}")
+    value, misses = _too_deep(engine, _eval_memo_sparse, q, entry)
+    return CheckOutcome(value, misses, "sparse")
 
 
 def check_support(q: CheckQuery) -> bool:

@@ -7,37 +7,37 @@ gives every row an n-bit truth mask: the worlds w at which the singleton
 outside that mask never supports the row, and for a declarative row (one
 whose support is truth at each world) the mask decides support outright.
 
-A query at state s descends through conjunctions and inquisitive
-disjunctions at s itself, and through an implication with a declarative
-antecedent to the part of s where the antecedent is true. Only the other
-implications need more: they quantify over the substates of s, so the
-kernel builds bitsets over the 2^|s| sub-lattice of s, with declarative
-rows as down-sets of their truth masks, never touching the states of the
-model outside s. Two facts keep most implications cheap there:
+Two facts decide implications (Ciardelli & Roelofsen, "Inquisitive
+logic", J. Philos. Logic 40, 2011; Ciardelli, Groenendijk & Roelofsen,
+Inquisitive Semantics, OUP 2018, ch. 2-3):
 
 - Support by alternatives. A formula built from declaratives with &, ior
   and -> out of a declarative is supported exactly by the subsets of one
   of its alternatives, a family of world masks that does not depend on
-  the state (Ciardelli & Roelofsen, "Inquisitive logic", J. Philos. Logic
-  40, 2011; Ciardelli, Groenendijk & Roelofsen, Inquisitive Semantics,
-  OUP 2018, ch. 2-3). A declarative has one, its truth mask; ior unites
-  the families, & meets them pairwise, and alpha -> g with alpha
-  declarative maps each alternative B of g to B plus the worlds outside
-  alpha.
+  the state. A declarative has one, its truth mask; ior unites the
+  families, & meets them pairwise, and alpha -> g with alpha declarative
+  maps each alternative B of g to B plus the worlds outside alpha.
 - The alternatives form of ->. By persistence, t supports f -> g iff
-  t & A supports g for every alternative A of f. So an implication whose
-  antecedent has alternatives is the consequent's row projected onto each
-  t & A and AND-ed, and a query reads the consequent's row at s & A.
+  t & A supports g for every alternative A of f.
 
-Projection costs about 2 * |s - A| + 2 big-int operations per
-alternative. The kernel projects when that sum is below the 3 * |s| of
-the upward closure and s has at least MIN_PROJECTION_WORLDS worlds, so
-that big-int operations dominate. Otherwise, and always when the
-antecedent has no alternatives (it holds an implication out of an
-inquisitive formula), it closes upward: it marks the substates where the
-antecedent holds and the consequent fails, then closes that marking
-under supersets with one masked shift per world, O(k * 2^k) bit
-operations for k = |s|.
+A query at state s descends through conjunctions and inquisitive
+disjunctions at s, and through an implication whose antecedent has
+alternatives to s & A for each of them. Only an implication whose
+antecedent has none (it holds an implication out of an inquisitive
+formula, or has too many alternatives to pay off) quantifies over the
+substates of the state s it is reached at. It holds iff no substate
+supports the antecedent and fails the consequent, read off bitsets over
+the 2^|s| sub-lattice of s, with declarative rows as down-sets of their
+truth masks; states outside s are never touched.
+
+In those bitsets an implication whose antecedent has alternatives is the
+consequent's row projected onto each t & A and AND-ed, at about
+2 * |s - A| + 2 big-int operations per alternative. The kernel projects
+when that sum is below the 3 * |s| of the upward closure and s has at
+least MIN_PROJECTION_WORLDS worlds, so that big-int operations dominate.
+Otherwise it closes upward: it marks the substates where the antecedent
+holds and the consequent fails, then closes that marking under supersets
+with one masked shift per world, O(k * 2^k) bit operations for k = |s|.
 
 States, truth masks and lattice rows are plain Python ints, which have no
 width, so models of any size share one code path.
@@ -288,7 +288,8 @@ class SupportTable:
     def _holds(self, r: int, s: int, memos: dict[int, dict[int, int]]) -> bool:
         """holds, with memos[s] keeping the lattice rows over the substates
         of s that earlier questions at s built. The right side of a & or an
-        ior waits on a stack until its left side leaves the answer open."""
+        ior waits on a stack until its left side leaves the answer open,
+        and so does the consequent of an implication at each s & A."""
         truth, declarative, ops, left, right = self.truth, self.declarative, self.ops, self.left, self.right
         waiting: list[tuple[bool, int, int]] = []  # (is ior, right row, state)
         while True:
@@ -301,12 +302,13 @@ class SupportTable:
                 waiting.append((ops[r] == OP_IVEE, right[r], s))
                 r = left[r]
                 continue
-            elif declarative[left[r]]:
-                # the substates that support the antecedent are those of t,
-                # so by persistence the consequent need only hold at t
-                s &= truth[left[r]]
-                r = right[r]
-                continue
+            elif (family := self._family(left[r])) is not None:
+                # by persistence, s supports f -> g iff s & A supports g for
+                # every alternative A of f: each waits as the right side of
+                # a & whose left side held
+                for v in family:
+                    waiting.append((False, right[r], s & v))
+                value = True
             else:
                 value = self._implication_holds(r, s, memos.setdefault(s, {}))
             # a true left side decides an ior, a false one a &
@@ -318,19 +320,14 @@ class SupportTable:
                 return value
 
     def _implication_holds(self, r: int, s: int, memo: dict[int, int]) -> bool:
-        """Whether s supports the implication row r out of an inquisitive
-        antecedent: whether every substate of s that supports the
-        antecedent supports the consequent, read off lattice rows over the
+        """Whether s supports the implication row r out of an antecedent
+        without alternatives: whether no substate of s supports the
+        antecedent and fails the consequent, read off lattice rows over the
         substates of s that memo keeps. It is apart from _holds because a
         generator there would make cells of _holds's locals on every call."""
         worlds = [w for w in range(s.bit_length()) if s >> w & 1]
         consequent = self._lattice_row(self.right[r], s, worlds, memo)
-        parts = self._antecedent_parts(r, s) if len(worlds) >= MIN_PROJECTION_WORLDS else None
-        if parts is None:
-            return self._lattice_row(self.left[r], s, worlds, memo) & ~consequent == 0
-        # the maximal such substates are s & A for the antecedent's
-        # alternatives A
-        return all(consequent >> _local(part, worlds) & 1 for part in parts)
+        return self._lattice_row(self.left[r], s, worlds, memo) & ~consequent == 0
 
     def _family(self, r: int) -> tuple[int, ...] | None:
         """Row r's alternatives as world masks: the maximal states that
@@ -475,5 +472,5 @@ def table_bytes(program: Program, m: InformationModel) -> int:
     """Rows times 2^n, one byte per state per row: the unit of the auto
     engine's byte cap. It is no longer what the table engine holds (n-bit
     truth masks plus lattice rows over the query state's substates); the
-    cap is to be reworked together with the benchmark (ROADMAP item 4)."""
+    cap is to be reworked together with the benchmark (ROADMAP item 2)."""
     return program.num_nodes << m.n

@@ -179,6 +179,28 @@ def random_formula(rng: random.Random, l: int, depth: int, modal: bool) -> Formu
     return Implies(left, right)
 
 
+def question_formula(rng: random.Random, l: int, depth: int, modal: bool = True) -> Formula:
+    """Like random_formula, with polar questions `p ior (p -> bot)` among
+    the leaves and ior twice as likely. Rows of random_formula are rarely
+    refuted at a state all of whose worlds make them true; these often
+    are, which is the case the truth masks cannot decide alone."""
+    if depth == 0 or rng.random() < 0.2:
+        x = rng.random()
+        if x < 0.1:
+            return Bottom()
+        atom = Atom(rng.randrange(l))
+        return IVee(atom, Implies(atom, Bottom())) if x < 0.5 else atom
+    kinds = ["and", "ior", "ior", "implies", "implies"]
+    if modal:
+        kinds += ["box", "wbox"]
+    kind = rng.choice(kinds)
+    if kind in ("box", "wbox"):
+        return (Box if kind == "box" else WBox)(question_formula(rng, l, depth - 1, modal))
+    left = question_formula(rng, l, depth - 1, modal)
+    right = question_formula(rng, l, depth - 1, modal)
+    return {"and": And, "ior": IVee, "implies": Implies}[kind](left, right)
+
+
 def random_state(rng: random.Random, n: int) -> InfoState:
     return InfoState(rng.randrange(1 << n), n)
 

@@ -202,8 +202,18 @@ class TestEngines:
         )
 
     def test_unknown_engine_rejected(self, demo_model):
+        # the name is checked before the query is validated, lowered or
+        # cached
+        cache = MemoCache()
         with pytest.raises(ValueError):
-            evaluate(q(demo_model, "110", "p1"), engine="mystery")
+            evaluate(q(demo_model, "110", "p1"), engine="mystery", cache=cache)
+        assert not cache._roots and not cache._aliases
+
+    def test_every_engine_answers(self, demo_model):
+        for engine in checker.ENGINES:
+            outcome = evaluate(q(demo_model, "110", "p1"), engine=engine)
+            assert outcome.value
+            assert outcome.engine == engine or engine == "auto"
 
 
 class TestMemoCache:

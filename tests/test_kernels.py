@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -24,10 +25,10 @@ from inqcheck.kernels import (
 from inqcheck.model import InfoState, InformationModel
 from inqcheck.qbf import eval_qbf, random_qbf
 from inqcheck.reduction import reduce_tqbf
-from inqcheck.switching import formula_D, formula_S
+from inqcheck.switching import formula_D, formula_S, is_k_switching
 from inqcheck.syntax import And, Atom, Bottom, Box, IVee, Implies, WBox, parse_formula, subformulas
 
-from conftest import bits, random_formula, random_model
+from conftest import bits, question_formula, random_formula, random_model
 
 
 class TestLowering:
@@ -82,25 +83,6 @@ def row_formulas(program):
 
 def row_bits(row, n):
     return [bool(row >> s & 1) for s in range(1 << n)]
-
-
-def question_formula(rng, l, depth):
-    """Like random_formula, with polar questions `p ior (p -> bot)` among
-    the leaves and ior twice as likely. Rows of random_formula are rarely
-    refuted at a state all of whose worlds make them true; these often
-    are, which is the case the truth masks cannot decide alone."""
-    if depth == 0 or rng.random() < 0.2:
-        x = rng.random()
-        if x < 0.1:
-            return Bottom()
-        atom = Atom(rng.randrange(l))
-        return IVee(atom, Implies(atom, Bottom())) if x < 0.5 else atom
-    kind = rng.choice(["and", "ior", "ior", "implies", "implies", "box", "wbox"])
-    if kind in ("box", "wbox"):
-        return (Box if kind == "box" else WBox)(question_formula(rng, l, depth - 1))
-    left = question_formula(rng, l, depth - 1)
-    right = question_formula(rng, l, depth - 1)
-    return {"and": And, "ior": IVee, "implies": Implies}[kind](left, right)
 
 
 def formulas(rng, l, depth):
@@ -267,40 +249,58 @@ class TestAlternatives:
                         a = table._lattice_row(program.left[r], s, worlds, memo)
                         b = table._lattice_row(program.right[r], s, worlds, memo)
                         assert table._lattice_row(r, s, worlds, memo) == kernels._closure(a, b, len(worlds)), rows[r]
-                        # a query reads the consequent at the parts instead
+                        # a query descends to the parts instead
                         assert table.holds(r, s) == naive_at(m, rows[r], s), (s, rows[r])
         # rows outside declaratives that have alternatives, and implications
         # whose projection was checked
         assert families >= 30 and projections >= 60, (families, projections)
 
     def test_compiled_instances_close_only_their_wrappers(self, monkeypatch):
-        # at 12 or more worlds only (D_k -> X) -> S_k has an inquisitive
-        # antecedent without alternatives, and every lattice row of a
-        # compiled query is built over the full state, so each wrapper is
-        # closed at most once
-        closures = []
+        # a compiled query descends through every implication whose
+        # antecedent has alternatives, so it builds lattice rows only over
+        # the k-switchings it reaches; from 12 worlds up every other
+        # implication row is projected there, so the wrappers
+        # (D_k -> X) -> S_k, whose antecedents have none, are the only
+        # rows closed upward
+        states = set()  # the states lattice rows are built over
+        closed = set()  # (world count, row) of each row closed upward
 
-        def counted(a, b, k):
-            closures.append(k)
+        def recording_row(self, r, s, worlds, memo):
+            states.add(s)
+            return lattice_row(self, r, s, worlds, memo)
+
+        def recording_closure(a, b, k):
+            # _lattice_row is building row x
+            closed.add((k, sys._getframe(1).f_locals["x"]))
             return closure(a, b, k)
 
-        closure = kernels._closure
-        monkeypatch.setattr(kernels, "_closure", counted)
-        for l in range(6, 10):
-            for seed in range(3):
+        lattice_row, closure = kernels.SupportTable._lattice_row, kernels._closure
+        monkeypatch.setattr(kernels.SupportTable, "_lattice_row", recording_row)
+        monkeypatch.setattr(kernels, "_closure", recording_closure)
+        seen = wide = 0
+        for l in range(2, 10):
+            for seed in range(6):
                 theta = random_qbf(100 * l + seed, l, 110)
                 instance = reduce_tqbf(theta)
-                wrappers = {
-                    g
-                    for g in subformulas(instance.formula)
-                    if isinstance(g, Implies)
-                    and isinstance(g.left, Implies)
-                    and any(g.left.left == formula_D(k, l) and g.right == formula_S(k, l) for k in range(l))
-                }
-                closures.clear()
+                rows = row_formulas(lower_formula(instance.formula))
+                states.clear()
+                closed.clear()
                 q = CheckQuery(instance.model.model, instance.state, instance.formula)
                 assert evaluate(q, engine="table").value == eval_qbf(theta), (l, seed)
-                assert len(closures) <= len(wrappers), (l, seed)
+                for s in states:
+                    state = InfoState(s, 2 * l)
+                    assert any(is_k_switching(state, k, l) for k in range(l + 1)), (l, seed, state.bits())
+                for k, x in closed:
+                    if k >= kernels.MIN_PROJECTION_WORLDS:
+                        g = rows[x]
+                        assert isinstance(g, Implies) and isinstance(g.left, Implies), (l, seed, g)
+                        assert any(
+                            g.left.left == formula_D(j, l) and g.right == formula_S(j, l) for j in range(l)
+                        ), (l, seed, g)
+                        wide += 1
+                seen += len(states)
+        # lattices were built, and some wrappers closed past the floor
+        assert seen >= 40 and wide > 0, (seen, wide)
 
 
 class TestSelection:

@@ -1,0 +1,144 @@
+"""Inquisitive-logic laws, checked on the table engine against naive.
+
+Each law is tested on models of 12-13 worlds made by duplicating worlds
+of a model of at most 6, so that the table descends through implications
+and projects lattice rows at its default size floor while naive answers
+on the small model: duplicating a world changes no answer, because a
+state supports a formula iff its image in the small model does.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from inqcheck import kernels
+from inqcheck.checker import CheckQuery, evaluate
+from inqcheck.model import InfoState, InformationModel
+from inqcheck.syntax import And, Atom, Bottom, Box, Implies, IVee, WBox, classical_or, neg
+
+from conftest import question_formula, random_formula, random_model
+
+
+def declarative_formula(rng, l, depth, modal):
+    """A random formula that is declarative by syntax: atoms and bot under
+    &, classical or, negation and -> into a declarative, and box or wbox
+    of any formula on modal models."""
+    if depth == 0 or rng.random() < 0.25:
+        return Bottom() if rng.random() < 0.1 else Atom(rng.randrange(l))
+    kind = rng.choice(["and", "or", "not", "implies"] + (["box", "wbox"] if modal else []))
+    if kind in ("box", "wbox"):
+        return (Box if kind == "box" else WBox)(random_formula(rng, l, depth - 1, modal))
+    if kind == "not":
+        return neg(declarative_formula(rng, l, depth - 1, modal))
+    if kind == "implies":
+        return Implies(random_formula(rng, l, depth - 1, modal), declarative_formula(rng, l, depth - 1, modal))
+    left = declarative_formula(rng, l, depth - 1, modal)
+    right = declarative_formula(rng, l, depth - 1, modal)
+    return And(left, right) if kind == "and" else classical_or(left, right)
+
+
+def duplicate_worlds(m, copies):
+    """m with one more world per entry of copies, world m.n + i a copy of
+    world copies[i]: the same atoms hold there, it has the same generators,
+    and every generator of the new model holds the copies of its worlds."""
+    def lift(mask):
+        return mask | sum(1 << m.n + i for i, w in enumerate(copies) if mask >> w & 1)
+
+    n = m.n + len(copies)
+    valuation = tuple(InfoState(lift(v.mask), n) for v in m.valuation)
+    sigma = None
+    if m.sigma is not None:
+        gens = [tuple(InfoState(lift(g.mask), n) for g in m.sigma[w]) for w in range(m.n)]
+        sigma = tuple(gens + [gens[w] for w in copies])
+    return InformationModel(n, m.l, valuation, sigma)
+
+
+def image(s, m, copies):
+    """The state of m that state s of duplicate_worlds(m, copies) stands for."""
+    small = s & (1 << m.n) - 1
+    for i, w in enumerate(copies):
+        small |= (s >> m.n + i & 1) << w
+    return small
+
+
+def wide_cases(rng, count):
+    """(small model, copies, big model, big states): plain and modal models
+    of 4-6 worlds grown to 12-13, each asked at its full state, the full
+    state less one world and two random states."""
+    for i in range(count):
+        m = random_model(rng, n_max=6, n_min=4, l_max=3, modal=i % 2 == 1)
+        copies = [rng.randrange(m.n) for _ in range(rng.randint(12, 13) - m.n)]
+        big = duplicate_worlds(m, copies)
+        full = (1 << big.n) - 1
+        states = [full, full & ~(1 << rng.randrange(big.n))] + [rng.randrange(1 << big.n) for _ in range(2)]
+        yield m, copies, big, states
+
+
+def answer(model, mask, formula, engine):
+    return evaluate(CheckQuery(model, InfoState(mask, model.n), formula), engine=engine).value
+
+
+def assert_equivalent(lhs, rhs, m, copies, big, states):
+    """Both sides get naive's answer on the small model, and the table's
+    on the big one, at every state."""
+    for s in states:
+        expected = answer(m, image(s, m, copies), lhs, "naive")
+        assert answer(m, image(s, m, copies), rhs, "naive") == expected, (lhs, rhs)
+        assert answer(big, s, lhs, "table") == expected, (s, lhs)
+        assert answer(big, s, rhs, "table") == expected, (s, rhs)
+
+
+@pytest.fixture
+def projections(monkeypatch):
+    """Counts the lattice rows the table builds by projection."""
+    calls = []
+
+    def counted(b, parts, worlds):
+        calls.append(len(worlds))
+        return projection(b, parts, worlds)
+
+    projection = kernels._projection
+    monkeypatch.setattr(kernels, "_projection", counted)
+    return calls
+
+
+class TestLaws:
+    def test_duplicating_a_world_changes_no_answer(self, projections):
+        rng = random.Random(1213)
+        for m, copies, big, states in wide_cases(rng, 60):
+            for f in (random_formula(rng, m.l, 4, m.is_modal), question_formula(rng, m.l, 5, m.is_modal)):
+                for s in states:
+                    expected = answer(m, image(s, m, copies), f, "naive")
+                    assert answer(big, s, f, "table") == expected, (s, f)
+        # some implication out of an antecedent without alternatives held
+        # one with alternatives that was projected past the size floor
+        assert any(k >= kernels.MIN_PROJECTION_WORLDS for k in projections), projections
+
+    def test_duplication_on_naive_itself(self):
+        rng = random.Random(77)
+        for i in range(40):
+            m = random_model(rng, n_max=4, l_max=2, modal=i % 2 == 1)
+            copies = [rng.randrange(m.n) for _ in range(rng.randint(1, 3))]
+            big = duplicate_worlds(m, copies)
+            f = random_formula(rng, m.l, depth=3, modal=m.is_modal)
+            for s in range(1 << big.n):
+                assert answer(big, s, f, "naive") == answer(m, image(s, m, copies), f, "naive"), (s, f)
+
+    def test_split(self):
+        # (a -> (f ior g)) == (a -> f) ior (a -> g) for a declarative a
+        rng = random.Random(2011)
+        for m, copies, big, states in wide_cases(rng, 60):
+            a = declarative_formula(rng, m.l, 2, m.is_modal)
+            f = random_formula(rng, m.l, 3, m.is_modal)
+            g = question_formula(rng, m.l, 3, m.is_modal)
+            lhs = Implies(a, IVee(f, g))
+            rhs = IVee(Implies(a, f), Implies(a, g))
+            assert_equivalent(lhs, rhs, m, copies, big, states)
+
+    def test_double_negation_of_a_declarative(self):
+        rng = random.Random(1618)
+        for m, copies, big, states in wide_cases(rng, 40):
+            a = declarative_formula(rng, m.l, 3, m.is_modal)
+            assert_equivalent(neg(neg(a)), a, m, copies, big, states)
