@@ -33,9 +33,10 @@ Ciardelli, Groenendijk & Roelofsen, Inquisitive Semantics, OUP 2018, ch.
 declarative is supported exactly by the subsets of one of its
 alternatives, the maximal states supporting it; a declarative has one,
 its truth mask. By persistence, s supports f -> g iff s & A supports g for
-every alternative A of f, so the query descends to those substates. Only
-when f has no alternatives (it holds an implication out of an
-inquisitive formula) or too many does the table quantify over the
+every alternative A of f, so the query descends to those substates,
+answering each implication at a state at most once. Only when f has no
+alternatives (it holds an implication out of an inquisitive formula) or
+more than the table's cap does the table quantify over the
 substates of s, building lattice rows over them and checking that none
 supports f and fails g.
 """

@@ -22,9 +22,10 @@ Inquisitive Semantics, OUP 2018, ch. 2-3):
 
 A query at state s descends through conjunctions and inquisitive
 disjunctions at s, and through an implication whose antecedent has
-alternatives to s & A for each of them. Only an implication whose
-antecedent has none (it holds an implication out of an inquisitive
-formula, or has too many alternatives to pay off) quantifies over the
+alternatives to s & A for each of them, answering each implication at
+a state at most once. Only an implication whose antecedent has none
+(it holds an implication out of an inquisitive formula, or has more
+alternatives than SupportTable.max_family) quantifies over the
 substates of the state s it is reached at. It holds iff no substate
 supports the antecedent and fails the consequent, read off bitsets over
 the 2^|s| sub-lattice of s, with declarative rows as down-sets of their
@@ -264,8 +265,8 @@ class SupportTable:
     (bot, atoms, box, wbox, & of declaratives, -> into a declarative), so
     that a state supports it iff all its worlds are in truth[r].
     families[r], filled on first use, holds row r's alternatives, or None
-    when r is outside the fragment that has them or has too many to pay
-    off at any state.
+    when r is outside the fragment that has them or has more than
+    max_family.
     """
 
     __slots__ = ("ops", "left", "right", "truth", "declarative", "families", "max_family")
@@ -277,8 +278,11 @@ class SupportTable:
         self.truth: list[int] = []
         self.declarative: list[bool] = []
         self.families: dict[int, tuple[int, ...] | None] = {}
-        # each alternative costs projection at least 2 operations against
-        # the closure's 3 * |s| <= 3 * n, so a larger family never pays
+        # past this many alternatives a row gets none. In _lattice_row each
+        # alternative costs projection at least 2 operations against the
+        # closure's 3 * |s| <= 3 * n, so a larger family never pays there.
+        # A query closes an implication out of such a row instead of
+        # descending to its parts; that threshold was not measured
         self.max_family = 3 * n // 2
 
     def holds(self, r: int, s: int) -> bool:
@@ -289,9 +293,15 @@ class SupportTable:
         """holds, with memos[s] keeping the lattice rows over the substates
         of s that earlier questions at s built. The right side of a & or an
         ior waits on a stack until its left side leaves the answer open,
-        and so does the consequent of an implication at each s & A."""
+        and so does the consequent of an implication at each part s & A.
+        The walk answers an implication at a state at most once, so a chain
+        of questions costs its distinct parts, not its paths."""
         truth, declarative, ops, left, right = self.truth, self.declarative, self.ops, self.left, self.right
-        waiting: list[tuple[bool, int, int]] = []  # (is ior, right row, state)
+        # (is ior, right row, state); an entry (None, r, s) lies under the
+        # parts of implication r at s, and the value that pops it is that
+        # implication's answer, kept in `answered` for the rest of the walk
+        waiting: list[tuple[bool | None, int, int]] = []
+        answered: dict[tuple[int, int], bool] = {}
         while True:
             if s & ~truth[r]:
                 # support is downward persistent, so s needs every {w} in s
@@ -303,19 +313,25 @@ class SupportTable:
                 r = left[r]
                 continue
             elif (family := self._family(left[r])) is not None:
-                # by persistence, s supports f -> g iff s & A supports g for
-                # every alternative A of f: each waits as the right side of
-                # a & whose left side held
-                for v in family:
-                    waiting.append((False, right[r], s & v))
-                value = True
+                if (r, s) in answered:
+                    value = answered[r, s]
+                else:
+                    # by persistence, s supports f -> g iff s & A supports g
+                    # for every alternative A of f: each waits as the right
+                    # side of a & whose left side held
+                    waiting.append((None, r, s))
+                    for v in family:
+                        waiting.append((False, right[r], s & v))
+                    value = True
             else:
                 value = self._implication_holds(r, s, memos.setdefault(s, {}))
             # a true left side decides an ior, a false one a &
             while waiting:
                 is_ivee, r, s = waiting.pop()
                 if value != is_ivee:
-                    break
+                    if is_ivee is not None:
+                        break
+                    answered[r, s] = value
             else:
                 return value
 

@@ -209,6 +209,10 @@ class TestDeepInput:
         "implies": ("101", lambda d: " -> ".join(["p0"] * (d - 1) + ["p1"]), "NOT-SUPPORTED"),
         "not": ("100", lambda d: "not " * d + "p1", "SUPPORTED"),
         "parens": ("101", lambda d: "(p0 & " * d + "p0" + ")" * d, "SUPPORTED"),
+        # each antecedent has two alternatives, so the query branches at
+        # every implication: 2^(d-1) paths over a few distinct parts
+        "questions": ("111", lambda d: " -> ".join(["?p0"] * d), "SUPPORTED"),
+        "overlapping": ("111", lambda d: " -> ".join(["(p0 ior p1)"] * d), "SUPPORTED"),
     }
 
     @pytest.mark.parametrize("depth", [600, 10_000])

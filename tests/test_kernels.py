@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import sys
 
 import pytest
 
@@ -198,6 +197,24 @@ class TestTables:
         assert evaluate(q, engine="naive").value
         assert evaluate(q, engine="table").value
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "((?p0 -> ?p1) ior (bot -> bot)) & (?p0 -> ?p1)",
+            "((?p0 -> ?p0) ior p1) & (?p0 -> ?p0)",
+            "(?p1 -> ((?p0 -> ?p1) ior (bot -> bot))) & (?p0 -> ?p1)",
+        ],
+    )
+    def test_an_implication_met_again_keeps_its_answer(self, demo_model, text):
+        # a query answers an implication at a state once: in the first two
+        # formulas the ior catches the first answer and the right conjunct
+        # meets the same row at the same state, and in the third it meets
+        # it at the parts the left conjunct reached
+        f = parse_formula(text)
+        for s in range(1 << demo_model.n):
+            q = CheckQuery(demo_model, InfoState(s, demo_model.n), f)
+            assert evaluate(q, engine="table").value == evaluate(q, engine="naive").value, (text, s)
+
     def test_memo_lookup_reads_table(self):
         rng = random.Random(4242)
         for _ in range(20):
@@ -263,15 +280,32 @@ class TestAlternatives:
         # (D_k -> X) -> S_k, whose antecedents have none, are the only
         # rows closed upward
         states = set()  # the states lattice rows are built over
-        closed = set()  # (world count, row) of each row closed upward
+        closed = set()  # (state, row) of each row closed upward past the floor
+        closures = []  # the _closure calls of one _lattice_row call
 
         def recording_row(self, r, s, worlds, memo):
             states.add(s)
-            return lattice_row(self, r, s, worlds, memo)
+            before = set(memo)
+            closures.clear()
+            row = lattice_row(self, r, s, worlds, memo)
+            past_floor = len(worlds) >= kernels.MIN_PROJECTION_WORLDS
+            # the implication rows this call built without projecting them
+            built = [
+                x
+                for x in memo
+                if x not in before
+                and self.ops[x] == kernels.OP_IMPLIES
+                and not self.declarative[x]
+                and (not past_floor or self._antecedent_parts(x, s) is None)
+            ]
+            # so every row it closed upward is among them
+            assert len(closures) == len(built), (len(worlds), len(closures), len(built))
+            if past_floor:
+                closed.update((s, x) for x in built)
+            return row
 
         def recording_closure(a, b, k):
-            # _lattice_row is building row x
-            closed.add((k, sys._getframe(1).f_locals["x"]))
+            closures.append(k)
             return closure(a, b, k)
 
         lattice_row, closure = kernels.SupportTable._lattice_row, kernels._closure
@@ -290,14 +324,12 @@ class TestAlternatives:
                 for s in states:
                     state = InfoState(s, 2 * l)
                     assert any(is_k_switching(state, k, l) for k in range(l + 1)), (l, seed, state.bits())
-                for k, x in closed:
-                    if k >= kernels.MIN_PROJECTION_WORLDS:
-                        g = rows[x]
-                        assert isinstance(g, Implies) and isinstance(g.left, Implies), (l, seed, g)
-                        assert any(
-                            g.left.left == formula_D(j, l) and g.right == formula_S(j, l) for j in range(l)
-                        ), (l, seed, g)
-                        wide += 1
+                for _, x in closed:
+                    g = rows[x]
+                    assert isinstance(g, Implies) and isinstance(g.left, Implies), (l, seed, g)
+                    wrapper = any(g.left.left == formula_D(j, l) and g.right == formula_S(j, l) for j in range(l))
+                    assert wrapper, (l, seed, g)
+                wide += len(closed)
                 seen += len(states)
         # lattices were built, and some wrappers closed past the floor
         assert seen >= 40 and wide > 0, (seen, wide)
