@@ -26,19 +26,23 @@ only over the substates of the query state; otherwise it reuses results
 per (subformula, state) pair. Both paths must and do agree; the test
 suite holds them against each other.
 
-The table decides every implication f -> g at a query state by one rule
-(Ciardelli & Roelofsen, "Inquisitive logic", J. Philos. Logic 40, 2011;
-Ciardelli, Groenendijk & Roelofsen, Inquisitive Semantics, OUP 2018, ch.
-2-3). A formula built from declaratives with &, ior and -> out of a
-declarative is supported exactly by the subsets of one of its
+The table decides an implication f -> g at a query state s in one of
+three ways (Ciardelli & Roelofsen, "Inquisitive logic", J. Philos. Logic
+40, 2011; Ciardelli, Groenendijk & Roelofsen, Inquisitive Semantics, OUP
+2018, ch. 2-3). A formula built from declaratives with &, ior and -> out
+of a declarative is supported exactly by the subsets of one of its
 alternatives, the maximal states supporting it; a declarative has one,
-its truth mask. By persistence, s supports f -> g iff s & A supports g for
-every alternative A of f, so the query descends to those substates,
-answering each implication at a state at most once. Only when f has no
-alternatives (it holds an implication out of an inquisitive formula) or
-more than the table's cap does the table quantify over the
-substates of s, building lattice rows over them and checking that none
-supports f and fails g.
+its truth mask. By persistence:
+
+- when f has alternatives, s supports f -> g iff s & A supports g for
+  every alternative A of f, so the query descends to those substates;
+- when every alternative A of g leaves exactly one world of s out, the
+  substates of s that fail g are the supersets of m = OR of (s & ~A), so
+  s supports f -> g iff m does not support f, and the query asks f at m;
+- otherwise the table builds lattice rows over the substates of s and
+  checks that none supports f and fails g.
+
+The query answers each implication at a state at most once.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ gives every row an n-bit truth mask: the worlds w at which the singleton
 outside that mask never supports the row, and for a declarative row (one
 whose support is truth at each world) the mask decides support outright.
 
-Two facts decide implications (Ciardelli & Roelofsen, "Inquisitive
+Three facts decide implications (Ciardelli & Roelofsen, "Inquisitive
 logic", J. Philos. Logic 40, 2011; Ciardelli, Groenendijk & Roelofsen,
 Inquisitive Semantics, OUP 2018, ch. 2-3):
 
@@ -19,26 +19,24 @@ Inquisitive Semantics, OUP 2018, ch. 2-3):
   maps each alternative B of g to B plus the worlds outside alpha.
 - The alternatives form of ->. By persistence, t supports f -> g iff
   t & A supports g for every alternative A of f.
+- The least failure of ->. When every alternative A of g leaves exactly
+  one world of s out, a substate of s fails g iff it holds each of those
+  worlds, iff it contains m = OR of (s & ~A). By persistence, s supports
+  f -> g iff m does not support f.
 
 A query at state s descends through conjunctions and inquisitive
-disjunctions at s, and through an implication whose antecedent has
-alternatives to s & A for each of them, answering each implication at
-a state at most once. Only an implication whose antecedent has none
-(it holds an implication out of an inquisitive formula, or has more
-alternatives than SupportTable.max_family) quantifies over the
-substates of the state s it is reached at. It holds iff no substate
-supports the antecedent and fails the consequent, read off bitsets over
-the 2^|s| sub-lattice of s, with declarative rows as down-sets of their
-truth masks; states outside s are never touched.
+disjunctions at s, and decides an implication f -> g it reaches in one
+of three ways, answering each implication at a state at most once:
 
-In those bitsets an implication whose antecedent has alternatives is the
-consequent's row projected onto each t & A and AND-ed, at about
-2 * |s - A| + 2 big-int operations per alternative. The kernel projects
-when that sum is below the 3 * |s| of the upward closure and s has at
-least MIN_PROJECTION_WORLDS worlds, so that big-int operations dominate.
-Otherwise it closes upward: it marks the substates where the antecedent
-holds and the consequent fails, then closes that marking under supersets
-with one masked shift per world, O(k * 2^k) bit operations for k = |s|.
+- f has alternatives: descend to s & A for each of them;
+- every alternative of g leaves exactly one world of s out: ask f at m
+  and negate the answer;
+- otherwise close: s supports f -> g iff no substate supports f and
+  fails g, read off bitsets over the 2^|s| sub-lattice of s, with
+  declarative rows as down-sets of their truth masks. The substates
+  where f holds and g fails are closed under supersets with one masked
+  shift per world, O(k * 2^k) bit operations for k = |s|; states
+  outside s are never touched.
 
 States, truth masks and lattice rows are plain Python ints, which have no
 width, so models of any size share one code path.
@@ -65,6 +63,10 @@ OP_IVEE = 3
 OP_IMPLIES = 4
 OP_BOX = 5
 OP_WBOX = 6
+
+# kinds of the entries waiting in SupportTable._holds; AND and IVEE equal
+# the value of a left side that decides the & or the ior
+AND, IVEE, DONE, NOT = 0, 1, 2, 3
 
 _OP_OF_TYPE = {
     Bottom: OP_BOT,
@@ -163,17 +165,6 @@ def _low_masks(k: int) -> tuple[int, ...]:
     return tuple(low)
 
 
-# Below 2^12 substates a big-int operation costs about what the
-# interpreter's steps around it cost, so operation counts no longer
-# predict time, and finding the alternatives costs more than the closure
-# saves. On compiled instances with 4..10 worlds, projecting wherever the
-# count allowed made the kernel 17-28% slower than closing; with 12
-# worlds the two were even, and with 14..18 projecting was 25-50% faster
-# (support_table plus holds, 40 instances per size, interleaved runs on
-# a 2-vCPU x86 host).
-MIN_PROJECTION_WORLDS = 12
-
-
 @cache
 def _all_states(k: int) -> int:
     """The bitset of all 2^k states of a k-world lattice."""
@@ -182,22 +173,11 @@ def _all_states(k: int) -> int:
 
 def _down_set(v: int, k: int) -> int:
     """Bitset of the states, out of 2^k, that are subsets of local world
-    mask v: one doubling per world of v, or one LOW mask per world outside
-    it, whichever are fewer."""
-    present = v.bit_count()
-    if k - present < present:
-        x = _all_states(k)
-        for i, low in enumerate(_low_masks(k)):
-            if not v >> i & 1:
-                x &= low
-        return x
-    x = 1
-    i = 0
-    while v:
-        if v & 1:
-            x |= x << (1 << i)
-        v >>= 1
-        i += 1
+    mask v: every state, less those holding a world outside v."""
+    x = _all_states(k)
+    for i, low in enumerate(_low_masks(k)):
+        if not v >> i & 1:
+            x &= low
     return x
 
 
@@ -233,24 +213,6 @@ def _closure(a: int, b: int, k: int) -> int:
     return _all_states(k) ^ bad
 
 
-def _projection(b: int, parts: list[int], worlds: list[int]) -> int:
-    """Lattice row of f -> g over the 2^k substates of the state made of
-    the k `worlds`, from the row b of g and the parts of that state that
-    f's alternatives leave: bit t is set iff bit t & a of b is, for each
-    part as a local mask a. The bits t inside a are b's; each world
-    outside a then copies them, all lacking it, to the states with it."""
-    k = len(worlds)
-    row = _all_states(k)
-    for part in parts:
-        a = _local(part, worlds)
-        projected = b & _down_set(a, k)
-        for i in range(k):
-            if not a >> i & 1:
-                projected |= projected << (1 << i)
-        row &= projected
-    return row
-
-
 def active_kernel() -> str:
     """Name of the table kernel; there is one, over packed bitset rows."""
     return "packed"
@@ -278,11 +240,11 @@ class SupportTable:
         self.truth: list[int] = []
         self.declarative: list[bool] = []
         self.families: dict[int, tuple[int, ...] | None] = {}
-        # past this many alternatives a row gets none. In _lattice_row each
-        # alternative costs projection at least 2 operations against the
-        # closure's 3 * |s| <= 3 * n, so a larger family never pays there.
-        # A query closes an implication out of such a row instead of
-        # descending to its parts; that threshold was not measured
+        # past this many alternatives a row gets none, which bounds the
+        # pairwise meets in _family; a query then neither descends out of
+        # the row nor takes its least failure, and closes instead. The value
+        # was not measured: on the benchmark's workloads every row without
+        # alternatives was one outside the fragment, never one past the cap
         self.max_family = 3 * n // 2
 
     def holds(self, r: int, s: int) -> bool:
@@ -297,10 +259,12 @@ class SupportTable:
         The walk answers an implication at a state at most once, so a chain
         of questions costs its distinct parts, not its paths."""
         truth, declarative, ops, left, right = self.truth, self.declarative, self.ops, self.left, self.right
-        # (is ior, right row, state); an entry (None, r, s) lies under the
-        # parts of implication r at s, and the value that pops it is that
-        # implication's answer, kept in `answered` for the rest of the walk
-        waiting: list[tuple[bool | None, int, int]] = []
+        # (kind, row, state): kind AND or IVEE waits as the right side of a
+        # & or an ior. A marker DONE lies under the parts of implication r
+        # at s and NOT under its antecedent at the least failing substate;
+        # the value that pops one, negated for NOT, is the implication's
+        # answer, kept in `answered` for the rest of the walk
+        waiting: list[tuple[int, int, int]] = []
         answered: dict[tuple[int, int], bool] = {}
         while True:
             if s & ~truth[r]:
@@ -309,29 +273,38 @@ class SupportTable:
             elif declarative[r]:
                 value = True
             elif ops[r] != OP_IMPLIES:
-                waiting.append((ops[r] == OP_IVEE, right[r], s))
+                waiting.append((IVEE if ops[r] == OP_IVEE else AND, right[r], s))
                 r = left[r]
                 continue
+            elif (r, s) in answered:
+                value = answered[r, s]
             elif (family := self._family(left[r])) is not None:
-                if (r, s) in answered:
-                    value = answered[r, s]
-                else:
-                    # by persistence, s supports f -> g iff s & A supports g
-                    # for every alternative A of f: each waits as the right
-                    # side of a & whose left side held
-                    waiting.append((None, r, s))
-                    for v in family:
-                        waiting.append((False, right[r], s & v))
-                    value = True
+                # by persistence, s supports f -> g iff s & A supports g for
+                # every alternative A of f: each waits as the right side of a
+                # & whose left side held
+                waiting.append((DONE, r, s))
+                for v in family:
+                    waiting.append((AND, right[r], s & v))
+                value = True
+            elif (least := self._least_failure(right[r], s)) is not None:
+                # the substates of s that fail g are the supersets of
+                # `least`, so by persistence s supports f -> g iff `least`
+                # does not support f
+                waiting.append((NOT, r, s))
+                r, s = left[r], least
+                continue
             else:
                 value = self._implication_holds(r, s, memos.setdefault(s, {}))
             # a true left side decides an ior, a false one a &
             while waiting:
-                is_ivee, r, s = waiting.pop()
-                if value != is_ivee:
-                    if is_ivee is not None:
+                kind, r, s = waiting.pop()
+                if kind < DONE:
+                    if value != kind:
                         break
-                    answered[r, s] = value
+                    continue
+                if kind == NOT:
+                    value = not value
+                answered[r, s] = value
             else:
                 return value
 
@@ -342,8 +315,8 @@ class SupportTable:
         substates of s that memo keeps. It is apart from _holds because a
         generator there would make cells of _holds's locals on every call."""
         worlds = [w for w in range(s.bit_length()) if s >> w & 1]
-        consequent = self._lattice_row(self.right[r], s, worlds, memo)
-        return self._lattice_row(self.left[r], s, worlds, memo) & ~consequent == 0
+        consequent = self._lattice_row(self.right[r], worlds, memo)
+        return self._lattice_row(self.left[r], worlds, memo) & ~consequent == 0
 
     def _family(self, r: int) -> tuple[int, ...] | None:
         """Row r's alternatives as world masks: the maximal states that
@@ -392,43 +365,39 @@ class SupportTable:
             families[x] = family
         return families[r]
 
-    def _antecedent_parts(self, r: int, s: int) -> list[int] | None:
-        """For the implication row r at state s, the parts s & A of s over
-        the alternatives A of its antecedent, when projecting onto them
-        costs fewer big-int operations than the upward closure; else None."""
-        family = self._family(self.left[r])
-        if family is None or sum(2 * (s & ~v).bit_count() + 2 for v in family) >= 3 * s.bit_count():
+    def _least_failure(self, r: int, s: int) -> int | None:
+        """The least substate of s that fails row r, when every alternative
+        of r leaves exactly one world of s out: a substate of s then fails r
+        iff it lies inside no alternative, iff it holds each of those
+        worlds. Else None, also when s lies inside an alternative."""
+        family = self._family(r)
+        if family is None:
             return None
-        return [s & v for v in family]
+        least = 0
+        for v in family:
+            out = s & ~v
+            if out.bit_count() != 1:
+                return None
+            least |= out
+        return least
 
-    def _lattice_row(self, r: int, s: int, worlds: list[int], memo: dict[int, int]) -> int:
-        """Row r over the 2^k substates of state s, whose worlds in
-        ascending order are `worlds`: bit j is set iff the substate of the
+    def _lattice_row(self, r: int, worlds: list[int], memo: dict[int, int]) -> int:
+        """Row r over the 2^k substates of the state made of the k
+        `worlds`, in ascending order: bit j is set iff the substate of the
         worlds[i] with bit i set in j supports row r."""
         declarative, ops, left, right = self.declarative, self.ops, self.left, self.right
         k = len(worlds)
-        project = k >= MIN_PROJECTION_WORLDS
-        # the rows r needs that memo lacks, and the parts of s that the
-        # implications among them project onto; children precede parents
-        # in a program, so building in ascending row order builds children
-        # first
+        # the rows r needs that memo lacks; children precede parents in a
+        # program, so building in ascending row order builds children first
         needed = set()
-        projected: dict[int, list[int]] = {}
         stack = [r]
         while stack:
             x = stack.pop()
             if x in needed or x in memo:
                 continue
             needed.add(x)
-            if declarative[x]:
-                continue
-            if project and ops[x] == OP_IMPLIES:
-                parts = self._antecedent_parts(x, s)
-                if parts is not None:
-                    projected[x] = parts
-                    stack.append(right[x])
-                    continue
-            stack += (left[x], right[x])
+            if not declarative[x]:
+                stack += (left[x], right[x])
         for x in sorted(needed):
             op = ops[x]
             if declarative[x]:
@@ -437,8 +406,6 @@ class SupportTable:
                 row = memo[left[x]] & memo[right[x]]
             elif op == OP_IVEE:
                 row = memo[left[x]] | memo[right[x]]
-            elif x in projected:
-                row = _projection(memo[right[x]], projected[x], worlds)
             else:
                 row = _closure(memo[left[x]], memo[right[x]], k)
             memo[x] = row

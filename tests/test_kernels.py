@@ -24,7 +24,6 @@ from inqcheck.kernels import (
 from inqcheck.model import InfoState, InformationModel
 from inqcheck.qbf import eval_qbf, random_qbf
 from inqcheck.reduction import reduce_tqbf
-from inqcheck.switching import formula_D, formula_S, is_k_switching
 from inqcheck.syntax import And, Atom, Bottom, Box, IVee, Implies, WBox, parse_formula, subformulas
 
 from conftest import bits, question_formula, random_formula, random_model
@@ -153,7 +152,7 @@ class TestTables:
             everything = list(range(n))
             for r, g in enumerate(row_formulas(program)):
                 if program.ops[r] == OP_IMPLIES:
-                    row = table._lattice_row(r, (1 << n) - 1, everything, {})
+                    row = table._lattice_row(r, everything, {})
                     cache = MemoCache()
                     assert row_bits(row, n) == [
                         evaluate(CheckQuery(m, InfoState(s, n), g), engine="sparse", cache=cache).value
@@ -203,13 +202,16 @@ class TestTables:
             "((?p0 -> ?p1) ior (bot -> bot)) & (?p0 -> ?p1)",
             "((?p0 -> ?p0) ior p1) & (?p0 -> ?p0)",
             "(?p1 -> ((?p0 -> ?p1) ior (bot -> bot))) & (?p0 -> ?p1)",
+            "(((?p0 -> ?p1) -> ?p1) ior (bot -> bot)) & ((?p0 -> ?p1) -> ?p1)",
         ],
     )
     def test_an_implication_met_again_keeps_its_answer(self, demo_model, text):
         # a query answers an implication at a state once: in the first two
         # formulas the ior catches the first answer and the right conjunct
         # meets the same row at the same state, and in the third it meets
-        # it at the parts the left conjunct reached
+        # it at the parts the left conjunct reached. In the fourth the
+        # repeated row holds at {w0, w2} and fails at {w1, w2}, each answered
+        # by asking its antecedent at its consequent's least failing substate
         f = parse_formula(text)
         for s in range(1 << demo_model.n):
             q = CheckQuery(demo_model, InfoState(s, demo_model.n), f)
@@ -230,13 +232,9 @@ class TestTables:
 
 class TestAlternatives:
     @pytest.mark.parametrize("n", [7, 8, 9])
-    def test_families_and_projections_match_naive(self, n, monkeypatch):
-        # 7..9 worlds give sub-lattices of 128..512 bits, so projected
-        # rows copy bits across machine-word boundaries; without the size
-        # floor the cost rule alone decides where to project
-        monkeypatch.setattr(kernels, "MIN_PROJECTION_WORLDS", 0)
+    def test_families_and_projections_match_naive(self, n):
         rng = random.Random(57 * n)
-        families = projections = 0
+        families = descents = 0
         for _ in range(12):
             m = random_model(rng, n_max=n, n_min=n, l_max=3)
             for f in formulas(rng, m.l, 4):
@@ -256,83 +254,71 @@ class TestAlternatives:
                     probes += [v | 1 << w for v in family for w in range(n) if not v >> w & 1][:12]
                     for t in family + tuple(probes):
                         assert naive_at(m, g, t) == any(t & ~v == 0 for v in family), (t, g)
+                # a query descends to the parts s & A of an implication out
+                # of a row with alternatives
                 for s in ((1 << n) - 1, rng.randrange(1 << n), rng.randrange(1 << n)):
-                    worlds = [w for w in range(n) if s >> w & 1]
-                    memo: dict[int, int] = {}
                     for r in range(program.num_nodes):
-                        if program.ops[r] != OP_IMPLIES or table._antecedent_parts(r, s) is None:
-                            continue
-                        projections += 1
-                        a = table._lattice_row(program.left[r], s, worlds, memo)
-                        b = table._lattice_row(program.right[r], s, worlds, memo)
-                        assert table._lattice_row(r, s, worlds, memo) == kernels._closure(a, b, len(worlds)), rows[r]
-                        # a query descends to the parts instead
-                        assert table.holds(r, s) == naive_at(m, rows[r], s), (s, rows[r])
+                        if program.ops[r] == OP_IMPLIES and table._family(program.left[r]) is not None:
+                            descents += 1
+                            assert table.holds(r, s) == naive_at(m, rows[r], s), (s, rows[r])
         # rows outside declaratives that have alternatives, and implications
-        # whose projection was checked
-        assert families >= 30 and projections >= 60, (families, projections)
+        # a query descends through
+        assert families >= 30 and descents >= 60, (families, descents)
 
-    def test_compiled_instances_close_only_their_wrappers(self, monkeypatch):
-        # a compiled query descends through every implication whose
-        # antecedent has alternatives, so it builds lattice rows only over
-        # the k-switchings it reaches; from 12 worlds up every other
-        # implication row is projected there, so the wrappers
-        # (D_k -> X) -> S_k, whose antecedents have none, are the only
-        # rows closed upward
-        states = set()  # the states lattice rows are built over
-        closed = set()  # (state, row) of each row closed upward past the floor
-        closures = []  # the _closure calls of one _lattice_row call
+    def test_least_failure_matches_naive(self):
+        # wherever _least_failure(g, s) gives m, the substates of s that
+        # fail g are exactly the supersets of m; it declines on states
+        # inside an alternative, which support g, and on states that some
+        # alternative leaves two or more worlds of
+        rng = random.Random(1102)
+        fired = declined = 0
+        for i in range(40):
+            m = random_model(rng, n_max=8, n_min=4, l_max=3, modal=i % 2 == 1)
+            for f in (random_formula(rng, m.l, 3, m.is_modal), question_formula(rng, m.l, 3, m.is_modal)):
+                program = lower_formula(f)
+                table = support_table(program, m)
+                for r, g in enumerate(row_formulas(program)):
+                    family = table._family(r)
+                    if family is None:
+                        continue
+                    reference = {}
+                    for s in range(1 << m.n):
+                        least = table._least_failure(r, s)
+                        if any(s & ~v == 0 for v in family):
+                            assert least is None, (s, g)
+                            declined += 1
+                            continue
+                        if least is None:
+                            continue
+                        fired += not table.declarative[r]
+                        assert least & ~s == 0, (s, least, g)
+                        t = s
+                        while True:
+                            if t not in reference:
+                                reference[t] = naive_at(m, g, t)
+                            assert (not reference[t]) == (t & least == least), (s, t, least, g)
+                            if not t:
+                                break
+                            t = (t - 1) & s
+        # fired counts only rows that are not declarative
+        assert fired >= 200 and declined >= 200, (fired, declined)
 
-        def recording_row(self, r, s, worlds, memo):
-            states.add(s)
-            before = set(memo)
-            closures.clear()
-            row = lattice_row(self, r, s, worlds, memo)
-            past_floor = len(worlds) >= kernels.MIN_PROJECTION_WORLDS
-            # the implication rows this call built without projecting them
-            built = [
-                x
-                for x in memo
-                if x not in before
-                and self.ops[x] == kernels.OP_IMPLIES
-                and not self.declarative[x]
-                and (not past_floor or self._antecedent_parts(x, s) is None)
-            ]
-            # so every row it closed upward is among them
-            assert len(closures) == len(built), (len(worlds), len(closures), len(built))
-            if past_floor:
-                closed.update((s, x) for x in built)
-            return row
+    def test_compiled_instances_build_no_lattice(self, monkeypatch):
+        # the wrapper (D_k -> X) -> S_k of each branching quantifier is
+        # answered at a k-switching s, the one substate of s that fails
+        # S_k, by asking D_k -> X there; D_k has alternatives, so every
+        # implication of a compiled query is answered by descent and none
+        # by closing a lattice row upward
+        def no_lattice(self, r, worlds, memo):
+            raise AssertionError(f"lattice row {r} over {len(worlds)} worlds")
 
-        def recording_closure(a, b, k):
-            closures.append(k)
-            return closure(a, b, k)
-
-        lattice_row, closure = kernels.SupportTable._lattice_row, kernels._closure
-        monkeypatch.setattr(kernels.SupportTable, "_lattice_row", recording_row)
-        monkeypatch.setattr(kernels, "_closure", recording_closure)
-        seen = wide = 0
-        for l in range(2, 10):
+        monkeypatch.setattr(kernels.SupportTable, "_lattice_row", no_lattice)
+        for l in range(2, 17):
             for seed in range(6):
                 theta = random_qbf(100 * l + seed, l, 110)
                 instance = reduce_tqbf(theta)
-                rows = row_formulas(lower_formula(instance.formula))
-                states.clear()
-                closed.clear()
                 q = CheckQuery(instance.model.model, instance.state, instance.formula)
                 assert evaluate(q, engine="table").value == eval_qbf(theta), (l, seed)
-                for s in states:
-                    state = InfoState(s, 2 * l)
-                    assert any(is_k_switching(state, k, l) for k in range(l + 1)), (l, seed, state.bits())
-                for _, x in closed:
-                    g = rows[x]
-                    assert isinstance(g, Implies) and isinstance(g.left, Implies), (l, seed, g)
-                    wrapper = any(g.left.left == formula_D(j, l) and g.right == formula_S(j, l) for j in range(l))
-                    assert wrapper, (l, seed, g)
-                wide += len(closed)
-                seen += len(states)
-        # lattices were built, and some wrappers closed past the floor
-        assert seen >= 40 and wide > 0, (seen, wide)
 
 
 class TestSelection:

@@ -2,8 +2,8 @@
 
 Each law is tested on models of 12-13 worlds made by duplicating worlds
 of a model of at most 6, so that the table descends through implications
-and projects lattice rows at its default size floor while naive answers
-on the small model: duplicating a world changes no answer, because a
+and closes lattice rows over 12 or more worlds while naive answers on
+the small model: duplicating a world changes no answer, because a
 state supports a formula iff its image in the small model does.
 """
 
@@ -91,30 +91,29 @@ def assert_equivalent(lhs, rhs, m, copies, big, states):
 
 
 @pytest.fixture
-def projections(monkeypatch):
-    """Counts the lattice rows the table builds by projection."""
-    calls = []
+def lattice_widths(monkeypatch):
+    """Records the width, in worlds, of every lattice row the table builds."""
+    widths = []
 
-    def counted(b, parts, worlds):
-        calls.append(len(worlds))
-        return projection(b, parts, worlds)
+    def recorded(self, r, worlds, memo):
+        widths.append(len(worlds))
+        return lattice_row(self, r, worlds, memo)
 
-    projection = kernels._projection
-    monkeypatch.setattr(kernels, "_projection", counted)
-    return calls
+    lattice_row = kernels.SupportTable._lattice_row
+    monkeypatch.setattr(kernels.SupportTable, "_lattice_row", recorded)
+    return widths
 
 
 class TestLaws:
-    def test_duplicating_a_world_changes_no_answer(self, projections):
+    def test_duplicating_a_world_changes_no_answer(self, lattice_widths):
         rng = random.Random(1213)
         for m, copies, big, states in wide_cases(rng, 60):
             for f in (random_formula(rng, m.l, 4, m.is_modal), question_formula(rng, m.l, 5, m.is_modal)):
                 for s in states:
                     expected = answer(m, image(s, m, copies), f, "naive")
                     assert answer(big, s, f, "table") == expected, (s, f)
-        # some implication out of an antecedent without alternatives held
-        # one with alternatives that was projected past the size floor
-        assert any(k >= kernels.MIN_PROJECTION_WORLDS for k in projections), projections
+        # some implication was closed over a lattice of 12 or more worlds
+        assert any(k >= 12 for k in lattice_widths), lattice_widths
 
     def test_duplication_on_naive_itself(self):
         rng = random.Random(77)
