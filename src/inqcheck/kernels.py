@@ -50,7 +50,7 @@ from functools import cache, reduce
 from operator import or_
 
 from .model import InformationModel
-from .syntax import And, Atom, Bottom, Box, Formula, IVee, Implies, WBox, subformulas
+from .syntax import And, Atom, Bottom, Box, Formula, IVee, Implies, WBox
 
 # numba is no longer used; the constant stays for callers that import it.
 HAS_NUMBA = False
@@ -101,42 +101,86 @@ class Program:
 
 
 def lower_formula(f: Formula) -> Program:
-    """Intern a formula into a Program, sharing equal subtrees."""
+    """Intern a formula into a Program, sharing equal subtrees.
+
+    A composite node object met again is looked up by identity, so a
+    formula that shares objects costs its distinct objects, not its tree;
+    leaves, cheap to key, are looked up by value each time. Rows come in
+    the order of the tree's postorder either way. The walk descends left
+    children in place and stacks right ones, with None marking a node
+    whose children are done.
+    """
     rows: dict[tuple, int] = {}
     ops: list[int] = []
     left: list[int] = []
     right: list[int] = []
     payload: list[int] = []
     done: list[int] = []  # the row of each finished child, innermost last
-    for g in subformulas(f):
-        op = _OP_OF_TYPE[type(g)]
-        if op == OP_BOT:
-            key, a, b, p = (OP_BOT,), 0, 0, 0
-        elif op == OP_ATOM:
-            key, a, b, p = (OP_ATOM, g.index), 0, 0, g.index
-        elif op in (OP_BOX, OP_WBOX):
-            a = done.pop()
-            key, b, p = (op, a), 0, 0
+    lowered: dict[int, int] = {}  # id of a lowered composite object -> its row
+    parents: list = []  # the composite objects waiting on their children
+    stack: list = []
+    g = f
+    while True:
+        kind = type(g)
+        if kind is Atom:
+            key = (OP_ATOM, g.index)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = len(ops)
+                ops.append(OP_ATOM)
+                left.append(0)
+                right.append(0)
+                payload.append(g.index)
+        elif kind is Bottom:
+            row = rows.get((OP_BOT,))
+            if row is None:
+                row = rows[(OP_BOT,)] = len(ops)
+                ops.append(OP_BOT)
+                left.append(0)
+                right.append(0)
+                payload.append(0)
         else:
-            b = done.pop()
-            a = done.pop()
-            key, p = (op, a, b), 0
-        row = rows.get(key)
-        if row is None:
-            row = len(ops)
-            rows[key] = row
-            ops.append(op)
-            left.append(a)
-            right.append(b)
-            payload.append(p)
+            row = lowered.get(id(g))
+            if row is None:
+                parents.append(g)
+                stack.append(None)
+                if kind is Box or kind is WBox:
+                    g = g.body
+                else:
+                    stack.append(g.right)
+                    g = g.left
+                continue
         done.append(row)
-    return Program(
-        ops=array("q", ops),
-        left=array("q", left),
-        right=array("q", right),
-        payload=array("q", payload),
-        root=done[0],
-    )
+        while stack:
+            g = stack.pop()
+            if g is not None:
+                break
+            g = parents.pop()
+            op = _OP_OF_TYPE[type(g)]
+            if op == OP_BOX or op == OP_WBOX:
+                a, b = done.pop(), 0
+                key = (op, a)
+            else:
+                b = done.pop()
+                a = done.pop()
+                key = (op, a, b)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = len(ops)
+                ops.append(op)
+                left.append(a)
+                right.append(b)
+                payload.append(0)
+            lowered[id(g)] = row
+            done.append(row)
+        else:
+            return Program(
+                ops=array("q", ops),
+                left=array("q", left),
+                right=array("q", right),
+                payload=array("q", payload),
+                root=done[0],
+            )
 
 
 def model_masks(m: InformationModel) -> tuple[list[int], list[int], list[list[int]]]:

@@ -21,9 +21,16 @@ The S subscript equals the quantifier position; the two maximal
 D_k-substates of a k-switching are exactly the two (k+1)-switchings
 extending it, which drives the induction.
 
-Size accounting: the compiled formula grows by one splitter and at most
-one escape formula per quantifier, and the escape formulas dominate at
-l*l log(l) weighted size. The reported ratio divides the compiled size
+Each translation builds its formula through one Interner, so the
+result is a DAG holding each literal, splitter and escape piece once; the
+formula files that `reduce` writes hold that DAG, with `let` definitions
+for its shared parts.
+
+Size accounting: translated_size is the weighted size of the formula's
+tree, every shared part counted at each of its places, though the file
+holds the DAG. The tree grows by one splitter and at most one escape
+formula per quantifier, and the escape formulas dominate at l*l log(l)
+weighted size. The reported ratio divides the compiled size
 by l*l*log2(l+2) + matrix size; the default bound on that ratio is a
 regression constant measured on an alternating-prefix sweep at first
 build, not a theoretical value.
@@ -41,10 +48,11 @@ from .switching import (
     atom_p,
     atom_q,
     build_switching_model,
+    escape_pieces,
     formula_D,
     formula_S,
 )
-from .syntax import And, Formula, IVee, Implies, formula_size, neg
+from .syntax import And, Formula, IVee, Implies, Interner, formula_size, neg
 
 __all__ = [
     "DEFAULT_SIZE_RATIO_BOUND",
@@ -92,24 +100,31 @@ def translate_prop(z: PropFormula, polarity: str, l: int) -> Formula:
 
     polarity "p" produces a formula supported where the matrix is true,
     "n" one supported where it is false. Output uses the pair atoms with
-    conjunction, inquisitive disjunction, and implication only.
+    conjunction, inquisitive disjunction, and implication only, and holds
+    each distinct subformula once.
 
     Raises:
         ClosureError: a matrix variable past x_{l-1}.
     """
     if polarity not in ("p", "n"):
         raise ValueError(f"polarity must be 'p' or 'n', got {polarity!r}")
-    positive = polarity == "p"
+    return _translate_prop(z, polarity == "p", l, Interner())
+
+
+def _translate_prop(z: PropFormula, positive: bool, l: int, node: Interner) -> Formula:
     parts: list[Formula] = []
-    for node in _postorder(z, l):
-        if node is PAnd or node is POr:
+    literals: dict[int, Formula] = {}
+    for x in _postorder(z, l):
+        if x is PAnd or x is POr:
             right = parts.pop()
-            parts[-1] = (And if positive == (node is PAnd) else IVee)(parts[-1], right)
+            parts[-1] = node(And if positive == (x is PAnd) else IVee, parts[-1], right)
+        elif x in literals:
+            parts.append(literals[x])
         else:
             # x_i is i and its negation ~i
-            i = node if node >= 0 else ~node
-            body = atom_p(i) if positive == (node >= 0) else neg(atom_p(i))
-            parts.append(Implies(atom_q(i, l), body))
+            i = x if x >= 0 else ~x
+            body = atom_p(i, node) if positive == (x >= 0) else neg(atom_p(i, node), node)
+            parts.append(literals.setdefault(x, node(Implies, atom_q(i, l, node), body)))
     return parts[0]
 
 
@@ -118,7 +133,7 @@ def translate_qbf(theta: Qbf, polarity: str, l: int) -> Formula:
     for the k its prefix starts at (an empty prefix means k = l).
 
     polarity "P" tracks truth, "N" falsity, of the suffix at matching
-    switchings.
+    switchings. The result holds each distinct subformula once.
 
     Raises:
         ValueError: a bad polarity, a prefix quantifier other than forall
@@ -131,12 +146,15 @@ def translate_qbf(theta: Qbf, polarity: str, l: int) -> Formula:
     # the body of a universal tracks truth and that of an existential
     # falsity, whatever the polarity of the quantifier itself
     polarities = [polarity] + ["P" if quant == FORALL else "N" for quant, _ in theta.prefix]
-    f = translate_prop(theta.matrix, polarities[-1].lower(), l)
+    node = Interner()
+    f = _translate_prop(theta.matrix, polarities[-1] == "P", l, node)
+    pieces = None
     for (quant, k), tracked in zip(reversed(theta.prefix), reversed(polarities[:-1])):
         if (quant == FORALL) == (tracked == "P"):
-            f = Implies(formula_D(k, l), f)
+            f = node(Implies, formula_D(k, l, node), f)
         else:
-            f = Implies(Implies(formula_D(k, l), f), formula_S(k, l))
+            pieces = pieces or escape_pieces(l, node)
+            f = node(Implies, node(Implies, formula_D(k, l, node), f), formula_S(k, l, node, pieces))
     return f
 
 
@@ -156,6 +174,7 @@ def reduce_tqbf(theta: Qbf) -> ReductionInstance:
         formula=translated,
         l=l,
         matrix_size=prop_size(theta.matrix),
+        # over the DAG, one measure per object
         translated_size=formula_size(translated),
     )
 

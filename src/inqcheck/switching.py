@@ -23,6 +23,10 @@ Gadget formulas over this model:
         entirely or some pair at or above k is missing a world. Hence a
         k-switching itself fails it while every proper subset of a
         k-switching supports it.
+
+Each gadget builds its nodes with the node builder it is given: afresh
+by default, or through an Interner, so that a compiled formula holds each
+piece once however often it uses it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import InfoState, InformationModel
-from .syntax import And, Atom, Formula, IVee, Implies, neg, question
+from .syntax import And, Atom, Formula, IVee, Implies, fresh, neg, question
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,14 +82,14 @@ def build_switching_model(l: int) -> SwitchingModel:
     return SwitchingModel(l, InformationModel(n, 2 * l, valuation, None))
 
 
-def atom_p(i: int) -> Formula:
+def atom_p(i: int, node=fresh) -> Formula:
     """The pair-selector atom of pair i."""
-    return Atom(i)
+    return node(Atom, i)
 
 
-def atom_q(i: int, l: int) -> Formula:
+def atom_q(i: int, l: int, node=fresh) -> Formula:
     """The pair-membership atom of pair i, stored in the second block."""
-    return Atom(l + i)
+    return node(Atom, l + i)
 
 
 def is_k_switching(s: InfoState, k: int, l: int) -> bool:
@@ -126,34 +130,40 @@ def valuation_from_switching(s: InfoState, k: int, l: int) -> BoolValuation:
     return BoolValuation(tuple(1 if s.contains(world_plus(i)) else 0 for i in range(k)))
 
 
-def formula_C(k: int, sign: str, l: int) -> Formula:
+def formula_C(k: int, sign: str, l: int, node=fresh) -> Formula:
     """Conjunction pinning one world of pair k: q_k & p_k for "+",
     q_k & not p_k for "-"."""
     if sign == "+":
-        return And(atom_q(k, l), atom_p(k))
+        return node(And, atom_q(k, l, node), atom_p(k, node))
     if sign == "-":
-        return And(atom_q(k, l), neg(atom_p(k)))
+        return node(And, atom_q(k, l, node), neg(atom_p(k, node), node))
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
-def formula_D(k: int, l: int) -> Formula:
+def formula_D(k: int, l: int, node=fresh) -> Formula:
     """The pair-k splitter q_k -> ?p_k: supported exactly by states not
     containing pair k whole."""
-    return Implies(atom_q(k, l), question(atom_p(k)))
+    return node(Implies, atom_q(k, l, node), question(atom_p(k, node), node))
 
 
-def formula_S(k: int, l: int) -> Formula:
+def escape_pieces(l: int, node=fresh) -> list[tuple[Formula, Formula]]:
+    """(not C+, not C-) of every pair, in ascending pair order: the
+    pieces every formula_S of degree l is made of."""
+    return [
+        (neg(formula_C(i, "+", l, node), node), neg(formula_C(i, "-", l, node), node))
+        for i in range(l)
+    ]
+
+
+def formula_S(k: int, l: int, node=fresh, pieces: list | None = None) -> Formula:
     """Big inquisitive disjunction, left-nested in ascending pair order:
     pairs below k contribute (not C+ & not C-), pairs from k on
-    contribute (not C+ ior not C-)."""
-    if not 0 <= k <= l:
-        raise ValueError(f"need 0 <= k <= l, got k={k}, l={l}")
-    disjuncts = []
-    for i in range(l):
-        nplus = neg(formula_C(i, "+", l))
-        nminus = neg(formula_C(i, "-", l))
-        disjuncts.append(And(nplus, nminus) if i < k else IVee(nplus, nminus))
-    result = disjuncts[0]
-    for d in disjuncts[1:]:
-        result = IVee(result, d)
+    contribute (not C+ ior not C-). pieces, escape_pieces(l, node) when
+    not given, lets the formulas S of one degree build them once."""
+    if not 0 <= k <= l or l < 1:
+        raise ValueError(f"need 0 <= k <= l and l >= 1, got k={k}, l={l}")
+    result = None
+    for i, (nplus, nminus) in enumerate(pieces or escape_pieces(l, node)):
+        disjunct = node(And if i < k else IVee, nplus, nminus)
+        result = disjunct if result is None else node(IVee, result, disjunct)
     return result

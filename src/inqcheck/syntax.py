@@ -7,18 +7,32 @@ forms only: the parser expands `not f` to `f -> bot`, `f or g` to
 `not(not f & not g)`, and `? f` to `f ior not f`. The printer emits core
 connectives only, so parse and render round-trip structurally.
 
+A formula may share subformulas: the same node object may sit under more
+than one parent, so that it is a DAG rather than a tree. Text says so
+with definitions, `let NAME = formula;` lines before the formula, each
+of whose uses stands for the one object the definition built. The
+printer names every composite node object it reaches twice or more and
+prints a tree, one with no shared objects, without definitions.
+
 Grammar (whitespace-insensitive, `#` starts a comment to end of line):
 
+    program := ("let" NAME "=" formula ";")* formula
     formula := impl
     impl    := disj ("->" impl)?          right associative
     disj    := conj (("ior"|"or") conj)*  left associative, no mixing
     conj    := unary ("&" unary)*
     unary   := ("not"|"?"|"box"|"wbox") unary | atom
-    atom    := "bot" | "p" DIGITS | "(" formula ")"
+    atom    := "bot" | "p" DIGITS | NAME | "(" formula ")"
 
 DIGITS are ASCII `0-9`. `ior` and `or` may not be chained at the same
 level without parentheses: one is a connective of its own and the other
 an abbreviation, and silent mixing is a classic source of confusion.
+
+A NAME is an ASCII letter, then ASCII letters, digits and `_`, other
+than a keyword or `p` DIGITS; it is defined once, before its first use.
+A definition or formula whose tree, with every name and `?` expanded,
+has more than MAX_FORMULA_NODES nodes is refused, because validation and
+the reference evaluator walk that tree.
 """
 
 from __future__ import annotations
@@ -77,9 +91,36 @@ class WBox(Formula):
     body: Formula
 
 
-def neg(f: Formula) -> Formula:
+def fresh(cls, *fields) -> Formula:
+    """A new node: the node builder of neg, question and the gadget
+    formulas unless they are given an Interner."""
+    return cls(*fields)
+
+
+class Interner:
+    """A node builder that returns one object per distinct node, so that
+    equal subformulas built through it are shared (hash-consing:
+    Filliatre & Conchon, "Type-safe modular hash-consing", ML Workshop
+    2006). A node is keyed on its class and the identities of its
+    children, which the interner built and keeps alive, so building never
+    hashes a subtree."""
+
+    __slots__ = ("nodes",)
+
+    def __init__(self) -> None:
+        self.nodes: dict[tuple, Formula] = {}
+
+    def __call__(self, cls, a=None, b=None) -> Formula:
+        key = (cls, a if cls is Atom else id(a), id(b))
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = cls() if a is None else cls(a) if b is None else cls(a, b)
+        return node
+
+
+def neg(f: Formula, node=fresh) -> Formula:
     """Negation as the defined form f -> bot."""
-    return Implies(f, Bottom())
+    return node(Implies, f, node(Bottom))
 
 
 def classical_or(a: Formula, b: Formula) -> Formula:
@@ -87,9 +128,9 @@ def classical_or(a: Formula, b: Formula) -> Formula:
     return neg(And(neg(a), neg(b)))
 
 
-def question(f: Formula) -> Formula:
-    """Polar question: f ior not f."""
-    return IVee(f, neg(f))
+def question(f: Formula, node=fresh) -> Formula:
+    """Polar question: f ior not f, which holds f twice."""
+    return node(IVee, f, neg(f, node))
 
 
 class ParseError(Exception):
@@ -99,14 +140,13 @@ class ParseError(Exception):
     descriptions that would have been accepted there.
     """
 
-    def __init__(self, offset: int, expected: frozenset[str], found: str):
+    def __init__(self, offset: int, expected: frozenset[str], found: str, reason: str | None = None):
         self.offset = offset
         self.expected = expected
         self.found = found
-        options = ", ".join(sorted(expected))
-        super().__init__(
-            f"parse error at offset {offset}: expected one of {{{options}}}, found {found}"
-        )
+        if reason is None:
+            reason = f"expected one of {{{', '.join(sorted(expected))}}}, found {found}"
+        super().__init__(f"parse error at offset {offset}: {reason}")
 
 
 def _tokenize(text: str, punct: dict[str, str], word_start: str, word, expected: frozenset[str]):
@@ -157,9 +197,9 @@ def _tokenize(text: str, punct: dict[str, str], word_start: str, word, expected:
     return tokens
 
 
-_KEYWORDS = frozenset({"bot", "not", "ior", "or", "box", "wbox"})
-_PUNCT = {"(": "(", ")": ")", "-": "->", "&": "&", "?": "?"}
-_WORDS = _KEYWORDS | {"p<index>"}
+_KEYWORDS = frozenset({"bot", "not", "ior", "or", "box", "wbox", "let"})
+_PUNCT = {"(": "(", ")": ")", "-": "->", "&": "&", "?": "?", "=": "=", ";": ";"}
+_WORDS = _KEYWORDS | {"p<index>", "name"}
 
 
 def _formula_word(word: str, offset: int) -> tuple[str, str, int]:
@@ -168,13 +208,15 @@ def _formula_word(word: str, offset: int) -> tuple[str, str, int]:
     # ASCII digits only: int() rejects "²" and reads "٣" as 3
     if word[0] == "p" and word[1:].isascii() and word[1:].isdigit():
         return ("atom", word[1:], offset)
+    if word.isascii():
+        return ("name", word, offset)
     raise ParseError(offset, _WORDS, repr(word))
 
 
 _FORMULA_LEXICON = (_PUNCT, "", _formula_word, _KEYWORDS | frozenset(_PUNCT.values()))
 
 
-_ATOM_START = frozenset({"bot", "p<index>", "(", "not", "?", "box", "wbox"})
+_ATOM_START = frozenset({"bot", "p<index>", "name", "(", "not", "?", "box", "wbox"})
 
 
 class _Cursor:
@@ -195,43 +237,96 @@ class _Cursor:
 
     def fail(self, expected: frozenset[str]) -> ParseError:
         kind, value, offset = self.peek()
-        found = "end of input" if kind == "eof" else repr(value)
+        found = "end of input" if kind == "eof" else repr(f"p{value}" if kind == "atom" else value)
         return ParseError(offset, expected, found)
 
 
-_PREFIX = {"not": neg, "?": question, "box": Box, "wbox": WBox}
+# Past this many nodes, a walk of a formula's tree (validation, the naive
+# engine, the table's descent through & and ior) takes about a second on a
+# 2-CPU x86 host: 500,000 took 0.3 s to validate and 0.6 s to answer with
+# the table. A compiled l = 64 instance has 27,000-29,000.
+MAX_FORMULA_NODES = 500_000
+
+# each prefix operator: its builder, the nodes it adds around its operand,
+# and the further copies of the operand its expansion holds
+_PREFIX = {"not": (neg, 2, 0), "?": (question, 3, 1), "box": (Box, 1, 0), "wbox": (WBox, 1, 0)}
+_END = {"eof": "end of input", ";": ";"}
+
+
+def _too_large(offset: int) -> ParseError:
+    return ParseError(
+        offset, frozenset(), "", f"the formula expands to more than {MAX_FORMULA_NODES} nodes"
+    )
 
 
 def parse_formula(text: str) -> Formula:
     """Parse concrete syntax into a Formula, expanding derived forms.
 
+    Each use of a defined name is the object its definition built, so a
+    text with definitions parses to a DAG of its size, not of the tree it
+    stands for.
+
+    Raises:
+        ParseError: on malformed input, with byte offset and the set of
+            acceptable tokens at that point; on an undefined or twice
+            defined name; on a formula past MAX_FORMULA_NODES nodes.
+    """
+    cursor = _Cursor(_tokenize(text, *_FORMULA_LEXICON))
+    definitions: dict[str, tuple[Formula, int]] = {}
+    while cursor.peek()[0] == "let":
+        cursor.advance()
+        kind, name, offset = cursor.peek()
+        if kind != "name":
+            raise cursor.fail(frozenset({"name"}))
+        if name in definitions:
+            raise ParseError(offset, frozenset({"name"}), repr(name), f"{name!r} is already defined")
+        cursor.advance()
+        if cursor.peek()[0] != "=":
+            raise cursor.fail(frozenset({"="}))
+        cursor.advance()
+        definitions[name] = _read_formula(cursor, definitions, ";")
+        cursor.advance()
+    return _read_formula(cursor, definitions, "eof")[0]
+
+
+def _read_formula(cursor: _Cursor, definitions: dict, end: str) -> tuple[Formula, int]:
+    """The formula at the cursor, up to a token of kind end, and the
+    number of nodes of its tree, counted one add per token.
+
     One level per open parenthesis is kept on an explicit stack, so
     nesting costs no Python frames: the prefix operators pending on the
     unary being read, the antecedents of its `->` chain, the disjunction
     so far with its ior/or mode, and the conjunction so far.
-
-    Raises:
-        ParseError: on malformed input, with byte offset and the set of
-            acceptable tokens at that point.
     """
-    cursor = _Cursor(_tokenize(text, *_FORMULA_LEXICON))
     levels = []
     prefix, antecedents, disj, mode, conj = [], [], None, None, None
+    # a prefix operator keeps the count its operand starts from, so that a
+    # `?` can add the size of the copy of its operand
+    nodes = 0
     while True:
-        kind, value, _ = cursor.peek()
+        kind, value, offset = cursor.peek()
         if kind in _PREFIX:
             cursor.advance()
-            prefix.append(_PREFIX[kind])
+            prefix.append((kind, nodes, offset))
             continue
         if kind == "(":
             cursor.advance()
             levels.append((prefix, antecedents, disj, mode, conj))
             prefix, antecedents, disj, mode, conj = [], [], None, None, None
             continue
-        if kind == "bot":
-            f = Bottom()
-        elif kind == "atom":
+        if kind == "atom":
             f = Atom(int(value))
+            nodes += 1
+        elif kind == "bot":
+            f = Bottom()
+            nodes += 1
+        elif kind == "name":
+            if value not in definitions:
+                raise ParseError(offset, _ATOM_START, repr(value), f"{value!r} is not defined")
+            f, size = definitions[value]
+            nodes += size
+            if nodes > MAX_FORMULA_NODES:
+                raise _too_large(offset)
         else:
             raise cursor.fail(_ATOM_START)
         cursor.advance()
@@ -239,11 +334,17 @@ def parse_formula(text: str) -> Formula:
         # for as long as a ")" follows a whole formula
         while True:
             while prefix:
-                f = prefix.pop()(f)
+                kind, start, offset = prefix.pop()
+                build, extra, copies = _PREFIX[kind]
+                f = build(f)
+                nodes += extra + copies * (nodes - start)
+                if nodes > MAX_FORMULA_NODES:
+                    raise _too_large(offset)
             conj = f if conj is None else And(conj, f)
             kind, _, offset = cursor.peek()
             if kind == "&":
                 cursor.advance()
+                nodes += 1
                 break
             disj = conj if disj is None else (IVee if mode == "ior" else classical_or)(disj, conj)
             conj = None
@@ -254,31 +355,36 @@ def parse_formula(text: str) -> Formula:
                 elif kind != mode:
                     raise ParseError(
                         offset,
-                        frozenset({mode, "->", "&", ")", "end of input"}),
+                        frozenset({mode, "->", "&", ")", _END[end]}),
                         repr(kind),
                     )
+                # not(not a & not b) adds seven nodes
+                nodes += 1 if kind == "ior" else 7
                 break
             if kind == "->":
                 cursor.advance()
                 antecedents.append(disj)
                 disj = mode = None
+                nodes += 1
                 break
             # "->" is right associative
             f = disj
             while antecedents:
                 f = Implies(antecedents.pop(), f)
             if not levels:
-                if kind != "eof":
-                    raise cursor.fail(frozenset({"->", "&", "ior", "or", "end of input"}))
-                return f
+                if kind != end:
+                    raise cursor.fail(frozenset({"->", "&", "ior", "or", _END[end]}))
+                if nodes > MAX_FORMULA_NODES:
+                    raise _too_large(offset)
+                return f, nodes
             if kind != ")":
                 raise cursor.fail(frozenset({")", "->", "&", "ior", "or"}))
             cursor.advance()
             prefix, antecedents, disj, mode, conj = levels.pop()
 
 
-def _render(f, infix: dict, prefix: dict, leaves: dict) -> str:
-    """Print a tree of either language, given as its tables of forms.
+def _render(f, infix: dict, prefix: dict, leaves: dict, shared: dict | None = None) -> str:
+    """Print a formula of either language, given as its tables of forms.
 
     infix maps a binary node class to its connective, printed between
     parentheses around both children; prefix maps a unary class to the
@@ -286,7 +392,16 @@ def _render(f, infix: dict, prefix: dict, leaves: dict) -> str:
     whether the node's index follows it. The tokens come off one stack of
     nodes and pending strings in output order and are joined once, so the
     time is linear in the output.
+
+    shared, when given, holds the id of every composite node that f
+    reaches twice or more, mapped to "". Such a node is printed once, as
+    a definition `let fN = ...;` on a line before the formula, and by its
+    name everywhere. Its first place keeps an empty slot in the text
+    around it, and a (text, slot, id) entry under its parts names it, in
+    shared too, once they are printed: definitions end, and are
+    numbered, children first.
     """
+    lines: list[str] = []
     out: list[str] = []
     stack: list = [f]
     while stack:
@@ -294,18 +409,32 @@ def _render(f, infix: dict, prefix: dict, leaves: dict) -> str:
         kind = type(g)
         if kind is str:
             out.append(g)
-        elif kind in infix:
-            out.append("(")
-            stack += (")", g.right, infix[kind], g.left)
         elif kind in leaves:
             text, indexed = leaves[kind]
             out.append(f"{text}{g.index}" if indexed else text)
-        elif kind in prefix:
-            out.append(prefix[kind])
-            stack.append(g.body)
+        elif kind is tuple:
+            outer, slot, key = g
+            name = outer[slot] = shared[key] = f"f{len(lines)}"
+            lines.append(f"let {name} = {''.join(out)};\n")
+            out = outer
         else:
-            raise TypeError(f"cannot print {g!r}")
-    return "".join(out)
+            if shared and id(g) in shared:
+                name = shared[id(g)]
+                if name:
+                    out.append(name)
+                    continue
+                out.append("")
+                stack.append((out, len(out) - 1, id(g)))
+                out = []
+            if kind in infix:
+                out.append("(")
+                stack += (")", g.right, infix[kind], g.left)
+            elif kind in prefix:
+                out.append(prefix[kind])
+                stack.append(g.body)
+            else:
+                raise TypeError(f"cannot print {g!r}")
+    return "".join(lines) + "".join(out)
 
 
 _FORMULA_FORMS = (
@@ -320,29 +449,98 @@ def render_formula(f: Formula) -> str:
 
     Binary connectives are always parenthesized, prefix modalities are
     bare, so the output is unambiguous without precedence knowledge.
+    Every composite node object that f reaches twice or more is printed
+    once, as a definition `let fN = ...;` on a line of its own
+    before the formula, and by its name wherever it is used; so the text
+    is linear in the distinct objects of f, and a tree prints without
+    definitions.
     """
-    return _render(f, *_FORMULA_FORMS)
+    shared = {key: "" for key, places in _reach_counts(f).items() if places > 1}
+    return _render(f, *_FORMULA_FORMS, shared)
+
+
+# the children of each composite node class
+_ARITY = {And: 2, IVee: 2, Implies: 2, Box: 1, WBox: 1}
+
+
+def _reach_counts(f) -> dict[int, int]:
+    """How often a walk that expands each object once reaches each
+    composite node object of f, by id: once from f or from each parent
+    object (twice from a parent holding it on both sides), so more than
+    once for an object that f shares. The time is linear in the distinct
+    objects, and the walk keeps its own stack. Other nodes count as
+    leaves."""
+    reached: dict[int, int] = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        arity = _ARITY.get(type(g))
+        if arity:
+            key = id(g)
+            if key in reached:
+                reached[key] += 1
+            else:
+                reached[key] = 1
+                if arity == 2:
+                    stack += (g.right, g.left)
+                else:
+                    stack.append(g.body)
+    return reached
 
 
 def formula_size(f: Formula) -> int:
-    """Weighted encoding size: connectives cost 1, Atom(i) costs 1 plus
-    the binary length of its index (so index growth is logarithmic, not
-    free)."""
-    size = 0
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            size += 1 + (g.index + 1).bit_length()
-        elif isinstance(g, (Bottom, And, IVee, Implies, Box, WBox)):
-            size += 1
+    """Weighted encoding size of f's tree: connectives cost 1, Atom(i)
+    costs 1 plus the binary length of its index (so index growth is
+    logarithmic, not free). A shared object counts once per place it
+    holds in the tree, but is measured once, so the time is linear in the
+    distinct objects of f. The walk descends left children in place and
+    stacks right ones, with None marking a node whose children are done.
+    """
+    sizes: dict[int, int] = {}  # id of a measured composite object -> its size
+    done: list[int] = []  # the size of each finished child, innermost last
+    parents: list = []
+    stack: list = []
+    g = f
+    while True:
+        kind = type(g)
+        if kind is Atom:
+            size = 1 + (g.index + 1).bit_length()
+        elif kind is Bottom:
+            size = 1
+        elif kind in _ARITY:
+            size = sizes.get(id(g))
+            if size is None:
+                parents.append(g)
+                stack.append(None)
+                if _ARITY[kind] == 1:
+                    g = g.body
+                else:
+                    stack.append(g.right)
+                    g = g.left
+                continue
         else:
             raise TypeError(f"not a formula node: {g!r}")
-    return size
+        done.append(size)
+        while stack:
+            g = stack.pop()
+            if g is not None:
+                break
+            g = parents.pop()
+            size = 1 + done.pop()
+            if _ARITY[type(g)] == 2:
+                size += done.pop()
+            sizes[id(g)] = size
+            done.append(size)
+        else:
+            return done[0]
 
 
 def subformulas(f) -> list:
-    """Every node of f, children before parents and left before right,
-    duplicates included: the one postorder walk of the package (the
-    printers, which emit in preorder, keep a token stack). It reads the
+    """Every node of f's tree, children before parents and left before
+    right, duplicates and each place of a shared object included: the
+    postorder walk of the tree (the printers, which emit in preorder, keep
+    a token stack; lowering, printing and formula_size walk each object
+    once). It reads the
     `left`/`right` or `body` fields, so QBF matrices walk the same way,
     and keeps its own stack, so depth costs no Python frames."""
     nodes = []

@@ -9,15 +9,18 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
 import inqcheck
 from inqcheck import cli
 from inqcheck.model import read_model_file, write_model_file
-from inqcheck.qbf import Qbf, Var, FORALL, parse_qbf
+from inqcheck.qbf import Qbf, Var, FORALL, parse_qbf, random_qbf, render_qbf
 from inqcheck.reduction import reduce_tqbf
 from inqcheck.syntax import parse_formula
+
+from test_syntax import tree_text
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -70,6 +73,37 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "offset" in err
 
+    def test_definitions(self, demo_file, capsys):
+        text = "let q = ?p0;\nlet r = (q -> ?p1);\nr & wbox r"
+        codes = []
+        for state in ("100", "010", "001", "110", "111"):
+            code = cli.main(["check", demo_file, state, "--formula", text])
+            assert code == cli.main(["check", demo_file, state, "--formula", text, "--naive"])
+            codes.append(code)
+        assert set(codes) == {0, 1}
+
+    @pytest.mark.parametrize(
+        "text", ["let a = p0; b", "let a = p0; let a = p1; a", "let a p0; a", "p0 let a = p1; a", "let p1 = p0; p1"]
+    )
+    def test_definition_error_is_one_line(self, demo_file, capsys, text):
+        assert cli.main(["check", demo_file, "110", "--formula", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: formula argument: parse error at offset ")
+
+    def test_doubling_chain_is_refused_at_once(self, demo_file, tmp_path, capsys):
+        chain = "".join(f"let d{k} = (d{k - 1} & d{k - 1});\n" for k in range(1, 61))
+        fpath = write(tmp_path, "chain.formula", "let d0 = ?p0;\n" + chain + "d60\n")
+        start = time.perf_counter()
+        assert cli.main(["check", demo_file, "110", "--formula-file", fpath]) == 2
+        assert time.perf_counter() - start < 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {fpath}: parse error at offset ")
+        assert "expands to more than" in lines[0]
+
     def test_missing_model_file(self, tmp_path, capsys):
         code = cli.main(["check", str(tmp_path / "nope.im"), "1", "--formula", "p0"])
         assert code == 2
@@ -111,6 +145,21 @@ class TestReduce:
             ]
         )
         assert code == 0
+
+    def test_formula_file_holds_the_shared_form(self, tmp_path, capsys):
+        theta = random_qbf(21, 7, 110)
+        qpath = write(tmp_path, "t.qbf", render_qbf(theta) + "\n")
+        stem = str(tmp_path / "inst")
+        assert cli.main(["reduce", qpath, stem]) == 0
+        text = (tmp_path / "inst.formula").read_text()
+        assert text.startswith("let f0 = ")
+        instance = reduce_tqbf(theta)
+        assert parse_formula(text) == instance.formula
+        assert len(text) < len(tree_text(instance.formula))
+        capsys.readouterr()
+        state = (tmp_path / "inst.state").read_text().strip()
+        code = cli.main(["check", f"{stem}.im", state, "--formula-file", f"{stem}.formula"])
+        assert code == cli.main(["qbf-eval", qpath])
 
     def test_report_printed(self, tmp_path, capsys):
         qpath = write(tmp_path, "t.qbf", "exists x0 : x0\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -24,7 +25,7 @@ from inqcheck.kernels import (
 from inqcheck.model import InfoState, InformationModel
 from inqcheck.qbf import eval_qbf, random_qbf
 from inqcheck.reduction import reduce_tqbf
-from inqcheck.syntax import And, Atom, Bottom, Box, IVee, Implies, WBox, parse_formula, subformulas
+from inqcheck.syntax import And, Atom, Bottom, Box, IVee, Implies, WBox, parse_formula, render_formula, subformulas
 
 from conftest import bits, question_formula, random_formula, random_model
 
@@ -35,6 +36,31 @@ class TestLowering:
         program = lower_formula(f)
         # one row per distinct subterm: two atoms, one shared ior, one and
         assert program.num_nodes == 4
+
+    def test_library_dag_costs_its_objects(self):
+        # H_{i+1} = H_i & H_i has 2^60 leaves as a tree and 8 + 60 rows
+        h = parse_formula("?p0 -> ?p1")
+        for _ in range(60):
+            h = And(h, h)
+        start = time.perf_counter()
+        program = lower_formula(h)
+        assert time.perf_counter() - start < 0.1
+        assert program.num_nodes == 8 + 60
+        assert program.root == program.num_nodes - 1
+
+    def test_shared_and_equal_objects_lower_alike(self):
+        # rows follow the tree's postorder whether a repeat is the same
+        # object or an equal one
+        rng = random.Random(61)
+        for _ in range(100):
+            x = random_formula(rng, 3, 3, True)
+            y = random_formula(rng, 3, 3, True)
+            shared = IVee(And(x, y), Implies(y, And(x, Box(x))))
+            # random_formula builds trees, which print without definitions
+            a, b = render_formula(x), render_formula(y)
+            twin = parse_formula(f"({a} & {b}) ior ({b} -> ({a} & box {a}))")
+            assert twin == shared
+            assert lower_formula(shared) == lower_formula(twin)
 
     def test_root_is_last_row(self):
         program = lower_formula(parse_formula("p0 -> p1"))

@@ -26,6 +26,7 @@ from inqcheck.qbf import (
     eval_prop,
     eval_qbf,
     eval_qbf_table,
+    parse_qbf,
     random_qbf,
 )
 from inqcheck.reduction import (
@@ -44,7 +45,8 @@ from inqcheck.switching import (
     formula_S,
     switching_from_valuation,
 )
-from inqcheck.syntax import Implies, formula_size, neg
+from inqcheck.kernels import lower_formula
+from inqcheck.syntax import Atom, Implies, formula_size, neg, parse_formula, render_formula, subformulas
 
 
 def supports(l, state, formula, cache=None):
@@ -301,3 +303,31 @@ class TestSizes:
         assert report.matrix_size == 14
         assert report.translated_size == inst.translated_size
         assert report.ratio > 0
+
+
+class TestSharedTranslation:
+    """reduce_tqbf builds a DAG; its text keeps the sharing and reads back
+    to an equal formula with the same program and the same answer."""
+
+    @pytest.mark.parametrize("l", range(1, 13))
+    def test_round_trip(self, l):
+        for seed in range(3):
+            theta = random_qbf(100 * l + seed, l, 10 * l)
+            instance = reduce_tqbf(theta)
+            text = render_formula(instance.formula)
+            back = parse_formula(text)
+            assert back == instance.formula
+            assert lower_formula(back) == lower_formula(instance.formula)
+            tree = sum(1 + (g.index + 1).bit_length() if isinstance(g, Atom) else 1 for g in subformulas(back))
+            assert instance.translated_size == formula_size(back) == tree
+            if l <= 9:
+                query = CheckQuery(instance.model.model, instance.state, back)
+                assert evaluate(query, engine="table").value == eval_qbf(theta)
+
+    def test_pieces_are_built_once(self):
+        instance = reduce_tqbf(parse_qbf("exists x0 forall x1 exists x2 : (x0 | ~x1) & (x0 | x2)"))
+        seen: dict[object, object] = {}
+        for g in subformulas(instance.formula):
+            # equal subformulas are one object
+            assert seen.setdefault(g, g) is g
+        assert "let " in render_formula(instance.formula)

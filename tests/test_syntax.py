@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import question_formula, random_formula
+from inqcheck.kernels import lower_formula
+from inqcheck.qbf import random_qbf
+from inqcheck.reduction import reduce_tqbf
 from inqcheck.syntax import (
+    MAX_FORMULA_NODES,
     And,
     Atom,
     Bottom,
     Box,
     IVee,
     Implies,
+    Interner,
     ParseError,
     WBox,
     classical_or,
@@ -165,3 +174,181 @@ class TestHelpers:
         seen = list(subformulas(f))
         assert seen.index(Atom(0)) < seen.index(f)
         assert seen.index(Bottom()) < seen.index(f)
+
+
+def tree_text(f) -> str:
+    """The formula printed as a tree, every place in full: the printer's
+    output before definitions, written independently of it."""
+    if isinstance(f, Bottom):
+        return "bot"
+    if isinstance(f, Atom):
+        return f"p{f.index}"
+    if isinstance(f, (Box, WBox)):
+        return ("box " if isinstance(f, Box) else "wbox ") + tree_text(f.body)
+    connective = {And: "&", IVee: "ior", Implies: "->"}[type(f)]
+    return f"({tree_text(f.left)} {connective} {tree_text(f.right)})"
+
+
+def shared_formula(rng: random.Random, steps: int):
+    """A DAG: each new node takes its children from all the nodes so far,
+    so later nodes share earlier objects."""
+    pool = [Bottom(), Atom(0), Atom(1), Atom(2)]
+    for _ in range(steps):
+        kind = rng.choice((And, IVee, Implies, Box, WBox))
+        if kind in (Box, WBox):
+            pool.append(kind(rng.choice(pool)))
+        else:
+            pool.append(kind(rng.choice(pool), rng.choice(pool)))
+    return pool[-1]
+
+
+def distinct_composites(f) -> int:
+    return len({id(g) for g in subformulas(f) if not isinstance(g, (Atom, Bottom))})
+
+
+def weighted_tree_size(f) -> int:
+    return sum(1 + (g.index + 1).bit_length() if isinstance(g, Atom) else 1 for g in subformulas(f))
+
+
+class TestDefinitions:
+    def test_a_use_is_the_defined_object(self):
+        f = parse_formula("let a = (p0 & p1);\nlet b = ?a;\n(b -> a)")
+        assert f == Implies(question(And(Atom(0), Atom(1))), And(Atom(0), Atom(1)))
+        assert f.left.left is f.right
+        assert f.left.right.left is f.right
+
+    def test_shared_object_is_printed_once(self):
+        x = And(Atom(0), Atom(1))
+        assert render_formula(IVee(x, Box(x))) == "let f0 = (p0 & p1);\n(f0 ior box f0)"
+
+    def test_definitions_come_before_their_uses(self):
+        x = Implies(Atom(0), Bottom())
+        y = And(x, x)
+        text = render_formula(IVee(y, y))
+        assert text == "let f0 = (p0 -> bot);\nlet f1 = (f0 & f0);\n(f1 ior f1)"
+
+    def test_shared_leaves_are_not_named(self):
+        p = Atom(3)
+        assert render_formula(And(p, p)) == "(p3 & p3)"
+
+    @given(formulas())
+    def test_tree_prints_as_before(self, f):
+        assert render_formula(f) == tree_text(f)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_shared_round_trip(self, seed):
+        f = shared_formula(random.Random(seed), 3 + seed % 18)
+        g = parse_formula(render_formula(f))
+        assert g == f
+        assert lower_formula(g) == lower_formula(f)
+        assert distinct_composites(g) == distinct_composites(f)
+        assert render_formula(g) == render_formula(f)
+        assert formula_size(g) == formula_size(f) == weighted_tree_size(f)
+
+    @pytest.mark.parametrize("make", [random_formula, question_formula])
+    def test_conftest_formulas_round_trip(self, make):
+        rng = random.Random(1313)
+        for _ in range(150):
+            f = make(rng, 3, 5, True)
+            g = parse_formula(render_formula(f))
+            assert g == f
+            assert lower_formula(g) == lower_formula(f)
+            assert formula_size(g) == formula_size(f) == weighted_tree_size(f)
+
+    def test_interner_shares_equal_nodes(self):
+        node = Interner()
+        a = question(node(Atom, 1), node)
+        b = question(node(Atom, 1), node)
+        assert a is b
+        assert a.right.left is a.left
+        assert a == question(Atom(1))
+
+
+class TestDefinitionErrors:
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("let a = p0; b", 12),  # undefined name
+            ("let a = b; let b = p0; a", 8),  # used before its definition
+            ("let a = p0; let a = p1; a", 16),  # defined twice
+            ("let a p0; a", 6),  # no "="
+            ("let a = p0 a", 11),  # no ";"
+            ("let a = p0;", 11),  # no formula after the definitions
+            ("p0 let a = p1; a", 3),  # a definition after the formula
+            ("let bot = p0; bot", 4),  # a keyword
+            ("let let = p0; p0", 4),
+            ("let p3 = p0; p3", 4),  # an atom
+            ("let = p0; p0", 4),
+        ],
+    )
+    def test_offset(self, text, offset):
+        with pytest.raises(ParseError) as info:
+            parse_formula(text)
+        assert info.value.offset == offset
+        assert f"offset {offset}" in str(info.value)
+
+    def test_messages_name_the_fault(self):
+        with pytest.raises(ParseError, match="'b' is not defined"):
+            parse_formula("let a = p0; b")
+        with pytest.raises(ParseError, match="'a' is already defined"):
+            parse_formula("let a = p0; let a = p1; a")
+        with pytest.raises(ParseError, match="found 'p3'"):
+            parse_formula("let p3 = p0; p3")
+
+
+def sized_text(nodes: int, base: str = "p0", base_nodes: int = 1) -> str:
+    """A formula text whose tree has exactly `nodes` nodes: a conjunction
+    of doubling chains over base (a text of base_nodes nodes) and a box
+    or so in front."""
+    sizes = [base_nodes]
+    while 2 * sizes[-1] + 1 <= nodes:
+        sizes.append(2 * sizes[-1] + 1)
+    parts, left = [], nodes
+    for k in reversed(range(len(sizes))):
+        while sizes[k] + (1 if parts else 0) <= left:
+            left -= sizes[k] + (1 if parts else 0)
+            parts.append(f"d{k}")
+    lets = [f"let d0 = ({base});"] + [f"let d{k} = (d{k - 1} & d{k - 1});" for k in range(1, len(sizes))]
+    return "\n".join(lets) + "\n" + "box " * left + "(" + " & ".join(parts) + ")"
+
+
+# texts with prefix operators and derived forms, whose expansion the
+# parser counts: `?` copies its operand, `or` adds seven nodes
+_BASES = ["p0", "? (p0 & p1)", "(p0 or p1) -> ? not p2", "box ? wbox ? p0", "? ? (p0 ior bot)"]
+
+
+class TestExpansionLimit:
+    @pytest.mark.parametrize("base", _BASES)
+    def test_sized_text_has_its_size(self, base):
+        base_nodes = len(subformulas(parse_formula(base)))
+        for nodes in (base_nodes, base_nodes + 1, 97, 1000, 4321):
+            if nodes >= base_nodes:
+                f = parse_formula(sized_text(nodes, base, base_nodes))
+                assert len(subformulas(f)) == nodes
+
+    @pytest.mark.parametrize("base", _BASES)
+    def test_limit_is_exact(self, base):
+        base_nodes = len(subformulas(parse_formula(base)))
+        parse_formula(sized_text(MAX_FORMULA_NODES, base, base_nodes))
+        with pytest.raises(ParseError, match="expands to more than"):
+            parse_formula(sized_text(MAX_FORMULA_NODES + 1, base, base_nodes))
+
+    def test_doubling_chain_is_refused_at_once(self):
+        text = "let d0 = p0;\n" + "".join(f"let d{k} = (d{k - 1} & d{k - 1});\n" for k in range(1, 61)) + "d60"
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as info:
+            parse_formula(text)
+        assert time.perf_counter() - start < 1
+        # d18 is the first definition past the limit: the second use of d17
+        # in it is refused
+        assert text[info.value.offset :].startswith("d17);\nlet d19")
+
+    def test_repeated_questions_are_refused(self):
+        with pytest.raises(ParseError, match="expands to more than"):
+            parse_formula("?" * 40 + " (p0 & p1)")
+
+    def test_compiled_instances_are_far_below(self):
+        instance = reduce_tqbf(random_qbf(5, 64, 120))
+        back = parse_formula(render_formula(instance.formula))
+        assert back == instance.formula
+        assert 10 * len(subformulas(back)) < MAX_FORMULA_NODES
