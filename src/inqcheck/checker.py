@@ -60,11 +60,12 @@ from .kernels import (
     SupportTable,
     lower_formula,
     model_masks,
+    program_key,
     support_table,
     table_bytes,
 )
 from .model import InfoState, InformationModel, sigma_union
-from .syntax import And, Atom, Bottom, Box, Formula, IVee, Implies, WBox, subformulas
+from .syntax import And, Atom, Bottom, Box, Formula, IVee, Implies, WBox
 
 DEFAULT_TABLE_BYTE_CAP = 1 << 27
 
@@ -124,9 +125,7 @@ class MemoCache:
         if entry is not None:
             return entry
         program = lower_formula(formula)
-        # the columns have one length, so their bytes concatenate unambiguously
-        rows = b"".join(a.tobytes() for a in (program.ops, program.left, program.right, program.payload))
-        key = (model, program.root, rows)
+        key = (model, *program_key(program))
         entry = self._roots.get(key)
         if entry is None:
             entry = _RootEntry(program=program)
@@ -139,14 +138,28 @@ class MemoCache:
 
 
 def _validate_query(q: CheckQuery) -> None:
+    """Check the state's width and the formula's atoms and modalities
+    against the model, visiting each composite object once."""
     m = q.model
     if q.state.width != m.n:
         raise QueryError(f"state width {q.state.width} does not match world count {m.n}")
-    for g in subformulas(q.formula):
-        if isinstance(g, Atom) and g.index >= m.l:
-            raise QueryError(f"atom index {g.index} out of range, model has {m.l} atoms")
-        if isinstance(g, (Box, WBox)) and m.sigma is None:
-            raise QueryError("modal formula over a plain model with no state map")
+    atoms, plain = m.l, m.sigma is None
+    seen: set[int] = set()  # ids of the composite objects visited
+    stack = [q.formula]
+    while stack:
+        g = stack.pop()
+        kind = type(g)
+        if kind is Atom:
+            if g.index >= atoms:
+                raise QueryError(f"atom index {g.index} out of range, model has {atoms} atoms")
+        elif (kind is And or kind is IVee or kind is Implies) and (key := id(g)) not in seen:
+            seen.add(key)
+            stack += (g.right, g.left)
+        elif (kind is Box or kind is WBox) and (key := id(g)) not in seen:
+            if plain:
+                raise QueryError("modal formula over a plain model with no state map")
+            seen.add(key)
+            stack.append(g.body)
 
 
 def _submasks(s: int):

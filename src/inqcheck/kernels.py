@@ -26,7 +26,8 @@ Inquisitive Semantics, OUP 2018, ch. 2-3):
 
 A query at state s descends through conjunctions and inquisitive
 disjunctions at s, and decides an implication f -> g it reaches in one
-of three ways, answering each implication at a state at most once:
+of three ways, answering each implication and each row that two parents
+share at a state at most once:
 
 - f has alternatives: descend to s & A for each of them;
 - every alternative of g leaves exactly one world of s out: ask f at m
@@ -98,6 +99,11 @@ class Program:
     @property
     def num_nodes(self) -> int:
         return len(self.ops)
+
+
+def program_key(p: Program) -> tuple[int, bytes]:
+    """Root and rows, equal exactly for equal formulas (one column length)."""
+    return p.root, b"".join(a.tobytes() for a in (p.ops, p.left, p.right, p.payload))
 
 
 def lower_formula(f: Formula) -> Program:
@@ -272,10 +278,11 @@ class SupportTable:
     that a state supports it iff all its worlds are in truth[r].
     families[r], filled on first use, holds row r's alternatives, or None
     when r is outside the fragment that has them or has more than
-    max_family.
+    max_family. refs[r] counts the references to row r from inquisitive
+    rows, plus two for an implication; a query keeps r's answers iff >= 2.
     """
 
-    __slots__ = ("ops", "left", "right", "truth", "declarative", "families", "max_family")
+    __slots__ = ("ops", "left", "right", "truth", "declarative", "refs", "families", "max_family")
 
     def __init__(self, program: Program, n: int) -> None:
         self.ops = program.ops.tolist()
@@ -283,12 +290,14 @@ class SupportTable:
         self.right = program.right.tolist()
         self.truth: list[int] = []
         self.declarative: list[bool] = []
+        self.refs = [0] * len(self.ops)
         self.families: dict[int, tuple[int, ...] | None] = {}
         # past this many alternatives a row gets none, which bounds the
         # pairwise meets in _family; a query then neither descends out of
-        # the row nor takes its least failure, and closes instead. The value
-        # was not measured: on the benchmark's workloads every row without
-        # alternatives was one outside the fragment, never one past the cap
+        # the row nor takes its least failure, and closes instead. On seed 1,
+        # lifting it changed no family on modal-sparse or memo-reuse, and
+        # closure ran for 1 of 560 modal-sparse queries (at 6 worlds) and none
+        # of 3,600 memo-reuse, 100 compiled-deep or 200 verify-small queries
         self.max_family = 3 * n // 2
 
     def holds(self, r: int, s: int) -> bool:
@@ -300,14 +309,15 @@ class SupportTable:
         of s that earlier questions at s built. The right side of a & or an
         ior waits on a stack until its left side leaves the answer open,
         and so does the consequent of an implication at each part s & A.
-        The walk answers an implication at a state at most once, so a chain
-        of questions costs its distinct parts, not its paths."""
+        The walk answers each implication and each shared row at a state at
+        most once, so shared parts cost their distinct rows, not their paths."""
         truth, declarative, ops, left, right = self.truth, self.declarative, self.ops, self.left, self.right
+        refs = self.refs
         # (kind, row, state): kind AND or IVEE waits as the right side of a
-        # & or an ior. A marker DONE lies under the parts of implication r
-        # at s and NOT under its antecedent at the least failing substate;
-        # the value that pops one, negated for NOT, is the implication's
-        # answer, kept in `answered` for the rest of the walk
+        # & or an ior. A marker DONE lies under the parts of a shared row or
+        # an implication r at s, and NOT under an implication's antecedent
+        # at the least failing substate; the value that pops one, negated for
+        # NOT, is r's answer at s, kept in `answered` for the rest of the walk
         waiting: list[tuple[int, int, int]] = []
         answered: dict[tuple[int, int], bool] = {}
         while True:
@@ -316,12 +326,17 @@ class SupportTable:
                 value = False
             elif declarative[r]:
                 value = True
-            elif ops[r] != OP_IMPLIES:
+            elif refs[r] < 2:
                 waiting.append((IVEE if ops[r] == OP_IVEE else AND, right[r], s))
                 r = left[r]
                 continue
             elif (r, s) in answered:
                 value = answered[r, s]
+            elif ops[r] != OP_IMPLIES:
+                waiting.append((DONE, r, s))
+                waiting.append((IVEE if ops[r] == OP_IVEE else AND, right[r], s))
+                r = left[r]
+                continue
             elif (family := self._family(left[r])) is not None:
                 # by persistence, s supports f -> g iff s & A supports g for
                 # every alternative A of f: each waits as the right side of a
@@ -457,12 +472,12 @@ class SupportTable:
 
 
 def support_table(program: Program, m: InformationModel) -> SupportTable:
-    """Truth masks of every program row, bottom-up. A box or wbox row
-    asks whether its body holds at each world's anchor states, so the
+    """Truth masks and refs of every program row, bottom-up. A box or wbox
+    row asks whether its body holds at each world's anchor states, so the
     lattice rows built for one anchor serve every row that reaches it."""
     val_masks, union_masks, gen_masks = model_masks(m)
     table = SupportTable(program, m.n)
-    left, right, truth, declarative = table.left, table.right, table.truth, table.declarative
+    left, right, truth, declarative, refs = table.left, table.right, table.truth, table.declarative, table.refs
     payload = program.payload.tolist()
     all_worlds = (1 << m.n) - 1
     # lattice rows per state, shared by every box and wbox row
@@ -480,6 +495,7 @@ def support_table(program: Program, m: InformationModel) -> SupportTable:
             t, d = truth[a] | truth[b], False
         elif op == OP_IMPLIES:
             t, d = (all_worlds & ~truth[a]) | truth[b], declarative[b]
+            refs[r] += 2
         elif op == OP_BOX:
             t = sum(1 << w for w in range(m.n) if table._holds(a, union_masks[w], memos))
             d = True
@@ -492,6 +508,10 @@ def support_table(program: Program, m: InformationModel) -> SupportTable:
             d = True
         truth.append(t)
         declarative.append(d)
+        if not d:
+            # only an inquisitive row leads a query on to its children
+            refs[a] += 1
+            refs[b] += 1
     return table
 
 

@@ -43,28 +43,37 @@ class ClosureError(Exception):
         super().__init__(f"unbound variable {name}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PropFormula:
-    """Base class for matrix nodes."""
+    """Base class for matrix nodes, equal when their trees are: equality
+    and the hash read the _postorder, which determines the tree."""
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PropFormula):
+            return NotImplemented
+        return self is other or _postorder(self) == _postorder(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(_postorder(self)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Var(PropFormula):
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class NegVar(PropFormula):
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PAnd(PropFormula):
     left: PropFormula
     right: PropFormula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class POr(PropFormula):
     left: PropFormula
     right: PropFormula
@@ -234,13 +243,14 @@ def _check_prefix(prefix, start: int) -> None:
             raise ValueError(f"prefix must bind x{start}, x{start + 1}, ... in order, got {indices}")
 
 
-def _postorder(f: PropFormula, k: int) -> list:
+def _postorder(f: PropFormula, k: int | None = None) -> list:
     """The matrix in postorder for _truth: x_i as i, its negation as ~i, a
-    connective as its class; ClosureError for a variable past x_{k-1}."""
+    connective as its class; ClosureError for a variable past x_{k-1} when
+    k is given."""
     nodes = []
     for g in subformulas(f):
         if isinstance(g, (Var, NegVar)):
-            if g.index >= k:
+            if k is not None and g.index >= k:
                 raise ClosureError(f"x{g.index}")
             nodes.append(g.index if isinstance(g, Var) else ~g.index)
         elif isinstance(g, (PAnd, POr)):

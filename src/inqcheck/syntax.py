@@ -30,9 +30,9 @@ an abbreviation, and silent mixing is a classic source of confusion.
 
 A NAME is an ASCII letter, then ASCII letters, digits and `_`, other
 than a keyword or `p` DIGITS; it is defined once, before its first use.
-A definition or formula whose tree, with every name and `?` expanded,
-has more than MAX_FORMULA_NODES nodes is refused, because validation and
-the reference evaluator walk that tree.
+Its uses, like the two copies of the operand of `?`, are one object, and
+every pass but the naive engine and subformulas costs a formula's
+distinct objects, so no size of the tree a text stands for is refused.
 """
 
 from __future__ import annotations
@@ -40,17 +40,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Formula:
-    """Base class for formula nodes. Instances are immutable values."""
+    """Base class for formula nodes. Instances are immutable values, equal
+    when their trees are: equality and the hash read the lowered rows."""
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return self is other or _key(self) == _key(other)
+
+    def __hash__(self) -> int:
+        return hash(_key(self))
 
 
-@dataclass(frozen=True, slots=True)
+def _key(f: Formula) -> tuple[int, bytes]:
+    # kernels imports this module, so its lowering is imported on first use
+    from .kernels import lower_formula, program_key
+
+    return program_key(lower_formula(f))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Atom(Formula):
     index: int
 
@@ -59,13 +75,13 @@ class Atom(Formula):
             raise ValueError(f"atom index must be non-negative, got {self.index}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class IVee(Formula):
     """Inquisitive disjunction."""
 
@@ -73,18 +89,18 @@ class IVee(Formula):
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Box(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class WBox(Formula):
     """Window modality: quantifies over the stored state map image."""
 
@@ -241,38 +257,24 @@ class _Cursor:
         return ParseError(offset, expected, found)
 
 
-# Past this many nodes, a walk of a formula's tree (validation, the naive
-# engine, the table's descent through & and ior) takes about a second on a
-# 2-CPU x86 host: 500,000 took 0.3 s to validate and 0.6 s to answer with
-# the table. A compiled l = 64 instance has 27,000-29,000.
-MAX_FORMULA_NODES = 500_000
-
-# each prefix operator: its builder, the nodes it adds around its operand,
-# and the further copies of the operand its expansion holds
-_PREFIX = {"not": (neg, 2, 0), "?": (question, 3, 1), "box": (Box, 1, 0), "wbox": (WBox, 1, 0)}
+# the builder of each prefix operator
+_PREFIX = {"not": neg, "?": question, "box": Box, "wbox": WBox}
 _END = {"eof": "end of input", ";": ";"}
-
-
-def _too_large(offset: int) -> ParseError:
-    return ParseError(
-        offset, frozenset(), "", f"the formula expands to more than {MAX_FORMULA_NODES} nodes"
-    )
 
 
 def parse_formula(text: str) -> Formula:
     """Parse concrete syntax into a Formula, expanding derived forms.
 
     Each use of a defined name is the object its definition built, so a
-    text with definitions parses to a DAG of its size, not of the tree it
-    stands for.
+    text parses to a DAG of its size, not of the tree it stands for.
 
     Raises:
         ParseError: on malformed input, with byte offset and the set of
             acceptable tokens at that point; on an undefined or twice
-            defined name; on a formula past MAX_FORMULA_NODES nodes.
+            defined name.
     """
     cursor = _Cursor(_tokenize(text, *_FORMULA_LEXICON))
-    definitions: dict[str, tuple[Formula, int]] = {}
+    definitions: dict[str, Formula] = {}
     while cursor.peek()[0] == "let":
         cursor.advance()
         kind, name, offset = cursor.peek()
@@ -286,12 +288,12 @@ def parse_formula(text: str) -> Formula:
         cursor.advance()
         definitions[name] = _read_formula(cursor, definitions, ";")
         cursor.advance()
-    return _read_formula(cursor, definitions, "eof")[0]
+    return _read_formula(cursor, definitions, "eof")
 
 
-def _read_formula(cursor: _Cursor, definitions: dict, end: str) -> tuple[Formula, int]:
-    """The formula at the cursor, up to a token of kind end, and the
-    number of nodes of its tree, counted one add per token.
+def _read_formula(cursor: _Cursor, definitions: dict, end: str) -> Formula:
+    """The formula at the cursor, up to a token of kind end, with each
+    name read as the object definitions maps it to.
 
     One level per open parenthesis is kept on an explicit stack, so
     nesting costs no Python frames: the prefix operators pending on the
@@ -300,14 +302,11 @@ def _read_formula(cursor: _Cursor, definitions: dict, end: str) -> tuple[Formula
     """
     levels = []
     prefix, antecedents, disj, mode, conj = [], [], None, None, None
-    # a prefix operator keeps the count its operand starts from, so that a
-    # `?` can add the size of the copy of its operand
-    nodes = 0
     while True:
         kind, value, offset = cursor.peek()
         if kind in _PREFIX:
             cursor.advance()
-            prefix.append((kind, nodes, offset))
+            prefix.append(_PREFIX[kind])
             continue
         if kind == "(":
             cursor.advance()
@@ -316,17 +315,12 @@ def _read_formula(cursor: _Cursor, definitions: dict, end: str) -> tuple[Formula
             continue
         if kind == "atom":
             f = Atom(int(value))
-            nodes += 1
         elif kind == "bot":
             f = Bottom()
-            nodes += 1
         elif kind == "name":
             if value not in definitions:
                 raise ParseError(offset, _ATOM_START, repr(value), f"{value!r} is not defined")
-            f, size = definitions[value]
-            nodes += size
-            if nodes > MAX_FORMULA_NODES:
-                raise _too_large(offset)
+            f = definitions[value]
         else:
             raise cursor.fail(_ATOM_START)
         cursor.advance()
@@ -334,17 +328,11 @@ def _read_formula(cursor: _Cursor, definitions: dict, end: str) -> tuple[Formula
         # for as long as a ")" follows a whole formula
         while True:
             while prefix:
-                kind, start, offset = prefix.pop()
-                build, extra, copies = _PREFIX[kind]
-                f = build(f)
-                nodes += extra + copies * (nodes - start)
-                if nodes > MAX_FORMULA_NODES:
-                    raise _too_large(offset)
+                f = prefix.pop()(f)
             conj = f if conj is None else And(conj, f)
             kind, _, offset = cursor.peek()
             if kind == "&":
                 cursor.advance()
-                nodes += 1
                 break
             disj = conj if disj is None else (IVee if mode == "ior" else classical_or)(disj, conj)
             conj = None
@@ -358,14 +346,11 @@ def _read_formula(cursor: _Cursor, definitions: dict, end: str) -> tuple[Formula
                         frozenset({mode, "->", "&", ")", _END[end]}),
                         repr(kind),
                     )
-                # not(not a & not b) adds seven nodes
-                nodes += 1 if kind == "ior" else 7
                 break
             if kind == "->":
                 cursor.advance()
                 antecedents.append(disj)
                 disj = mode = None
-                nodes += 1
                 break
             # "->" is right associative
             f = disj
@@ -374,9 +359,7 @@ def _read_formula(cursor: _Cursor, definitions: dict, end: str) -> tuple[Formula
             if not levels:
                 if kind != end:
                     raise cursor.fail(frozenset({"->", "&", "ior", "or", _END[end]}))
-                if nodes > MAX_FORMULA_NODES:
-                    raise _too_large(offset)
-                return f, nodes
+                return f
             if kind != ")":
                 raise cursor.fail(frozenset({")", "->", "&", "ior", "or"}))
             cursor.advance()
@@ -537,10 +520,8 @@ def formula_size(f: Formula) -> int:
 
 def subformulas(f) -> list:
     """Every node of f's tree, children before parents and left before
-    right, duplicates and each place of a shared object included: the
-    postorder walk of the tree (the printers, which emit in preorder, keep
-    a token stack; lowering, printing and formula_size walk each object
-    once). It reads the
+    right, each place of a shared object apart: the postorder walk of the
+    tree, whose cost is the tree's size, not the DAG's. It reads the
     `left`/`right` or `body` fields, so QBF matrices walk the same way,
     and keeps its own stack, so depth costs no Python frames."""
     nodes = []

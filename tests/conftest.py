@@ -201,6 +201,25 @@ def question_formula(rng: random.Random, l: int, depth: int, modal: bool = True)
     return {"and": And, "ior": IVee, "implies": Implies}[kind](left, right)
 
 
+def shared_formula(
+    rng: random.Random, steps: int, atoms: int = 3, modal: bool = True, questions: bool = False
+) -> Formula:
+    """A DAG: each new node takes its children from all the nodes so far,
+    so later nodes share earlier objects. With questions, the pool starts
+    with `?p` for each atom too, so that inquisitive rows are common."""
+    pool = [Bottom()] + [Atom(i) for i in range(atoms)]
+    if questions:
+        pool += [IVee(p, Implies(p, Bottom())) for p in pool[1:]]
+    kinds = (And, IVee, Implies, Box, WBox) if modal else (And, IVee, Implies)
+    for _ in range(steps):
+        kind = rng.choice(kinds)
+        if kind in (Box, WBox):
+            pool.append(kind(rng.choice(pool)))
+        else:
+            pool.append(kind(rng.choice(pool), rng.choice(pool)))
+    return pool[-1]
+
+
 def random_state(rng: random.Random, n: int) -> InfoState:
     return InfoState(rng.randrange(1 << n), n)
 

@@ -7,6 +7,7 @@ that shares no code with the bitmask evaluators.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -22,7 +23,7 @@ from inqcheck.checker import (
     render_result,
 )
 from inqcheck.model import InfoState, InformationModel, downward_closure
-from inqcheck.syntax import Atom, Box, WBox, parse_formula, render_formula
+from inqcheck.syntax import And, Atom, Box, WBox, parse_formula, render_formula
 
 from conftest import (
     bits,
@@ -84,6 +85,35 @@ class TestQueryValidation:
             check_support(CheckQuery(plain, bits("11"), Box(Atom(0))))
         with pytest.raises(QueryError):
             check_support(CheckQuery(plain, bits("11"), WBox(Atom(0))))
+
+    @pytest.mark.parametrize(
+        "text, plain, message",
+        [
+            ("?p0 -> (p1 & ?p2)", False, "atom index 2 out of range, model has 2 atoms"),
+            ("(p1 ior p0) & (p0 -> (box p1 ior p7))", False, "atom index 7 out of range, model has 2 atoms"),
+            ("(p0 -> p1) & ((p1 ior p0) -> box ?p1)", True, "modal formula over a plain model with no state map"),
+            ("(wbox p0 ior p1) -> ?p0", True, "modal formula over a plain model with no state map"),
+        ],
+    )
+    def test_one_fault_names_itself(self, demo_model, text, plain, message):
+        if plain:
+            demo_model = InformationModel(demo_model.n, demo_model.l, demo_model.valuation, None)
+        for engine in ("table", "naive"):
+            with pytest.raises(QueryError) as info:
+                evaluate(CheckQuery(demo_model, bits("110"), parse_formula(text)), engine=engine)
+            assert str(info.value) == message
+
+    def test_fault_under_a_doubling_dag_is_found_at_once(self, demo_model):
+        # 2^60 copies of p9 as a tree, over a model of 2 atoms: validation
+        # visits each of the 61 objects once
+        f = Atom(9)
+        for _ in range(60):
+            f = And(f, f)
+        for cache in (None, MemoCache()):
+            start = time.perf_counter()
+            with pytest.raises(QueryError, match="atom index 9 out of range"):
+                evaluate(CheckQuery(demo_model, bits("110"), f), engine="table", cache=cache)
+            assert time.perf_counter() - start < 0.1
 
 
 class TestSemanticLaws:

@@ -27,7 +27,7 @@ from inqcheck.qbf import eval_qbf, random_qbf
 from inqcheck.reduction import reduce_tqbf
 from inqcheck.syntax import And, Atom, Bottom, Box, IVee, Implies, WBox, parse_formula, render_formula, subformulas
 
-from conftest import bits, question_formula, random_formula, random_model
+from conftest import bits, question_formula, random_formula, random_model, shared_formula
 
 
 class TestLowering:
@@ -254,6 +254,56 @@ class TestTables:
                 assert entry.table is not None
                 got = [entry.table.holds(entry.program.root, s) for s in range(1 << m.n)]
                 assert got == reference_row(m, f)
+
+
+class TestSharedRows:
+    def test_library_dag_is_answered_at_once(self, demo_model):
+        # H_{i+1} = H_i & H_i holds where H_0 does: 2^60 leaves as a tree,
+        # and the query keeps the answer of each shared row at each state
+        h0 = parse_formula("?p0 -> ?p1")
+        h = h0
+        for _ in range(60):
+            h = And(h, h)
+        cache = MemoCache()
+        for s in range(1 << demo_model.n):
+            state = InfoState(s, demo_model.n)
+            want = evaluate(CheckQuery(demo_model, state, h0), engine="naive").value
+            for given in (None, cache):
+                start = time.perf_counter()
+                got = evaluate(CheckQuery(demo_model, state, h), engine="table", cache=given).value
+                assert time.perf_counter() - start < 0.1
+                assert got == want, s
+
+    def test_refs_count_inquisitive_parents(self, demo_model):
+        # rows in postorder: p0, bot, p0 -> bot, x, x & x, p1, p0 & p1,
+        # box, ior, root. x is held twice by one & and once by an ior; an
+        # implication counts two more; declarative rows (p0 -> bot, p0 & p1,
+        # box) refer to nothing, since a query answers them at once
+        f = parse_formula("let x = ?p0; ((x & x) ior (box (p0 & p1) ior x))")
+        program = lower_formula(f)
+        assert list(program.ops) == [
+            OP_ATOM, OP_BOT, OP_IMPLIES, OP_IVEE, OP_AND, OP_ATOM, OP_AND, OP_BOX, OP_IVEE, OP_IVEE
+        ]
+        assert support_table(program, demo_model).refs == [1, 0, 3, 3, 1, 0, 0, 1, 1, 0]
+
+    def test_shared_formulas_match_naive(self):
+        # DAGs whose objects repeat at many places: the table, with and
+        # without a cache, keeps each shared row's answer per state, and
+        # only per state, since a question reaches one row at several
+        rng = random.Random(1414)
+        queries = 0
+        for i in range(240):
+            modal = i % 2 == 1
+            m = random_model(rng, n_max=6, n_min=3, l_max=3, modal=modal)
+            f = shared_formula(rng, 3 + i % 10, m.l, modal, questions=True)
+            cache = MemoCache()
+            for s in range(1 << m.n):
+                q = CheckQuery(m, InfoState(s, m.n), f)
+                want = evaluate(q, engine="naive").value
+                assert evaluate(q, engine="table").value == want, (i, s)
+                assert evaluate(q, engine="table", cache=cache).value == want, (i, s)
+                queries += 1
+        assert queries >= 6000
 
 
 class TestAlternatives:

@@ -256,3 +256,28 @@ class TestRandomQbf:
     def test_varied_outcomes(self):
         values = {eval_qbf(random_qbf(seed, 3, 10)) for seed in range(40)}
         assert values == {True, False}
+
+
+class TestDeepMatrices:
+    def test_deep_matrices_compare_and_hash(self):
+        # 10,000 nested connectives: equality and the hash read the
+        # postorder, so they cost no Python frames
+        def chain(last):
+            f = last
+            for i in range(10_000):
+                f = (PAnd if i % 2 else POr)(NegVar(i % 3), f)
+            return f
+
+        a, b, c = chain(Var(0)), chain(Var(0)), chain(Var(1))
+        assert a == b and a is not b
+        assert a != c and a != PAnd(NegVar(1), a)
+        assert hash(a) == hash(b)
+        assert len({a, b, c}) == 2
+        prefix = ((FORALL, 0), (EXISTS, 1), (FORALL, 2))
+        assert len({Qbf(prefix, a), Qbf(prefix, b), Qbf(prefix, c)}) == 2
+
+    def test_leaves_and_connectives_are_told_apart(self):
+        assert Var(0) == Var(0) and Var(0) != NegVar(0) and Var(0) != Var(1)
+        assert PAnd(Var(0), Var(1)) != POr(Var(0), Var(1))
+        assert PAnd(Var(0), Var(1)) != PAnd(Var(1), Var(0))
+        assert Var(0) != 0

@@ -8,12 +8,13 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import question_formula, random_formula
+from conftest import question_formula, random_formula, shared_formula
+from inqcheck.checker import CheckQuery, evaluate
 from inqcheck.kernels import lower_formula
+from inqcheck.model import InfoState
 from inqcheck.qbf import random_qbf
 from inqcheck.reduction import reduce_tqbf
 from inqcheck.syntax import (
-    MAX_FORMULA_NODES,
     And,
     Atom,
     Bottom,
@@ -189,19 +190,6 @@ def tree_text(f) -> str:
     return f"({tree_text(f.left)} {connective} {tree_text(f.right)})"
 
 
-def shared_formula(rng: random.Random, steps: int):
-    """A DAG: each new node takes its children from all the nodes so far,
-    so later nodes share earlier objects."""
-    pool = [Bottom(), Atom(0), Atom(1), Atom(2)]
-    for _ in range(steps):
-        kind = rng.choice((And, IVee, Implies, Box, WBox))
-        if kind in (Box, WBox):
-            pool.append(kind(rng.choice(pool)))
-        else:
-            pool.append(kind(rng.choice(pool), rng.choice(pool)))
-    return pool[-1]
-
-
 def distinct_composites(f) -> int:
     return len({id(g) for g in subformulas(f) if not isinstance(g, (Atom, Bottom))})
 
@@ -312,12 +300,22 @@ def sized_text(nodes: int, base: str = "p0", base_nodes: int = 1) -> str:
     return "\n".join(lets) + "\n" + "box " * left + "(" + " & ".join(parts) + ")"
 
 
-# texts with prefix operators and derived forms, whose expansion the
-# parser counts: `?` copies its operand, `or` adds seven nodes
+# texts with prefix operators and derived forms, whose trees the parser
+# expands: `?` holds its operand twice, `or` adds seven nodes
 _BASES = ["p0", "? (p0 & p1)", "(p0 or p1) -> ? not p2", "box ? wbox ? p0", "? ? (p0 ior bot)"]
 
 
+def doubling_chain(base: str, depth: int) -> str:
+    """Definitions d0 = base, d_k = (d_{k-1} & d_{k-1}), then d_depth: a
+    text whose tree has about 2^depth copies of base."""
+    lets = [f"let d0 = {base};\n"] + [f"let d{k} = (d{k - 1} & d{k - 1});\n" for k in range(1, depth + 1)]
+    return "".join(lets) + f"d{depth}\n"
+
+
 class TestExpansionLimit:
+    """There is no limit on the tree a text expands to: the parser builds
+    a DAG of the text's size, and every pass of a query costs that DAG."""
+
     @pytest.mark.parametrize("base", _BASES)
     def test_sized_text_has_its_size(self, base):
         base_nodes = len(subformulas(parse_formula(base)))
@@ -327,28 +325,58 @@ class TestExpansionLimit:
                 assert len(subformulas(f)) == nodes
 
     @pytest.mark.parametrize("base", _BASES)
-    def test_limit_is_exact(self, base):
-        base_nodes = len(subformulas(parse_formula(base)))
-        parse_formula(sized_text(MAX_FORMULA_NODES, base, base_nodes))
-        with pytest.raises(ParseError, match="expands to more than"):
-            parse_formula(sized_text(MAX_FORMULA_NODES + 1, base, base_nodes))
-
-    def test_doubling_chain_is_refused_at_once(self):
-        text = "let d0 = p0;\n" + "".join(f"let d{k} = (d{k - 1} & d{k - 1});\n" for k in range(1, 61)) + "d60"
+    def test_doubling_chain_is_read_as_its_dag(self, base):
+        # 2^60 copies of base as a tree, 60 rows above base's as a program
         start = time.perf_counter()
-        with pytest.raises(ParseError) as info:
-            parse_formula(text)
+        f = parse_formula(doubling_chain(f"({base})", 60))
+        program = lower_formula(f)
         assert time.perf_counter() - start < 1
-        # d18 is the first definition past the limit: the second use of d17
-        # in it is refused
-        assert text[info.value.offset :].startswith("d17);\nlet d19")
+        assert program.num_nodes == lower_formula(parse_formula(base)).num_nodes + 60
+        assert f == parse_formula(doubling_chain(f"({base})", 60))
 
-    def test_repeated_questions_are_refused(self):
-        with pytest.raises(ParseError, match="expands to more than"):
-            parse_formula("?" * 40 + " (p0 & p1)")
+    def test_repeated_questions_get_the_verdict_of_one(self, demo_model):
+        # `? ? f` is `? f`: a singleton state supports `? f`, so only the
+        # empty state supports `not ? f`. Forty `?` are 2^40 copies of
+        # (p0 & p1) as a tree, and 81 rows above it as a program
+        f = parse_formula("?" * 40 + " (p0 & p1)")
+        once = parse_formula("? (p0 & p1)")
+        start = time.perf_counter()
+        for s in range(1 << demo_model.n):
+            state = InfoState(s, demo_model.n)
+            want = evaluate(CheckQuery(demo_model, state, once), engine="naive").value
+            assert evaluate(CheckQuery(demo_model, state, f), engine="table").value == want
+        assert time.perf_counter() - start < 1
 
     def test_compiled_instances_are_far_below(self):
+        # the text read back shares what the compiled formula shares: its
+        # distinct objects are far below its tree's nodes
         instance = reduce_tqbf(random_qbf(5, 64, 120))
         back = parse_formula(render_formula(instance.formula))
         assert back == instance.formula
-        assert 10 * len(subformulas(back)) < MAX_FORMULA_NODES
+        assert 10 * distinct_composites(back) < len(subformulas(back))
+
+
+class TestDeepValues:
+    # equality and the hash read the lowered rows, so 10,000 levels cost
+    # no Python frames, and a query over such a formula hashes too
+    def test_deep_formulas_compare_and_hash(self, demo_model):
+        a = parse_formula("not " * 10_000 + "p0")
+        b = parse_formula("not " * 10_000 + "p0")
+        c = parse_formula("not " * 10_000 + "p1")
+        assert a == b and a is not b
+        assert a != c and a != parse_formula("not " * 9_999 + "p0")
+        assert hash(a) == hash(b)
+        assert {a, b, c} == {b, c}
+        assert len({a, b, c}) == 2
+        state = InfoState(0b101, demo_model.n)
+        queries = {CheckQuery(demo_model, state, f) for f in (a, b, c)}
+        assert len(queries) == 2
+
+    def test_tree_equals_the_dag_it_expands_to(self):
+        x = And(Atom(0), Implies(Atom(1), Bottom()))
+        shared = IVee(x, Box(x))
+        tree = IVee(And(Atom(0), Implies(Atom(1), Bottom())), Box(And(Atom(0), Implies(Atom(1), Bottom()))))
+        assert shared == tree and hash(shared) == hash(tree)
+        assert shared != IVee(x, WBox(x)) and shared != IVee(Box(x), x)
+        assert Atom(0) == Atom(0) and Atom(0) != Atom(1) and Atom(0) != Bottom()
+        assert Atom(0) != 0 and And(Atom(0), Atom(0)) != (Atom(0), Atom(0))
