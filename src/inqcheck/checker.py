@@ -26,6 +26,12 @@ only over the substates of the query state; otherwise it reuses results
 per (subformula, state) pair. Both paths must and do agree; the test
 suite holds them against each other.
 
+A query's formula is a Formula or a Program. A Formula is validated by a
+walk over its objects and lowered to a Program; a Program, as the parser
+and the compiler build it through a kernels.RowBuilder, is validated on
+its columns and decided as it stands, and naive reads it through
+formula_of.
+
 The table decides an implication f -> g at a query state s in one of
 three ways (Ciardelli & Roelofsen, "Inquisitive logic", J. Philos. Logic
 40, 2011; Ciardelli, Groenendijk & Roelofsen, Inquisitive Semantics, OUP
@@ -56,8 +62,10 @@ from .kernels import (
     OP_BOX,
     OP_IMPLIES,
     OP_IVEE,
+    OP_WBOX,
     Program,
     SupportTable,
+    formula_of,
     lower_formula,
     model_masks,
     program_key,
@@ -78,9 +86,12 @@ class QueryError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class CheckQuery:
+    """Does state support formula in model. The formula is a Formula, or
+    a Program, which the engines decide without lowering."""
+
     model: InformationModel
     state: InfoState
-    formula: Formula
+    formula: Formula | Program
 
 
 @dataclass(slots=True, eq=False)
@@ -93,7 +104,7 @@ class _RootEntry:
     table: SupportTable | None = None
     values: dict[tuple[int, int], bool] = field(default_factory=dict)
     model: InformationModel | None = None
-    formula: Formula | None = None
+    formula: Formula | Program | None = None
 
 
 class MemoCache:
@@ -110,21 +121,22 @@ class MemoCache:
     callers passing fresh equal objects do not grow the cache. Otherwise
     it lowers the formula and looks the entry up by the model and the
     program's rows, which are canonical for the formula and hash without
-    recursion, so equal formulas of any depth share one entry.
+    recursion, so equal formulas of any depth share one entry. A Program
+    is looked up by its rows as they are.
     """
 
     def __init__(self) -> None:
         self._roots: dict[tuple[InformationModel, int, bytes], _RootEntry] = {}
         self._aliases: dict[tuple[int, int], _RootEntry] = {}
 
-    def root(self, model: InformationModel, formula: Formula) -> _RootEntry:
+    def root(self, model: InformationModel, formula: Formula | Program) -> _RootEntry:
         alias = (id(model), id(formula))
         # an alias's entry holds the two objects, so no other live object
         # can have their ids
         entry = self._aliases.get(alias)
         if entry is not None:
             return entry
-        program = lower_formula(formula)
+        program = formula if type(formula) is Program else lower_formula(formula)
         key = (model, *program_key(program))
         entry = self._roots.get(key)
         if entry is None:
@@ -160,6 +172,24 @@ def _validate_query(q: CheckQuery) -> None:
                 raise QueryError("modal formula over a plain model with no state map")
             seen.add(key)
             stack.append(g.body)
+
+
+def _validate_program(q: CheckQuery) -> None:
+    """The checks of _validate_query, with its messages, for a query
+    whose formula is a Program, read off the columns: the root of a
+    Program reaches every row, so the rows are exactly the formula's."""
+    m, program = q.model, q.formula
+    if q.state.width != m.n:
+        raise QueryError(f"state width {q.state.width} does not match world count {m.n}")
+    payload = program.payload
+    # payload is 0 on every row but an atom's, so its largest entry
+    # bounds the atom indices
+    if max(payload) >= m.l:
+        for op, index in zip(program.ops, payload):
+            if op == OP_ATOM and index >= m.l:
+                raise QueryError(f"atom index {index} out of range, model has {m.l} atoms")
+    if m.sigma is None and (OP_BOX in program.ops or OP_WBOX in program.ops):
+        raise QueryError("modal formula over a plain model with no state map")
 
 
 def _submasks(s: int):
@@ -290,21 +320,29 @@ def evaluate(
     recursion; "table" the truth-mask kernel evaluator; "auto" picks
     "table" when the table fits the byte cap and "sparse" otherwise.
     nodes_visited counts clause evaluations (naive), cache misses
-    (sparse), or freshly computed table rows (table). A given cache is
-    looked up by the identity of the query's model and formula, then by
-    the lowered formula's rows, so its key never recurses. Past about
+    (sparse), or freshly computed table rows (table). A query whose
+    formula is a Program is validated on its rows and decided on them,
+    and "naive" reads it through formula_of. A given cache is looked up
+    by the identity of the query's model and formula, then by the
+    program's rows, so its key never recurses. Past about
     1000 levels of nesting, "naive" and "sparse" raise QueryError;
     "table" answers formulas of any depth, with or without a cache. An
     engine outside ENGINES raises ValueError before any work.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    _validate_query(q)
+    rows = type(q.formula) is Program
+    if rows:
+        _validate_program(q)
+    else:
+        _validate_query(q)
     if engine == "naive":
+        if rows:
+            q = CheckQuery(q.model, q.state, formula_of(q.formula))
         value, visits = _too_deep(engine, _eval_naive, q)
         return CheckOutcome(value, visits, "naive")
     if cache is None:
-        entry = _RootEntry(program=lower_formula(q.formula))
+        entry = _RootEntry(program=q.formula if rows else lower_formula(q.formula))
     else:
         entry = cache.root(q.model, q.formula)
     if engine == "auto":

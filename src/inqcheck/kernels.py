@@ -1,7 +1,10 @@
-"""Lowered programs and the support-table kernel.
+"""Programs, the row builder, and the support-table kernel.
 
-A formula is lowered to a flat postorder program whose rows are unique
-subformulas (structurally equal subtrees share a row). The table kernel
+A program is a formula as flat rows, one per distinct subformula
+(structurally equal subtrees share a row), children before parents. A
+RowBuilder makes them: the compiler and the parser build rows through
+it directly, and lower_formula feeds it a Formula's nodes in postorder;
+formula_of turns rows back into Formula objects. The table kernel
 gives every row an n-bit truth mask: the worlds w at which the singleton
 {w} supports it. Support is downward persistent, so a state with a world
 outside that mask never supports the row, and for a declarative row (one
@@ -82,7 +85,10 @@ _OP_OF_TYPE = {
 
 @dataclass(frozen=True, slots=True)
 class Program:
-    """Flat postorder form of a formula; children precede parents.
+    """Flat form of a formula: one row per distinct subformula, children
+    before parents, every row reached from root. lower_formula numbers
+    the rows in the tree's postorder, a RowBuilder in the order they are
+    built.
 
     payload holds the atom index for OP_ATOM rows and 0 elsewhere; left
     and right hold child row numbers (right is 0 for unary rows). The
@@ -102,25 +108,81 @@ class Program:
 
 
 def program_key(p: Program) -> tuple[int, bytes]:
-    """Root and rows, equal exactly for equal formulas (one column length)."""
+    """Root and rows (one column length). Lowered programs have equal keys
+    exactly for equal formulas; a program built in another row order has
+    another key."""
     return p.root, b"".join(a.tobytes() for a in (p.ops, p.left, p.right, p.payload))
 
 
+class RowBuilder:
+    """A node builder that returns one program row per distinct node, so
+    that equal subformulas built through it share a row (hash-consing:
+    Filliatre & Conchon, "Type-safe modular hash-consing", ML Workshop
+    2006). It takes the arguments of the node builders of syntax and
+    switching, node(cls, a=None, b=None), with rows for children and the
+    index for an atom, so a row is keyed on its class and its children's
+    rows and building never hashes a subtree. Rows are numbered in the
+    order they are first built, children before parents; program(root)
+    packs the rows root reaches."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self) -> None:
+        # (cls, a, b) of each row -> its number, in the order built
+        self.rows: dict[tuple, int] = {}
+
+    def __call__(self, cls, a=0, b=0) -> int:
+        rows = self.rows
+        return rows.setdefault((cls, a, b), len(rows))
+
+    def program(self, root: int) -> Program:
+        """The rows that root reaches, in the order they were built. Rows
+        that nothing reaches, such as an unused definition's, are dropped,
+        so that every row of a program belongs to its formula.
+
+        Raises ValueError on a negative atom index. The payload stays a
+        tuple when an atom index is past array("q"), which no model has
+        atoms for: validating a query refuses it.
+        """
+        ops, left, right, payload = zip(
+            *[(OP_ATOM, 0, 0, a) if cls is Atom else (_OP_OF_TYPE[cls], a, b, 0) for cls, a, b in self.rows]
+        )
+        if min(payload) < 0:
+            raise ValueError(f"atom index must be non-negative, got {min(payload)}")
+        reached = bytearray(root + 1)
+        reached[root] = 1
+        for r in range(root, -1, -1):
+            if reached[r] and ops[r] >= OP_AND:
+                reached[left[r]] = 1
+                if ops[r] < OP_BOX:
+                    reached[right[r]] = 1
+        if len(ops) > root + 1 or 0 in reached:
+            kept = [r for r in range(root + 1) if reached[r]]
+            renumber = {r: i for i, r in enumerate(kept)}
+            ops = [ops[r] for r in kept]
+            left = [renumber[left[r]] if ops[i] >= OP_AND else 0 for i, r in enumerate(kept)]
+            right = [renumber[right[r]] if OP_AND <= ops[i] < OP_BOX else 0 for i, r in enumerate(kept)]
+            payload = [payload[r] for r in kept]
+            root = len(kept) - 1
+        try:
+            packed = array("q", payload)
+        except OverflowError:
+            packed = payload
+        return Program(ops=array("q", ops), left=array("q", left), right=array("q", right), payload=packed, root=root)
+
+
 def lower_formula(f: Formula) -> Program:
-    """Intern a formula into a Program, sharing equal subtrees.
+    """Intern a formula into a Program through a RowBuilder, sharing
+    equal subtrees.
 
     A composite node object met again is looked up by identity, so a
     formula that shares objects costs its distinct objects, not its tree;
-    leaves, cheap to key, are looked up by value each time. Rows come in
-    the order of the tree's postorder either way. The walk descends left
-    children in place and stacks right ones, with None marking a node
-    whose children are done.
+    leaves go to the builder each time. Rows come in the order of the
+    tree's postorder either way. The walk descends left children in place
+    and stacks right ones, with None marking a node whose children are
+    done.
     """
-    rows: dict[tuple, int] = {}
-    ops: list[int] = []
-    left: list[int] = []
-    right: list[int] = []
-    payload: list[int] = []
+    node = RowBuilder()
     done: list[int] = []  # the row of each finished child, innermost last
     lowered: dict[int, int] = {}  # id of a lowered composite object -> its row
     parents: list = []  # the composite objects waiting on their children
@@ -129,22 +191,9 @@ def lower_formula(f: Formula) -> Program:
     while True:
         kind = type(g)
         if kind is Atom:
-            key = (OP_ATOM, g.index)
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = len(ops)
-                ops.append(OP_ATOM)
-                left.append(0)
-                right.append(0)
-                payload.append(g.index)
+            row = node(Atom, g.index)
         elif kind is Bottom:
-            row = rows.get((OP_BOT,))
-            if row is None:
-                row = rows[(OP_BOT,)] = len(ops)
-                ops.append(OP_BOT)
-                left.append(0)
-                right.append(0)
-                payload.append(0)
+            row = node(Bottom)
         else:
             row = lowered.get(id(g))
             if row is None:
@@ -162,31 +211,36 @@ def lower_formula(f: Formula) -> Program:
             if g is not None:
                 break
             g = parents.pop()
-            op = _OP_OF_TYPE[type(g)]
-            if op == OP_BOX or op == OP_WBOX:
-                a, b = done.pop(), 0
-                key = (op, a)
+            kind = type(g)
+            if kind is Box or kind is WBox:
+                row = node(kind, done.pop())
             else:
                 b = done.pop()
-                a = done.pop()
-                key = (op, a, b)
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = len(ops)
-                ops.append(op)
-                left.append(a)
-                right.append(b)
-                payload.append(0)
+                row = node(kind, done.pop(), b)
             lowered[id(g)] = row
             done.append(row)
         else:
-            return Program(
-                ops=array("q", ops),
-                left=array("q", left),
-                right=array("q", right),
-                payload=array("q", payload),
-                root=done[0],
-            )
+            return node.program(done[0])
+
+
+# the node class of each op, indexed by op
+_TYPE_OF_OP = (Bottom, Atom, And, IVee, Implies, Box, WBox)
+
+
+def formula_of(p: Program) -> Formula:
+    """The formula of a program, one Formula object per row, so that a
+    row shared in the program is one object shared in the formula."""
+    nodes: list[Formula] = []
+    for op, a, b, x in zip(p.ops, p.left, p.right, p.payload):
+        if op == OP_ATOM:
+            nodes.append(Atom(x))
+        elif op == OP_BOT:
+            nodes.append(Bottom())
+        elif op >= OP_BOX:
+            nodes.append(_TYPE_OF_OP[op](nodes[a]))
+        else:
+            nodes.append(_TYPE_OF_OP[op](nodes[a], nodes[b]))
+    return nodes[p.root]
 
 
 def model_masks(m: InformationModel) -> tuple[list[int], list[int], list[list[int]]]:

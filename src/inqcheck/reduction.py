@@ -21,10 +21,12 @@ The S subscript equals the quantifier position; the two maximal
 D_k-substates of a k-switching are exactly the two (k+1)-switchings
 extending it, which drives the induction.
 
-Each translation builds its formula through one Interner, so the
-result is a DAG holding each literal, splitter and escape piece once; the
-formula files that `reduce` writes hold that DAG, with `let` definitions
-for its shared parts.
+Each translation builds its formula with the node builder it is given.
+reduce_tqbf gives it a kernels.RowBuilder, so that the instance is a
+program holding each literal, splitter and escape piece once as a row,
+and the formula files that `reduce` writes hold that DAG, with `let`
+definitions for its shared parts. The default builder makes fresh
+objects, shared only where the translation reuses a piece it built.
 
 Size accounting: translated_size is the weighted size of the formula's
 tree, every shared part counted at each of its places, though the file
@@ -39,8 +41,10 @@ build, not a theoretical value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import log2
 
+from .kernels import OP_ATOM, OP_BOT, OP_BOX, Program, RowBuilder, formula_of
 from .model import InfoState
 from .qbf import FORALL, PAnd, POr, PropFormula, Qbf, _check_prefix, _postorder, prop_size
 from .switching import (
@@ -52,7 +56,7 @@ from .switching import (
     formula_D,
     formula_S,
 )
-from .syntax import And, Formula, IVee, Implies, Interner, formula_size, neg
+from .syntax import And, Formula, IVee, Implies, fresh, neg
 
 __all__ = [
     "DEFAULT_SIZE_RATIO_BOUND",
@@ -70,16 +74,23 @@ __all__ = [
 DEFAULT_SIZE_RATIO_BOUND = 930 / 122
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ReductionInstance:
-    """A compiled query: model, full state, formula, and size metadata."""
+    """A compiled query: model, full state, the formula's program, and
+    size metadata."""
 
     model: SwitchingModel
     state: InfoState
-    formula: Formula
+    program: Program
     l: int
     matrix_size: int
     translated_size: int
+
+    @cached_property
+    def formula(self) -> Formula:
+        """The compiled formula, one object per program row, built once
+        on first use."""
+        return formula_of(self.program)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,23 +106,24 @@ class SizeReport:
         return self.ratio <= self.bound
 
 
-def translate_prop(z: PropFormula, polarity: str, l: int) -> Formula:
+def translate_prop(z: PropFormula, polarity: str, l: int, node=fresh):
     """Compile an NNF matrix for reading off a switching state.
 
     polarity "p" produces a formula supported where the matrix is true,
     "n" one supported where it is false. Output uses the pair atoms with
-    conjunction, inquisitive disjunction, and implication only, and holds
-    each distinct subformula once.
+    conjunction, inquisitive disjunction, and implication only, built
+    with node: each literal once, and with a RowBuilder each distinct
+    subformula once, as the row returned.
 
     Raises:
         ClosureError: a matrix variable past x_{l-1}.
     """
     if polarity not in ("p", "n"):
         raise ValueError(f"polarity must be 'p' or 'n', got {polarity!r}")
-    return _translate_prop(z, polarity == "p", l, Interner())
+    return _translate_prop(z, polarity == "p", l, node)
 
 
-def _translate_prop(z: PropFormula, positive: bool, l: int, node: Interner) -> Formula:
+def _translate_prop(z: PropFormula, positive: bool, l: int, node):
     parts: list[Formula] = []
     literals: dict[int, Formula] = {}
     for x in _postorder(z, l):
@@ -128,12 +140,14 @@ def _translate_prop(z: PropFormula, positive: bool, l: int, node: Interner) -> F
     return parts[0]
 
 
-def translate_qbf(theta: Qbf, polarity: str, l: int) -> Formula:
+def translate_qbf(theta: Qbf, polarity: str, l: int, node=fresh):
     """Compile a quantifier suffix; theta must bind x_k..x_{l-1} in order
     for the k its prefix starts at (an empty prefix means k = l).
 
     polarity "P" tracks truth, "N" falsity, of the suffix at matching
-    switchings. The result holds each distinct subformula once.
+    switchings. The result is built with node, which builds the escape
+    pieces once; with a RowBuilder it is the row of the formula, and
+    each distinct subformula is one row.
 
     Raises:
         ValueError: a bad polarity, a prefix quantifier other than forall
@@ -146,7 +160,6 @@ def translate_qbf(theta: Qbf, polarity: str, l: int) -> Formula:
     # the body of a universal tracks truth and that of an existential
     # falsity, whatever the polarity of the quantifier itself
     polarities = [polarity] + ["P" if quant == FORALL else "N" for quant, _ in theta.prefix]
-    node = Interner()
     f = _translate_prop(theta.matrix, polarities[-1] == "P", l, node)
     pieces = None
     for (quant, k), tracked in zip(reversed(theta.prefix), reversed(polarities[:-1])):
@@ -166,17 +179,33 @@ def reduce_tqbf(theta: Qbf) -> ReductionInstance:
     l = theta.l
     if l == 0:
         raise ValueError("formula must bind at least one variable")
-    translated = translate_qbf(theta, "P", l)
+    node = RowBuilder()
+    program = node.program(translate_qbf(theta, "P", l, node))
     switching = build_switching_model(l)
     return ReductionInstance(
         model=switching,
         state=InfoState.full(2 * l),
-        formula=translated,
+        program=program,
         l=l,
         matrix_size=prop_size(theta.matrix),
-        # over the DAG, one measure per object
-        translated_size=formula_size(translated),
+        translated_size=_tree_size(program),
     )
+
+
+def _tree_size(p: Program) -> int:
+    """formula_size of the program's formula, read off its rows: each
+    row is measured once and counts at each place it holds in the tree."""
+    sizes: list[int] = []
+    for op, a, b, x in zip(p.ops, p.left, p.right, p.payload):
+        if op == OP_ATOM:
+            sizes.append(1 + (x + 1).bit_length())
+        elif op == OP_BOT:
+            sizes.append(1)
+        elif op >= OP_BOX:
+            sizes.append(1 + sizes[a])
+        else:
+            sizes.append(1 + sizes[a] + sizes[b])
+    return sizes[p.root]
 
 
 def size_report(instance: ReductionInstance, bound: float = DEFAULT_SIZE_RATIO_BOUND) -> SizeReport:

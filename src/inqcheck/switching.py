@@ -25,8 +25,8 @@ Gadget formulas over this model:
         k-switching supports it.
 
 Each gadget builds its nodes with the node builder it is given: afresh
-by default, or through an Interner, so that a compiled formula holds each
-piece once however often it uses it.
+by default, or as rows of a kernels.RowBuilder, so that a compiled
+program holds each piece once however often it uses it.
 """
 
 from __future__ import annotations

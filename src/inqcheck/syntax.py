@@ -14,6 +14,10 @@ of whose uses stands for the one object the definition built. The
 printer names every composite node object it reaches twice or more and
 prints a tree, one with no shared objects, without definitions.
 
+The parser, like neg, question and classical_or, builds each node with
+a node builder, node(cls, a=None, b=None): `fresh` makes Formula
+objects, and kernels.RowBuilder program rows, one per distinct node.
+
 Grammar (whitespace-insensitive, `#` starts a comment to end of line):
 
     program := ("let" NAME "=" formula ";")* formula
@@ -108,30 +112,10 @@ class WBox(Formula):
 
 
 def fresh(cls, *fields) -> Formula:
-    """A new node: the node builder of neg, question and the gadget
-    formulas unless they are given an Interner."""
+    """A new node: the default node builder of neg, question, the gadget
+    formulas, the compiler and the parser. kernels.RowBuilder is the
+    other one, which returns a shared program row per distinct node."""
     return cls(*fields)
-
-
-class Interner:
-    """A node builder that returns one object per distinct node, so that
-    equal subformulas built through it are shared (hash-consing:
-    Filliatre & Conchon, "Type-safe modular hash-consing", ML Workshop
-    2006). A node is keyed on its class and the identities of its
-    children, which the interner built and keeps alive, so building never
-    hashes a subtree."""
-
-    __slots__ = ("nodes",)
-
-    def __init__(self) -> None:
-        self.nodes: dict[tuple, Formula] = {}
-
-    def __call__(self, cls, a=None, b=None) -> Formula:
-        key = (cls, a if cls is Atom else id(a), id(b))
-        node = self.nodes.get(key)
-        if node is None:
-            node = self.nodes[key] = cls() if a is None else cls(a) if b is None else cls(a, b)
-        return node
 
 
 def neg(f: Formula, node=fresh) -> Formula:
@@ -139,9 +123,9 @@ def neg(f: Formula, node=fresh) -> Formula:
     return node(Implies, f, node(Bottom))
 
 
-def classical_or(a: Formula, b: Formula) -> Formula:
+def classical_or(a: Formula, b: Formula, node=fresh) -> Formula:
     """Classical disjunction as the defined form not(not a & not b)."""
-    return neg(And(neg(a), neg(b)))
+    return neg(node(And, neg(a, node), neg(b, node)), node)
 
 
 def question(f: Formula, node=fresh) -> Formula:
@@ -257,15 +241,25 @@ class _Cursor:
         return ParseError(offset, expected, found)
 
 
+def _box(f: Formula, node=fresh) -> Formula:
+    return node(Box, f)
+
+
+def _wbox(f: Formula, node=fresh) -> Formula:
+    return node(WBox, f)
+
+
 # the builder of each prefix operator
-_PREFIX = {"not": neg, "?": question, "box": Box, "wbox": WBox}
+_PREFIX = {"not": neg, "?": question, "box": _box, "wbox": _wbox}
 _END = {"eof": "end of input", ";": ";"}
 
 
-def parse_formula(text: str) -> Formula:
-    """Parse concrete syntax into a Formula, expanding derived forms.
+def parse_formula(text: str, node=fresh):
+    """Parse concrete syntax into a Formula, expanding derived forms, or
+    into what the node builder returns: with a kernels.RowBuilder, the
+    row of the formula.
 
-    Each use of a defined name is the object its definition built, so a
+    Each use of a defined name is the node its definition built, so a
     text parses to a DAG of its size, not of the tree it stands for.
 
     Raises:
@@ -286,14 +280,14 @@ def parse_formula(text: str) -> Formula:
         if cursor.peek()[0] != "=":
             raise cursor.fail(frozenset({"="}))
         cursor.advance()
-        definitions[name] = _read_formula(cursor, definitions, ";")
+        definitions[name] = _read_formula(cursor, definitions, ";", node)
         cursor.advance()
-    return _read_formula(cursor, definitions, "eof")
+    return _read_formula(cursor, definitions, "eof", node)
 
 
-def _read_formula(cursor: _Cursor, definitions: dict, end: str) -> Formula:
-    """The formula at the cursor, up to a token of kind end, with each
-    name read as the object definitions maps it to.
+def _read_formula(cursor: _Cursor, definitions: dict, end: str, node):
+    """The formula at the cursor, up to a token of kind end, built with
+    node, with each name read as the node definitions maps it to.
 
     One level per open parenthesis is kept on an explicit stack, so
     nesting costs no Python frames: the prefix operators pending on the
@@ -314,9 +308,9 @@ def _read_formula(cursor: _Cursor, definitions: dict, end: str) -> Formula:
             prefix, antecedents, disj, mode, conj = [], [], None, None, None
             continue
         if kind == "atom":
-            f = Atom(int(value))
+            f = node(Atom, int(value))
         elif kind == "bot":
-            f = Bottom()
+            f = node(Bottom)
         elif kind == "name":
             if value not in definitions:
                 raise ParseError(offset, _ATOM_START, repr(value), f"{value!r} is not defined")
@@ -328,13 +322,18 @@ def _read_formula(cursor: _Cursor, definitions: dict, end: str) -> Formula:
         # for as long as a ")" follows a whole formula
         while True:
             while prefix:
-                f = prefix.pop()(f)
-            conj = f if conj is None else And(conj, f)
+                f = prefix.pop()(f, node)
+            conj = f if conj is None else node(And, conj, f)
             kind, _, offset = cursor.peek()
             if kind == "&":
                 cursor.advance()
                 break
-            disj = conj if disj is None else (IVee if mode == "ior" else classical_or)(disj, conj)
+            if disj is None:
+                disj = conj
+            elif mode == "ior":
+                disj = node(IVee, disj, conj)
+            else:
+                disj = classical_or(disj, conj, node)
             conj = None
             if kind in ("ior", "or"):
                 cursor.advance()
@@ -355,7 +354,7 @@ def _read_formula(cursor: _Cursor, definitions: dict, end: str) -> Formula:
             # "->" is right associative
             f = disj
             while antecedents:
-                f = Implies(antecedents.pop(), f)
+                f = node(Implies, antecedents.pop(), f)
             if not levels:
                 if kind != end:
                     raise cursor.fail(frozenset({"->", "&", "ior", "or", _END[end]}))

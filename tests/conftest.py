@@ -206,18 +206,26 @@ def shared_formula(
 ) -> Formula:
     """A DAG: each new node takes its children from all the nodes so far,
     so later nodes share earlier objects. With questions, the pool starts
-    with `?p` for each atom too, so that inquisitive rows are common."""
+    with `?p` for each atom too, so that inquisitive rows are common. The
+    root joins the last node with every pool node that no other node
+    holds, by & or ior (which nest no implications), so that it reaches
+    the whole pool."""
     pool = [Bottom()] + [Atom(i) for i in range(atoms)]
     if questions:
         pool += [IVee(p, Implies(p, Bottom())) for p in pool[1:]]
     kinds = (And, IVee, Implies, Box, WBox) if modal else (And, IVee, Implies)
+    held: set[int] = set()  # ids of the pool nodes that a later node holds
     for _ in range(steps):
         kind = rng.choice(kinds)
-        if kind in (Box, WBox):
-            pool.append(kind(rng.choice(pool)))
-        else:
-            pool.append(kind(rng.choice(pool), rng.choice(pool)))
-    return pool[-1]
+        children = [rng.choice(pool)] if kind in (Box, WBox) else [rng.choice(pool), rng.choice(pool)]
+        held.update(id(g) for g in children)
+        pool.append(kind(*children))
+    root = pool[-1]
+    for g in pool[-2::-1]:
+        if id(g) not in held:
+            join = rng.choice((And, IVee))
+            root = join(root, g) if rng.random() < 0.5 else join(g, root)
+    return root
 
 
 def random_state(rng: random.Random, n: int) -> InfoState:

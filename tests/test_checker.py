@@ -22,8 +22,9 @@ from inqcheck.checker import (
     evaluate,
     render_result,
 )
+from inqcheck.kernels import RowBuilder
 from inqcheck.model import InfoState, InformationModel, downward_closure
-from inqcheck.syntax import And, Atom, Box, WBox, parse_formula, render_formula
+from inqcheck.syntax import And, Atom, Bottom, Box, WBox, parse_formula, render_formula
 
 from conftest import (
     bits,
@@ -37,6 +38,12 @@ from conftest import (
 
 def q(model, state_bits, formula_text):
     return CheckQuery(model, bits(state_bits), parse_formula(formula_text))
+
+
+def rows(formula_text):
+    """The program that the text parses to through a RowBuilder."""
+    node = RowBuilder()
+    return node.program(parse_formula(formula_text, node=node))
 
 
 class TestNamedCases:
@@ -98,10 +105,41 @@ class TestQueryValidation:
     def test_one_fault_names_itself(self, demo_model, text, plain, message):
         if plain:
             demo_model = InformationModel(demo_model.n, demo_model.l, demo_model.valuation, None)
-        for engine in ("table", "naive"):
-            with pytest.raises(QueryError) as info:
-                evaluate(CheckQuery(demo_model, bits("110"), parse_formula(text)), engine=engine)
-            assert str(info.value) == message
+        # as formula objects and as program rows
+        for formula in (parse_formula(text), rows(text)):
+            for engine in ("table", "naive"):
+                with pytest.raises(QueryError) as info:
+                    evaluate(CheckQuery(demo_model, bits("110"), formula), engine=engine)
+                assert str(info.value) == message
+
+    def test_program_rows_name_their_faults(self, demo_model):
+        with pytest.raises(QueryError, match="state width 2 does not match world count 3"):
+            evaluate(CheckQuery(demo_model, bits("11"), rows("p0")))
+        # an index past array("q"): the rows keep it, and validation names it
+        with pytest.raises(QueryError, match="atom index 99999999999999999999 out of range, model has 2 atoms"):
+            evaluate(CheckQuery(demo_model, bits("110"), rows("p99999999999999999999 & ?p0")))
+
+    def test_unused_definitions_are_not_validated(self, demo_model):
+        plain = InformationModel(demo_model.n, demo_model.l, demo_model.valuation, None)
+        text = "let a = p9; let b = box p0; ?p0 & p1"
+        for model in (demo_model, plain):
+            want = evaluate(CheckQuery(model, bits("110"), parse_formula(text)), engine="naive").value
+            for engine in ("table", "sparse", "naive"):
+                assert evaluate(CheckQuery(model, bits("110"), rows(text)), engine=engine).value == want
+
+    @pytest.mark.parametrize("modal", [False, True])
+    def test_model_without_atoms(self, modal):
+        # no atom row, so the largest payload, 0, is no atom's index
+        sigma = ((bits("01"),), (bits("00"),)) if modal else None
+        m = InformationModel(2, 0, (), sigma)
+        texts = ["bot", "bot -> bot", "box bot", "wbox bot"] if modal else ["bot", "bot -> bot"]
+        for text in texts:
+            for s in range(4):
+                state = InfoState(s, 2)
+                want = set_support(m, state_set(state), parse_formula(text))
+                for formula in (parse_formula(text), rows(text)):
+                    for engine in ("table", "sparse", "naive"):
+                        assert evaluate(CheckQuery(m, state, formula), engine=engine).value == want
 
     def test_fault_under_a_doubling_dag_is_found_at_once(self, demo_model):
         # 2^60 copies of p9 as a tree, over a model of 2 atoms: validation
@@ -296,6 +334,20 @@ class TestMemoCache:
                 for engine in ("table", "sparse", "auto"):
                     assert evaluate(query, engine=engine, cache=cache).value == reference
             assert len(cache._roots) <= len(set(texts))
+
+    def test_programs_are_keyed_by_their_rows(self, demo_model, monkeypatch):
+        lowered = []
+        lower = checker.lower_formula
+        monkeypatch.setattr(checker, "lower_formula", lambda f: lowered.append(f) or lower(f))
+        cache = MemoCache()
+        text = "box (p0 ior not p1) -> wbox p0"
+        first = evaluate(CheckQuery(demo_model, bits("111"), rows(text)), engine="table", cache=cache)
+        # a fresh parse into rows: equal rows, one entry, no lowering
+        second = evaluate(CheckQuery(demo_model, bits("111"), rows(text)), engine="table", cache=cache)
+        assert first.nodes_visited > 0 and second.nodes_visited == 0
+        assert first.value == second.value == evaluate(q(demo_model, "111", text), engine="naive").value
+        assert len(cache._roots) == 1 and len(cache._aliases) == 1
+        assert lowered == []
 
     def test_models_keep_their_own_entries(self, demo_model):
         cache = MemoCache()

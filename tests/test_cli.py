@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -103,6 +104,23 @@ class TestCheck:
         assert code == cli.main(["check", demo_file, state, "--formula", "?p0"])
         assert capsys.readouterr().err == ""
 
+    def test_atom_index_past_64_bits_is_a_query_error(self, demo_file, capsys):
+        code = cli.main(["check", demo_file, "110", "--formula", "p99999999999999999999 & ?p0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: query: atom index 99999999999999999999 out of range, model has 2 atoms"
+        ]
+
+    def test_unused_definitions_are_not_checked(self, demo_file, capsys):
+        # p9 is past the model's atoms, but nothing uses it
+        text = "let a = p9; let b = ?p0; b & p1"
+        for state in ("100", "110", "111"):
+            code = cli.main(["check", demo_file, state, "--formula", text])
+            assert code == cli.main(["check", demo_file, state, "--formula", "?p0 & p1"])
+            assert code == cli.main(["check", demo_file, state, "--formula", text, "--naive"])
+
     def test_missing_model_file(self, tmp_path, capsys):
         code = cli.main(["check", str(tmp_path / "nope.im"), "1", "--formula", "p0"])
         assert code == 2
@@ -159,6 +177,50 @@ class TestReduce:
         state = (tmp_path / "inst.state").read_text().strip()
         code = cli.main(["check", f"{stem}.im", state, "--formula-file", f"{stem}.formula"])
         assert code == cli.main(["qbf-eval", qpath])
+
+    # sha256 of the .im, .state and .formula files that reduce writes for
+    # random_qbf(l, l, 120), as the compiler wrote them when it built
+    # formula objects: building rows must write the same bytes
+    PINNED = {
+        1: ("ed9c072fcb87e400e56211ed8af0c3dfe87fae974a5eb85410bb7ac0022434e4",
+            "25d4f2a86deb5e2574bb3210b67bb24fcc4afb19f93a7b65a057daa874a9d18e",
+            "e7f435d076e14bddc588e804a42119501525dfb94325080740c049fb567e9617"),
+        2: ("f2432065f3b1356fc0b181fd076dd96e3a0427cf3929f800f3cf31d88bd70c5b",
+            "49ca5d81054fdd20572294b9350b605d05e0df91da09a46fb8bde7fd6c1c172d",
+            "b7cd3fe3cd851892ee1e286d61698eae2b4fbec8e43648c45282ac34db9d5136"),
+        3: ("955d8099a2e13268583529336be6d1878c668b67b9ed684bed87fd71396cde2e",
+            "9d272f1f3e92f7c5efdcfdda0ab92facccd98c340be8be09064060503fd167e4",
+            "f63008c624492eabf9be4a74a076d5e71e876981084da45dc91bfae021c98f2a"),
+        4: ("8ed896e47de257f822a4ddf5908ad1b8242c35e051ab7bf6d98cc850e37e4a2f",
+            "3bdd05ce73a4357f07f04cc620266db2cfb793ded5eda88350a0b59712990f5e",
+            "d314d0e7dc3ad3b15225c523c1cdcb12773007109972d65f110cd4dcfab4a409"),
+        5: ("0004bd893b169c20aec819ef5c07ebd8d585614cd48afc9fc56ab94c1be471a1",
+            "63d19a99ef7db94ddbb1e4a5083062226551cd8197312e3aa0aa7c369ac3e458",
+            "521b0fb15ac5a5f432345e2a791d4814eb1fcc7c0c7b5d115293b0f255123e56"),
+        6: ("fb9af7ef6bdfbf0a2d5cbd82a1484fe97c345ff4b175f2c097277127a919b869",
+            "005284d7c6b2fca64f102c34ba87ec2c7a852a9e4b279958444706506231d5d1",
+            "b7b08c448486e809e3b1c9763d1191102addbc03c6dbf0cd55b3350054b9ce01"),
+        7: ("271bd0b34b79a89b9b17ba0049ee73518032c0033c4b2585d31313419933a08b",
+            "66685461d984c40c129338875e6ed59ba8359cf385a0e8540b363d79c4b33071",
+            "9a4b1e6844aee7e756610f2a5b01260406960f6f585297b1730c64fc9381cf7d"),
+        8: ("a2ec0d98ecc8c39411bfbbbfc77ee9e4e03410875f120ce5567d32e56d152e5f",
+            "798f08c572a989b81d24d6704a5cfb6740ccf9a62caee843f418bc08d3c73c6a",
+            "0dbee8bb2b11650e56b39cbfcd22568e4d3771c8efb2584fde479c239632136f"),
+        9: ("d56f2e65790e6400b14265c62d666607c3b4e962f34c0d6002e9edf3e238858a",
+            "002edf1a0c2d9bf138ae5c2d4c036073dcc3d45da7936bc8a7db16943d8720e6",
+            "13fd381cb3a5816c8ebe269b280ab1a5cbb9708ff8bfa425da190e033b8711a6"),
+    }
+
+    @pytest.mark.parametrize("l", sorted(PINNED))
+    def test_files_are_pinned(self, tmp_path, capsys, l):
+        qpath = write(tmp_path, "t.qbf", render_qbf(random_qbf(l, l, 120)) + "\n")
+        stem = str(tmp_path / "inst")
+        assert cli.main(["reduce", qpath, stem]) == 0
+        digests = tuple(
+            hashlib.sha256((tmp_path / f"inst{suffix}").read_bytes()).hexdigest()
+            for suffix in (".im", ".state", ".formula")
+        )
+        assert digests == self.PINNED[l]
 
     def test_report_printed(self, tmp_path, capsys):
         qpath = write(tmp_path, "t.qbf", "exists x0 : x0\n")
@@ -246,6 +308,18 @@ class TestVerify:
 
     def test_nothing_to_do(self, capsys):
         assert cli.main(["verify"]) == 2
+
+    def test_large_instances_are_decided_on_the_table(self, capsys, monkeypatch):
+        # auto would send l >= 10 to sparse, which does not finish on them
+        engines = []
+        evaluate = cli.evaluate
+        monkeypatch.setattr(cli, "evaluate", lambda q, engine: engines.append(engine) or evaluate(q, engine))
+        start = time.perf_counter()
+        code = cli.main(["verify", "--random", "30", "--seed", "11", "--max-l", "12", "--matrix-nodes", "160", "--json"])
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == {"result": "AGREE", "cases": 30, "disagreements": 0}
+        assert set(engines) == {"table"}
 
 
 class TestDeepInput:

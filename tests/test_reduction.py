@@ -231,6 +231,15 @@ class TestInstances:
         assert instance.matrix_size == 2
         assert instance.translated_size == formula_size(instance.formula)
 
+    @pytest.mark.parametrize("l", range(1, 10))
+    def test_size_read_off_rows(self, l):
+        for seed in range(3):
+            instance = reduce_tqbf(random_qbf(10 * l + seed, l, 120))
+            assert instance.translated_size == formula_size(instance.formula)
+            # one formula object per row, built once
+            assert instance.formula is instance.formula
+            assert lower_formula(instance.formula).num_nodes == instance.program.num_nodes
+
     def test_empty_prefix_rejected(self):
         with pytest.raises(ValueError):
             reduce_tqbf(Qbf((), Var(0)))

@@ -6,11 +6,11 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import question_formula, random_formula, shared_formula
 from inqcheck.checker import CheckQuery, evaluate
-from inqcheck.kernels import lower_formula
+from inqcheck.kernels import OP_ATOM, OP_BOT, OP_IMPLIES, OP_IVEE, RowBuilder, formula_of, lower_formula, program_key
 from inqcheck.model import InfoState
 from inqcheck.qbf import random_qbf
 from inqcheck.reduction import reduce_tqbf
@@ -21,7 +21,6 @@ from inqcheck.syntax import (
     Box,
     IVee,
     Implies,
-    Interner,
     ParseError,
     WBox,
     classical_or,
@@ -243,32 +242,36 @@ class TestDefinitions:
             assert lower_formula(g) == lower_formula(f)
             assert formula_size(g) == formula_size(f) == weighted_tree_size(f)
 
-    def test_interner_shares_equal_nodes(self):
-        node = Interner()
+    def test_row_builder_shares_equal_nodes(self):
+        node = RowBuilder()
         a = question(node(Atom, 1), node)
         b = question(node(Atom, 1), node)
-        assert a is b
-        assert a.right.left is a.left
-        assert a == question(Atom(1))
+        assert a == b == 3
+        program = node.program(a)
+        # p1, bot, p1 -> bot, p1 ior (p1 -> bot)
+        assert program.ops.tolist() == [OP_ATOM, OP_BOT, OP_IMPLIES, OP_IVEE]
+        assert program.left.tolist() == [0, 0, 0, 0] and program.right.tolist() == [0, 0, 1, 2]
+        assert program.payload.tolist() == [1, 0, 0, 0]
+        assert formula_of(program) == question(Atom(1))
+
+
+DEFINITION_ERRORS = [
+    ("let a = p0; b", 12),  # undefined name
+    ("let a = b; let b = p0; a", 8),  # used before its definition
+    ("let a = p0; let a = p1; a", 16),  # defined twice
+    ("let a p0; a", 6),  # no "="
+    ("let a = p0 a", 11),  # no ";"
+    ("let a = p0;", 11),  # no formula after the definitions
+    ("p0 let a = p1; a", 3),  # a definition after the formula
+    ("let bot = p0; bot", 4),  # a keyword
+    ("let let = p0; p0", 4),
+    ("let p3 = p0; p3", 4),  # an atom
+    ("let = p0; p0", 4),
+]
 
 
 class TestDefinitionErrors:
-    @pytest.mark.parametrize(
-        "text, offset",
-        [
-            ("let a = p0; b", 12),  # undefined name
-            ("let a = b; let b = p0; a", 8),  # used before its definition
-            ("let a = p0; let a = p1; a", 16),  # defined twice
-            ("let a p0; a", 6),  # no "="
-            ("let a = p0 a", 11),  # no ";"
-            ("let a = p0;", 11),  # no formula after the definitions
-            ("p0 let a = p1; a", 3),  # a definition after the formula
-            ("let bot = p0; bot", 4),  # a keyword
-            ("let let = p0; p0", 4),
-            ("let p3 = p0; p3", 4),  # an atom
-            ("let = p0; p0", 4),
-        ],
-    )
+    @pytest.mark.parametrize("text, offset", DEFINITION_ERRORS)
     def test_offset(self, text, offset):
         with pytest.raises(ParseError) as info:
             parse_formula(text)
@@ -282,6 +285,93 @@ class TestDefinitionErrors:
             parse_formula("let a = p0; let a = p1; a")
         with pytest.raises(ParseError, match="found 'p3'"):
             parse_formula("let p3 = p0; p3")
+
+
+def parsed_rows(text: str):
+    """The program that text parses to through a RowBuilder."""
+    node = RowBuilder()
+    return node.program(parse_formula(text, node=node))
+
+
+def postorder_key(program) -> tuple:
+    """The key of the program's formula lowered again, whose rows follow
+    the tree's postorder whatever order the program was built in."""
+    return program_key(lower_formula(formula_of(program)))
+
+
+MALFORMED = [
+    "p0 ior or p1",
+    "   ",
+    "p0 ior p1 or p2",
+    "wbox (q)",
+    "p0 & p²",
+    "(p0 & p1",
+    "p0)",
+    "p0 -> ",
+    "? ? ",
+    "p0 - p1",
+    "p0 $ p1",
+    "let a = ?p0; a & b",
+    "let a = ?p0; let b = a & a; b ior (a -> c)",
+] + [text for text, _ in DEFINITION_ERRORS]
+
+
+class TestRowParse:
+    """Parsing into rows through a RowBuilder gives the formula that
+    parsing into objects gives, and the same errors."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(formulas(max_depth=5))
+    def test_hypothesis_formulas(self, f):
+        text = render_formula(f)
+        assert postorder_key(parsed_rows(text)) == program_key(lower_formula(parse_formula(text)))
+
+    def test_texts_with_definitions(self):
+        rng = random.Random(1515)
+        defined = 0
+        for i in range(40):
+            f = shared_formula(rng, 3 + i % 20, questions=i % 2 == 1)
+            text = render_formula(f)
+            defined += "let " in text
+            program = parsed_rows(text)
+            assert postorder_key(program) == program_key(lower_formula(parse_formula(text))) == program_key(lower_formula(f))
+            # the text's DAG, interned: one row per distinct subformula
+            assert program.num_nodes == lower_formula(f).num_nodes
+        assert defined >= 30
+
+    @pytest.mark.parametrize("l", range(1, 10))
+    def test_compiled_texts(self, l):
+        instance = reduce_tqbf(random_qbf(70 + l, l, 100))
+        text = render_formula(instance.formula)
+        program = parsed_rows(text)
+        assert postorder_key(program) == program_key(lower_formula(parse_formula(text)))
+        assert postorder_key(program) == postorder_key(instance.program)
+        assert program.num_nodes == instance.program.num_nodes
+
+    @pytest.mark.parametrize(
+        "text, rows",
+        [
+            ("let a = p9; box p0", 2),  # the unused row is the first one built
+            ("let a = p9; p0 & p0", 2),
+            ("let a = p0 & p9; let b = box a; p0 ior p1", 3),
+            ("let a = ?p0; let b = a & a; a", 4),  # b is built after the root
+            ("let a = p3; let b = a; b -> b", 2),
+        ],
+    )
+    def test_unused_definitions_leave_no_rows(self, text, rows):
+        program = parsed_rows(text)
+        assert program.num_nodes == rows
+        assert program.root == rows - 1
+        assert postorder_key(program) == program_key(lower_formula(parse_formula(text)))
+
+    @pytest.mark.parametrize("text", MALFORMED)
+    def test_malformed_texts_fail_alike(self, text):
+        with pytest.raises(ParseError) as objects:
+            parse_formula(text)
+        with pytest.raises(ParseError) as rows:
+            parse_formula(text, node=RowBuilder())
+        a, b = objects.value, rows.value
+        assert (b.offset, b.expected, b.found, str(b)) == (a.offset, a.expected, a.found, str(a))
 
 
 def sized_text(nodes: int, base: str = "p0", base_nodes: int = 1) -> str:
