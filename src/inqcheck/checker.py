@@ -126,7 +126,7 @@ class MemoCache:
     """
 
     def __init__(self) -> None:
-        self._roots: dict[tuple[InformationModel, int, bytes], _RootEntry] = {}
+        self._roots: dict[tuple, _RootEntry] = {}
         self._aliases: dict[tuple[int, int], _RootEntry] = {}
 
     def root(self, model: InformationModel, formula: Formula | Program) -> _RootEntry:

@@ -138,7 +138,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     outputs = {
         f"{stem}.im": write_model_file(instance.model.model),
         f"{stem}.state": instance.state.bits() + "\n",
-        f"{stem}.formula": render_formula(instance.formula) + "\n",
+        f"{stem}.formula": render_formula(instance.program) + "\n",
     }
     for path, text in outputs.items():
         try:
@@ -262,6 +262,14 @@ def cmd_random_model(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, like every input error, are one `error: <message>`
+    line on stderr and exit 2. The subcommand parsers are of this class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process.
@@ -269,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     It holds configuration only: parse_args returns a fresh Namespace per
     call and no default is mutable, so calls to main share it safely.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="inqcheck",
         description="Support checking for inquisitive formulas and QBF compilation onto switching models.",
     )

@@ -107,11 +107,13 @@ class Program:
         return len(self.ops)
 
 
-def program_key(p: Program) -> tuple[int, bytes]:
-    """Root and rows (one column length). Lowered programs have equal keys
-    exactly for equal formulas; a program built in another row order has
-    another key."""
-    return p.root, b"".join(a.tobytes() for a in (p.ops, p.left, p.right, p.payload))
+def program_key(p: Program) -> tuple[int, bytes, bytes | tuple]:
+    """Root, rows (one column length) and payload: its bytes, or its
+    values when RowBuilder.program could not pack them. Lowered programs
+    have equal keys exactly for equal formulas; a program built in
+    another row order has another key."""
+    rows = b"".join(a.tobytes() for a in (p.ops, p.left, p.right))
+    return p.root, rows, p.payload.tobytes() if type(p.payload) is array else tuple(p.payload)
 
 
 class RowBuilder:
@@ -241,6 +243,23 @@ def formula_of(p: Program) -> Formula:
         else:
             nodes.append(_TYPE_OF_OP[op](nodes[a], nodes[b]))
     return nodes[p.root]
+
+
+def tree_size(p: Program) -> int:
+    """syntax.formula_size of the program's formula, read off its rows:
+    each row is measured once and counts at each place it holds in the
+    tree."""
+    sizes: list[int] = []
+    for op, a, b, x in zip(p.ops, p.left, p.right, p.payload):
+        if op == OP_ATOM:
+            sizes.append(1 + (x + 1).bit_length())
+        elif op == OP_BOT:
+            sizes.append(1)
+        elif op >= OP_BOX:
+            sizes.append(1 + sizes[a])
+        else:
+            sizes.append(1 + sizes[a] + sizes[b])
+    return sizes[p.root]
 
 
 def model_masks(m: InformationModel) -> tuple[list[int], list[int], list[list[int]]]:

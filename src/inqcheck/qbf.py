@@ -13,7 +13,8 @@ Concrete syntax (UTF-8 text, `#` starts a comment):
 Variables are written x0, x1, ... and must be bound in ascending index
 order starting at 0; a closed formula binds every matrix variable. The
 rename option relaxes both: arbitrary identifiers are accepted and
-renumbered by binding order.
+renumbered by binding order. An IDENT is a letter or `_`, then letters,
+digits and `_`; text is lexed as formula text is.
 
 Two independent evaluation routes exist on purpose: eval_qbf searches
 the prefix depth first with short-circuiting, eval_qbf_table folds a
@@ -25,10 +26,11 @@ on the prefix.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
 from .switching import BoolValuation
-from .syntax import ParseError, _Cursor, _render, _tokenize, subformulas
+from .syntax import _BLANKS, ParseError, _locate, _render, _Stop, subformulas
 
 FORALL = "forall"
 EXISTS = "exists"
@@ -95,17 +97,7 @@ def prop_size(f: PropFormula) -> int:
     """Weighted encoding size of an NNF matrix, mirroring formula_size:
     connectives cost 1, a variable costs 1 plus the binary length of its
     index, a negation costs 1 on top of its variable."""
-    size = 0
-    for g in subformulas(f):
-        if isinstance(g, Var):
-            size += 1 + (g.index + 1).bit_length()
-        elif isinstance(g, NegVar):
-            size += 2 + (g.index + 1).bit_length()
-        elif isinstance(g, (PAnd, POr)):
-            size += 1
-        else:
-            raise TypeError(f"matrix must be in negation normal form: {g!r}")
-    return size
+    return _postorder_size(_postorder(f))
 
 
 _PROP_FORMS = ({PAnd: " & ", POr: " | "}, {}, {Var: ("x", True), NegVar: ("~x", True)})
@@ -133,12 +125,20 @@ def render_qbf(q: Qbf) -> str:
     return f"{head} : {render_prop(q.matrix)}" if head else f": {render_prop(q.matrix)}"
 
 
-def _qbf_word(word: str, offset: int) -> tuple[str, str, int]:
-    return (word if word in _QUANTIFIERS else "ident", word, offset)
+_QBF_TOKEN = re.compile(_BLANKS + r"(\w+|.|\Z)")
+_QBF_PUNCT = frozenset("()&|~:")
 
 
-_QBF_PUNCT = {c: c for c in "()&|~:"}
-_QBF_LEXICON = (_QBF_PUNCT, "_", _qbf_word, frozenset({*_QUANTIFIERS, "identifier", *_QBF_PUNCT}))
+def _qbf_lex_error(word: str, offset: int) -> ParseError | None:
+    """A word starts with a letter or "_"; any other character that is
+    not punctuation is an error."""
+    if word[:1].isalpha() or word[:1] == "_" or word in _QBF_PUNCT or not word:
+        return None
+    return ParseError(offset, frozenset({*_QUANTIFIERS, "identifier", *_QBF_PUNCT}), repr(word[0]))
+
+
+def _is_identifier(word: str) -> bool:
+    return (word[:1].isalpha() or word[:1] == "_") and word not in _QUANTIFIERS
 
 
 def parse_qbf(text: str, rename: bool = False) -> Qbf:
@@ -154,80 +154,84 @@ def parse_qbf(text: str, rename: bool = False) -> Qbf:
             variable names.
         ClosureError: a matrix variable the prefix does not bind.
     """
-    cursor = _Cursor(_tokenize(text, *_QBF_LEXICON))
-    names: dict[str, int] = {}
-    binding_error = None
-    prefix = []
-    while cursor.peek()[0] in _QUANTIFIERS:
-        quant = cursor.advance()[0]
-        kind, name, offset = cursor.peek()
-        if kind != "ident":
-            raise cursor.fail(frozenset({"identifier"}))
-        cursor.advance()
-        position = len(prefix)
-        if binding_error is None:
-            if name in names:
-                binding_error = ParseError(offset, frozenset({"fresh identifier"}), repr(name))
-            elif not rename and name != f"x{position}":
-                binding_error = ParseError(offset, frozenset({f"x{position}"}), repr(name))
-            names[name] = position
-        prefix.append((quant, position))
-    if cursor.peek()[0] != ":":
-        raise cursor.fail(frozenset({FORALL, EXISTS, ":"}))
-    cursor.advance()
-    matrix, unbound = _read_matrix(cursor, names)
-    if cursor.peek()[0] != "eof":
-        raise cursor.fail(frozenset({"&", "|", "end of input"}))
-    if binding_error is not None:
-        raise binding_error
+    tokens = _QBF_TOKEN.findall(text)
+    try:
+        names: dict[str, int] = {}
+        binding_error = None
+        prefix = []
+        i = 0
+        while tokens[i] in _QUANTIFIERS:
+            name = tokens[i + 1]
+            if not _is_identifier(name):
+                raise _Stop(i + 1, frozenset({"identifier"}))
+            position = len(prefix)
+            if binding_error is None:
+                if name in names:
+                    binding_error = _Stop(i + 1, frozenset({"fresh identifier"}))
+                elif not rename and name != f"x{position}":
+                    binding_error = _Stop(i + 1, frozenset({f"x{position}"}))
+                names[name] = position
+            prefix.append((tokens[i], position))
+            i += 2
+        if tokens[i] != ":":
+            raise _Stop(i, frozenset({FORALL, EXISTS, ":"}))
+        matrix, unbound, i = _read_matrix(tokens, i + 1, names)
+        if tokens[i]:
+            raise _Stop(i, frozenset({"&", "|", "end of input"}))
+        if binding_error is not None:
+            raise binding_error
+    except _Stop as stop:
+        raise _locate(_QBF_TOKEN, text, _qbf_lex_error, stop) from None
     if unbound is not None:
         raise ClosureError(unbound)
     return Qbf(tuple(prefix), matrix)
 
 
-def _read_matrix(cursor: _Cursor, names: dict[str, int]) -> tuple[PropFormula, str | None]:
-    """The grammar's `or` straight into NNF, and the first name in it that
-    `names` does not bind. `~` is a polarity flag that negates variables
-    and swaps PAnd with POr. As in parse_formula, one level per open
-    parenthesis is kept on a stack: its polarity, disjunction and conjunction."""
+def _read_matrix(tokens: list[str], i: int, names: dict[str, int]) -> tuple[PropFormula, str | None, int]:
+    """The grammar's `or` at token i straight into NNF, the first name in
+    it that `names` does not bind, and the index of the token after it.
+    `~` is a polarity flag that negates variables and swaps PAnd with
+    POr. As in parse_formula, one level per open parenthesis is kept on a
+    stack: its polarity, disjunction and conjunction."""
     unbound = None
     levels = []
     negate, disj, conj = False, None, None
     while True:
         literal_negate = negate
-        while cursor.peek()[0] == "~":
-            cursor.advance()
+        word = tokens[i]
+        i += 1
+        while word == "~":
             literal_negate = not literal_negate
-        kind, value, _ = cursor.peek()
-        if kind == "(":
-            cursor.advance()
+            word = tokens[i]
+            i += 1
+        if word == "(":
             levels.append((negate, disj, conj))
             negate, disj, conj = literal_negate, None, None
             continue
-        if kind != "ident":
-            raise cursor.fail(frozenset({"identifier", "~", "("}))
-        cursor.advance()
-        if value not in names and unbound is None:
-            unbound = value
-        f = (NegVar if literal_negate else Var)(names.get(value, 0))
+        index = names.get(word)
+        if index is None:
+            if not _is_identifier(word):
+                raise _Stop(i - 1, frozenset({"identifier", "~", "("}))
+            if unbound is None:
+                unbound = word
+            index = 0
+        f = (NegVar if literal_negate else Var)(index)
         # f is a whole literal: fold it into the open level, and close
         # levels for as long as a ")" follows a whole disjunction
         while True:
             conj = f if conj is None else (POr if negate else PAnd)(conj, f)
-            kind = cursor.peek()[0]
-            if kind == "&":
-                cursor.advance()
+            word = tokens[i]
+            i += 1
+            if word == "&":
                 break
             disj = conj if disj is None else (PAnd if negate else POr)(disj, conj)
             conj = None
-            if kind == "|":
-                cursor.advance()
+            if word == "|":
                 break
             if not levels:
-                return disj, unbound
-            if kind != ")":
-                raise cursor.fail(frozenset({")", "&", "|"}))
-            cursor.advance()
+                return disj, unbound, i - 1
+            if word != ")":
+                raise _Stop(i - 1, frozenset({")", "&", "|"}))
             f = disj
             negate, disj, conj = levels.pop()
 
@@ -258,6 +262,19 @@ def _postorder(f: PropFormula, k: int | None = None) -> list:
         else:
             raise TypeError(f"matrix must be in negation normal form: {g!r}")
     return nodes
+
+
+def _postorder_size(nodes: list) -> int:
+    """prop_size of the matrix of a _postorder list."""
+    size = 0
+    for node in nodes:
+        if node is PAnd or node is POr:
+            size += 1
+        elif node >= 0:
+            size += 1 + (node + 1).bit_length()
+        else:
+            size += 2 + (~node + 1).bit_length()
+    return size
 
 
 def _truth(nodes: list, values) -> int:

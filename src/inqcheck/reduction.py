@@ -44,9 +44,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import log2
 
-from .kernels import OP_ATOM, OP_BOT, OP_BOX, Program, RowBuilder, formula_of
+from .kernels import Program, RowBuilder, formula_of, tree_size
 from .model import InfoState
-from .qbf import FORALL, PAnd, POr, PropFormula, Qbf, _check_prefix, _postorder, prop_size
+from .qbf import FORALL, PAnd, POr, PropFormula, Qbf, _check_prefix, _postorder, _postorder_size
 from .switching import (
     SwitchingModel,
     atom_p,
@@ -120,13 +120,14 @@ def translate_prop(z: PropFormula, polarity: str, l: int, node=fresh):
     """
     if polarity not in ("p", "n"):
         raise ValueError(f"polarity must be 'p' or 'n', got {polarity!r}")
-    return _translate_prop(z, polarity == "p", l, node)
+    return _translate_prop(_postorder(z, l), polarity == "p", l, node)
 
 
-def _translate_prop(z: PropFormula, positive: bool, l: int, node):
+def _translate_prop(nodes: list, positive: bool, l: int, node):
+    """translate_prop of the matrix of a _postorder list."""
     parts: list[Formula] = []
     literals: dict[int, Formula] = {}
-    for x in _postorder(z, l):
+    for x in nodes:
         if x is PAnd or x is POr:
             right = parts.pop()
             parts[-1] = node(And if positive == (x is PAnd) else IVee, parts[-1], right)
@@ -154,13 +155,19 @@ def translate_qbf(theta: Qbf, polarity: str, l: int, node=fresh):
             or exists, or a prefix not binding x_k..x_{l-1} in order.
         ClosureError: a matrix variable past x_{l-1}.
     """
+    return _translate_qbf(theta, polarity, l, node)[0]
+
+
+def _translate_qbf(theta: Qbf, polarity: str, l: int, node) -> tuple:
+    """translate_qbf, and the _postorder list of the matrix it read."""
     if polarity not in ("P", "N"):
         raise ValueError(f"polarity must be 'P' or 'N', got {polarity!r}")
     _check_prefix(theta.prefix, l - theta.l)
     # the body of a universal tracks truth and that of an existential
     # falsity, whatever the polarity of the quantifier itself
     polarities = [polarity] + ["P" if quant == FORALL else "N" for quant, _ in theta.prefix]
-    f = _translate_prop(theta.matrix, polarities[-1] == "P", l, node)
+    nodes = _postorder(theta.matrix, l)
+    f = _translate_prop(nodes, polarities[-1] == "P", l, node)
     pieces = None
     for (quant, k), tracked in zip(reversed(theta.prefix), reversed(polarities[:-1])):
         if (quant == FORALL) == (tracked == "P"):
@@ -168,7 +175,7 @@ def translate_qbf(theta: Qbf, polarity: str, l: int, node=fresh):
         else:
             pieces = pieces or escape_pieces(l, node)
             f = node(Implies, node(Implies, formula_D(k, l, node), f), formula_S(k, l, node, pieces))
-    return f
+    return f, nodes
 
 
 def reduce_tqbf(theta: Qbf) -> ReductionInstance:
@@ -180,32 +187,17 @@ def reduce_tqbf(theta: Qbf) -> ReductionInstance:
     if l == 0:
         raise ValueError("formula must bind at least one variable")
     node = RowBuilder()
-    program = node.program(translate_qbf(theta, "P", l, node))
+    root, nodes = _translate_qbf(theta, "P", l, node)
+    program = node.program(root)
     switching = build_switching_model(l)
     return ReductionInstance(
         model=switching,
         state=InfoState.full(2 * l),
         program=program,
         l=l,
-        matrix_size=prop_size(theta.matrix),
-        translated_size=_tree_size(program),
+        matrix_size=_postorder_size(nodes),
+        translated_size=tree_size(program),
     )
-
-
-def _tree_size(p: Program) -> int:
-    """formula_size of the program's formula, read off its rows: each
-    row is measured once and counts at each place it holds in the tree."""
-    sizes: list[int] = []
-    for op, a, b, x in zip(p.ops, p.left, p.right, p.payload):
-        if op == OP_ATOM:
-            sizes.append(1 + (x + 1).bit_length())
-        elif op == OP_BOT:
-            sizes.append(1)
-        elif op >= OP_BOX:
-            sizes.append(1 + sizes[a])
-        else:
-            sizes.append(1 + sizes[a] + sizes[b])
-    return sizes[p.root]
 
 
 def size_report(instance: ReductionInstance, bound: float = DEFAULT_SIZE_RATIO_BOUND) -> SizeReport:

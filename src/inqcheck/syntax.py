@@ -12,11 +12,15 @@ than one parent, so that it is a DAG rather than a tree. Text says so
 with definitions, `let NAME = formula;` lines before the formula, each
 of whose uses stands for the one object the definition built. The
 printer names every composite node object it reaches twice or more and
-prints a tree, one with no shared objects, without definitions.
+prints a tree, one with no shared objects, without definitions. A
+kernels.Program prints off its columns as formula_of of it would.
 
 The parser, like neg, question and classical_or, builds each node with
 a node builder, node(cls, a=None, b=None): `fresh` makes Formula
 objects, and kernels.RowBuilder program rows, one per distinct node.
+It indexes the token strings that one compiled regular expression
+finds, as qbf's parser does; a token's offset is found only for a
+ParseError.
 
 Grammar (whitespace-insensitive, `#` starts a comment to end of line):
 
@@ -41,6 +45,7 @@ distinct objects, so no size of the tree a text stands for is refused.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -58,7 +63,7 @@ class Formula:
         return hash(_key(self))
 
 
-def _key(f: Formula) -> tuple[int, bytes]:
+def _key(f: Formula) -> tuple:
     # kernels imports this module, so its lowering is imported on first use
     from .kernels import lower_formula, program_key
 
@@ -149,109 +154,60 @@ class ParseError(Exception):
         super().__init__(f"parse error at offset {offset}: {reason}")
 
 
-def _tokenize(text: str, punct: dict[str, str], word_start: str, word, expected: frozenset[str]):
-    """Split text into (kind, value, offset) triples, ending with EOF.
-
-    The lexing loop of both languages, which pass only data. Blanks are
-    space, tab, CR and LF; `#` starts a comment to end of line. punct maps
-    the first character of each punctuation token to the token, whose
-    kind and value are its text. A word is a letter or a character of
-    word_start, then letters, digits and `_`; word(text, offset) gives its
-    token or raises ParseError. At any other character the error lists
-    expected.
-    """
-    tokens = []
-    append = tokens.append
-    i = 0
-    n = len(text)
-    # tests in order of how often they hold on typical input
-    while i < n:
-        c = text[i]
-        if c == " ":
-            i += 1
-        elif c in punct:
-            tok = punct[c]
-            if tok == c:
-                append((c, c, i))
-                i += 1
-            elif text.startswith(tok, i):
-                append((tok, tok, i))
-                i += len(tok)
-            else:
-                raise ParseError(i, frozenset(punct.values()), repr(c))
-        elif c.isalpha() or c in word_start:
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            append(word(text[i:j], i))
-            i = j
-        elif c in "\t\r\n":
-            i += 1
-        elif c == "#":
-            i = text.find("\n", i)
-            if i < 0:
-                i = n
-        else:
-            raise ParseError(i, expected, repr(c))
-    append(("eof", "", n))
-    return tokens
-
+# A token of either language: blanks (space, tab, CR, LF) and `#` comments
+# to end of line are skipped, then the token is its text, "" at the end.
+# In a str pattern \w is exactly a character that isalnum() or "_", so a
+# word runs as far as the words of both grammars do.
+_BLANKS = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+_FORMULA_TOKEN = re.compile(_BLANKS + r"(->|\w+|.|\Z)")
 
 _KEYWORDS = frozenset({"bot", "not", "ior", "or", "box", "wbox", "let"})
-_PUNCT = {"(": "(", ")": ")", "-": "->", "&": "&", "?": "?", "=": "=", ";": ";"}
+_PUNCT = frozenset({"(", ")", "->", "&", "?", "=", ";"})
 _WORDS = _KEYWORDS | {"p<index>", "name"}
 
 
-def _formula_word(word: str, offset: int) -> tuple[str, str, int]:
-    if word in _KEYWORDS:
-        return (word, word, offset)
-    # ASCII digits only: int() rejects "²" and reads "٣" as 3
-    if word[0] == "p" and word[1:].isascii() and word[1:].isdigit():
-        return ("atom", word[1:], offset)
-    if word.isascii():
-        return ("name", word, offset)
-    raise ParseError(offset, _WORDS, repr(word))
+class _Stop(Exception):
+    """A parse error at a token's index, as (index, expected) and a reason
+    if any, which _locate turns into a ParseError at the token's offset."""
 
 
-_FORMULA_LEXICON = (_PUNCT, "", _formula_word, _KEYWORDS | frozenset(_PUNCT.values()))
+def _locate(token: re.Pattern, text: str, lex_error, stop: _Stop) -> ParseError:
+    """The ParseError that stop stands for in text, split by token: the
+    first token that lex_error refuses, wherever the parser stopped, as a
+    text is lexed before it is parsed; else stop's, at its token's offset."""
+    index, expected, *reason = stop.args
+    for i, match in enumerate(token.finditer(text)):
+        word, offset = match[1], match.start(1)
+        error = lex_error(word, offset)
+        if error is not None:
+            return error
+        if i == index:
+            at, found = offset, repr(word) if word else "end of input"
+    return ParseError(at, expected, found, *reason)
+
+
+def _formula_lex_error(word: str, offset: int) -> ParseError | None:
+    """A word must start with a letter and be ASCII: int() rejects "²"
+    and reads "٣" as 3, so only ASCII digits may follow the p of an atom."""
+    if word[:1].isalpha():
+        return None if word.isascii() else ParseError(offset, _WORDS, repr(word))
+    if word in _PUNCT or not word:
+        return None
+    if word == "-":
+        return ParseError(offset, _PUNCT, repr(word))
+    return ParseError(offset, _KEYWORDS | _PUNCT, repr(word[0]))
+
+
+def _is_name(word: str) -> bool:
+    return word[:1].isalpha() and word.isascii() and word not in _KEYWORDS and not (word[0] == "p" and word[1:].isdigit())
 
 
 _ATOM_START = frozenset({"bot", "p<index>", "name", "(", "not", "?", "box", "wbox"})
 
 
-class _Cursor:
-    """A position in a (kind, value, offset) token list ending with EOF;
-    the formula parser and the QBF parser both read through one."""
-
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, expected: frozenset[str]) -> ParseError:
-        kind, value, offset = self.peek()
-        found = "end of input" if kind == "eof" else repr(f"p{value}" if kind == "atom" else value)
-        return ParseError(offset, expected, found)
-
-
-def _box(f: Formula, node=fresh) -> Formula:
-    return node(Box, f)
-
-
-def _wbox(f: Formula, node=fresh) -> Formula:
-    return node(WBox, f)
-
-
 # the builder of each prefix operator
-_PREFIX = {"not": neg, "?": question, "box": _box, "wbox": _wbox}
-_END = {"eof": "end of input", ";": ";"}
+_PREFIX = {"not": neg, "?": question, "box": lambda f, node: node(Box, f), "wbox": lambda f, node: node(WBox, f)}
+_END = {"": "end of input", ";": ";"}
 
 
 def parse_formula(text: str, node=fresh):
@@ -267,27 +223,28 @@ def parse_formula(text: str, node=fresh):
             acceptable tokens at that point; on an undefined or twice
             defined name.
     """
-    cursor = _Cursor(_tokenize(text, *_FORMULA_LEXICON))
-    definitions: dict[str, Formula] = {}
-    while cursor.peek()[0] == "let":
-        cursor.advance()
-        kind, name, offset = cursor.peek()
-        if kind != "name":
-            raise cursor.fail(frozenset({"name"}))
-        if name in definitions:
-            raise ParseError(offset, frozenset({"name"}), repr(name), f"{name!r} is already defined")
-        cursor.advance()
-        if cursor.peek()[0] != "=":
-            raise cursor.fail(frozenset({"="}))
-        cursor.advance()
-        definitions[name] = _read_formula(cursor, definitions, ";", node)
-        cursor.advance()
-    return _read_formula(cursor, definitions, "eof", node)
+    tokens = _FORMULA_TOKEN.findall(text)
+    try:
+        definitions: dict[str, Formula] = {}
+        i = 0
+        while tokens[i] == "let":
+            name = tokens[i + 1]
+            if not _is_name(name):
+                raise _Stop(i + 1, frozenset({"name"}))
+            if name in definitions:
+                raise _Stop(i + 1, frozenset({"name"}), f"{name!r} is already defined")
+            if tokens[i + 2] != "=":
+                raise _Stop(i + 2, frozenset({"="}))
+            definitions[name], i = _read_formula(tokens, i + 3, definitions, ";", node)
+        return _read_formula(tokens, i, definitions, "", node)[0]
+    except _Stop as stop:
+        raise _locate(_FORMULA_TOKEN, text, _formula_lex_error, stop) from None
 
 
-def _read_formula(cursor: _Cursor, definitions: dict, end: str, node):
-    """The formula at the cursor, up to a token of kind end, built with
-    node, with each name read as the node definitions maps it to.
+def _read_formula(tokens: list[str], i: int, definitions: dict, end: str, node):
+    """The formula at token i, up to the token end, built with node, with
+    each name read as the node definitions maps it to, and the index past
+    end. It accepts no token that _formula_lex_error refuses.
 
     One level per open parenthesis is kept on an explicit stack, so
     nesting costs no Python frames: the prefix operators pending on the
@@ -297,36 +254,34 @@ def _read_formula(cursor: _Cursor, definitions: dict, end: str, node):
     levels = []
     prefix, antecedents, disj, mode, conj = [], [], None, None, None
     while True:
-        kind, value, offset = cursor.peek()
-        if kind in _PREFIX:
-            cursor.advance()
-            prefix.append(_PREFIX[kind])
+        word = tokens[i]
+        i += 1
+        if word in _PREFIX:
+            prefix.append(_PREFIX[word])
             continue
-        if kind == "(":
-            cursor.advance()
+        if word == "(":
             levels.append((prefix, antecedents, disj, mode, conj))
             prefix, antecedents, disj, mode, conj = [], [], None, None, None
             continue
-        if kind == "atom":
-            f = node(Atom, int(value))
-        elif kind == "bot":
+        if word in definitions:
+            f = definitions[word]
+        elif word[1:].isdigit() and word[0] == "p" and word.isascii():
+            f = node(Atom, int(word[1:]))
+        elif word == "bot":
             f = node(Bottom)
-        elif kind == "name":
-            if value not in definitions:
-                raise ParseError(offset, _ATOM_START, repr(value), f"{value!r} is not defined")
-            f = definitions[value]
+        elif _is_name(word):
+            raise _Stop(i - 1, _ATOM_START, f"{word!r} is not defined")
         else:
-            raise cursor.fail(_ATOM_START)
-        cursor.advance()
+            raise _Stop(i - 1, _ATOM_START)
         # f is a whole atom: fold it into the open level, and close levels
         # for as long as a ")" follows a whole formula
         while True:
             while prefix:
                 f = prefix.pop()(f, node)
             conj = f if conj is None else node(And, conj, f)
-            kind, _, offset = cursor.peek()
-            if kind == "&":
-                cursor.advance()
+            word = tokens[i]
+            i += 1
+            if word == "&":
                 break
             if disj is None:
                 disj = conj
@@ -335,19 +290,13 @@ def _read_formula(cursor: _Cursor, definitions: dict, end: str, node):
             else:
                 disj = classical_or(disj, conj, node)
             conj = None
-            if kind in ("ior", "or"):
-                cursor.advance()
+            if word == "ior" or word == "or":
                 if mode is None:
-                    mode = kind
-                elif kind != mode:
-                    raise ParseError(
-                        offset,
-                        frozenset({mode, "->", "&", ")", _END[end]}),
-                        repr(kind),
-                    )
+                    mode = word
+                elif word != mode:
+                    raise _Stop(i - 1, frozenset({mode, "->", "&", ")", _END[end]}))
                 break
-            if kind == "->":
-                cursor.advance()
+            if word == "->":
                 antecedents.append(disj)
                 disj = mode = None
                 break
@@ -356,12 +305,11 @@ def _read_formula(cursor: _Cursor, definitions: dict, end: str, node):
             while antecedents:
                 f = node(Implies, antecedents.pop(), f)
             if not levels:
-                if kind != end:
-                    raise cursor.fail(frozenset({"->", "&", "ior", "or", _END[end]}))
-                return f
-            if kind != ")":
-                raise cursor.fail(frozenset({")", "->", "&", "ior", "or"}))
-            cursor.advance()
+                if word != end:
+                    raise _Stop(i - 1, frozenset({"->", "&", "ior", "or", _END[end]}))
+                return f, i
+            if word != ")":
+                raise _Stop(i - 1, frozenset({")", "->", "&", "ior", "or"}))
             prefix, antecedents, disj, mode, conj = levels.pop()
 
 
@@ -426,19 +374,70 @@ _FORMULA_FORMS = (
 )
 
 
-def render_formula(f: Formula) -> str:
-    """Print a formula in core syntax; parse_formula inverts it exactly.
+def render_formula(f) -> str:
+    """Print a formula, or a kernels.Program, in core syntax;
+    parse_formula inverts it exactly.
 
     Binary connectives are always parenthesized, prefix modalities are
     bare, so the output is unambiguous without precedence knowledge.
-    Every composite node object that f reaches twice or more is printed
-    once, as a definition `let fN = ...;` on a line of its own
-    before the formula, and by its name wherever it is used; so the text
-    is linear in the distinct objects of f, and a tree prints without
-    definitions.
+    Every composite node object that f reaches twice or more, or row
+    that two or more references of its parents hold, is printed once, as
+    a definition `let fN = ...;` on a line of its own before the
+    formula, and by its name wherever it is used; so the text is linear
+    in the distinct objects or rows of f, and a tree prints without
+    definitions. A program prints as formula_of(program) does.
     """
+    if not isinstance(f, Formula):
+        return _render_rows(f)
     shared = {key: "" for key, places in _reach_counts(f).items() if places > 1}
     return _render(f, *_FORMULA_FORMS, shared)
+
+
+def _render_rows(p) -> str:
+    """render_formula of a program, off its columns: _render's loop, with
+    rows for node objects. A row's parents reach it once per reference,
+    counted up front, which numbers the definitions as _render does."""
+    from .kernels import OP_AND, OP_ATOM, OP_BOX, _TYPE_OF_OP
+
+    infix, prefix, _ = _FORMULA_FORMS
+    forms = [infix.get(cls) or prefix.get(cls) for cls in _TYPE_OF_OP]
+    ops, left, right, payload = p.ops.tolist(), p.left.tolist(), p.right.tolist(), p.payload
+    parents = [0] * len(ops)
+    for op, a, b in zip(ops, left, right):
+        if op >= OP_AND:
+            parents[a] += 1
+            if op < OP_BOX:
+                parents[b] += 1
+    names: dict[int, str] = {}
+    lines, out, stack = [], [], [p.root]
+    while stack:
+        r = stack.pop()
+        kind = type(r)
+        if kind is str:
+            out.append(r)
+        elif kind is tuple:
+            outer, slot, r = r
+            name = outer[slot] = names[r] = f"f{len(lines)}"
+            lines.append(f"let {name} = {''.join(out)};\n")
+            out = outer
+        elif ops[r] < OP_AND:
+            out.append(f"p{payload[r]}" if ops[r] == OP_ATOM else "bot")
+        else:
+            if parents[r] > 1:
+                if r in names:
+                    out.append(names[r])
+                    continue
+                out.append("")
+                stack.append((out, len(out) - 1, r))
+                out = []
+            op = ops[r]
+            if op < OP_BOX:
+                out.append("(")
+                stack += (")", right[r], forms[op], left[r])
+            else:
+                out.append(forms[op])
+                stack.append(left[r])
+    return "".join(lines) + "".join(out)
 
 
 # the children of each composite node class
@@ -474,47 +473,11 @@ def formula_size(f: Formula) -> int:
     """Weighted encoding size of f's tree: connectives cost 1, Atom(i)
     costs 1 plus the binary length of its index (so index growth is
     logarithmic, not free). A shared object counts once per place it
-    holds in the tree, but is measured once, so the time is linear in the
-    distinct objects of f. The walk descends left children in place and
-    stacks right ones, with None marking a node whose children are done.
-    """
-    sizes: dict[int, int] = {}  # id of a measured composite object -> its size
-    done: list[int] = []  # the size of each finished child, innermost last
-    parents: list = []
-    stack: list = []
-    g = f
-    while True:
-        kind = type(g)
-        if kind is Atom:
-            size = 1 + (g.index + 1).bit_length()
-        elif kind is Bottom:
-            size = 1
-        elif kind in _ARITY:
-            size = sizes.get(id(g))
-            if size is None:
-                parents.append(g)
-                stack.append(None)
-                if _ARITY[kind] == 1:
-                    g = g.body
-                else:
-                    stack.append(g.right)
-                    g = g.left
-                continue
-        else:
-            raise TypeError(f"not a formula node: {g!r}")
-        done.append(size)
-        while stack:
-            g = stack.pop()
-            if g is not None:
-                break
-            g = parents.pop()
-            size = 1 + done.pop()
-            if _ARITY[type(g)] == 2:
-                size += done.pop()
-            sizes[id(g)] = size
-            done.append(size)
-        else:
-            return done[0]
+    holds in the tree, but it is measured once, off f's lowered rows, so
+    the time is linear in the distinct objects of f."""
+    from .kernels import lower_formula, tree_size
+
+    return tree_size(lower_formula(f))
 
 
 def subformulas(f) -> list:

@@ -242,3 +242,39 @@ def supports_ladder_flat(mask: int, k: int, l: int) -> bool:
         if mask & (0b11 << (2 * i)) != (0b11 << (2 * i)):
             return True
     return False
+
+
+# text the lexers must treat exactly: Unicode letters and digits, a
+# no-break space and other blanks they do not skip, a lone "-", words
+# that start with a digit or "_", comments, CR, CRLF and final newlines
+LEXER_PIECES = [
+    " ", "  ", "\t", "\n", "\r\n", "\r", "\xa0", "\u2028", "\x0b", "\x85",
+    "# note", "#", "#\n", "-", "->", "- >", ">", "$", "²", "p²", "٣", "p٣", "p1٣",
+    "é", "ß", "λx", "x²", "Ω", "_", "_a", "a_", "3", "3x", "0p", "p", "p0", "p07",
+    "x0", "x1", "y", "(", ")", "&", "|", "~", ":", "?", "=", ";", "ior", "or",
+    "not", "bot", "box", "wbox", "let", "forall", "exists", "ForAll",
+]
+
+
+def lexer_corpus(seed: int, texts: list[str], count: int = 300) -> list[str]:
+    """count texts drawn from seed, most of them malformed: each of texts,
+    then those texts cut short, with one character changed or with
+    LEXER_PIECES spliced in, and runs of pieces alone; the last ones end
+    in a comment with no newline, in CRLF or in a final newline."""
+    rng = random.Random(seed)
+    corpus = list(texts)
+    while len(corpus) < count - 3:
+        base = rng.choice(texts)
+        at = rng.randrange(len(base) + 1)
+        how = rng.randrange(4)
+        if how == 0:
+            corpus.append(base[:at])
+        elif how == 1:
+            corpus.append(base[:at] + rng.choice(LEXER_PIECES) + base[at + 1 :])
+        elif how == 2:
+            corpus.append(base[:at] + rng.choice(LEXER_PIECES) + base[at:])
+        else:
+            corpus.append("".join(rng.choice(LEXER_PIECES) for _ in range(rng.randint(1, 6))))
+    last = rng.choice(texts)
+    corpus += [last + "  # no newline", last.replace(" ", "\r\n"), last + "\n"]
+    return corpus

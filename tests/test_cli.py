@@ -132,6 +132,23 @@ class TestCheck:
     def test_usage_error(self, demo_file):
         assert cli.main(["check", demo_file, "110"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{demo}", "-1x", "--formula", "p0"],
+            ["check", "{demo}", "110"],
+            ["verify", "--random", "x"],
+            ["frobnicate"],
+            [],
+        ],
+    )
+    def test_usage_error_is_one_line(self, demo_file, capsys, argv):
+        assert cli.main([word.format(demo=demo_file) for word in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
 
 class TestReduce:
     def test_emitted_files(self, tmp_path, capsys):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import time
 from dataclasses import dataclass
 from itertools import product
 
 import pytest
 
+from conftest import lexer_corpus
 from inqcheck.qbf import (
     EXISTS,
     FORALL,
@@ -281,3 +284,49 @@ class TestDeepMatrices:
         assert PAnd(Var(0), Var(1)) != POr(Var(0), Var(1))
         assert PAnd(Var(0), Var(1)) != PAnd(Var(1), Var(0))
         assert Var(0) != 0
+
+
+# valid texts that cover the whole grammar, which lexer_corpus cuts,
+# mutates and splices
+QBF_TEXTS = [
+    "forall x0 exists x1 : (x0 | ~x1) & x1",
+    "# a comment\nexists x0 : x0  # matrix\n",
+    "exists x0 forall x1 exists x2 : ~(x0 & ~(x1 | x2)) | ~~x2",
+    "forall _b exists a2 : _b & ~a2",
+    "exists x0 : x0",
+]
+
+
+def qbf_outcome(text: str) -> tuple:
+    """What parsing text gives, without and with rename: the text of its
+    formula, the unbound name, or the error's offset, expected set, found
+    text and message."""
+    outcome = []
+    for rename in (False, True):
+        try:
+            outcome.append(("ok", render_qbf(parse_qbf(text, rename=rename))))
+        except ClosureError as e:
+            outcome.append(("unbound", e.name))
+        except ParseError as e:
+            outcome.append((e.offset, sorted(e.expected), e.found, str(e)))
+    return tuple(outcome)
+
+
+class TestLexer:
+    def test_corpus_outcomes_are_pinned(self):
+        corpus = lexer_corpus(1617, QBF_TEXTS)
+        assert len(corpus) == 300
+        outcomes = [qbf_outcome(text) for text in corpus]
+        assert sum(outcome[1][0] not in ("ok", "unbound") for outcome in outcomes) > 200
+        digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+        # the outcomes of the character-by-character lexer this one replaced
+        assert digest == "16fc1018c9b2275fe5246e8c30383570740b86226c1ee3eb69c0e4c31b6b6848"
+
+    def test_a_million_blanks_lex_fast(self):
+        blanks = ("  \t\r\n# a comment # \n" * 50_000)[:1_000_000] + "\n"
+        start = time.perf_counter()
+        assert parse_qbf(blanks + "exists x0 :" + blanks + "x0" + blanks) == Qbf(((EXISTS, 0),), Var(0))
+        with pytest.raises(ParseError) as info:
+            parse_qbf(blanks)
+        assert info.value.offset == len(blanks) and info.value.found == "end of input"
+        assert time.perf_counter() - start < 1

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import question_formula, random_formula, shared_formula
+from conftest import lexer_corpus, question_formula, random_formula, shared_formula
 from inqcheck.checker import CheckQuery, evaluate
 from inqcheck.kernels import OP_ATOM, OP_BOT, OP_IMPLIES, OP_IVEE, RowBuilder, formula_of, lower_formula, program_key
 from inqcheck.model import InfoState
@@ -446,6 +447,45 @@ class TestExpansionLimit:
         assert 10 * distinct_composites(back) < len(subformulas(back))
 
 
+class TestProgramRender:
+    """A program prints as its formula objects do, and its text parses
+    back into a program of the same DAG."""
+
+    def assert_round_trip(self, program):
+        text = render_formula(program)
+        assert text == render_formula(formula_of(program))
+        back = parsed_rows(text)
+        assert back.num_nodes == program.num_nodes
+        assert postorder_key(back) == postorder_key(program)
+        # the rows come back in the text's order, which a second round
+        # trip keeps
+        assert render_formula(back) == text
+        assert program_key(parsed_rows(render_formula(back))) == program_key(back)
+
+    @pytest.mark.parametrize("l", range(1, 25))
+    def test_compiled_programs(self, l):
+        self.assert_round_trip(reduce_tqbf(random_qbf(160 + l, l, 40 + 5 * l)).program)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_hypothesis_dags(self, data):
+        node = RowBuilder()
+        rows = [node(Bottom)] + [node(Atom, i) for i in data.draw(st.lists(st.integers(0, 2**70), min_size=1, max_size=4))]
+        kinds = st.sampled_from([And, IVee, Implies, Box, WBox])
+        for kind, a, b in data.draw(st.lists(st.tuples(kinds, st.integers(0), st.integers(0)), min_size=1, max_size=40)):
+            a, b = rows[a % len(rows)], rows[b % len(rows)]
+            rows.append(node(kind, a) if kind in (Box, WBox) else node(kind, a, b))
+        self.assert_round_trip(node.program(rows[-1]))
+
+    def test_shared_leaves_and_both_sides(self):
+        node = RowBuilder()
+        p0 = node(Atom, 0)
+        both = node(And, p0, p0)
+        program = node.program(node(IVee, both, node(Box, both)))
+        assert render_formula(program) == "let f0 = (p0 & p0);\n(f0 ior box f0)"
+        self.assert_round_trip(program)
+
+
 class TestDeepValues:
     # equality and the hash read the lowered rows, so 10,000 levels cost
     # no Python frames, and a query over such a formula hashes too
@@ -470,3 +510,56 @@ class TestDeepValues:
         assert shared != IVee(x, WBox(x)) and shared != IVee(Box(x), x)
         assert Atom(0) == Atom(0) and Atom(0) != Atom(1) and Atom(0) != Bottom()
         assert Atom(0) != 0 and And(Atom(0), Atom(0)) != (Atom(0), Atom(0))
+
+    def test_atoms_past_64_bits_compare_and_hash(self):
+        # their payload is no array("q"), so it is keyed by its values
+        big = 10**20
+        assert Atom(big) == Atom(big) and hash(Atom(big)) == hash(Atom(big))
+        assert Atom(big) != Atom(big + 1) and Atom(big) != Atom(0)
+        assert And(Atom(big), Atom(0)) == And(Atom(big), Atom(0))
+        assert And(Atom(big), Atom(0)) != And(Atom(0), Atom(big))
+        assert len({Atom(big), Atom(big), Atom(big + 1), Atom(0)}) == 3
+
+
+# valid texts that cover the whole grammar, which lexer_corpus cuts,
+# mutates and splices
+FORMULA_TEXTS = [
+    "p0 ior not p0",
+    "let a = ?p0;\nlet b = (a & a);\nb -> box a",
+    "(p0 or p1) -> ? not p2  # a comment\n",
+    "wbox (p10 & bot) ior (p3 -> p4)",
+    "let x_1 = p0 & p1; not x_1 or ?x_1",
+    "box ? wbox ? p0",
+]
+
+
+def formula_outcome(text: str) -> tuple:
+    """What parsing text gives: the core text of its formula, or the
+    error's offset, expected set, found text and message."""
+    try:
+        return ("ok", render_formula(parse_formula(text)))
+    except ParseError as e:
+        return (e.offset, sorted(e.expected), e.found, str(e))
+
+
+class TestLexer:
+    def test_corpus_outcomes_are_pinned(self):
+        corpus = lexer_corpus(1616, FORMULA_TEXTS)
+        assert len(corpus) == 300
+        outcomes = [formula_outcome(text) for text in corpus]
+        assert sum(outcome[0] != "ok" for outcome in outcomes) > 200
+        digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+        # the outcomes of the character-by-character lexer this one replaced
+        assert digest == "208f1623d97fdb34ed947a030d41b63acfeb8aa78cd0bc51cd29df4dc9e6e67f"
+
+    @pytest.mark.parametrize("end", ["p0", "", "p0 $"])
+    def test_a_million_blanks_lex_fast(self, end):
+        text = ("  \t\r\n# a comment # \n" * 50_000)[:1_000_000] + "\n" + end
+        start = time.perf_counter()
+        if end == "p0":
+            assert parse_formula(text) == Atom(0)
+        else:
+            with pytest.raises(ParseError) as info:
+                parse_formula(text)
+            assert info.value.offset == (text.index("$") if end else len(text))
+        assert time.perf_counter() - start < 0.5
