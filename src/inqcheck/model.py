@@ -315,9 +315,13 @@ def write_model_file(m: InformationModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _is_decimal(word: str) -> bool:
-    # str.isdigit alone accepts "²", which int rejects, and "٠", which int reads as 0
-    return word.isascii() and word.isdigit()
+def _decimal(word: str) -> int | None:
+    # str.isdigit alone accepts "²", which int rejects, and "٠", which int
+    # reads as 0; int refuses more digits than sys.get_int_max_str_digits()
+    try:
+        return int(word) if word.isascii() and word.isdigit() else None
+    except ValueError:
+        return None
 
 
 def read_model_file(text: str) -> InformationModel:
@@ -343,13 +347,13 @@ def read_model_file(text: str) -> InformationModel:
     if parts != ["inqmodel", "v1"]:
         raise CodecError("header", f"line {lineno}: expected 'inqmodel v1'")
     lineno, parts = take("atoms")
-    if len(parts) != 2 or parts[0] != "atoms" or not _is_decimal(parts[1]):
+    l = _decimal(parts[1]) if len(parts) == 2 and parts[0] == "atoms" else None
+    if l is None:
         raise CodecError("format", f"line {lineno}: expected 'atoms <count>'")
-    l = int(parts[1])
     lineno, parts = take("worlds")
-    if len(parts) != 2 or parts[0] != "worlds" or not _is_decimal(parts[1]):
+    n = _decimal(parts[1]) if len(parts) == 2 and parts[0] == "worlds" else None
+    if n is None:
         raise CodecError("format", f"line {lineno}: expected 'worlds <count>'")
-    n = int(parts[1])
     lineno, parts = take("delta")
     if parts[0] != "delta" or len(parts) > 2:
         raise CodecError("format", f"line {lineno}: expected 'delta <bits>'")
@@ -357,9 +361,10 @@ def read_model_file(text: str) -> InformationModel:
     epsilons: list[str] = []
     while rows:
         lineno, parts = take("epsilon")
-        if len(parts) != 3 or parts[0] != "epsilon" or not _is_decimal(parts[1]):
+        world = _decimal(parts[1]) if len(parts) == 3 and parts[0] == "epsilon" else None
+        if world is None:
             raise CodecError("format", f"line {lineno}: expected 'epsilon <world> <bits>'")
-        if int(parts[1]) != len(epsilons):
+        if world != len(epsilons):
             raise CodecError(
                 "format",
                 f"line {lineno}: epsilon lines must cover worlds 0..{n - 1} in order",

@@ -20,7 +20,8 @@ Two independent evaluation routes exist on purpose: eval_qbf searches
 the prefix depth first with short-circuiting, eval_qbf_table folds a
 fully materialized assignment table without short-circuiting. They are
 held against each other by the tests. Neither recurses, on the matrix or
-on the prefix.
+on the prefix. Both, and reduce_tqbf, read the one postorder list of
+its matrix that a Qbf builds on first use, so verify walks it once.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .switching import BoolValuation
-from .syntax import _BLANKS, ParseError, _locate, _render, _Stop, subformulas
+from .syntax import _BLANKS, ParseError, _locate, _Stop, subformulas
 
 FORALL = "forall"
 EXISTS = "exists"
@@ -100,15 +102,27 @@ def prop_size(f: PropFormula) -> int:
     return _postorder_size(_postorder(f))
 
 
-_PROP_FORMS = ({PAnd: " & ", POr: " | "}, {}, {Var: ("x", True), NegVar: ("~x", True)})
-
-
 def render_prop(f: PropFormula) -> str:
-    """Print a matrix in concrete syntax, fully parenthesized."""
-    return _render(f, *_PROP_FORMS)
+    """Print a matrix in concrete syntax, fully parenthesized, its tokens
+    off one stack in output order, joined once."""
+    out: list[str] = []
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        kind = type(g)
+        if kind is str:
+            out.append(g)
+        elif kind is Var or kind is NegVar:
+            out.append(f"{'x' if kind is Var else '~x'}{g.index}")
+        elif kind is PAnd or kind is POr:
+            out.append("(")
+            stack += (")", g.right, " & " if kind is PAnd else " | ", g.left)
+        else:
+            raise TypeError(f"cannot print {g!r}")
+    return "".join(out)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Qbf:
     """Quantifier prefix over x_0..x_{l-1} in order, plus an NNF matrix."""
 
@@ -118,6 +132,12 @@ class Qbf:
     @property
     def l(self) -> int:
         return len(self.prefix)
+
+    @cached_property
+    def _nodes(self) -> list:
+        """The matrix's _postorder list checked against l, built on first
+        use; until it is, each read raises what _postorder raises."""
+        return _postorder(self.matrix, self.l)
 
 
 def render_qbf(q: Qbf) -> str:
@@ -310,7 +330,7 @@ def eval_qbf(q: Qbf) -> bool:
     """
     l = q.l
     _check_prefix(q.prefix, 0)
-    nodes = _postorder(q.matrix, l)
+    nodes = q._nodes
     exists = [quant == EXISTS for quant, _ in q.prefix]
     values = [0] * l
     k = 0
@@ -339,7 +359,7 @@ def eval_qbf_table(q: Qbf) -> bool:
     at small l. Raises as eval_qbf does."""
     l = q.l
     _check_prefix(q.prefix, 0)
-    nodes = _postorder(q.matrix, l)
+    nodes = q._nodes
     leaves = [_truth(nodes, [a >> i & 1 for i in range(l)]) for a in range(1 << l)]
     for k in reversed(range(l)):
         # x_k is bit k of an assignment, the top bit of what is left

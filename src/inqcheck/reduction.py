@@ -155,18 +155,13 @@ def translate_qbf(theta: Qbf, polarity: str, l: int, node=fresh):
             or exists, or a prefix not binding x_k..x_{l-1} in order.
         ClosureError: a matrix variable past x_{l-1}.
     """
-    return _translate_qbf(theta, polarity, l, node)[0]
-
-
-def _translate_qbf(theta: Qbf, polarity: str, l: int, node) -> tuple:
-    """translate_qbf, and the _postorder list of the matrix it read."""
     if polarity not in ("P", "N"):
         raise ValueError(f"polarity must be 'P' or 'N', got {polarity!r}")
     _check_prefix(theta.prefix, l - theta.l)
     # the body of a universal tracks truth and that of an existential
     # falsity, whatever the polarity of the quantifier itself
     polarities = [polarity] + ["P" if quant == FORALL else "N" for quant, _ in theta.prefix]
-    nodes = _postorder(theta.matrix, l)
+    nodes = theta._nodes if l == theta.l else _postorder(theta.matrix, l)
     f = _translate_prop(nodes, polarities[-1] == "P", l, node)
     pieces = None
     for (quant, k), tracked in zip(reversed(theta.prefix), reversed(polarities[:-1])):
@@ -175,7 +170,7 @@ def _translate_qbf(theta: Qbf, polarity: str, l: int, node) -> tuple:
         else:
             pieces = pieces or escape_pieces(l, node)
             f = node(Implies, node(Implies, formula_D(k, l, node), f), formula_S(k, l, node, pieces))
-    return f, nodes
+    return f
 
 
 def reduce_tqbf(theta: Qbf) -> ReductionInstance:
@@ -187,15 +182,14 @@ def reduce_tqbf(theta: Qbf) -> ReductionInstance:
     if l == 0:
         raise ValueError("formula must bind at least one variable")
     node = RowBuilder()
-    root, nodes = _translate_qbf(theta, "P", l, node)
-    program = node.program(root)
+    program = node.program(translate_qbf(theta, "P", l, node))
     switching = build_switching_model(l)
     return ReductionInstance(
         model=switching,
         state=InfoState.full(2 * l),
         program=program,
         l=l,
-        matrix_size=_postorder_size(nodes),
+        matrix_size=_postorder_size(theta._nodes),
         translated_size=tree_size(program),
     )
 

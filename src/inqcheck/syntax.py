@@ -10,10 +10,13 @@ connectives only, so parse and render round-trip structurally.
 A formula may share subformulas: the same node object may sit under more
 than one parent, so that it is a DAG rather than a tree. Text says so
 with definitions, `let NAME = formula;` lines before the formula, each
-of whose uses stands for the one object the definition built. The
-printer names every composite node object it reaches twice or more and
-prints a tree, one with no shared objects, without definitions. A
-kernels.Program prints off its columns as formula_of of it would.
+of whose uses stands for the one object the definition built. One
+printer writes text off program rows, naming every row that two or more
+references of its parents hold. A kernels.Program prints off its own
+columns; a Formula off rows that one identity walk gives it, a row per
+composite node object and per leaf occurrence, so its definitions name
+exactly the objects it reaches twice or more, and a tree, one with no
+shared objects, prints without definitions.
 
 The parser, like neg, question and classical_or, builds each node with
 a node builder, node(cls, a=None, b=None): `fresh` makes Formula
@@ -266,7 +269,12 @@ def _read_formula(tokens: list[str], i: int, definitions: dict, end: str, node):
         if word in definitions:
             f = definitions[word]
         elif word[1:].isdigit() and word[0] == "p" and word.isascii():
-            f = node(Atom, int(word[1:]))
+            try:
+                index = int(word[1:])
+            except ValueError:
+                # more digits than sys.get_int_max_str_digits() allows
+                raise _Stop(i - 1, _ATOM_START, f"atom index of {len(word) - 1} digits is too long") from None
+            f = node(Atom, index)
         elif word == "bot":
             f = node(Bottom)
         elif _is_name(word):
@@ -313,95 +321,64 @@ def _read_formula(tokens: list[str], i: int, definitions: dict, end: str, node):
             prefix, antecedents, disj, mode, conj = levels.pop()
 
 
-def _render(f, infix: dict, prefix: dict, leaves: dict, shared: dict | None = None) -> str:
-    """Print a formula of either language, given as its tables of forms.
-
-    infix maps a binary node class to its connective, printed between
-    parentheses around both children; prefix maps a unary class to the
-    text before its body; leaves maps a leaf class to its text and
-    whether the node's index follows it. The tokens come off one stack of
-    nodes and pending strings in output order and are joined once, so the
-    time is linear in the output.
-
-    shared, when given, holds the id of every composite node that f
-    reaches twice or more, mapped to "". Such a node is printed once, as
-    a definition `let fN = ...;` on a line before the formula, and by its
-    name everywhere. Its first place keeps an empty slot in the text
-    around it, and a (text, slot, id) entry under its parts names it, in
-    shared too, once they are printed: definitions end, and are
-    numbered, children first.
-    """
-    lines: list[str] = []
-    out: list[str] = []
-    stack: list = [f]
-    while stack:
-        g = stack.pop()
-        kind = type(g)
-        if kind is str:
-            out.append(g)
-        elif kind in leaves:
-            text, indexed = leaves[kind]
-            out.append(f"{text}{g.index}" if indexed else text)
-        elif kind is tuple:
-            outer, slot, key = g
-            name = outer[slot] = shared[key] = f"f{len(lines)}"
-            lines.append(f"let {name} = {''.join(out)};\n")
-            out = outer
-        else:
-            if shared and id(g) in shared:
-                name = shared[id(g)]
-                if name:
-                    out.append(name)
-                    continue
-                out.append("")
-                stack.append((out, len(out) - 1, id(g)))
-                out = []
-            if kind in infix:
-                out.append("(")
-                stack += (")", g.right, infix[kind], g.left)
-            elif kind in prefix:
-                out.append(prefix[kind])
-                stack.append(g.body)
-            else:
-                raise TypeError(f"cannot print {g!r}")
-    return "".join(lines) + "".join(out)
-
-
-_FORMULA_FORMS = (
-    {And: " & ", IVee: " ior ", Implies: " -> "},
-    {Box: "box ", WBox: "wbox "},
-    {Atom: ("p", True), Bottom: ("bot", False)},
-)
-
-
 def render_formula(f) -> str:
     """Print a formula, or a kernels.Program, in core syntax;
-    parse_formula inverts it exactly.
-
-    Binary connectives are always parenthesized, prefix modalities are
-    bare, so the output is unambiguous without precedence knowledge.
+    parse_formula inverts it exactly. Binary connectives are always
+    parenthesized and prefix modalities bare, so no precedence is needed.
     Every composite node object that f reaches twice or more, or row
     that two or more references of its parents hold, is printed once, as
-    a definition `let fN = ...;` on a line of its own before the
-    formula, and by its name wherever it is used; so the text is linear
-    in the distinct objects or rows of f, and a tree prints without
-    definitions. A program prints as formula_of(program) does.
-    """
+    a definition `let fN = ...;` on a line before the formula, and by its
+    name wherever it is used: the text is linear in the distinct objects
+    or rows of f, and a tree prints without definitions. A program
+    prints as formula_of(program) does. Raises TypeError on a node of f
+    that is no formula node."""
     if not isinstance(f, Formula):
-        return _render_rows(f)
-    shared = {key: "" for key, places in _reach_counts(f).items() if places > 1}
-    return _render(f, *_FORMULA_FORMS, shared)
+        return _render_rows(f.ops.tolist(), f.left.tolist(), f.right.tolist(), f.payload, f.root)
+    # f's rows by identity, one per composite node object and one per
+    # leaf occurrence, so rows are shared exactly where objects are; each
+    # stack entry carries the column and row that its row number goes into
+    from .kernels import _OP_OF_TYPE, OP_AND, OP_ATOM, OP_BOX
+
+    ops, left, right, payload = [], [], [], []
+    rows: dict[int, int] = {}  # id of a composite object -> its row
+    root = [0]
+    stack = [(f, root, 0)]
+    while stack:
+        g, column, parent = stack.pop()
+        op = _OP_OF_TYPE.get(type(g))
+        if op is None:
+            raise TypeError(f"cannot print {g!r}")
+        if op >= OP_AND:
+            key = id(g)
+            if key in rows:
+                column[parent] = rows[key]
+                continue
+            r = rows[key] = len(ops)
+            if op < OP_BOX:
+                stack += ((g.right, right, r), (g.left, left, r))
+            else:
+                stack.append((g.body, left, r))
+        column[parent] = len(ops)
+        ops.append(op)
+        left.append(0)
+        right.append(0)
+        payload.append(g.index if op == OP_ATOM else 0)
+    return _render_rows(ops, left, right, payload, root[0])
 
 
-def _render_rows(p) -> str:
-    """render_formula of a program, off its columns: _render's loop, with
-    rows for node objects. A row's parents reach it once per reference,
-    counted up front, which numbers the definitions as _render does."""
-    from .kernels import OP_AND, OP_ATOM, OP_BOX, _TYPE_OF_OP
+# the text of each composite op, indexed by op
+_FORMS = (None, None, " & ", " ior ", " -> ", "box ", "wbox ")
 
-    infix, prefix, _ = _FORMULA_FORMS
-    forms = [infix.get(cls) or prefix.get(cls) for cls in _TYPE_OF_OP]
-    ops, left, right, payload = p.ops.tolist(), p.left.tolist(), p.right.tolist(), p.payload
+
+def _render_rows(ops, left, right, payload, root: int) -> str:
+    """The text of the formula at row root of the columns, its tokens
+    off one stack in output order, joined once. A row that its parents
+    reference twice or more, counted up front, is a definition: it keeps
+    an empty slot at its first place, and an (out, slot, row) entry under
+    its parts names it once they are printed, so definitions end, and
+    are numbered, children first."""
+    from .kernels import OP_AND, OP_ATOM, OP_BOX
+
     parents = [0] * len(ops)
     for op, a, b in zip(ops, left, right):
         if op >= OP_AND:
@@ -409,7 +386,7 @@ def _render_rows(p) -> str:
             if op < OP_BOX:
                 parents[b] += 1
     names: dict[int, str] = {}
-    lines, out, stack = [], [], [p.root]
+    lines, out, stack = [], [], [root]
     while stack:
         r = stack.pop()
         kind = type(r)
@@ -433,40 +410,11 @@ def _render_rows(p) -> str:
             op = ops[r]
             if op < OP_BOX:
                 out.append("(")
-                stack += (")", right[r], forms[op], left[r])
+                stack += (")", right[r], _FORMS[op], left[r])
             else:
-                out.append(forms[op])
+                out.append(_FORMS[op])
                 stack.append(left[r])
     return "".join(lines) + "".join(out)
-
-
-# the children of each composite node class
-_ARITY = {And: 2, IVee: 2, Implies: 2, Box: 1, WBox: 1}
-
-
-def _reach_counts(f) -> dict[int, int]:
-    """How often a walk that expands each object once reaches each
-    composite node object of f, by id: once from f or from each parent
-    object (twice from a parent holding it on both sides), so more than
-    once for an object that f shares. The time is linear in the distinct
-    objects, and the walk keeps its own stack. Other nodes count as
-    leaves."""
-    reached: dict[int, int] = {}
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        arity = _ARITY.get(type(g))
-        if arity:
-            key = id(g)
-            if key in reached:
-                reached[key] += 1
-            else:
-                reached[key] = 1
-                if arity == 2:
-                    stack += (g.right, g.left)
-                else:
-                    stack.append(g.body)
-    return reached
 
 
 def formula_size(f: Formula) -> int:

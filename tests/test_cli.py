@@ -568,20 +568,25 @@ class TestEntryPoint:
             "check-formula-digit",
             "check-formula-file-digit",
             "check-model-digit",
+            "check-formula-long-index",
+            "check-model-long-count",
             "stats",
             "verify",
         ],
     )
     def test_input_errors_exit_two(self, case, tmp_path, demo_file, capsys):
         # a file that is not UTF-8, an output directory that does not
-        # exist, or a digit that str.isdigit accepts and int() does not, is
-        # the user's input error, not a crash (exit 4)
+        # exist, a digit that str.isdigit accepts and int() does not, or
+        # more digits than int() reads, is the user's input error, not a
+        # crash (exit 4)
         bad = str(tmp_path / "latin1.txt")
         with open(bad, "wb") as handle:
             handle.write("caf\xe9\n".encode("latin-1"))
         digit_formula = write(tmp_path, "f.formula", "p²\n")
         with open(demo_file, encoding="utf-8") as handle:
-            digit_model = write(tmp_path, "digit.im", handle.read().replace("atoms 2", "atoms ²"))
+            demo = handle.read()
+        digit_model = write(tmp_path, "digit.im", demo.replace("atoms 2", "atoms ²"))
+        long_model = write(tmp_path, "long.im", demo.replace("atoms 2", "atoms " + "2" * 5000))
         argv, path = {
             "check-model": (["check", bad, "110", "--formula", "p0"], bad),
             "check-formula-file": (["check", demo_file, "110", "--formula-file", bad], bad),
@@ -593,6 +598,8 @@ class TestEntryPoint:
             "check-formula-digit": (["check", demo_file, "110", "--formula", "p²"], "formula argument"),
             "check-formula-file-digit": (["check", demo_file, "110", "--formula-file", digit_formula], digit_formula),
             "check-model-digit": (["check", digit_model, "110", "--formula", "p0"], digit_model),
+            "check-formula-long-index": (["check", demo_file, "110", "--formula", "p" + "1" * 5000], "formula argument"),
+            "check-model-long-count": (["check", long_model, "110", "--formula", "p0"], long_model),
             "stats": (["stats", bad], bad),
             "verify": (["verify", bad], bad),
         }[case]

@@ -340,6 +340,17 @@ class TestFileFormat:
         assert info.value.what == "format"
         assert info.value.detail.startswith(f"line {lineno}: expected")
 
+    @pytest.mark.parametrize("old, lineno", [("atoms 2", 2), ("worlds 3", 3), ("epsilon 0", 5)])
+    def test_counts_past_the_int_digit_limit(self, demo_model, old, lineno):
+        # int() refuses more than 4300 digits by default, leading zeros too
+        keyword, digit = old.split()
+        text = write_model_file(demo_model)
+        assert old in text
+        with pytest.raises(CodecError) as info:
+            read_model_file(text.replace(old, f"{keyword} {digit * 5000}", 1))
+        assert info.value.what == "format"
+        assert info.value.detail.startswith(f"line {lineno}: expected")
+
     def test_epsilon_lines_must_ascend(self, demo_model):
         text = write_model_file(demo_model)
         lines = text.splitlines()

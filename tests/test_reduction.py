@@ -12,6 +12,7 @@ from itertools import product
 
 import pytest
 
+import inqcheck.qbf as qbf_module
 from inqcheck.checker import CheckQuery, MemoCache, check_support, evaluate
 from inqcheck.model import InfoState
 from inqcheck.qbf import (
@@ -281,6 +282,31 @@ class TestMalformedInput:
     def test_unbound_variable_rejected(self, consumer):
         with pytest.raises(ClosureError):
             consumer(Qbf(((FORALL, 0), (EXISTS, 1)), PAnd(Var(0), NegVar(2))))
+
+
+class TestOneMatrixWalk:
+    def test_consumers_share_one_postorder(self, monkeypatch):
+        # verify asks eval_qbf and then reduce_tqbf about one Qbf
+        walks = []
+
+        def counted(f, k=None):
+            walks.append(k)
+            return postorder(f, k)
+
+        postorder = qbf_module._postorder
+        monkeypatch.setattr(qbf_module, "_postorder", counted)
+        theta = random_qbf(3, 5, 80)
+        instance = reduce_tqbf(theta)
+        query = CheckQuery(instance.model.model, instance.state, instance.program)
+        assert eval_qbf(theta) == eval_qbf_table(theta) == evaluate(query, engine="table").value
+        assert walks == [5]
+        assert instance.matrix_size == qbf_module.prop_size(theta.matrix)
+
+    def test_failed_walk_raises_every_time(self):
+        theta = Qbf(((FORALL, 0),), PAnd(Var(0), NegVar(1)))
+        for consumer in QBF_CONSUMERS * 2:
+            with pytest.raises(ClosureError, match="unbound variable x1"):
+                consumer(theta)
 
 
 class TestSizes:

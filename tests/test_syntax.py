@@ -13,7 +13,7 @@ from conftest import lexer_corpus, question_formula, random_formula, shared_form
 from inqcheck.checker import CheckQuery, evaluate
 from inqcheck.kernels import OP_ATOM, OP_BOT, OP_IMPLIES, OP_IVEE, RowBuilder, formula_of, lower_formula, program_key
 from inqcheck.model import InfoState
-from inqcheck.qbf import random_qbf
+from inqcheck.qbf import Var, random_qbf
 from inqcheck.reduction import reduce_tqbf
 from inqcheck.syntax import (
     And,
@@ -26,6 +26,7 @@ from inqcheck.syntax import (
     WBox,
     classical_or,
     formula_size,
+    fresh,
     neg,
     parse_formula,
     question,
@@ -120,6 +121,25 @@ class TestParse:
         assert info.value.offset == 5
         assert info.value.found == repr(word)
 
+    def test_atom_index_past_the_int_digit_limit(self):
+        # int() refuses more than 4300 digits by default
+        for node in (fresh, RowBuilder()):
+            with pytest.raises(ParseError, match="atom index of 5000 digits") as info:
+                parse_formula("p0 & p" + "1" * 5000, node=node)
+            assert info.value.offset == 5
+
+
+def printing_corpus() -> list:
+    """300 seeded library formulas: trees of random_formula and
+    question_formula, and shared_formula DAGs."""
+    rng = random.Random(1717)
+    corpus = []
+    for i in range(100):
+        corpus.append(random_formula(rng, 4, 5, True))
+        corpus.append(question_formula(rng, 3, 4, True))
+        corpus.append(shared_formula(rng, 3 + i % 20, questions=i % 2 == 1))
+    return corpus
+
 
 class TestRender:
     def test_binary_fully_parenthesized(self):
@@ -135,7 +155,26 @@ class TestRender:
 
     @given(formulas())
     def test_round_trip(self, f):
-        assert parse_formula(render_formula(f)) == f
+        # one draw for three properties of trees, which drawing dominates
+        text = render_formula(f)
+        assert parse_formula(text) == f
+        # a tree prints without definitions
+        assert text == tree_text(f)
+        assert formula_size(f) >= sum(1 for _ in subformulas(f))
+
+    @pytest.mark.parametrize("bad", ["p0", 0, None, Var(0)])
+    def test_non_formula_node_raises(self, bad):
+        with pytest.raises(TypeError, match="cannot print"):
+            render_formula(And(Atom(0), Box(bad)))
+
+    def test_library_corpus_is_pinned(self):
+        texts = [render_formula(f) for f in printing_corpus()]
+        assert len(texts) == 300
+        assert sum("let " in text for text in texts) > 50
+        digest = hashlib.sha256("\0".join(texts).encode()).hexdigest()
+        # the text of the object printer this one replaced, which named
+        # shared objects from a walk of its own
+        assert digest == "156379551b7decf4db32f0b2f4207f2bbcb11f06fcd7b56406732852b0768ad8"
 
 
 class TestSize:
@@ -154,10 +193,6 @@ class TestSize:
         assert formula_size(Atom(1)) == 3
         assert formula_size(Atom(2)) == 3
         assert formula_size(Atom(3)) == 4
-
-    @given(formulas())
-    def test_size_bounds_node_count(self, f):
-        assert formula_size(f) >= sum(1 for _ in subformulas(f))
 
 
 class TestHelpers:
@@ -216,12 +251,13 @@ class TestDefinitions:
         assert text == "let f0 = (p0 -> bot);\nlet f1 = (f0 & f0);\n(f1 ior f1)"
 
     def test_shared_leaves_are_not_named(self):
-        p = Atom(3)
+        p, b = Atom(3), Bottom()
         assert render_formula(And(p, p)) == "(p3 & p3)"
+        assert render_formula(Implies(Box(p), IVee(b, b))) == "(box p3 -> (bot ior bot))"
 
-    @given(formulas())
-    def test_tree_prints_as_before(self, f):
-        assert render_formula(f) == tree_text(f)
+    def test_equal_distinct_objects_print_as_a_tree(self):
+        f = And(And(Atom(0), Atom(1)), And(Atom(0), Atom(1)))
+        assert render_formula(f) == "((p0 & p1) & (p0 & p1))"
 
     @pytest.mark.parametrize("seed", range(60))
     def test_shared_round_trip(self, seed):
