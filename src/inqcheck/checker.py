@@ -33,18 +33,21 @@ its columns and decided as it stands, and naive reads it through
 formula_of.
 
 The table decides an implication f -> g at a query state s in one of
-three ways (Ciardelli & Roelofsen, "Inquisitive logic", J. Philos. Logic
+four ways (Ciardelli & Roelofsen, "Inquisitive logic", J. Philos. Logic
 40, 2011; Ciardelli, Groenendijk & Roelofsen, Inquisitive Semantics, OUP
 2018, ch. 2-3). A formula built from declaratives with &, ior and -> out
-of a declarative is supported exactly by the subsets of one of its
-alternatives, the maximal states supporting it; a declarative has one,
-its truth mask. By persistence:
+of a declarative has a covering family: states that each support it,
+such that every state supporting it lies inside one. Its maximal
+members are its alternatives, and the family may hold others inside
+them; a declarative has one member, its truth mask. By persistence:
 
-- when f has alternatives, s supports f -> g iff s & A supports g for
-  every alternative A of f, so the query descends to those substates;
-- when every alternative A of g leaves exactly one world of s out, the
-  substates of s that fail g are the supersets of m = OR of (s & ~A), so
-  s supports f -> g iff m does not support f, and the query asks f at m;
+- when f has a family, s supports f -> g iff s & A supports g for every
+  member A, so the query descends to those substates;
+- when s lies inside a member of g's family, s supports g, and so f -> g;
+- when the outs s & ~A of g's members that are single worlds have an OR
+  m that every wider out meets, the substates of s that fail g are the
+  supersets of m, so s supports f -> g iff m does not support f, and the
+  query asks f at m;
 - otherwise the table builds lattice rows over the substates of s and
   checks that none supports f and fails g.
 

@@ -14,27 +14,33 @@ Three facts decide implications (Ciardelli & Roelofsen, "Inquisitive
 logic", J. Philos. Logic 40, 2011; Ciardelli, Groenendijk & Roelofsen,
 Inquisitive Semantics, OUP 2018, ch. 2-3):
 
-- Support by alternatives. A formula built from declaratives with &, ior
-  and -> out of a declarative is supported exactly by the subsets of one
-  of its alternatives, a family of world masks that does not depend on
-  the state. A declarative has one, its truth mask; ior unites the
-  families, & meets them pairwise, and alpha -> g with alpha declarative
-  maps each alternative B of g to B plus the worlds outside alpha.
-- The alternatives form of ->. By persistence, t supports f -> g iff
-  t & A supports g for every alternative A of f.
-- The least failure of ->. When every alternative A of g leaves exactly
-  one world of s out, a substate of s fails g iff it holds each of those
-  worlds, iff it contains m = OR of (s & ~A). By persistence, s supports
-  f -> g iff m does not support f.
+- Support by a covering family. A formula built from declaratives with
+  &, ior and -> out of a declarative is supported exactly by the subsets
+  of the members of a family of world masks that does not depend on the
+  state: every member supports it, and every supporting state lies inside
+  a member. The maximal members are its alternatives; the family may hold
+  others inside them. A declarative has its truth mask; ior concatenates
+  the families, & meets them pairwise and keeps the maximal meets, and
+  alpha -> g with alpha declarative maps each member B of g to B plus the
+  worlds outside alpha.
+- The covering form of ->. By persistence, t supports f -> g iff t & A
+  supports g for every member A of f's family.
+- The least failure of ->. A substate of s fails g iff it meets every out
+  s & ~A of g's members. When those outs that are single worlds have an
+  OR m that every wider out meets, the substates of s failing g are
+  exactly the supersets of m. By persistence s then supports f -> g iff m
+  does not support f. A member with an empty out holds s, and s supports
+  f -> g outright.
 
 A query at state s descends through conjunctions and inquisitive
 disjunctions at s, and decides an implication f -> g it reaches in one
-of three ways, answering each implication and each row that two parents
+of four ways, answering each implication and each row that two parents
 share at a state at most once:
 
-- f has alternatives: descend to s & A for each of them;
-- every alternative of g leaves exactly one world of s out: ask f at m
-  and negate the answer;
+- f has a covering family: descend to s & A for each of its members;
+- s lies inside a member of g's family: s supports f -> g;
+- g's family gives s a least failure m: ask f at m and negate the
+  answer;
 - otherwise close: s supports f -> g iff no substate supports f and
   fails g, read off bitsets over the 2^|s| sub-lattice of s, with
   declarative rows as down-sets of their truth masks. The substates
@@ -349,9 +355,10 @@ class SupportTable:
     supports row r; declarative[r] says that row r is truth-conditional
     (bot, atoms, box, wbox, & of declaratives, -> into a declarative), so
     that a state supports it iff all its worlds are in truth[r].
-    families[r], filled on first use, holds row r's alternatives, or None
-    when r is outside the fragment that has them or has more than
-    max_family. refs[r] counts the references to row r from inquisitive
+    families[r], filled on first use, holds a covering family of row r
+    (every member supports r, every supporting state lies inside one), or
+    None when r is outside the fragment that has one or its family has
+    more than max_family members. refs[r] counts the references to row r from inquisitive
     rows, plus two for an implication; a query keeps r's answers iff >= 2.
     """
 
@@ -365,12 +372,16 @@ class SupportTable:
         self.declarative: list[bool] = []
         self.refs = [0] * len(self.ops)
         self.families: dict[int, tuple[int, ...] | None] = {}
-        # past this many alternatives a row gets none, which bounds the
+        # past this many members a row gets no family, which bounds the
         # pairwise meets in _family; a query then neither descends out of
-        # the row nor takes its least failure, and closes instead. On seed 1,
-        # lifting it changed no family on modal-sparse or memo-reuse, and
-        # closure ran for 1 of 560 modal-sparse queries (at 6 worlds) and none
-        # of 3,600 memo-reuse, 100 compiled-deep or 200 verify-small queries
+        # the row nor takes its least failure, and closes instead. On the
+        # seed-1 queries of the four benchmark workloads (600 verify-small,
+        # 200 compiled-deep, 560 modal-sparse, 3,600 memo-reuse) no family
+        # reaches it. With maximal families the largest had 10, 18, 2 and 4
+        # members against caps of 15, 27, 30 and 18, and 1 modal-sparse
+        # query closed a lattice; with covering families, which keep the
+        # dominated members that ior brings in, the largest have 10, 18, 3
+        # and 14, and no query closes one
         self.max_family = 3 * n // 2
 
     def holds(self, r: int, s: int) -> bool:
@@ -412,13 +423,17 @@ class SupportTable:
                 continue
             elif (family := self._family(left[r])) is not None:
                 # by persistence, s supports f -> g iff s & A supports g for
-                # every alternative A of f: each waits as the right side of a
-                # & whose left side held
+                # every member A of f's family: each waits as the right side
+                # of a & whose left side held
                 waiting.append((DONE, r, s))
                 for v in family:
                     waiting.append((AND, right[r], s & v))
                 value = True
-            elif (least := self._least_failure(right[r], s)) is not None:
+            elif (least := self._least_failure(right[r], s)) == 0:
+                # s lies inside a member of g's family, so it and every
+                # substate support g
+                value = True
+            elif least is not None:
                 # the substates of s that fail g are the supersets of
                 # `least`, so by persistence s supports f -> g iff `least`
                 # does not support f
@@ -442,7 +457,7 @@ class SupportTable:
 
     def _implication_holds(self, r: int, s: int, memo: dict[int, int]) -> bool:
         """Whether s supports the implication row r out of an antecedent
-        without alternatives: whether no substate of s supports the
+        without a family: whether no substate of s supports the
         antecedent and fails the consequent, read off lattice rows over the
         substates of s that memo keeps. It is apart from _holds because a
         generator there would make cells of _holds's locals on every call."""
@@ -451,11 +466,14 @@ class SupportTable:
         return self._lattice_row(self.left[r], worlds, memo) & ~consequent == 0
 
     def _family(self, r: int) -> tuple[int, ...] | None:
-        """Row r's alternatives as world masks: the maximal states that
-        support it, when every state supporting it lies inside one. Rows
-        built from declaratives with &, ior and -> out of a declarative
-        have them; an implication out of an inquisitive row gets None, and
-        so does every row above a None or past max_family members."""
+        """A covering family of row r as world masks: every member supports
+        r and every state supporting r lies inside a member, so the states
+        supporting r are the subsets of the members. A member may lie
+        inside another; only the pairwise meets of & are cut down to their
+        maximal ones. Rows built from declaratives with &, ior and -> out of
+        a declarative have one; an implication out of an inquisitive row
+        gets None, and so does every row above a None or past max_family
+        members."""
         if self.declarative[r]:
             return (self.truth[r],)
         families = self.families
@@ -485,11 +503,11 @@ class SupportTable:
                 else:
                     # the worlds outside the antecedent, which truth[x] holds
                     outside = truth[x] & ~truth[a]
-                    family = _maximal(outside | v for v in families[b])
+                    family = tuple(outside | v for v in families[b])
             elif families[a] is None or families[b] is None:
                 family = None
             elif ops[x] == OP_IVEE:
-                family = _maximal(families[a] + families[b])
+                family = families[a] + families[b]
             else:
                 family = _maximal(u & v for u in families[a] for v in families[b])
             if family is not None and len(family) > self.max_family:
@@ -498,19 +516,29 @@ class SupportTable:
         return families[r]
 
     def _least_failure(self, r: int, s: int) -> int | None:
-        """The least substate of s that fails row r, when every alternative
-        of r leaves exactly one world of s out: a substate of s then fails r
-        iff it lies inside no alternative, iff it holds each of those
-        worlds. Else None, also when s lies inside an alternative."""
+        """The least substate of s that fails row r, read off r's covering
+        family: the OR of the members' outs s & ~A that are single worlds,
+        when every out of two or more worlds meets that OR. A substate of s
+        fails r iff it meets every out; it must then hold each single-world
+        out, and one that holds them all meets the rest, so the substates
+        of s that fail r are exactly the supersets of the OR. 0 when s lies
+        inside a member, so that s supports r; else None."""
         family = self._family(r)
         if family is None:
             return None
         least = 0
+        wide = []
         for v in family:
             out = s & ~v
-            if out.bit_count() != 1:
+            if out & (out - 1):
+                wide.append(out)
+            elif out:
+                least |= out
+            else:
+                return 0
+        for out in wide:
+            if not out & least:
                 return None
-            least |= out
         return least
 
     def _lattice_row(self, r: int, worlds: list[int], memo: dict[int, int]) -> int:
@@ -570,13 +598,22 @@ def support_table(program: Program, m: InformationModel) -> SupportTable:
             t, d = (all_worlds & ~truth[a]) | truth[b], declarative[b]
             refs[r] += 2
         elif op == OP_BOX:
-            t = sum(1 << w for w in range(m.n) if table._holds(a, union_masks[w], memos))
-            d = True
-        else:
+            # the first two tests of _holds, made before a walk starts: an
+            # anchor with a world outside the body's truth mask fails it, and
+            # a declarative body holds at every other anchor
+            ta, da = truth[a], declarative[a]
             t = sum(
                 1 << w
-                for w in range(m.n)
-                if all(table._holds(a, g, memos) for g in gen_masks[w])
+                for w, u in enumerate(union_masks)
+                if not u & ~ta and (da or table._holds(a, u, memos))
+            )
+            d = True
+        else:
+            ta, da = truth[a], declarative[a]
+            t = sum(
+                1 << w
+                for w, gens in enumerate(gen_masks)
+                if all(not g & ~ta and (da or table._holds(a, g, memos)) for g in gens)
             )
             d = True
         truth.append(t)

@@ -331,7 +331,8 @@ def render_formula(f) -> str:
     name wherever it is used: the text is linear in the distinct objects
     or rows of f, and a tree prints without definitions. A program
     prints as formula_of(program) does. Raises TypeError on a node of f
-    that is no formula node."""
+    that is no formula node, and ValueError, naming the atom by the bit
+    length of its index, on an index with more digits than str() prints."""
     if not isinstance(f, Formula):
         return _render_rows(f.ops.tolist(), f.left.tolist(), f.right.tolist(), f.payload, f.root)
     # f's rows by identity, one per composite node object and one per
@@ -398,7 +399,12 @@ def _render_rows(ops, left, right, payload, root: int) -> str:
             lines.append(f"let {name} = {''.join(out)};\n")
             out = outer
         elif ops[r] < OP_AND:
-            out.append(f"p{payload[r]}" if ops[r] == OP_ATOM else "bot")
+            try:
+                out.append(f"p{payload[r]}" if ops[r] == OP_ATOM else "bot")
+            except ValueError:
+                # str() refuses more digits than sys.get_int_max_str_digits()
+                raise ValueError(f"cannot print the atom with a {payload[r].bit_length()}-bit index: "
+                                 "it has more digits than str() prints") from None
         else:
             if parents[r] > 1:
                 if r in names:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 import time
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -323,9 +325,9 @@ class TestAlternatives:
                         continue
                     families += not table.declarative[r]
                     assert all(0 <= v < 1 << n for v in family)
-                    # each alternative supports the row, no state with one
-                    # more world does, and neither do random states outside
-                    # every alternative
+                    # the family covers the row: a state supports it iff it
+                    # lies inside a member, probed at the members, at states
+                    # with one more world and at random states
                     probes = [rng.randrange(1 << n) for _ in range(12)]
                     probes += [v | 1 << w for v in family for w in range(n) if not v >> w & 1][:12]
                     for t in family + tuple(probes):
@@ -343,9 +345,9 @@ class TestAlternatives:
 
     def test_least_failure_matches_naive(self):
         # wherever _least_failure(g, s) gives m, the substates of s that
-        # fail g are exactly the supersets of m; it declines on states
-        # inside an alternative, which support g, and on states that some
-        # alternative leaves two or more worlds of
+        # fail g are exactly the supersets of m; it gives 0 on states inside
+        # a member, which support g, and declines on states where a member
+        # leaves two or more worlds out that miss the single-world outs
         rng = random.Random(1102)
         fired = declined = 0
         for i in range(40):
@@ -361,7 +363,7 @@ class TestAlternatives:
                     for s in range(1 << m.n):
                         least = table._least_failure(r, s)
                         if any(s & ~v == 0 for v in family):
-                            assert least is None, (s, g)
+                            assert least == 0, (s, g)
                             declined += 1
                             continue
                         if least is None:
@@ -378,6 +380,58 @@ class TestAlternatives:
                             t = (t - 1) & s
         # fired counts only rows that are not declarative
         assert fired >= 200 and declined >= 200, (fired, declined)
+
+    def test_least_failure_fires_where_maximal_members_leave_one_world(self):
+        # the rule read off the maximal members alone: where each leaves
+        # exactly one world of s out, the covering family, dominated members
+        # and all, gives the OR of those worlds
+        rng = random.Random(1803)
+        fired = dominated = 0
+        for i in range(40):
+            m = random_model(rng, n_max=7, n_min=4, l_max=3, modal=i % 2 == 1)
+            for f in (random_formula(rng, m.l, 3, m.is_modal), question_formula(rng, m.l, 3, m.is_modal)):
+                program = lower_formula(f)
+                table = support_table(program, m)
+                for r in range(program.num_nodes):
+                    family = table._family(r)
+                    if family is None:
+                        continue
+                    maximal = kernels._maximal(family)
+                    for s in range(1 << m.n):
+                        outs = [s & ~v for v in maximal]
+                        if all(out.bit_count() == 1 for out in outs):
+                            assert table._least_failure(r, s) == reduce(or_, outs), (s, r, family)
+                            fired += 1
+                            dominated += len(family) > len(maximal)
+        assert fired >= 5000 and dominated >= 400, (fired, dominated)
+
+    def test_dominated_member_builds_no_lattice(self, monkeypatch):
+        # p0 ior (p0 & p1) has the family (V0, V0 & V1), whose second member
+        # lies inside its first, and the antecedent has no family; wherever
+        # V0 leaves at most one world of s out, the query is answered by the
+        # least failure or at once, without a lattice row
+        def no_lattice(self, r, worlds, memo):
+            raise AssertionError(f"lattice row {r} over {len(worlds)} worlds")
+
+        monkeypatch.setattr(kernels.SupportTable, "_lattice_row", no_lattice)
+        f = parse_formula("(?p2 -> p1) -> (p0 ior (p0 & p1))")
+        program = lower_formula(f)
+        consequent = program.right[program.root]
+        rng = random.Random(1811)
+        asked = wide = 0
+        for _ in range(30):
+            n = rng.randint(4, 8)
+            m = InformationModel(n, 3, tuple(InfoState(rng.randrange(1 << n), n) for _ in range(3)), None)
+            table = support_table(program, m)
+            v0, v01 = table._family(consequent)
+            assert v01 & ~v0 == 0
+            for s in range(1 << n):
+                if (s & ~v0).bit_count() <= 1:
+                    assert table.holds(program.root, s) == naive_at(m, f, s), (n, s)
+                    asked += 1
+                    # the dominated member leaves two or more worlds out
+                    wide += (s & ~v0).bit_count() == 1 and (s & ~v01).bit_count() > 1
+        assert asked >= 800 and wide >= 200, (asked, wide)
 
     def test_compiled_instances_build_no_lattice(self, monkeypatch):
         # the wrapper (D_k -> X) -> S_k of each branching quantifier is

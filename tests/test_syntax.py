@@ -145,6 +145,16 @@ class TestRender:
     def test_binary_fully_parenthesized(self):
         assert render_formula(IVee(Atom(0), Atom(1))) == "(p0 ior p1)"
 
+    def test_atom_index_past_the_int_digit_limit(self):
+        # str() refuses more than 4300 digits by default; the error names
+        # the atom by its index's bit length, for objects and rows alike
+        f = And(Atom(0), Atom(10**5000))
+        node = RowBuilder()
+        program = node.program(node(And, node(Atom, 0), node(Atom, 10**5000)))
+        for g in (f, program):
+            with pytest.raises(ValueError, match="the atom with a 16610-bit index"):
+                render_formula(g)
+
     def test_terminals(self):
         assert render_formula(Bottom()) == "bot"
         assert render_formula(WBox(Atom(2))) == "wbox p2"
