@@ -27,10 +27,10 @@ per (subformula, state) pair. Both paths must and do agree; the test
 suite holds them against each other.
 
 A query's formula is a Formula or a Program. A Formula is validated by a
-walk over its objects and lowered to a Program; a Program, as the parser
-and the compiler build it through a kernels.RowBuilder, is validated on
-its columns and decided as it stands, and naive reads it through
-formula_of.
+walk over its objects, which refuses a node that is no formula node, and
+lowered to a Program; a Program, as the parser and the compiler build it
+through a kernels.RowBuilder, is validated on its columns and decided as
+it stands, and naive reads it through formula_of.
 
 The table decides an implication f -> g at a query state s in one of
 four ways (Ciardelli & Roelofsen, "Inquisitive logic", J. Philos. Logic
@@ -68,6 +68,7 @@ from .kernels import (
     OP_WBOX,
     Program,
     SupportTable,
+    _OP_OF_TYPE,
     formula_of,
     lower_formula,
     model_masks,
@@ -153,28 +154,37 @@ class MemoCache:
 
 
 def _validate_query(q: CheckQuery) -> None:
-    """Check the state's width and the formula's atoms and modalities
-    against the model, visiting each composite object once."""
+    """Check the state's width and each node of the formula against the
+    model: a formula node, an atom in range, no modality on a plain
+    model. Each composite object is visited once, left children in place."""
     m = q.model
     if q.state.width != m.n:
         raise QueryError(f"state width {q.state.width} does not match world count {m.n}")
     atoms, plain = m.l, m.sigma is None
     seen: set[int] = set()  # ids of the composite objects visited
-    stack = [q.formula]
-    while stack:
-        g = stack.pop()
-        kind = type(g)
-        if kind is Atom:
+    stack = []
+    g = q.formula
+    while True:
+        try:
+            op = _OP_OF_TYPE[type(g)]
+        except KeyError:
+            raise QueryError(f"not a formula node: {g!r}") from None
+        if op == OP_ATOM:
             if g.index >= atoms:
                 raise QueryError(f"atom index {g.index} out of range, model has {atoms} atoms")
-        elif (kind is And or kind is IVee or kind is Implies) and (key := id(g)) not in seen:
+        elif op != OP_BOT and (key := id(g)) not in seen:
             seen.add(key)
-            stack += (g.right, g.left)
-        elif (kind is Box or kind is WBox) and (key := id(g)) not in seen:
+            if op < OP_BOX:
+                stack.append(g.right)
+                g = g.left
+                continue
             if plain:
                 raise QueryError("modal formula over a plain model with no state map")
-            seen.add(key)
-            stack.append(g.body)
+            g = g.body
+            continue
+        if not stack:
+            return
+        g = stack.pop()
 
 
 def _validate_program(q: CheckQuery) -> None:

@@ -2,13 +2,15 @@
 
 A program is a formula as flat rows, one per distinct subformula
 (structurally equal subtrees share a row), children before parents. A
-RowBuilder makes them: the compiler and the parser build rows through
-it directly, and lower_formula feeds it a Formula's nodes in postorder;
-formula_of turns rows back into Formula objects. The table kernel
-gives every row an n-bit truth mask: the worlds w at which the singleton
-{w} supports it. Support is downward persistent, so a state with a world
-outside that mask never supports the row, and for a declarative row (one
-whose support is truth at each world) the mask decides support outright.
+RowBuilder makes them: the compiler and the parser build rows through it
+directly. A Formula reaches rows through one walk by object identity,
+_object_rows, which lower_formula feeds to a RowBuilder and
+syntax.render_formula prints; formula_of turns rows back into Formula
+objects. The table kernel gives every row an n-bit truth mask: the
+worlds w at which the singleton {w} supports it. Support is downward
+persistent, so a state with a world outside that mask never supports the
+row, and for a declarative row (one whose support is truth at each
+world) the mask decides support outright.
 
 Three facts decide implications (Ciardelli & Roelofsen, "Inquisitive
 logic", J. Philos. Logic 40, 2011; Ciardelli, Groenendijk & Roelofsen,
@@ -74,7 +76,7 @@ OP_IMPLIES = 4
 OP_BOX = 5
 OP_WBOX = 6
 
-# kinds of the entries waiting in SupportTable._holds; AND and IVEE equal
+# kinds of the entries waiting in SupportTable.holds; AND and IVEE equal
 # the value of a left side that decides the & or the ior
 AND, IVEE, DONE, NOT = 0, 1, 2, 3
 
@@ -87,6 +89,64 @@ _OP_OF_TYPE = {
     Box: OP_BOX,
     WBox: OP_WBOX,
 }
+
+# the node class of each op, indexed by op
+_TYPE_OF_OP = (Bottom, Atom, And, IVee, Implies, Box, WBox)
+
+# stacked under a composite object's children in _object_rows
+_UP = object()
+
+
+def _object_rows(f: Formula) -> tuple[list[int], list[int], list[int], list, int]:
+    """f's rows by identity as columns (ops, left, right, payload) and a
+    root: one row per composite node object, which a repeat finds by id,
+    and one per leaf occurrence, so rows are shared exactly where objects
+    are. Rows come in the tree's postorder, children before parents and
+    left before right. Raises TypeError on a node that is no formula node.
+
+    The walk descends left children in place and stacks right ones, with
+    _UP under the children of a composite object kept on `parents`; the
+    row of each finished child waits on `done`."""
+    ops, left, right, payload = [], [], [], []
+    rows: dict[int, int] = {}  # id of a composite object -> its row
+    done, parents, stack = [], [], []
+    g = f
+    while True:
+        op = _OP_OF_TYPE.get(type(g))
+        if op is None:
+            raise TypeError(f"cannot print or lower {g!r}: it is no formula node")
+        if op < OP_AND:
+            row = len(ops)
+            ops.append(op)
+            left.append(0)
+            right.append(0)
+            payload.append(g.index if op == OP_ATOM else 0)
+        else:
+            row = rows.get(id(g))
+            if row is None:
+                parents.append((g, op))
+                stack.append(_UP)
+                if op < OP_BOX:
+                    stack.append(g.right)
+                    g = g.left
+                else:
+                    g = g.body
+                continue
+        done.append(row)
+        while stack:
+            g = stack.pop()
+            if g is not _UP:
+                break
+            g, op = parents.pop()
+            b = done.pop() if op < OP_BOX else 0
+            row = rows[id(g)] = len(ops)
+            ops.append(op)
+            left.append(done.pop())
+            right.append(b)
+            payload.append(0)
+            done.append(row)
+        else:
+            return ops, left, right, payload, row
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,59 +240,23 @@ class RowBuilder:
 
 
 def lower_formula(f: Formula) -> Program:
-    """Intern a formula into a Program through a RowBuilder, sharing
-    equal subtrees.
-
-    A composite node object met again is looked up by identity, so a
-    formula that shares objects costs its distinct objects, not its tree;
-    leaves go to the builder each time. Rows come in the order of the
-    tree's postorder either way. The walk descends left children in place
-    and stacks right ones, with None marking a node whose children are
-    done.
-    """
+    """Intern a formula into a Program, sharing equal subtrees: the rows
+    of _object_rows go through a RowBuilder in their order, so rows come
+    in the tree's postorder and a formula that shares objects costs its
+    distinct objects, not its tree. Raises TypeError on a node that is
+    no formula node."""
+    ops, left, right, payload, root = _object_rows(f)
     node = RowBuilder()
-    done: list[int] = []  # the row of each finished child, innermost last
-    lowered: dict[int, int] = {}  # id of a lowered composite object -> its row
-    parents: list = []  # the composite objects waiting on their children
-    stack: list = []
-    g = f
-    while True:
-        kind = type(g)
-        if kind is Atom:
-            row = node(Atom, g.index)
-        elif kind is Bottom:
-            row = node(Bottom)
+    rows: list[int] = []  # the builder's row of each of f's rows
+    for op, a, b, x in zip(ops, left, right, payload):
+        cls = _TYPE_OF_OP[op]
+        if op < OP_AND:
+            rows.append(node(cls, x))
+        elif op < OP_BOX:
+            rows.append(node(cls, rows[a], rows[b]))
         else:
-            row = lowered.get(id(g))
-            if row is None:
-                parents.append(g)
-                stack.append(None)
-                if kind is Box or kind is WBox:
-                    g = g.body
-                else:
-                    stack.append(g.right)
-                    g = g.left
-                continue
-        done.append(row)
-        while stack:
-            g = stack.pop()
-            if g is not None:
-                break
-            g = parents.pop()
-            kind = type(g)
-            if kind is Box or kind is WBox:
-                row = node(kind, done.pop())
-            else:
-                b = done.pop()
-                row = node(kind, done.pop(), b)
-            lowered[id(g)] = row
-            done.append(row)
-        else:
-            return node.program(done[0])
-
-
-# the node class of each op, indexed by op
-_TYPE_OF_OP = (Bottom, Atom, And, IVee, Implies, Box, WBox)
+            rows.append(node(cls, rows[a]))
+    return node.program(rows[root])
 
 
 def formula_of(p: Program) -> Formula:
@@ -377,26 +401,21 @@ class SupportTable:
         # the row nor takes its least failure, and closes instead. On the
         # seed-1 queries of the four benchmark workloads (600 verify-small,
         # 200 compiled-deep, 560 modal-sparse, 3,600 memo-reuse) no family
-        # reaches it. With maximal families the largest had 10, 18, 2 and 4
-        # members against caps of 15, 27, 30 and 18, and 1 modal-sparse
-        # query closed a lattice; with covering families, which keep the
-        # dominated members that ior brings in, the largest have 10, 18, 3
-        # and 14, and no query closes one
+        # reaches it: the largest have 10, 18, 3 and 14 members against
+        # caps of 15, 27, 30 and 18, and no query closes a lattice
         self.max_family = 3 * n // 2
 
     def holds(self, r: int, s: int) -> bool:
-        """Whether state s supports row r."""
-        return self._holds(r, s, {})
-
-    def _holds(self, r: int, s: int, memos: dict[int, dict[int, int]]) -> bool:
-        """holds, with memos[s] keeping the lattice rows over the substates
-        of s that earlier questions at s built. The right side of a & or an
-        ior waits on a stack until its left side leaves the answer open,
-        and so does the consequent of an implication at each part s & A.
-        The walk answers each implication and each shared row at a state at
-        most once, so shared parts cost their distinct rows, not their paths."""
+        """Whether state s supports row r. The right side of a & or an ior
+        waits on a stack until its left side leaves the answer open, and so
+        does the consequent of an implication at each part s & A. The walk
+        answers each implication and each shared row at a state at most
+        once, so shared parts cost their distinct rows, not their paths."""
         truth, declarative, ops, left, right = self.truth, self.declarative, self.ops, self.left, self.right
         refs = self.refs
+        # the lattice rows over the substates of each state, kept for the
+        # other implications closed at that state
+        memos: dict[int, dict[int, int]] = {}
         # (kind, row, state): kind AND or IVEE waits as the right side of a
         # & or an ior. A marker DONE lies under the parts of a shared row or
         # an implication r at s, and NOT under an implication's antecedent
@@ -459,8 +478,8 @@ class SupportTable:
         """Whether s supports the implication row r out of an antecedent
         without a family: whether no substate of s supports the
         antecedent and fails the consequent, read off lattice rows over the
-        substates of s that memo keeps. It is apart from _holds because a
-        generator there would make cells of _holds's locals on every call."""
+        substates of s that memo keeps. It is apart from holds because a
+        generator there would make cells of holds's locals on every call."""
         worlds = [w for w in range(s.bit_length()) if s >> w & 1]
         consequent = self._lattice_row(self.right[r], worlds, memo)
         return self._lattice_row(self.left[r], worlds, memo) & ~consequent == 0
@@ -574,16 +593,12 @@ class SupportTable:
 
 def support_table(program: Program, m: InformationModel) -> SupportTable:
     """Truth masks and refs of every program row, bottom-up. A box or wbox
-    row asks whether its body holds at each world's anchor states, so the
-    lattice rows built for one anchor serve every row that reaches it."""
+    row asks whether its body holds at each world's anchor states."""
     val_masks, union_masks, gen_masks = model_masks(m)
     table = SupportTable(program, m.n)
     left, right, truth, declarative, refs = table.left, table.right, table.truth, table.declarative, table.refs
     payload = program.payload.tolist()
     all_worlds = (1 << m.n) - 1
-    # lattice rows per state, shared by every box and wbox row
-    memos: dict[int, dict[int, int]] = {}
-
     for r, op in enumerate(table.ops):
         a, b = left[r], right[r]
         if op == OP_BOT:
@@ -598,14 +613,14 @@ def support_table(program: Program, m: InformationModel) -> SupportTable:
             t, d = (all_worlds & ~truth[a]) | truth[b], declarative[b]
             refs[r] += 2
         elif op == OP_BOX:
-            # the first two tests of _holds, made before a walk starts: an
+            # the first two tests of holds, made before a walk starts: an
             # anchor with a world outside the body's truth mask fails it, and
             # a declarative body holds at every other anchor
             ta, da = truth[a], declarative[a]
             t = sum(
                 1 << w
                 for w, u in enumerate(union_masks)
-                if not u & ~ta and (da or table._holds(a, u, memos))
+                if not u & ~ta and (da or table.holds(a, u))
             )
             d = True
         else:
@@ -613,7 +628,7 @@ def support_table(program: Program, m: InformationModel) -> SupportTable:
             t = sum(
                 1 << w
                 for w, gens in enumerate(gen_masks)
-                if all(not g & ~ta and (da or table._holds(a, g, memos)) for g in gens)
+                if all(not g & ~ta and (da or table.holds(a, g)) for g in gens)
             )
             d = True
         truth.append(t)
@@ -629,5 +644,5 @@ def table_bytes(program: Program, m: InformationModel) -> int:
     """Rows times 2^n, one byte per state per row: the unit of the auto
     engine's byte cap. It is no longer what the table engine holds (n-bit
     truth masks plus lattice rows over the query state's substates); the
-    cap is to be reworked together with the benchmark (ROADMAP item 2)."""
+    cap is to be reworked together with the benchmark (ROADMAP item 3)."""
     return program.num_nodes << m.n

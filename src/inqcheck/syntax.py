@@ -335,36 +335,9 @@ def render_formula(f) -> str:
     length of its index, on an index with more digits than str() prints."""
     if not isinstance(f, Formula):
         return _render_rows(f.ops.tolist(), f.left.tolist(), f.right.tolist(), f.payload, f.root)
-    # f's rows by identity, one per composite node object and one per
-    # leaf occurrence, so rows are shared exactly where objects are; each
-    # stack entry carries the column and row that its row number goes into
-    from .kernels import _OP_OF_TYPE, OP_AND, OP_ATOM, OP_BOX
+    from .kernels import _object_rows
 
-    ops, left, right, payload = [], [], [], []
-    rows: dict[int, int] = {}  # id of a composite object -> its row
-    root = [0]
-    stack = [(f, root, 0)]
-    while stack:
-        g, column, parent = stack.pop()
-        op = _OP_OF_TYPE.get(type(g))
-        if op is None:
-            raise TypeError(f"cannot print {g!r}")
-        if op >= OP_AND:
-            key = id(g)
-            if key in rows:
-                column[parent] = rows[key]
-                continue
-            r = rows[key] = len(ops)
-            if op < OP_BOX:
-                stack += ((g.right, right, r), (g.left, left, r))
-            else:
-                stack.append((g.body, left, r))
-        column[parent] = len(ops)
-        ops.append(op)
-        left.append(0)
-        right.append(0)
-        payload.append(g.index if op == OP_ATOM else 0)
-    return _render_rows(ops, left, right, payload, root[0])
+    return _render_rows(*_object_rows(f))
 
 
 # the text of each composite op, indexed by op

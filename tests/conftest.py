@@ -228,6 +228,18 @@ def shared_formula(
     return root
 
 
+def printing_corpus() -> list:
+    """300 seeded library formulas: trees of random_formula and
+    question_formula, and shared_formula DAGs."""
+    rng = random.Random(1717)
+    corpus = []
+    for i in range(100):
+        corpus.append(random_formula(rng, 4, 5, True))
+        corpus.append(question_formula(rng, 3, 4, True))
+        corpus.append(shared_formula(rng, 3 + i % 20, questions=i % 2 == 1))
+    return corpus
+
+
 def random_state(rng: random.Random, n: int) -> InfoState:
     return InfoState(rng.randrange(1 << n), n)
 

@@ -13,6 +13,7 @@ import pytest
 
 from inqcheck import checker
 from inqcheck.checker import (
+    ENGINES,
     CheckQuery,
     MemoCache,
     QueryError,
@@ -140,6 +141,19 @@ class TestQueryValidation:
                 for formula in (parse_formula(text), rows(text)):
                     for engine in ("table", "sparse", "naive"):
                         assert evaluate(CheckQuery(m, state, formula), engine=engine).value == want
+
+    @pytest.mark.parametrize("engine", [*ENGINES, "memo"])
+    @pytest.mark.parametrize("place", ["root", "and", "box"])
+    def test_non_formula_node_is_refused(self, demo_model, engine, place):
+        # refused before any engine reads the node, whatever its type
+        for bad in ("x", None, 0):
+            formula = {"root": bad, "and": And(Atom(0), bad), "box": Box(bad)}[place]
+            query = CheckQuery(demo_model, bits("110"), formula)
+            with pytest.raises(QueryError, match=f"not a formula node: {bad!r}"):
+                if engine == "memo":
+                    check_support_memo(query, MemoCache())
+                else:
+                    evaluate(query, engine=engine)
 
     def test_fault_under_a_doubling_dag_is_found_at_once(self, demo_model):
         # 2^60 copies of p9 as a tree, over a model of 2 atoms: validation

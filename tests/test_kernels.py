@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from functools import reduce
@@ -21,6 +22,7 @@ from inqcheck.kernels import (
     OP_WBOX,
     lower_formula,
     model_masks,
+    program_key,
     support_table,
     table_bytes,
 )
@@ -29,7 +31,7 @@ from inqcheck.qbf import eval_qbf, random_qbf
 from inqcheck.reduction import reduce_tqbf
 from inqcheck.syntax import And, Atom, Bottom, Box, IVee, Implies, WBox, parse_formula, render_formula, subformulas
 
-from conftest import bits, question_formula, random_formula, random_model, shared_formula
+from conftest import bits, printing_corpus, question_formula, random_formula, random_model, shared_formula
 
 
 class TestLowering:
@@ -63,6 +65,21 @@ class TestLowering:
             twin = parse_formula(f"({a} & {b}) ior ({b} -> ({a} & box {a}))")
             assert twin == shared
             assert lower_formula(shared) == lower_formula(twin)
+
+    def test_library_programs_are_pinned(self):
+        # the rows, their order and the payload of every lowered program:
+        # MemoCache keys and Formula equality read them
+        formulas = printing_corpus() + [shared_formula(random.Random(seed), 3 + seed % 18) for seed in range(60)]
+        keys = [repr(program_key(lower_formula(f))) for f in formulas]
+        digest = hashlib.sha256("\0".join(keys).encode()).hexdigest()
+        # computed with the lowering walk that lower_formula kept apart
+        # from the printer's
+        assert digest == "76bbfcd484995c657aa3adcc5857a721de741f643165d83fc82780d17abd7b9e"
+
+    @pytest.mark.parametrize("bad", ["x", 0, None])
+    def test_non_formula_node_raises(self, bad):
+        with pytest.raises(TypeError, match="it is no formula node"):
+            lower_formula(And(Atom(0), Box(bad)))
 
     def test_root_is_last_row(self):
         program = lower_formula(parse_formula("p0 -> p1"))

@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import lexer_corpus, question_formula, random_formula, shared_formula
+from conftest import lexer_corpus, printing_corpus, question_formula, random_formula, shared_formula
 from inqcheck.checker import CheckQuery, evaluate
 from inqcheck.kernels import OP_ATOM, OP_BOT, OP_IMPLIES, OP_IVEE, RowBuilder, formula_of, lower_formula, program_key
 from inqcheck.model import InfoState
@@ -129,16 +129,17 @@ class TestParse:
             assert info.value.offset == 5
 
 
-def printing_corpus() -> list:
-    """300 seeded library formulas: trees of random_formula and
-    question_formula, and shared_formula DAGs."""
-    rng = random.Random(1717)
-    corpus = []
-    for i in range(100):
-        corpus.append(random_formula(rng, 4, 5, True))
-        corpus.append(question_formula(rng, 3, 4, True))
-        corpus.append(shared_formula(rng, 3 + i % 20, questions=i % 2 == 1))
-    return corpus
+def tree_text(f) -> str:
+    """The formula printed as a tree, every place in full: the printer's
+    output before definitions, written independently of it."""
+    if isinstance(f, Bottom):
+        return "bot"
+    if isinstance(f, Atom):
+        return f"p{f.index}"
+    if isinstance(f, (Box, WBox)):
+        return ("box " if isinstance(f, Box) else "wbox ") + tree_text(f.body)
+    connective = {And: "&", IVee: "ior", Implies: "->"}[type(f)]
+    return f"({tree_text(f.left)} {connective} {tree_text(f.right)})"
 
 
 class TestRender:
@@ -165,7 +166,13 @@ class TestRender:
 
     @given(formulas())
     def test_round_trip(self, f):
-        assert parse_formula(render_formula(f)) == f
+        # one draw serves three properties, since drawing formulas() costs
+        # more than checking them: the text reads back as f, a tree prints
+        # every place in full, and the size bounds the node count
+        text = render_formula(f)
+        assert parse_formula(text) == f
+        assert text == tree_text(f)
+        assert formula_size(f) >= sum(1 for _ in subformulas(f))
 
     @pytest.mark.parametrize("bad", ["p0", 0, None, Var(0)])
     def test_non_formula_node_raises(self, bad):
@@ -199,10 +206,6 @@ class TestSize:
         assert formula_size(Atom(2)) == 3
         assert formula_size(Atom(3)) == 4
 
-    @given(formulas())
-    def test_size_bounds_node_count(self, f):
-        assert formula_size(f) >= sum(1 for _ in subformulas(f))
-
 
 class TestHelpers:
     def test_neg(self):
@@ -219,19 +222,6 @@ class TestHelpers:
         seen = list(subformulas(f))
         assert seen.index(Atom(0)) < seen.index(f)
         assert seen.index(Bottom()) < seen.index(f)
-
-
-def tree_text(f) -> str:
-    """The formula printed as a tree, every place in full: the printer's
-    output before definitions, written independently of it."""
-    if isinstance(f, Bottom):
-        return "bot"
-    if isinstance(f, Atom):
-        return f"p{f.index}"
-    if isinstance(f, (Box, WBox)):
-        return ("box " if isinstance(f, Box) else "wbox ") + tree_text(f.body)
-    connective = {And: "&", IVee: "ior", Implies: "->"}[type(f)]
-    return f"({tree_text(f.left)} {connective} {tree_text(f.right)})"
 
 
 def distinct_composites(f) -> int:
@@ -263,10 +253,6 @@ class TestDefinitions:
         p, b = Atom(3), Bottom()
         assert render_formula(And(p, p)) == "(p3 & p3)"
         assert render_formula(Implies(Box(p), IVee(b, b))) == "(box p3 -> (bot ior bot))"
-
-    @given(formulas())
-    def test_tree_prints_as_before(self, f):
-        assert render_formula(f) == tree_text(f)
 
     def test_equal_distinct_objects_print_as_a_tree(self):
         f = And(And(Atom(0), Atom(1)), And(Atom(0), Atom(1)))
