@@ -129,19 +129,6 @@ class TestParse:
             assert info.value.offset == 5
 
 
-def tree_text(f) -> str:
-    """The formula printed as a tree, every place in full: the printer's
-    output before definitions, written independently of it."""
-    if isinstance(f, Bottom):
-        return "bot"
-    if isinstance(f, Atom):
-        return f"p{f.index}"
-    if isinstance(f, (Box, WBox)):
-        return ("box " if isinstance(f, Box) else "wbox ") + tree_text(f.body)
-    connective = {And: "&", IVee: "ior", Implies: "->"}[type(f)]
-    return f"({tree_text(f.left)} {connective} {tree_text(f.right)})"
-
-
 class TestRender:
     def test_binary_fully_parenthesized(self):
         assert render_formula(IVee(Atom(0), Atom(1))) == "(p0 ior p1)"
@@ -166,13 +153,7 @@ class TestRender:
 
     @given(formulas())
     def test_round_trip(self, f):
-        # one draw serves three properties, since drawing formulas() costs
-        # more than checking them: the text reads back as f, a tree prints
-        # every place in full, and the size bounds the node count
-        text = render_formula(f)
-        assert parse_formula(text) == f
-        assert text == tree_text(f)
-        assert formula_size(f) >= sum(1 for _ in subformulas(f))
+        assert parse_formula(render_formula(f)) == f
 
     @pytest.mark.parametrize("bad", ["p0", 0, None, Var(0)])
     def test_non_formula_node_raises(self, bad):
@@ -206,6 +187,10 @@ class TestSize:
         assert formula_size(Atom(2)) == 3
         assert formula_size(Atom(3)) == 4
 
+    @given(formulas())
+    def test_size_bounds_node_count(self, f):
+        assert formula_size(f) >= sum(1 for _ in subformulas(f))
+
 
 class TestHelpers:
     def test_neg(self):
@@ -222,6 +207,19 @@ class TestHelpers:
         seen = list(subformulas(f))
         assert seen.index(Atom(0)) < seen.index(f)
         assert seen.index(Bottom()) < seen.index(f)
+
+
+def tree_text(f) -> str:
+    """The formula printed as a tree, every place in full: the printer's
+    output before definitions, written independently of it."""
+    if isinstance(f, Bottom):
+        return "bot"
+    if isinstance(f, Atom):
+        return f"p{f.index}"
+    if isinstance(f, (Box, WBox)):
+        return ("box " if isinstance(f, Box) else "wbox ") + tree_text(f.body)
+    connective = {And: "&", IVee: "ior", Implies: "->"}[type(f)]
+    return f"({tree_text(f.left)} {connective} {tree_text(f.right)})"
 
 
 def distinct_composites(f) -> int:
@@ -253,6 +251,10 @@ class TestDefinitions:
         p, b = Atom(3), Bottom()
         assert render_formula(And(p, p)) == "(p3 & p3)"
         assert render_formula(Implies(Box(p), IVee(b, b))) == "(box p3 -> (bot ior bot))"
+
+    @given(formulas())
+    def test_tree_prints_as_before(self, f):
+        assert render_formula(f) == tree_text(f)
 
     def test_equal_distinct_objects_print_as_a_tree(self):
         f = And(And(Atom(0), Atom(1)), And(Atom(0), Atom(1)))
