@@ -26,11 +26,14 @@ only over the substates of the query state; otherwise it reuses results
 per (subformula, state) pair. Both paths must and do agree; the test
 suite holds them against each other.
 
-A query's formula is a Formula or a Program. A Formula is validated by a
-walk over its objects, which refuses a node that is no formula node, and
-lowered to a Program; a Program, as the parser and the compiler build it
-through a kernels.RowBuilder, is validated on its columns and decided as
-it stands, and naive reads it through formula_of.
+A query's formula is a Formula or a Program. One rule set refuses a bad
+query in either form, in this order: a state whose width is not the
+model's world count, an atom index past the model's atoms (the largest,
+when several are), a box or wbox over a plain model. A Formula is walked
+once for its largest atom index and any modality, refusing a node that
+is no formula node, then lowered; a Program, as the parser and the
+compiler build it through a kernels.RowBuilder, gives both off its
+columns and is decided as it stands; naive reads it through formula_of.
 
 The table decides an implication f -> g at a query state s in one of
 four ways (Ciardelli & Roelofsen, "Inquisitive logic", J. Philos. Logic
@@ -153,55 +156,50 @@ class MemoCache:
         return entry
 
 
-def _validate_query(q: CheckQuery) -> None:
-    """Check the state's width and each node of the formula against the
-    model: a formula node, an atom in range, no modality on a plain
-    model. Each composite object is visited once, left children in place."""
-    m = q.model
-    if q.state.width != m.n:
-        raise QueryError(f"state width {q.state.width} does not match world count {m.n}")
-    atoms, plain = m.l, m.sigma is None
+def _facts(f: Formula | Program) -> tuple[int, bool]:
+    """The largest atom index of f (-1 without atoms) and whether a box
+    or wbox occurs in it: off a Program's columns, all of which its root
+    reaches, or by a walk over a Formula that visits each composite
+    object once, left children in place, and refuses a non-formula node."""
+    if type(f) is Program:
+        ops = f.ops
+        # payload is 0 on every row but an atom's
+        return max(f.payload) if OP_ATOM in ops else -1, OP_BOX in ops or OP_WBOX in ops
+    top, modal = -1, False
     seen: set[int] = set()  # ids of the composite objects visited
     stack = []
-    g = q.formula
+    g = f
     while True:
         try:
             op = _OP_OF_TYPE[type(g)]
         except KeyError:
             raise QueryError(f"not a formula node: {g!r}") from None
         if op == OP_ATOM:
-            if g.index >= atoms:
-                raise QueryError(f"atom index {g.index} out of range, model has {atoms} atoms")
+            if g.index > top:
+                top = g.index
         elif op != OP_BOT and (key := id(g)) not in seen:
             seen.add(key)
             if op < OP_BOX:
                 stack.append(g.right)
                 g = g.left
                 continue
-            if plain:
-                raise QueryError("modal formula over a plain model with no state map")
+            modal = True
             g = g.body
             continue
         if not stack:
-            return
+            return top, modal
         g = stack.pop()
 
 
-def _validate_program(q: CheckQuery) -> None:
-    """The checks of _validate_query, with its messages, for a query
-    whose formula is a Program, read off the columns: the root of a
-    Program reaches every row, so the rows are exactly the formula's."""
-    m, program = q.model, q.formula
+def _validate(q: CheckQuery) -> None:
+    """Refuse a bad query by the module docstring's rules, in their order."""
+    m = q.model
     if q.state.width != m.n:
         raise QueryError(f"state width {q.state.width} does not match world count {m.n}")
-    payload = program.payload
-    # payload is 0 on every row but an atom's, so its largest entry
-    # bounds the atom indices
-    if max(payload) >= m.l:
-        for op, index in zip(program.ops, payload):
-            if op == OP_ATOM and index >= m.l:
-                raise QueryError(f"atom index {index} out of range, model has {m.l} atoms")
-    if m.sigma is None and (OP_BOX in program.ops or OP_WBOX in program.ops):
+    top, modal = _facts(q.formula)
+    if top >= m.l:
+        raise QueryError(f"atom index {top} out of range, model has {m.l} atoms")
+    if modal and m.sigma is None:
         raise QueryError("modal formula over a plain model with no state map")
 
 
@@ -334,8 +332,8 @@ def evaluate(
     "table" when the table fits the byte cap and "sparse" otherwise.
     nodes_visited counts clause evaluations (naive), cache misses
     (sparse), or freshly computed table rows (table). A query whose
-    formula is a Program is validated on its rows and decided on them,
-    and "naive" reads it through formula_of. A given cache is looked up
+    formula is a Program is decided on its rows, and "naive" reads it
+    through formula_of. A given cache is looked up
     by the identity of the query's model and formula, then by the
     program's rows, so its key never recurses. Past about
     1000 levels of nesting, "naive" and "sparse" raise QueryError;
@@ -344,11 +342,8 @@ def evaluate(
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
+    _validate(q)
     rows = type(q.formula) is Program
-    if rows:
-        _validate_program(q)
-    else:
-        _validate_query(q)
     if engine == "naive":
         if rows:
             q = CheckQuery(q.model, q.state, formula_of(q.formula))

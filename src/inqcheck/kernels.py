@@ -158,8 +158,9 @@ class Program:
 
     payload holds the atom index for OP_ATOM rows and 0 elsewhere; left
     and right hold child row numbers (right is 0 for unary rows). The
-    columns are array("q") only because perfbench/tracing.py calls
-    .tolist() on them and bincounts ops; without that they could be tuples.
+    columns are array("q"), payload a plain sequence when an index does
+    not fit one: program_key hashes the columns' bytes, and perfbench's
+    tracer calls .tolist() on ops, left and right.
     """
 
     ops: array

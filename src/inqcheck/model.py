@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .syntax import _plain_int
+
 KIND_INQB = "InqB"
 KIND_INQM = "InqM"
 
@@ -69,13 +71,18 @@ class InfoState:
     """A set of worlds as a fixed-width bit vector.
 
     mask bit i is set iff world i belongs to the state; width is the
-    world count of the owning model.
+    world count of the owning model. Both are plain ints: a bool or
+    another integer type is stored as its int, and anything else raises
+    TypeError.
     """
 
     mask: int
     width: int
 
     def __post_init__(self) -> None:
+        if type(self.mask) is not int or type(self.width) is not int:
+            object.__setattr__(self, "mask", _plain_int(self.mask, "state mask"))
+            object.__setattr__(self, "width", _plain_int(self.width, "state width"))
         if self.width < 0:
             raise ValueError(f"negative width {self.width}")
         if not 0 <= self.mask < (1 << self.width):

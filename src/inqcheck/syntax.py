@@ -48,6 +48,7 @@ distinct objects, so no size of the tree a text stands for is refused.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -73,6 +74,16 @@ def _key(f: Formula) -> tuple:
     return program_key(lower_formula(f))
 
 
+def _plain_int(value, what: str) -> int:
+    """value as a plain int, for a field that holds an integer: a bool or
+    another integer type becomes its int, and anything operator.index
+    refuses (a float, a string) raises TypeError naming the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class Bottom(Formula):
     pass
@@ -83,6 +94,8 @@ class Atom(Formula):
     index: int
 
     def __post_init__(self) -> None:
+        if type(self.index) is not int:
+            object.__setattr__(self, "index", _plain_int(self.index, "atom index"))
         if self.index < 0:
             raise ValueError(f"atom index must be non-negative, got {self.index}")
 

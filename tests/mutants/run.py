@@ -1,0 +1,147 @@
+"""Committed mutants: each is a one-place fault that named tests must catch.
+
+A mutant names a file under src/, an exact old text that must occur
+there once, the new text, and the test files that must fail on it. The
+script copies src/ and tests/ to a temporary directory, runs each
+mutant's tests once on the unchanged copy (they must pass), then applies
+each mutant in turn and runs its tests with the copy's src/ first on the
+import path. It exits 1 when a mutant survives, when its old text is
+missing or occurs more than once (a refactor moved it: re-anchor the
+mutant), or when its tests do not fail cleanly (a pytest exit code other
+than 1, such as a collection error, kills nothing). Tier-1's pytest run
+does not collect this file.
+
+usage: python tests/mutants/run.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+VALIDATION = ("tests/test_checker.py",)
+KERNEL = ("tests/test_kernels.py", "tests/test_laws.py", "tests/test_checker.py")
+
+MUTANTS = [
+    # the one rule set that refuses a query, whichever form it takes
+    Mutant(
+        "atom-rule-dropped",
+        "src/inqcheck/checker.py",
+        "    if top >= m.l:\n",
+        "    if False:\n",
+        VALIDATION,
+    ),
+    Mutant(
+        "modality-rule-dropped",
+        "src/inqcheck/checker.py",
+        "    if modal and m.sigma is None:\n",
+        "    if False:\n",
+        VALIDATION,
+    ),
+    Mutant(
+        "program-facts-miss-wbox",
+        "src/inqcheck/checker.py",
+        "OP_BOX in ops or OP_WBOX in ops",
+        "OP_BOX in ops",
+        VALIDATION,
+    ),
+    # the table's implication rules
+    Mutant(
+        "answered-keyed-on-the-row-alone",
+        "src/inqcheck/kernels.py",
+        "            elif (r, s) in answered:\n                value = answered[r, s]\n",
+        "            elif (hit := next((v for (x, _), v in answered.items() if x == r), None)) is not None:\n"
+        "                value = hit\n",
+        KERNEL,
+    ),
+    Mutant(
+        "closure-over-proper-substates",
+        "src/inqcheck/kernels.py",
+        "    bad = a & ~b\n    if bad:\n",
+        "    bad = a & ~b\n    if bad:\n"
+        "        bad = reduce(or_, ((bad & low) << (1 << i) for i, low in enumerate(_low_masks(k))), 0)\n",
+        KERNEL,
+    ),
+    Mutant(
+        "ior-families-met",
+        "src/inqcheck/kernels.py",
+        "                family = families[a] + families[b]\n",
+        "                family = _maximal(u & v for u in families[a] for v in families[b])\n",
+        KERNEL,
+    ),
+]
+
+
+def run_tests(copy: Path, tests: tuple[str, ...]) -> tuple[int, float]:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--rootdir", str(copy), *tests],
+        cwd=copy,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        timeout=300,
+    )
+    return done.returncode, time.perf_counter() - start
+
+
+def main() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="inqcheck-mutants-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        probe = subprocess.run(
+            [sys.executable, "-c", "import inqcheck; print(inqcheck.__file__)"],
+            env=dict(os.environ, PYTHONPATH=str(copy / "src")),
+            capture_output=True,
+            text=True,
+        )
+        if not probe.stdout.startswith(str(copy)):
+            print(f"the copy's package is not the one imported: {probe.stdout.strip() or probe.stderr}", file=sys.stderr)
+            return 1
+        for tests in dict.fromkeys(m.tests for m in MUTANTS):
+            code, seconds = run_tests(copy, tests)
+            print(f"unchanged copy: {' '.join(tests)}: exit {code} ({seconds:.1f} s)")
+            if code != 0:
+                return 1
+        for m in MUTANTS:
+            target = copy / m.path
+            original = target.read_text(encoding="utf-8")
+            found = original.count(m.old)
+            if found != 1:
+                print(f"{m.name}: old text occurs {found} times in {m.path}, not once")
+                failures += 1
+                continue
+            target.write_text(original.replace(m.old, m.new), encoding="utf-8")
+            try:
+                code, seconds = run_tests(copy, m.tests)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"broken (pytest exit {code})")
+            print(f"{m.name}: {verdict} ({seconds:.1f} s)")
+            failures += code != 1
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from inqcheck import checker
+from inqcheck import checker, cli
 from inqcheck.checker import (
     ENGINES,
     CheckQuery,
@@ -24,7 +24,7 @@ from inqcheck.checker import (
     render_result,
 )
 from inqcheck.kernels import RowBuilder
-from inqcheck.model import InfoState, InformationModel, downward_closure
+from inqcheck.model import InfoState, InformationModel, downward_closure, write_model_file
 from inqcheck.syntax import And, Atom, Bottom, Box, WBox, parse_formula, render_formula
 
 from conftest import (
@@ -112,6 +112,39 @@ class TestQueryValidation:
                 with pytest.raises(QueryError) as info:
                     evaluate(CheckQuery(demo_model, bits("110"), formula), engine=engine)
                 assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, state, plain, message",
+        [
+            # the atom rule comes before the modality rule
+            ("box p9", "110", True, "atom index 9 out of range, model has 2 atoms"),
+            ("p9 & box p0", "110", True, "atom index 9 out of range, model has 2 atoms"),
+            # several bad atoms: the largest is named
+            ("p7 & p9", "110", False, "atom index 9 out of range, model has 2 atoms"),
+            ("let a = p9; p7 & a", "110", False, "atom index 9 out of range, model has 2 atoms"),
+            # the state's width comes first
+            ("box p9", "11", True, "state width 2 does not match world count 3"),
+        ],
+    )
+    def test_both_forms_name_the_same_fault(self, demo_model, tmp_path, capsys, text, state, plain, message):
+        if plain:
+            demo_model = InformationModel(demo_model.n, demo_model.l, demo_model.valuation, None)
+        for formula in (parse_formula(text), rows(text)):
+            query = CheckQuery(demo_model, bits(state), formula)
+            for engine in (*ENGINES, "memo"):
+                with pytest.raises(QueryError) as info:
+                    if engine == "memo":
+                        check_support_memo(query, MemoCache())
+                    else:
+                        evaluate(query, engine=engine)
+                assert str(info.value) == message
+        path = tmp_path / "m.im"
+        path.write_text(write_model_file(demo_model), encoding="utf-8")
+        for naive in ([], ["--naive"]):
+            assert cli.main(["check", str(path), state, "--formula", text, *naive]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"error: query: {message}"]
 
     def test_program_rows_name_their_faults(self, demo_model):
         with pytest.raises(QueryError, match="state width 2 does not match world count 3"):

@@ -99,6 +99,17 @@ class TestInfoState:
         with pytest.raises(ValueError):
             InfoState(4, 2)
 
+    @pytest.mark.parametrize("mask, width, field", [(1.0, 2, "mask"), (1, 2.0, "width"), ("1", 2, "mask")])
+    def test_non_integer_fields_are_refused(self, mask, width, field):
+        with pytest.raises(TypeError, match=f"state {field} must be an integer"):
+            InfoState(mask, width)
+
+    def test_integer_types_are_stored_as_int(self):
+        s = InfoState(True, 2)
+        assert type(s.mask) is int and s == InfoState(1, 2)
+        s = InfoState(1, True)
+        assert type(s.width) is int and s.bits() == "1"
+
     def test_subset_and_membership(self):
         s = bits("110")
         assert s.contains(0) and s.contains(1) and not s.contains(2)

@@ -192,6 +192,29 @@ class TestSize:
         assert formula_size(f) >= sum(1 for _ in subformulas(f))
 
 
+class TestAtom:
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", None])
+    def test_non_integer_index_is_refused(self, bad):
+        # at construction, not later inside an engine, == or the printer
+        with pytest.raises(TypeError, match=f"atom index must be an integer, got {bad!r}"):
+            Atom(bad)
+
+    def test_integer_types_are_stored_as_int(self):
+        class Index(int):
+            pass
+
+        for index, want in ((True, 1), (False, 0), (Index(3), 3)):
+            atom = Atom(index)
+            assert type(atom.index) is int and atom.index == want
+            assert render_formula(atom) == f"p{want}"
+            assert parse_formula(render_formula(atom)) == atom
+
+    def test_index_past_64_bits(self):
+        atom = Atom(10**20)
+        assert atom == Atom(10**20) and hash(atom) == hash(Atom(10**20))
+        assert parse_formula(render_formula(atom)) == atom
+
+
 class TestHelpers:
     def test_neg(self):
         assert neg(Atom(0)) == Implies(Atom(0), Bottom())
