@@ -129,7 +129,9 @@ class MemoCache:
     it lowers the formula and looks the entry up by the model and the
     program's rows, which are canonical for the formula and hash without
     recursion, so equal formulas of any depth share one entry. A Program
-    is looked up by its rows as they are.
+    is looked up by its rows, which every program of a DAG shares: a
+    formula, its compiled program and the program parsed from its text
+    share one entry.
     """
 
     def __init__(self) -> None:

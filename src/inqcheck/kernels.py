@@ -1,16 +1,16 @@
 """Programs, the row builder, and the support-table kernel.
 
 A program is a formula as flat rows, one per distinct subformula
-(structurally equal subtrees share a row), children before parents. A
-RowBuilder makes them: the compiler and the parser build rows through it
-directly. A Formula reaches rows through one walk by object identity,
-_object_rows, which lower_formula feeds to a RowBuilder and
-syntax.render_formula prints; formula_of turns rows back into Formula
-objects. The table kernel gives every row an n-bit truth mask: the
-worlds w at which the singleton {w} supports it. Support is downward
-persistent, so a state with a world outside that mask never supports the
-row, and for a declarative row (one whose support is truth at each
-world) the mask decides support outright.
+(structurally equal subtrees share a row), numbered in the root's
+postorder, so one DAG has one program. A RowBuilder makes them: the
+compiler and the parser build rows through it directly. A Formula
+reaches rows through one walk by object identity, _object_rows, which
+lower_formula feeds to a RowBuilder and syntax.render_formula prints;
+formula_of turns rows back into Formula objects. The table kernel gives
+every row an n-bit truth mask: the worlds w at which the singleton {w}
+supports it. Support is downward persistent, so a state with a world
+outside that mask never supports the row, and for a declarative row (one
+whose support is truth at each world) the mask decides support outright.
 
 Three facts decide implications (Ciardelli & Roelofsen, "Inquisitive
 logic", J. Philos. Logic 40, 2011; Ciardelli, Groenendijk & Roelofsen,
@@ -151,10 +151,11 @@ def _object_rows(f: Formula) -> tuple[list[int], list[int], list[int], list, int
 
 @dataclass(frozen=True, slots=True)
 class Program:
-    """Flat form of a formula: one row per distinct subformula, children
-    before parents, every row reached from root. lower_formula numbers
-    the rows in the tree's postorder, a RowBuilder in the order they are
-    built.
+    """Flat form of a formula: one row per distinct subformula, numbered
+    in the root's postorder (children before parents, left before right,
+    each row when it is first finished), so the root is the last row.
+    lower_formula and RowBuilder.program both number rows so: equal
+    formulas give equal programs, whichever builds them.
 
     payload holds the atom index for OP_ATOM rows and 0 elsewhere; left
     and right hold child row numbers (right is 0 for unary rows). The
@@ -167,7 +168,10 @@ class Program:
     left: array
     right: array
     payload: array
-    root: int
+
+    @property
+    def root(self) -> int:
+        return len(self.ops) - 1
 
     @property
     def num_nodes(self) -> int:
@@ -176,9 +180,8 @@ class Program:
 
 def program_key(p: Program) -> tuple[int, bytes, bytes | tuple]:
     """Root, rows (one column length) and payload: its bytes, or its
-    values when RowBuilder.program could not pack them. Lowered programs
-    have equal keys exactly for equal formulas; a program built in
-    another row order has another key."""
+    values when RowBuilder.program could not pack them. Programs have
+    equal keys exactly for equal formulas, lowered, parsed or compiled."""
     rows = b"".join(a.tobytes() for a in (p.ops, p.left, p.right))
     return p.root, rows, p.payload.tobytes() if type(p.payload) is array else tuple(p.payload)
 
@@ -190,9 +193,9 @@ class RowBuilder:
     2006). It takes the arguments of the node builders of syntax and
     switching, node(cls, a=None, b=None), with rows for children and the
     index for an atom, so a row is keyed on its class and its children's
-    rows and building never hashes a subtree. Rows are numbered in the
-    order they are first built, children before parents; program(root)
-    packs the rows root reaches."""
+    rows and building never hashes a subtree. program(root) numbers the
+    rows root reaches in root's postorder, so the order of the calls
+    does not show in the program."""
 
     __slots__ = ("rows",)
 
@@ -205,39 +208,45 @@ class RowBuilder:
         return rows.setdefault((cls, a, b), len(rows))
 
     def program(self, root: int) -> Program:
-        """The rows that root reaches, in the order they were built. Rows
-        that nothing reaches, such as an unused definition's, are dropped,
-        so that every row of a program belongs to its formula.
+        """The rows that root reaches, numbered in root's postorder: left
+        child before right, each row when it is first finished. So one DAG
+        is one program whatever order its rows were built in, and rows
+        that nothing reaches, such as an unused definition's, are dropped.
 
-        Raises ValueError on a negative atom index. The payload stays a
-        tuple when an atom index is past array("q"), which no model has
-        atoms for: validating a query refuses it.
+        Raises ValueError on a negative atom index in any row built. The
+        payload stays a list when an atom index is past array("q"), which
+        no model has atoms for: validating a query refuses it.
         """
-        ops, left, right, payload = zip(
-            *[(OP_ATOM, 0, 0, a) if cls is Atom else (_OP_OF_TYPE[cls], a, b, 0) for cls, a, b in self.rows]
-        )
-        if min(payload) < 0:
-            raise ValueError(f"atom index must be non-negative, got {min(payload)}")
-        reached = bytearray(root + 1)
-        reached[root] = 1
-        for r in range(root, -1, -1):
-            if reached[r] and ops[r] >= OP_AND:
-                reached[left[r]] = 1
-                if ops[r] < OP_BOX:
-                    reached[right[r]] = 1
-        if len(ops) > root + 1 or 0 in reached:
-            kept = [r for r in range(root + 1) if reached[r]]
-            renumber = {r: i for i, r in enumerate(kept)}
-            ops = [ops[r] for r in kept]
-            left = [renumber[left[r]] if ops[i] >= OP_AND else 0 for i, r in enumerate(kept)]
-            right = [renumber[right[r]] if OP_AND <= ops[i] < OP_BOX else 0 for i, r in enumerate(kept)]
-            payload = [payload[r] for r in kept]
-            root = len(kept) - 1
+        built = list(self.rows)
+        low = min([a for cls, a, _ in built if cls is Atom], default=0)
+        if low < 0:
+            raise ValueError(f"atom index must be non-negative, got {low}")
+        number = [-1] * len(built)  # a built row's number, once finished
+        ops, left, right, payload = [], [], [], []
+        parents = []  # the rows waiting on a child, innermost last
+        r = root
+        while True:
+            cls, a, b = built[r]
+            op = _OP_OF_TYPE[cls]
+            if op >= OP_AND:
+                child = a if number[a] < 0 else b if op < OP_BOX and number[b] < 0 else -1
+                if child >= 0:
+                    parents.append(r)
+                    r = child
+                    continue
+            number[r] = len(ops)
+            ops.append(op)
+            left.append(number[a] if op >= OP_AND else 0)
+            right.append(number[b] if OP_AND <= op < OP_BOX else 0)
+            payload.append(0 if op >= OP_AND else a)
+            if not parents:
+                break
+            r = parents.pop()
         try:
             packed = array("q", payload)
         except OverflowError:
             packed = payload
-        return Program(ops=array("q", ops), left=array("q", left), right=array("q", right), payload=packed, root=root)
+        return Program(ops=array("q", ops), left=array("q", left), right=array("q", right), payload=packed)
 
 
 def lower_formula(f: Formula) -> Program:

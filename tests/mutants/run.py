@@ -1,15 +1,15 @@
 """Committed mutants: each is a one-place fault that named tests must catch.
 
 A mutant names a file under src/, an exact old text that must occur
-there once, the new text, and the test files that must fail on it. The
-script copies src/ and tests/ to a temporary directory, runs each
-mutant's tests once on the unchanged copy (they must pass), then applies
-each mutant in turn and runs its tests with the copy's src/ first on the
-import path. It exits 1 when a mutant survives, when its old text is
-missing or occurs more than once (a refactor moved it: re-anchor the
-mutant), or when its tests do not fail cleanly (a pytest exit code other
-than 1, such as a collection error, kills nothing). Tier-1's pytest run
-does not collect this file.
+there once, the new text, and the tests (files, classes or test ids)
+that must fail on it. The script copies src/ and tests/ to a temporary
+directory, runs each mutant's tests once on the unchanged copy (they
+must pass), then applies each mutant in turn and runs its tests with the
+copy's src/ first on the import path. It exits 1 when a mutant
+survives, when its old text is missing or occurs more than once (a
+refactor moved it: re-anchor the mutant), or when its tests do not fail
+cleanly (a pytest exit code other than 1, such as a collection error,
+kills nothing). Tier-1's pytest run does not collect this file.
 
 usage: python tests/mutants/run.py
 """
@@ -85,6 +85,34 @@ MUTANTS = [
         "                family = families[a] + families[b]\n",
         "                family = _maximal(u & v for u in families[a] for v in families[b])\n",
         KERNEL,
+    ),
+    # one row order: every program numbered in its root's postorder
+    Mutant(
+        "program-numbered-right-first",
+        "src/inqcheck/kernels.py",
+        "child = a if number[a] < 0 else b if op < OP_BOX and number[b] < 0 else -1",
+        "child = b if op < OP_BOX and number[b] < 0 else a if number[a] < 0 else -1",
+        ("tests/test_kernels.py::TestLowering", "tests/test_syntax.py::TestDefinitions"),
+    ),
+    Mutant(
+        "program-keeps-build-order",
+        "src/inqcheck/kernels.py",
+        '            raise ValueError(f"atom index must be non-negative, got {low}")\n',
+        '            raise ValueError(f"atom index must be non-negative, got {low}")\n'
+        "        reached = {root}\n"
+        "        for r in range(root, -1, -1):\n"
+        "            if r in reached and built[r][0] not in (Atom, Bottom):\n"
+        "                reached.update(built[r][1:] if built[r][0] not in (Box, WBox) else built[r][1:2])\n"
+        "        if len(reached) == len(built):\n"
+        "            ops, left, right, payload = zip(\n"
+        "                *[(OP_ATOM, 0, 0, a) if cls is Atom else (_OP_OF_TYPE[cls], a, b, 0) for cls, a, b in built]\n"
+        "            )\n"
+        "            try:\n"
+        '                payload = array("q", payload)\n'
+        "            except OverflowError:\n"
+        "                pass\n"
+        '            return Program(array("q", ops), array("q", left), array("q", right), payload)\n',
+        ("tests/test_syntax.py::TestRowParse", "tests/test_syntax.py::TestProgramRender"),
     ),
 ]
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import lexer_corpus, printing_corpus, question_formula, random_formula, shared_formula
-from inqcheck.checker import CheckQuery, evaluate
+from inqcheck.checker import CheckQuery, MemoCache, evaluate
 from inqcheck.kernels import OP_ATOM, OP_BOT, OP_IMPLIES, OP_IVEE, RowBuilder, formula_of, lower_formula, program_key
 from inqcheck.model import InfoState
 from inqcheck.qbf import Var, random_qbf
@@ -354,12 +354,6 @@ def parsed_rows(text: str):
     return node.program(parse_formula(text, node=node))
 
 
-def postorder_key(program) -> tuple:
-    """The key of the program's formula lowered again, whose rows follow
-    the tree's postorder whatever order the program was built in."""
-    return program_key(lower_formula(formula_of(program)))
-
-
 MALFORMED = [
     "p0 ior or p1",
     "   ",
@@ -385,7 +379,7 @@ class TestRowParse:
     @given(formulas(max_depth=5))
     def test_hypothesis_formulas(self, f):
         text = render_formula(f)
-        assert postorder_key(parsed_rows(text)) == program_key(lower_formula(parse_formula(text)))
+        assert program_key(parsed_rows(text)) == program_key(lower_formula(parse_formula(text)))
 
     def test_texts_with_definitions(self):
         rng = random.Random(1515)
@@ -395,7 +389,7 @@ class TestRowParse:
             text = render_formula(f)
             defined += "let " in text
             program = parsed_rows(text)
-            assert postorder_key(program) == program_key(lower_formula(parse_formula(text))) == program_key(lower_formula(f))
+            assert program_key(program) == program_key(lower_formula(parse_formula(text))) == program_key(lower_formula(f))
             # the text's DAG, interned: one row per distinct subformula
             assert program.num_nodes == lower_formula(f).num_nodes
         assert defined >= 30
@@ -405,9 +399,7 @@ class TestRowParse:
         instance = reduce_tqbf(random_qbf(70 + l, l, 100))
         text = render_formula(instance.formula)
         program = parsed_rows(text)
-        assert postorder_key(program) == program_key(lower_formula(parse_formula(text)))
-        assert postorder_key(program) == postorder_key(instance.program)
-        assert program.num_nodes == instance.program.num_nodes
+        assert program_key(program) == program_key(lower_formula(parse_formula(text))) == program_key(instance.program)
 
     @pytest.mark.parametrize(
         "text, rows",
@@ -422,8 +414,20 @@ class TestRowParse:
     def test_unused_definitions_leave_no_rows(self, text, rows):
         program = parsed_rows(text)
         assert program.num_nodes == rows
-        assert program.root == rows - 1
-        assert postorder_key(program) == program_key(lower_formula(parse_formula(text)))
+        assert program_key(program) == program_key(lower_formula(parse_formula(text)))
+
+    def test_build_order_does_not_show(self):
+        # p1 is built first here and p0 first there: one DAG, one program
+        program = parsed_rows("let a = p1; let b = p0; (b & a) ior a")
+        assert program == parsed_rows("(p0 & p1) ior p1") == lower_formula(parse_formula("(p0 & p1) ior p1"))
+
+    def test_negative_atom_index_is_refused(self):
+        node = RowBuilder()
+        with pytest.raises(ValueError, match="atom index must be non-negative, got -1"):
+            node.program(node(And, node(Atom, 0), node(Atom, -1)))
+        # the rows built are checked, whether root reaches them or not
+        with pytest.raises(ValueError, match="atom index must be non-negative, got -1"):
+            node.program(node(Atom, 0))
 
     @pytest.mark.parametrize("text", MALFORMED)
     def test_malformed_texts_fail_alike(self, text):
@@ -515,16 +519,17 @@ class TestProgramRender:
         text = render_formula(program)
         assert text == render_formula(formula_of(program))
         back = parsed_rows(text)
-        assert back.num_nodes == program.num_nodes
-        assert postorder_key(back) == postorder_key(program)
-        # the rows come back in the text's order, which a second round
-        # trip keeps
-        assert render_formula(back) == text
-        assert program_key(parsed_rows(render_formula(back))) == program_key(back)
+        assert back == program and program_key(back) == program_key(program)
+        return back
 
     @pytest.mark.parametrize("l", range(1, 25))
     def test_compiled_programs(self, l):
-        self.assert_round_trip(reduce_tqbf(random_qbf(160 + l, l, 40 + 5 * l)).program)
+        instance = reduce_tqbf(random_qbf(160 + l, l, 40 + 5 * l))
+        back = self.assert_round_trip(instance.program)
+        # the compiled rows, their formula and their text are one entry
+        cache, model = MemoCache(), instance.model.model
+        entry = cache.root(model, instance.program)
+        assert cache.root(model, instance.formula) is entry and cache.root(model, back) is entry
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -535,7 +540,9 @@ class TestProgramRender:
         for kind, a, b in data.draw(st.lists(st.tuples(kinds, st.integers(0), st.integers(0)), min_size=1, max_size=40)):
             a, b = rows[a % len(rows)], rows[b % len(rows)]
             rows.append(node(kind, a) if kind in (Box, WBox) else node(kind, a, b))
-        self.assert_round_trip(node.program(rows[-1]))
+        program = node.program(rows[-1])
+        assert program_key(program) == program_key(lower_formula(formula_of(program)))
+        self.assert_round_trip(program)
 
     def test_shared_leaves_and_both_sides(self):
         node = RowBuilder()
