@@ -35,26 +35,7 @@ is no formula node, then lowered; a Program, as the parser and the
 compiler build it through a kernels.RowBuilder, gives both off its
 columns and is decided as it stands; naive reads it through formula_of.
 
-The table decides an implication f -> g at a query state s in one of
-four ways (Ciardelli & Roelofsen, "Inquisitive logic", J. Philos. Logic
-40, 2011; Ciardelli, Groenendijk & Roelofsen, Inquisitive Semantics, OUP
-2018, ch. 2-3). A formula built from declaratives with &, ior and -> out
-of a declarative has a covering family: states that each support it,
-such that every state supporting it lies inside one. Its maximal
-members are its alternatives, and the family may hold others inside
-them; a declarative has one member, its truth mask. By persistence:
-
-- when f has a family, s supports f -> g iff s & A supports g for every
-  member A, so the query descends to those substates;
-- when s lies inside a member of g's family, s supports g, and so f -> g;
-- when the outs s & ~A of g's members that are single worlds have an OR
-  m that every wider out meets, the substates of s that fail g are the
-  supersets of m, so s supports f -> g iff m does not support f, and the
-  query asks f at m;
-- otherwise the table builds lattice rows over the substates of s and
-  checks that none supports f and fails g.
-
-The query answers each implication at a state at most once.
+The table's rules for implications are in the kernels module docstring.
 """
 
 from __future__ import annotations

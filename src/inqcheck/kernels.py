@@ -7,10 +7,11 @@ compiler and the parser build rows through it directly. A Formula
 reaches rows through one walk by object identity, _object_rows, which
 lower_formula feeds to a RowBuilder and syntax.render_formula prints;
 formula_of turns rows back into Formula objects. The table kernel gives
-every row an n-bit truth mask: the worlds w at which the singleton {w}
-supports it. Support is downward persistent, so a state with a world
-outside that mask never supports the row, and for a declarative row (one
-whose support is truth at each world) the mask decides support outright.
+every row, in one bottom-up pass, an n-bit truth mask (the worlds w at
+which the singleton {w} supports it) and a covering family (below).
+Support is downward persistent, so a state with a world outside that
+mask never supports the row, and for a declarative row (one whose
+support is truth at each world) the mask decides support outright.
 
 Three facts decide implications (Ciardelli & Roelofsen, "Inquisitive
 logic", J. Philos. Logic 40, 2011; Ciardelli, Groenendijk & Roelofsen,
@@ -359,7 +360,12 @@ def _maximal(masks) -> tuple[int, ...]:
     """The distinct masks that lie inside no other one."""
     kept: list[int] = []
     for v in sorted(set(masks), key=int.bit_count, reverse=True):
-        if all(v & ~u for u in kept):
+        # a loop, not all() over a generator, which costs more on the few
+        # members of most families
+        for u in kept:
+            if not v & ~u:
+                break
+        else:
             kept.append(v)
     return tuple(kept)
 
@@ -382,38 +388,30 @@ def active_kernel() -> str:
 
 
 class SupportTable:
-    """Truth masks of every program row, and support at any state read
-    off them.
+    """The state-free facts of every program row, and support at any state
+    read off them. support_table fills each column with one entry per row
+    in one ascending pass.
 
     truth[r] is the n-bit mask of the worlds w at which the singleton {w}
     supports row r; declarative[r] says that row r is truth-conditional
     (bot, atoms, box, wbox, & of declaratives, -> into a declarative), so
     that a state supports it iff all its worlds are in truth[r].
-    families[r], filled on first use, holds a covering family of row r
-    (every member supports r, every supporting state lies inside one), or
-    None when r is outside the fragment that has one or its family has
-    more than max_family members. refs[r] counts the references to row r from inquisitive
-    rows, plus two for an implication; a query keeps r's answers iff >= 2.
+    families[r] is a covering family of row r as world masks (every member
+    supports r, every supporting state lies inside one), or None. refs[r]
+    counts the references to row r from inquisitive rows, plus two for an
+    implication; a query keeps r's answers iff >= 2.
     """
 
-    __slots__ = ("ops", "left", "right", "truth", "declarative", "refs", "families", "max_family")
+    __slots__ = ("ops", "left", "right", "truth", "declarative", "refs", "families")
 
-    def __init__(self, program: Program, n: int) -> None:
+    def __init__(self, program: Program) -> None:
         self.ops = program.ops.tolist()
         self.left = program.left.tolist()
         self.right = program.right.tolist()
         self.truth: list[int] = []
         self.declarative: list[bool] = []
         self.refs = [0] * len(self.ops)
-        self.families: dict[int, tuple[int, ...] | None] = {}
-        # past this many members a row gets no family, which bounds the
-        # pairwise meets in _family; a query then neither descends out of
-        # the row nor takes its least failure, and closes instead. On the
-        # seed-1 queries of the four benchmark workloads (600 verify-small,
-        # 200 compiled-deep, 560 modal-sparse, 3,600 memo-reuse) no family
-        # reaches it: the largest have 10, 18, 3 and 14 members against
-        # caps of 15, 27, 30 and 18, and no query closes a lattice
-        self.max_family = 3 * n // 2
+        self.families: list[tuple[int, ...] | None] = []
 
     def holds(self, r: int, s: int) -> bool:
         """Whether state s supports row r. The right side of a & or an ior
@@ -422,7 +420,7 @@ class SupportTable:
         answers each implication and each shared row at a state at most
         once, so shared parts cost their distinct rows, not their paths."""
         truth, declarative, ops, left, right = self.truth, self.declarative, self.ops, self.left, self.right
-        refs = self.refs
+        refs, families = self.refs, self.families
         # the lattice rows over the substates of each state, kept for the
         # other implications closed at that state
         memos: dict[int, dict[int, int]] = {}
@@ -450,7 +448,7 @@ class SupportTable:
                 waiting.append((IVEE if ops[r] == OP_IVEE else AND, right[r], s))
                 r = left[r]
                 continue
-            elif (family := self._family(left[r])) is not None:
+            elif (family := families[left[r]]) is not None:
                 # by persistence, s supports f -> g iff s & A supports g for
                 # every member A of f's family: each waits as the right side
                 # of a & whose left side held
@@ -494,56 +492,6 @@ class SupportTable:
         consequent = self._lattice_row(self.right[r], worlds, memo)
         return self._lattice_row(self.left[r], worlds, memo) & ~consequent == 0
 
-    def _family(self, r: int) -> tuple[int, ...] | None:
-        """A covering family of row r as world masks: every member supports
-        r and every state supporting r lies inside a member, so the states
-        supporting r are the subsets of the members. A member may lie
-        inside another; only the pairwise meets of & are cut down to their
-        maximal ones. Rows built from declaratives with &, ior and -> out of
-        a declarative have one; an implication out of an inquisitive row
-        gets None, and so does every row above a None or past max_family
-        members."""
-        if self.declarative[r]:
-            return (self.truth[r],)
-        families = self.families
-        if r in families:
-            return families[r]
-        truth, declarative, ops, left, right = self.truth, self.declarative, self.ops, self.left, self.right
-        needed = set()
-        stack = [r]
-        while stack:
-            x = stack.pop()
-            if x in needed or x in families:
-                continue
-            needed.add(x)
-            if declarative[x]:
-                continue
-            if ops[x] != OP_IMPLIES:
-                stack += (left[x], right[x])
-            elif declarative[left[x]]:
-                stack.append(right[x])
-        for x in sorted(needed):
-            a, b = left[x], right[x]
-            if declarative[x]:
-                family = (truth[x],)
-            elif ops[x] == OP_IMPLIES:
-                if not declarative[a] or families[b] is None:
-                    family = None
-                else:
-                    # the worlds outside the antecedent, which truth[x] holds
-                    outside = truth[x] & ~truth[a]
-                    family = tuple(outside | v for v in families[b])
-            elif families[a] is None or families[b] is None:
-                family = None
-            elif ops[x] == OP_IVEE:
-                family = families[a] + families[b]
-            else:
-                family = _maximal(u & v for u in families[a] for v in families[b])
-            if family is not None and len(family) > self.max_family:
-                family = None
-            families[x] = family
-        return families[r]
-
     def _least_failure(self, r: int, s: int) -> int | None:
         """The least substate of s that fails row r, read off r's covering
         family: the OR of the members' outs s & ~A that are single worlds,
@@ -552,7 +500,7 @@ class SupportTable:
         out, and one that holds them all meets the rest, so the substates
         of s that fail r are exactly the supersets of the OR. 0 when s lies
         inside a member, so that s supports r; else None."""
-        family = self._family(r)
+        family = self.families[r]
         if family is None:
             return None
         least = 0
@@ -602,26 +550,56 @@ class SupportTable:
 
 
 def support_table(program: Program, m: InformationModel) -> SupportTable:
-    """Truth masks and refs of every program row, bottom-up. A box or wbox
-    row asks whether its body holds at each world's anchor states."""
+    """Truth masks, declarative flags, covering families and refs of
+    every program row, in one ascending pass: each row's entries come from
+    its children's. A box or wbox row asks whether its body holds at each
+    world's anchor states.
+
+    Each family follows the rules of the module docstring, so a member
+    may lie inside another: only the pairwise meets of & are cut down to
+    their maximal ones. Rows built from declaratives with &, ior and ->
+    out of a declarative have one; an implication out of an inquisitive
+    row gets None, and so does every row above a None or past max_family
+    members."""
     val_masks, union_masks, gen_masks = model_masks(m)
-    table = SupportTable(program, m.n)
+    table = SupportTable(program)
     left, right, truth, declarative, refs = table.left, table.right, table.truth, table.declarative, table.refs
+    families = table.families
+    # past this many members a row gets no family, which bounds the
+    # pairwise meets of &; a query then neither descends out of the row
+    # nor takes its least failure, and closes instead. On the seed-1
+    # queries of the four benchmark workloads (600 verify-small, 200
+    # compiled-deep, 560 modal-sparse, 3,600 memo-reuse) no family that a
+    # query reads reaches it: the largest have 10, 18, 3 and 14 members
+    # against caps of 15, 27, 24 and 18 in their tables, and no query
+    # closes a lattice. The largest families kept are 15, 25, 4 and 14;
+    # the cap cuts some rows that no query reads, which would hold up to
+    # 21 and 35 members on verify-small and compiled-deep
+    max_family = 3 * m.n // 2
     payload = program.payload.tolist()
     all_worlds = (1 << m.n) - 1
     for r, op in enumerate(table.ops):
         a, b = left[r], right[r]
+        family = None
         if op == OP_BOT:
             t, d = 0, True
         elif op == OP_ATOM:
             t, d = val_masks[payload[r]], True
         elif op == OP_AND:
             t, d = truth[a] & truth[b], declarative[a] and declarative[b]
+            if not d and families[a] is not None and families[b] is not None:
+                family = _maximal([u & v for u in families[a] for v in families[b]])
         elif op == OP_IVEE:
             t, d = truth[a] | truth[b], False
+            if families[a] is not None and families[b] is not None:
+                family = families[a] + families[b]
         elif op == OP_IMPLIES:
-            t, d = (all_worlds & ~truth[a]) | truth[b], declarative[b]
+            # the worlds outside the antecedent
+            outside = all_worlds & ~truth[a]
+            t, d = outside | truth[b], declarative[b]
             refs[r] += 2
+            if not d and declarative[a] and families[b] is not None:
+                family = tuple([outside | v for v in families[b]])
         elif op == OP_BOX:
             # the first two tests of holds, made before a walk starts: an
             # anchor with a world outside the body's truth mask fails it, and
@@ -643,7 +621,10 @@ def support_table(program: Program, m: InformationModel) -> SupportTable:
             d = True
         truth.append(t)
         declarative.append(d)
-        if not d:
+        if d:
+            families.append((t,))
+        else:
+            families.append(family if family is None or len(family) <= max_family else None)
             # only an inquisitive row leads a query on to its children
             refs[a] += 1
             refs[b] += 1

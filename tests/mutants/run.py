@@ -86,6 +86,20 @@ MUTANTS = [
         "                family = _maximal(u & v for u in families[a] for v in families[b])\n",
         KERNEL,
     ),
+    Mutant(
+        "implication-family-without-outside",
+        "src/inqcheck/kernels.py",
+        "tuple([outside | v for v in families[b]])",
+        "tuple([v for v in families[b]])",
+        KERNEL,
+    ),
+    Mutant(
+        "implication-family-any-antecedent",
+        "src/inqcheck/kernels.py",
+        "if not d and declarative[a] and families[b] is not None:",
+        "if not d and families[b] is not None:",
+        KERNEL,
+    ),
     # one row order: every program numbered in its root's postorder
     Mutant(
         "program-numbered-right-first",

@@ -50,7 +50,6 @@ class TestLowering:
         program = lower_formula(h)
         assert time.perf_counter() - start < 0.1
         assert program.num_nodes == 8 + 60
-        assert program.root == program.num_nodes - 1
 
     def test_shared_and_equal_objects_lower_alike(self):
         # rows follow the tree's postorder whether a repeat is the same
@@ -80,10 +79,6 @@ class TestLowering:
     def test_non_formula_node_raises(self, bad):
         with pytest.raises(TypeError, match="it is no formula node"):
             lower_formula(And(Atom(0), Box(bad)))
-
-    def test_root_is_last_row(self):
-        program = lower_formula(parse_formula("p0 -> p1"))
-        assert program.root == program.num_nodes - 1
 
     def test_table_bytes(self, demo_model):
         program = lower_formula(parse_formula("p0 & p1"))
@@ -335,9 +330,15 @@ class TestAlternatives:
             for f in formulas(rng, m.l, 4):
                 program = lower_formula(f)
                 table = support_table(program, m)
+                # the one pass gives every row its family before any query,
+                # a declarative row its truth mask
+                assert len(table.families) == program.num_nodes
+                for r in range(program.num_nodes):
+                    if table.declarative[r]:
+                        assert table.families[r] == (table.truth[r],), r
                 rows = row_formulas(program)
                 for r, g in enumerate(rows):
-                    family = table._family(r)
+                    family = table.families[r]
                     if family is None:
                         continue
                     families += not table.declarative[r]
@@ -353,7 +354,7 @@ class TestAlternatives:
                 # of a row with alternatives
                 for s in ((1 << n) - 1, rng.randrange(1 << n), rng.randrange(1 << n)):
                     for r in range(program.num_nodes):
-                        if program.ops[r] == OP_IMPLIES and table._family(program.left[r]) is not None:
+                        if program.ops[r] == OP_IMPLIES and table.families[program.left[r]] is not None:
                             descents += 1
                             assert table.holds(r, s) == naive_at(m, rows[r], s), (s, rows[r])
         # rows outside declaratives that have alternatives, and implications
@@ -373,7 +374,7 @@ class TestAlternatives:
                 program = lower_formula(f)
                 table = support_table(program, m)
                 for r, g in enumerate(row_formulas(program)):
-                    family = table._family(r)
+                    family = table.families[r]
                     if family is None:
                         continue
                     reference = {}
@@ -410,7 +411,7 @@ class TestAlternatives:
                 program = lower_formula(f)
                 table = support_table(program, m)
                 for r in range(program.num_nodes):
-                    family = table._family(r)
+                    family = table.families[r]
                     if family is None:
                         continue
                     maximal = kernels._maximal(family)
@@ -440,7 +441,7 @@ class TestAlternatives:
             n = rng.randint(4, 8)
             m = InformationModel(n, 3, tuple(InfoState(rng.randrange(1 << n), n) for _ in range(3)), None)
             table = support_table(program, m)
-            v0, v01 = table._family(consequent)
+            v0, v01 = table.families[consequent]
             assert v01 & ~v0 == 0
             for s in range(1 << n):
                 if (s & ~v0).bit_count() <= 1:
