@@ -2,11 +2,11 @@
 
 A program is a formula as flat rows, one per distinct subformula
 (structurally equal subtrees share a row), numbered in the root's
-postorder, so one DAG has one program. A RowBuilder makes them: the
-compiler and the parser build rows through it directly. A Formula
-reaches rows through one walk by object identity, _object_rows, which
-lower_formula feeds to a RowBuilder and syntax.render_formula prints;
-formula_of turns rows back into Formula objects. The table kernel gives
+postorder, so one DAG has one program. The compiler and the parser
+build rows through a RowBuilder. A Formula reaches rows through one walk
+by object identity, _object_rows, which lower_formula numbers in one
+pass and syntax.render_formula prints; formula_of turns rows back into
+Formula objects. The table kernel gives
 every row, in one bottom-up pass, an n-bit truth mask (the worlds w at
 which the singleton {w} supports it) and a covering family (below).
 Support is downward persistent, so a state with a world outside that
@@ -159,9 +159,9 @@ class Program:
     formulas give equal programs, whichever builds them.
 
     payload holds the atom index for OP_ATOM rows and 0 elsewhere; left
-    and right hold child row numbers (right is 0 for unary rows). The
-    columns are array("q"), payload a plain sequence when an index does
-    not fit one: program_key hashes the columns' bytes, and perfbench's
+    and right hold child row numbers (right is 0 for unary rows). _pack
+    makes the columns array("q"), payload a list when an index does not
+    fit one: program_key hashes the columns' bytes, and perfbench's
     tracer calls .tolist() on ops, left and right.
     """
 
@@ -181,7 +181,7 @@ class Program:
 
 def program_key(p: Program) -> tuple[int, bytes, bytes | tuple]:
     """Root, rows (one column length) and payload: its bytes, or its
-    values when RowBuilder.program could not pack them. Programs have
+    values when _pack could not pack them. Programs have
     equal keys exactly for equal formulas, lowered, parsed or compiled."""
     rows = b"".join(a.tobytes() for a in (p.ops, p.left, p.right))
     return p.root, rows, p.payload.tobytes() if type(p.payload) is array else tuple(p.payload)
@@ -214,9 +214,7 @@ class RowBuilder:
         is one program whatever order its rows were built in, and rows
         that nothing reaches, such as an unused definition's, are dropped.
 
-        Raises ValueError on a negative atom index in any row built. The
-        payload stays a list when an atom index is past array("q"), which
-        no model has atoms for: validating a query refuses it.
+        Raises ValueError on a negative atom index in any row built.
         """
         built = list(self.rows)
         low = min([a for cls, a, _ in built if cls is Atom], default=0)
@@ -243,31 +241,35 @@ class RowBuilder:
             if not parents:
                 break
             r = parents.pop()
-        try:
-            packed = array("q", payload)
-        except OverflowError:
-            packed = payload
-        return Program(ops=array("q", ops), left=array("q", left), right=array("q", right), payload=packed)
+        return _pack(ops, left, right, payload)
 
 
 def lower_formula(f: Formula) -> Program:
-    """Intern a formula into a Program, sharing equal subtrees: the rows
-    of _object_rows go through a RowBuilder in their order, so rows come
-    in the tree's postorder and a formula that shares objects costs its
-    distinct objects, not its tree. Raises TypeError on a node that is
-    no formula node."""
-    ops, left, right, payload, root = _object_rows(f)
-    node = RowBuilder()
-    rows: list[int] = []  # the builder's row of each of f's rows
+    """Intern a formula into a Program, sharing equal subtrees: each
+    distinct (op, left, right, payload) of _object_rows, children
+    renumbered, gets the next number where it first occurs. Those rows
+    come in the tree's postorder, repeated objects skipped, so that is
+    RowBuilder.program's numbering, and a formula costs its distinct
+    objects. Raises TypeError on a node that is no formula node."""
+    ops, left, right, payload, _ = _object_rows(f)
+    rows: dict[tuple[int, int, int, int], int] = {}  # key of each row -> its number
+    number: list[int] = []  # the number of each of f's rows
     for op, a, b, x in zip(ops, left, right, payload):
-        cls = _TYPE_OF_OP[op]
-        if op < OP_AND:
-            rows.append(node(cls, x))
-        elif op < OP_BOX:
-            rows.append(node(cls, rows[a], rows[b]))
-        else:
-            rows.append(node(cls, rows[a]))
-    return node.program(rows[root])
+        if op >= OP_AND:
+            # a unary row's right is 0, and row 0, a leaf, is number 0
+            a, b = number[a], number[b]
+        number.append(rows.setdefault((op, a, b, x), len(rows)))
+    return _pack(*zip(*rows))
+
+
+def _pack(ops, left, right, payload) -> Program:
+    """The columns as array("q"), payload a list when an atom index is past
+    it (no model has such atoms, so validating a query refuses it)."""
+    try:
+        packed = array("q", payload)
+    except OverflowError:
+        packed = list(payload)
+    return Program(ops=array("q", ops), left=array("q", left), right=array("q", right), payload=packed)
 
 
 def formula_of(p: Program) -> Formula:
@@ -562,6 +564,8 @@ def support_table(program: Program, m: InformationModel) -> SupportTable:
     row gets None, and so does every row above a None or past max_family
     members."""
     val_masks, union_masks, gen_masks = model_masks(m)
+    # a box's one anchor per world is the union of its generators
+    box_anchors = [(u,) for u in union_masks]
     table = SupportTable(program)
     left, right, truth, declarative, refs = table.left, table.right, table.truth, table.declarative, table.refs
     families = table.families
@@ -600,25 +604,19 @@ def support_table(program: Program, m: InformationModel) -> SupportTable:
             refs[r] += 2
             if not d and declarative[a] and families[b] is not None:
                 family = tuple([outside | v for v in families[b]])
-        elif op == OP_BOX:
-            # the first two tests of holds, made before a walk starts: an
-            # anchor with a world outside the body's truth mask fails it, and
-            # a declarative body holds at every other anchor
-            ta, da = truth[a], declarative[a]
-            t = sum(
-                1 << w
-                for w, u in enumerate(union_masks)
-                if not u & ~ta and (da or table.holds(a, u))
-            )
-            d = True
         else:
+            # the body must hold at each of a world's anchors. The first two
+            # tests of holds are made before a walk starts: an anchor with a
+            # world outside the body's truth mask fails it, and a declarative
+            # body holds at every other anchor
             ta, da = truth[a], declarative[a]
-            t = sum(
-                1 << w
-                for w, gens in enumerate(gen_masks)
-                if all(not g & ~ta and (da or table.holds(a, g)) for g in gens)
-            )
-            d = True
+            t, d = 0, True
+            for w, anchors in enumerate(box_anchors if op == OP_BOX else gen_masks):
+                for u in anchors:
+                    if u & ~ta or not (da or table.holds(a, u)):
+                        break
+                else:
+                    t |= 1 << w
         truth.append(t)
         declarative.append(d)
         if d:

@@ -100,7 +100,29 @@ MUTANTS = [
         "if not d and families[b] is not None:",
         KERNEL,
     ),
+    # box reads a world's generator union, wbox each of its generators
+    Mutant(
+        "box-reads-wbox-anchors",
+        "src/inqcheck/kernels.py",
+        "enumerate(box_anchors if op == OP_BOX else gen_masks)",
+        "enumerate(gen_masks)",
+        KERNEL,
+    ),
+    Mutant(
+        "modal-reads-first-anchor",
+        "src/inqcheck/kernels.py",
+        "                for u in anchors:\n",
+        "                for u in anchors[:1]:\n",
+        KERNEL,
+    ),
     # one row order: every program numbered in its root's postorder
+    Mutant(
+        "lowered-key-drops-payload",
+        "src/inqcheck/kernels.py",
+        "rows.setdefault((op, a, b, x), len(rows))",
+        "rows.setdefault((op, a, b, 0), len(rows))",
+        ("tests/test_kernels.py::TestLowering",),
+    ),
     Mutant(
         "program-numbered-right-first",
         "src/inqcheck/kernels.py",

@@ -4,7 +4,9 @@ Each law is tested on models of 12-13 worlds made by duplicating worlds
 of a model of at most 6, so that the table descends through implications
 and closes lattice rows over 12 or more worlds while naive answers on
 the small model: duplicating a world changes no answer, because a
-state supports a formula iff its image in the small model does.
+state supports a formula iff its image in the small model does. The
+modal law box f == wbox f, on models where each world has one generator,
+is checked on every engine at every state.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 import pytest
 
 from inqcheck import kernels
-from inqcheck.checker import CheckQuery, evaluate
+from inqcheck.checker import ENGINES, CheckQuery, evaluate
 from inqcheck.model import InfoState, InformationModel
 from inqcheck.syntax import And, Atom, Bottom, Box, Implies, IVee, WBox, classical_or, neg
 
@@ -141,3 +143,25 @@ class TestLaws:
         for m, copies, big, states in wide_cases(rng, 40):
             a = declarative_formula(rng, m.l, 3, m.is_modal)
             assert_equivalent(neg(neg(a)), a, m, copies, big, states)
+
+    def test_box_is_wbox_when_each_world_has_one_generator(self):
+        # box reads a world's generator union, wbox each generator: with
+        # one generator the two are one anchor
+        rng = random.Random(1917)
+        for _ in range(30):
+            m = random_model(rng, n_max=5, k_max=1)
+            f = random_formula(rng, m.l, 3, True)
+            for s in range(1 << m.n):
+                answers = {answer(m, s, g, engine) for g in (Box(f), WBox(f)) for engine in ENGINES}
+                assert len(answers) == 1, (s, f)
+
+    def test_box_and_wbox_differ_on_two_generators(self):
+        # world 0 has generators {w0} and {w1}, which each support ?p0
+        # while their union does not: wbox ?p0 holds at {w0}, box ?p0 fails
+        m = InformationModel(
+            2, 1, (InfoState(0b01, 2),), ((InfoState(0b01, 2), InfoState(0b10, 2)), (InfoState(0b10, 2),))
+        )
+        question = IVee(Atom(0), neg(Atom(0)))
+        for engine in ENGINES:
+            assert answer(m, 0b01, WBox(question), engine), engine
+            assert not answer(m, 0b01, Box(question), engine), engine
