@@ -241,6 +241,8 @@ def _eval_memo_sparse(q: CheckQuery, entry: _RootEntry) -> tuple[bool, int]:
     prog = entry.program
     ops, left, right, payload = (a.tolist() for a in (prog.ops, prog.left, prog.right, prog.payload))
     vmasks, union_masks, gen_masks = model_masks(m)
+    # a box's one anchor per world is the union of its generators
+    box_anchors = [(u,) for u in union_masks]
     values = entry.values
     misses = 0
 
@@ -266,22 +268,14 @@ def _eval_memo_sparse(q: CheckQuery, entry: _RootEntry) -> tuple[bool, int]:
                 if go(left[r], t) and not go(right[r], t):
                     result = False
                     break
-        elif op == OP_BOX:
-            result = True
-            for w in range(m.n):
-                if s >> w & 1 and not go(left[r], union_masks[w]):
-                    result = False
-                    break
         else:
             result = True
-            for w in range(m.n):
-                if s >> w & 1:
-                    for gmask in gen_masks[w]:
-                        if not go(left[r], gmask):
+            for w, anchors in enumerate(box_anchors if op == OP_BOX else gen_masks):
+                if result and s >> w & 1:
+                    for u in anchors:
+                        if not go(left[r], u):
                             result = False
                             break
-                    if not result:
-                        break
         values[key] = result
         return result
 

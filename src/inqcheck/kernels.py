@@ -10,11 +10,10 @@ Formula objects. The table kernel gives
 every row, in one bottom-up pass, an n-bit truth mask (the worlds w at
 which the singleton {w} supports it) and a covering family (below).
 Support is downward persistent, so a state with a world outside that
-mask never supports the row, and for a declarative row (one whose
-support is truth at each world) the mask decides support outright.
+mask never supports the row.
 
-Three facts decide implications (Ciardelli & Roelofsen, "Inquisitive
-logic", J. Philos. Logic 40, 2011; Ciardelli, Groenendijk & Roelofsen,
+Three facts decide support (Ciardelli & Roelofsen, "Inquisitive logic",
+J. Philos. Logic 40, 2011; Ciardelli, Groenendijk & Roelofsen,
 Inquisitive Semantics, OUP 2018, ch. 2-3):
 
 - Support by a covering family. A formula built from declaratives with
@@ -22,7 +21,8 @@ Inquisitive Semantics, OUP 2018, ch. 2-3):
   of the members of a family of world masks that does not depend on the
   state: every member supports it, and every supporting state lies inside
   a member. The maximal members are its alternatives; the family may hold
-  others inside them. A declarative has its truth mask; ior concatenates
+  others inside them. A declarative has one member, its truth mask: bot,
+  atoms, box, wbox, & of declaratives and -> into one. ior concatenates
   the families, & meets them pairwise and keeps the maximal meets, and
   alpha -> g with alpha declarative maps each member B of g to B plus the
   worlds outside alpha.
@@ -35,21 +35,22 @@ Inquisitive Semantics, OUP 2018, ch. 2-3):
   does not support f. A member with an empty out holds s, and s supports
   f -> g outright.
 
-A query at state s descends through conjunctions and inquisitive
-disjunctions at s, and decides an implication f -> g it reaches in one
-of four ways, answering each implication and each row that two parents
-share at a state at most once:
+A query at state s answers a row with a family by whether s lies inside
+a member, descends through the conjunctions and inquisitive disjunctions
+without one, and decides an implication f -> g without one in one of
+four ways, answering each such implication and each such row that two
+parents share at a state at most once:
 
 - f has a covering family: descend to s & A for each of its members;
 - s lies inside a member of g's family: s supports f -> g;
 - g's family gives s a least failure m: ask f at m and negate the
   answer;
 - otherwise close: s supports f -> g iff no substate supports f and
-  fails g, read off bitsets over the 2^|s| sub-lattice of s, with
-  declarative rows as down-sets of their truth masks. The substates
-  where f holds and g fails are closed under supersets with one masked
-  shift per world, O(k * 2^k) bit operations for k = |s|; states
-  outside s are never touched.
+  fails g, read off bitsets over the 2^|s| sub-lattice of s, with a row
+  that has a family as the union of its members' down-sets. The
+  substates where f holds and g fails are closed under supersets with
+  one masked shift per world, O(k * 2^k) bit operations for k = |s|;
+  states outside s are never touched.
 
 States, truth masks and lattice rows are plain Python ints, which have no
 width, so models of any size share one code path.
@@ -395,34 +396,32 @@ class SupportTable:
     in one ascending pass.
 
     truth[r] is the n-bit mask of the worlds w at which the singleton {w}
-    supports row r; declarative[r] says that row r is truth-conditional
-    (bot, atoms, box, wbox, & of declaratives, -> into a declarative), so
-    that a state supports it iff all its worlds are in truth[r].
-    families[r] is a covering family of row r as world masks (every member
-    supports r, every supporting state lies inside one), or None. refs[r]
-    counts the references to row r from inquisitive rows, plus two for an
-    implication; a query keeps r's answers iff >= 2.
+    supports row r. families[r] is a covering family of row r as world
+    masks (every member supports r, every supporting state lies inside
+    one), or None; a row is declarative (a state supports it iff all its
+    worlds are in truth[r]) when its family is (truth[r],). refs[r] counts
+    the references to row r from rows without a family, plus two for such
+    an implication; a query keeps r's answers iff >= 2.
     """
 
-    __slots__ = ("ops", "left", "right", "truth", "declarative", "refs", "families")
+    __slots__ = ("ops", "left", "right", "truth", "refs", "families")
 
     def __init__(self, program: Program) -> None:
         self.ops = program.ops.tolist()
         self.left = program.left.tolist()
         self.right = program.right.tolist()
         self.truth: list[int] = []
-        self.declarative: list[bool] = []
         self.refs = [0] * len(self.ops)
         self.families: list[tuple[int, ...] | None] = []
 
     def holds(self, r: int, s: int) -> bool:
-        """Whether state s supports row r. The right side of a & or an ior
+        """Whether state s supports row r. A row with a family is answered
+        by its members. Below the others, the right side of a & or an ior
         waits on a stack until its left side leaves the answer open, and so
         does the consequent of an implication at each part s & A. The walk
         answers each implication and each shared row at a state at most
         once, so shared parts cost their distinct rows, not their paths."""
-        truth, declarative, ops, left, right = self.truth, self.declarative, self.ops, self.left, self.right
-        refs, families = self.refs, self.families
+        truth, families, refs, ops, left, right = self.truth, self.families, self.refs, self.ops, self.left, self.right
         # the lattice rows over the substates of each state, kept for the
         # other implications closed at that state
         memos: dict[int, dict[int, int]] = {}
@@ -437,8 +436,13 @@ class SupportTable:
             if s & ~truth[r]:
                 # support is downward persistent, so s needs every {w} in s
                 value = False
-            elif declarative[r]:
-                value = True
+            elif (family := families[r]) is not None:
+                # s supports r iff it lies inside a member
+                value = False
+                for v in family:
+                    if not s & ~v:
+                        value = True
+                        break
             elif refs[r] < 2:
                 waiting.append((IVEE if ops[r] == OP_IVEE else AND, right[r], s))
                 r = left[r]
@@ -524,7 +528,7 @@ class SupportTable:
         """Row r over the 2^k substates of the state made of the k
         `worlds`, in ascending order: bit j is set iff the substate of the
         worlds[i] with bit i set in j supports row r."""
-        declarative, ops, left, right = self.declarative, self.ops, self.left, self.right
+        families, ops, left, right = self.families, self.ops, self.left, self.right
         k = len(worlds)
         # the rows r needs that memo lacks; children precede parents in a
         # program, so building in ascending row order builds children first
@@ -535,12 +539,13 @@ class SupportTable:
             if x in needed or x in memo:
                 continue
             needed.add(x)
-            if not declarative[x]:
+            if families[x] is None:
                 stack += (left[x], right[x])
         for x in sorted(needed):
             op = ops[x]
-            if declarative[x]:
-                row = _down_set(_local(self.truth[x], worlds), k)
+            if (family := families[x]) is not None:
+                # the substates inside a member
+                row = reduce(or_, [_down_set(_local(v, worlds), k) for v in family])
             elif op == OP_AND:
                 row = memo[left[x]] & memo[right[x]]
             elif op == OP_IVEE:
@@ -552,80 +557,81 @@ class SupportTable:
 
 
 def support_table(program: Program, m: InformationModel) -> SupportTable:
-    """Truth masks, declarative flags, covering families and refs of
-    every program row, in one ascending pass: each row's entries come from
-    its children's. A box or wbox row asks whether its body holds at each
-    world's anchor states.
+    """Truth masks, covering families and refs of every program row, in
+    one ascending pass: each row's entries come from its children's. A
+    box or wbox row asks whether its body holds at each world's anchor
+    states.
 
     Each family follows the rules of the module docstring, so a member
     may lie inside another: only the pairwise meets of & are cut down to
-    their maximal ones. Rows built from declaratives with &, ior and ->
-    out of a declarative have one; an implication out of an inquisitive
-    row gets None, and so does every row above a None or past max_family
-    members."""
+    their maximal ones. bot, atoms, box and wbox have their truth mask,
+    and so do & of two such rows and -> into one. An implication gets
+    None unless its consequent has one member, or its antecedent has one
+    and its consequent a family; so does every & or ior above a None, and
+    every row past max_family members."""
     val_masks, union_masks, gen_masks = model_masks(m)
     # a box's one anchor per world is the union of its generators
     box_anchors = [(u,) for u in union_masks]
     table = SupportTable(program)
-    left, right, truth, declarative, refs = table.left, table.right, table.truth, table.declarative, table.refs
-    families = table.families
+    left, right, truth, families, refs = table.left, table.right, table.truth, table.families, table.refs
     # past this many members a row gets no family, which bounds the
     # pairwise meets of &; a query then neither descends out of the row
-    # nor takes its least failure, and closes instead. On the seed-1
-    # queries of the four benchmark workloads (600 verify-small, 200
-    # compiled-deep, 560 modal-sparse, 3,600 memo-reuse) no family that a
-    # query reads reaches it: the largest have 10, 18, 3 and 14 members
-    # against caps of 15, 27, 24 and 18 in their tables, and no query
-    # closes a lattice. The largest families kept are 15, 25, 4 and 14;
-    # the cap cuts some rows that no query reads, which would hold up to
-    # 21 and 35 members on verify-small and compiled-deep
+    # nor takes its least failure. On the four benchmark workloads' seed-1
+    # queries, under caps of at most 15, 27, 30 and 18, the largest families
+    # have 15, 25, 4 and 14 members (21 and 35 on verify-small and
+    # compiled-deep without the cap), and no query closes a lattice
     max_family = 3 * m.n // 2
     payload = program.payload.tolist()
     all_worlds = (1 << m.n) - 1
     for r, op in enumerate(table.ops):
         a, b = left[r], right[r]
         family = None
-        if op == OP_BOT:
-            t, d = 0, True
-        elif op == OP_ATOM:
-            t, d = val_masks[payload[r]], True
-        elif op == OP_AND:
-            t, d = truth[a] & truth[b], declarative[a] and declarative[b]
-            if not d and families[a] is not None and families[b] is not None:
-                family = _maximal([u & v for u in families[a] for v in families[b]])
-        elif op == OP_IVEE:
-            t, d = truth[a] | truth[b], False
-            if families[a] is not None and families[b] is not None:
-                family = families[a] + families[b]
-        elif op == OP_IMPLIES:
-            # the worlds outside the antecedent
-            outside = all_worlds & ~truth[a]
-            t, d = outside | truth[b], declarative[b]
-            refs[r] += 2
-            if not d and declarative[a] and families[b] is not None:
-                family = tuple([outside | v for v in families[b]])
+        if op < OP_AND:
+            t = val_masks[payload[r]] if op == OP_ATOM else 0
+            family = (t,)
+        elif op < OP_BOX:
+            fa, fb = families[a], families[b]
+            if op == OP_AND:
+                t = truth[a] & truth[b]
+                if fa is not None and fb is not None:
+                    family = (t,) if len(fa) == len(fb) == 1 else _maximal([u & v for u in fa for v in fb])
+            elif op == OP_IVEE:
+                t = truth[a] | truth[b]
+                if fa is not None and fb is not None:
+                    family = fa + fb
+            else:
+                # the worlds outside the antecedent
+                outside = all_worlds & ~truth[a]
+                t = outside | truth[b]
+                if fb is not None and len(fb) == 1:
+                    family = (t,)
+                elif fa is not None and len(fa) == 1 and fb is not None:
+                    family = tuple([outside | v for v in fb])
         else:
             # the body must hold at each of a world's anchors. The first two
             # tests of holds are made before a walk starts: an anchor with a
-            # world outside the body's truth mask fails it, and a declarative
-            # body holds at every other anchor
-            ta, da = truth[a], declarative[a]
-            t, d = 0, True
+            # world outside the body's truth mask fails it, and a body with
+            # one member, its truth mask, holds at every other anchor
+            ta, fa = truth[a], families[a]
+            one = fa is not None and len(fa) == 1
+            t = 0
             for w, anchors in enumerate(box_anchors if op == OP_BOX else gen_masks):
                 for u in anchors:
-                    if u & ~ta or not (da or table.holds(a, u)):
+                    if u & ~ta or not (one or table.holds(a, u)):
                         break
                 else:
                     t |= 1 << w
+            family = (t,)
         truth.append(t)
-        declarative.append(d)
-        if d:
-            families.append((t,))
-        else:
-            families.append(family if family is None or len(family) <= max_family else None)
-            # only an inquisitive row leads a query on to its children
+        if family is not None and len(family) > max_family:
+            family = None
+        families.append(family)
+        if family is None:
+            # only a row without a family leads a query on to its children
             refs[a] += 1
             refs[b] += 1
+            if op == OP_IMPLIES:
+                refs[r] += 2
     return table
 
 

@@ -82,22 +82,47 @@ MUTANTS = [
     Mutant(
         "ior-families-met",
         "src/inqcheck/kernels.py",
-        "                family = families[a] + families[b]\n",
-        "                family = _maximal(u & v for u in families[a] for v in families[b])\n",
+        "                    family = fa + fb\n",
+        "                    family = _maximal([u & v for u in fa for v in fb])\n",
         KERNEL,
     ),
     Mutant(
         "implication-family-without-outside",
         "src/inqcheck/kernels.py",
-        "tuple([outside | v for v in families[b]])",
-        "tuple([v for v in families[b]])",
+        "tuple([outside | v for v in fb])",
+        "tuple([v for v in fb])",
         KERNEL,
     ),
     Mutant(
         "implication-family-any-antecedent",
         "src/inqcheck/kernels.py",
-        "if not d and declarative[a] and families[b] is not None:",
-        "if not d and families[b] is not None:",
+        "elif fa is not None and len(fa) == 1 and fb is not None:",
+        "elif fb is not None:",
+        KERNEL,
+    ),
+    Mutant(
+        "family-row-skips-containment",
+        "src/inqcheck/kernels.py",
+        "                value = False\n"
+        "                for v in family:\n"
+        "                    if not s & ~v:\n"
+        "                        value = True\n"
+        "                        break\n",
+        "                value = True\n",
+        KERNEL,
+    ),
+    Mutant(
+        "least-failure-ors-wide-outs",
+        "src/inqcheck/kernels.py",
+        "            if out & (out - 1):\n                wide.append(out)\n            elif out:\n",
+        "            if out:\n",
+        KERNEL,
+    ),
+    Mutant(
+        "and-truth-as-or",
+        "src/inqcheck/kernels.py",
+        "t = truth[a] & truth[b]",
+        "t = truth[a] | truth[b]",
         KERNEL,
     ),
     # box reads a world's generator union, wbox each of its generators

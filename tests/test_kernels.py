@@ -119,6 +119,20 @@ def row_formulas(program):
     return out
 
 
+def syntactic_declaratives(program):
+    """Whether each row is declarative by syntax: bot, atoms, box, wbox,
+    & of two declaratives and -> into a declarative."""
+    out = []
+    for op, a, b in zip(program.ops, program.left, program.right):
+        if op == OP_AND:
+            out.append(out[a] and out[b])
+        elif op == OP_IMPLIES:
+            out.append(out[b])
+        else:
+            out.append(op != OP_IVEE)
+    return out
+
+
 def row_bits(row, n):
     return [bool(row >> s & 1) for s in range(1 << n)]
 
@@ -153,11 +167,16 @@ class TestTables:
             for f in formulas(rng, m.l, 3):
                 program = lower_formula(f)
                 table = support_table(program, m)
-                assert len(table.truth) == len(table.declarative) == program.num_nodes
+                assert len(table.truth) == len(table.families) == program.num_nodes
                 for r, g in enumerate(row_formulas(program)):
                     assert 0 <= table.truth[r] < 1 << m.n
+                    family = table.families[r]
                     for s in range(1 << m.n):
-                        assert table.holds(r, s) == naive_at(m, g, s), (s, g)
+                        got = table.holds(r, s)
+                        assert got == naive_at(m, g, s), (s, g)
+                        # a row with a family is answered by its members
+                        if family is not None:
+                            assert got == any(s & ~v == 0 for v in family), (s, g)
 
     @pytest.mark.parametrize("n", [6, 7, 8, 9])
     def test_wide_lattice_matches_naive_and_sparse(self, n):
@@ -213,17 +232,23 @@ class TestTables:
                 assert evaluate(q, engine="table").value == evaluate(q, engine="naive").value
 
     def test_declarative_rows_follow_truth_masks(self):
+        # a row declarative by syntax has its truth mask as its one member,
+        # and every row with a family is answered by its members
         rng = random.Random(1618)
         seen = 0
         for _ in range(15):
             m = random_model(rng, n_max=6, l_max=3)
             for f in formulas(rng, m.l, 4):
-                table = support_table(lower_formula(f), m)
-                for r, declarative in enumerate(table.declarative):
-                    if declarative:
+                program = lower_formula(f)
+                table = support_table(program, m)
+                declaratives = syntactic_declaratives(program)
+                for r, family in enumerate(table.families):
+                    if declaratives[r]:
                         seen += 1
+                        assert family == (table.truth[r],), r
+                    if family is not None:
                         for s in range(1 << m.n):
-                            assert table.holds(r, s) == (s & ~table.truth[r] == 0)
+                            assert table.holds(r, s) == any(s & ~v == 0 for v in family)
         assert seen > 100
 
     def test_query_lattice_rows_stay_with_their_state(self):
@@ -289,16 +314,20 @@ class TestSharedRows:
                 assert got == want, s
 
     def test_refs_count_inquisitive_parents(self, demo_model):
-        # rows in postorder: p0, bot, p0 -> bot, x, x & x, p1, p0 & p1,
-        # box, ior, root. x is held twice by one & and once by an ior; an
-        # implication counts two more; declarative rows (p0 -> bot, p0 & p1,
-        # box) refer to nothing, since a query answers them at once
-        f = parse_formula("let x = ?p0; ((x & x) ior (box (p0 & p1) ior x))")
+        # rows in postorder: p0, bot, p0 -> bot, x, x -> x, p1, x -> p1, &,
+        # root. x -> x, out of the two members of x into two, has no
+        # family, and nor do the & and the ior above it. x is held twice by
+        # x -> x; x -> x counts two for itself and one from each of the &
+        # and the ior. Rows with a family (x, x -> p1 into a declarative)
+        # refer to nothing, since a query answers them by their members
+        f = parse_formula("let x = ?p0; (((x -> x) & (x -> p1)) ior (x -> x))")
         program = lower_formula(f)
         assert list(program.ops) == [
-            OP_ATOM, OP_BOT, OP_IMPLIES, OP_IVEE, OP_AND, OP_ATOM, OP_AND, OP_BOX, OP_IVEE, OP_IVEE
+            OP_ATOM, OP_BOT, OP_IMPLIES, OP_IVEE, OP_IMPLIES, OP_ATOM, OP_IMPLIES, OP_AND, OP_IVEE
         ]
-        assert support_table(program, demo_model).refs == [1, 0, 3, 3, 1, 0, 0, 1, 1, 0]
+        table = support_table(program, demo_model)
+        assert [family is None for family in table.families] == [False] * 4 + [True, False, False, True, True]
+        assert table.refs == [0, 0, 0, 2, 4, 0, 1, 1, 0]
 
     def test_shared_formulas_match_naive(self):
         # DAGs whose objects repeat at many places: the table, with and
@@ -327,21 +356,25 @@ class TestAlternatives:
         families = descents = 0
         for _ in range(12):
             m = random_model(rng, n_max=n, n_min=n, l_max=3)
-            for f in formulas(rng, m.l, 4):
+            # implications between two inquisitive disjunctions, which have
+            # no family when both sides have two or more members
+            x, y = (IVee(question_formula(rng, m.l, 1), question_formula(rng, m.l, 1)) for _ in range(2))
+            for f in formulas(rng, m.l, 4) + [And(Implies(x, y), Implies(y, x))]:
                 program = lower_formula(f)
                 table = support_table(program, m)
                 # the one pass gives every row its family before any query,
-                # a declarative row its truth mask
+                # a declarative row (by syntax or not) its truth mask
                 assert len(table.families) == program.num_nodes
-                for r in range(program.num_nodes):
-                    if table.declarative[r]:
-                        assert table.families[r] == (table.truth[r],), r
+                declaratives = syntactic_declaratives(program)
+                for r, family in enumerate(table.families):
+                    if declaratives[r] or family is not None and len(family) == 1:
+                        assert family == (table.truth[r],), r
                 rows = row_formulas(program)
                 for r, g in enumerate(rows):
                     family = table.families[r]
                     if family is None:
                         continue
-                    families += not table.declarative[r]
+                    families += len(family) > 1
                     assert all(0 <= v < 1 << n for v in family)
                     # the family covers the row: a state supports it iff it
                     # lies inside a member, probed at the members, at states
@@ -350,16 +383,40 @@ class TestAlternatives:
                     probes += [v | 1 << w for v in family for w in range(n) if not v >> w & 1][:12]
                     for t in family + tuple(probes):
                         assert naive_at(m, g, t) == any(t & ~v == 0 for v in family), (t, g)
-                # a query descends to the parts s & A of an implication out
-                # of a row with alternatives
+                # a query descends to the parts s & A of an implication
+                # without a family out of a row with alternatives
                 for s in ((1 << n) - 1, rng.randrange(1 << n), rng.randrange(1 << n)):
                     for r in range(program.num_nodes):
-                        if program.ops[r] == OP_IMPLIES and table.families[program.left[r]] is not None:
+                        if (
+                            program.ops[r] == OP_IMPLIES
+                            and table.families[r] is None
+                            and table.families[program.left[r]] is not None
+                        ):
                             descents += 1
                             assert table.holds(r, s) == naive_at(m, rows[r], s), (s, rows[r])
-        # rows outside declaratives that have alternatives, and implications
-        # a query descends through
+        # rows with two or more members, and implications without a family
+        # that a query descends through
         assert families >= 30 and descents >= 60, (families, descents)
+
+    @pytest.mark.parametrize("text", ["(?p0 & p0) -> ?p1", "((p0 -> ?p1) & p1) -> ?p2", "((wbox p1 -> ?p0) & p0) -> ?p2"])
+    def test_implication_out_of_a_semantic_declarative_has_a_family(self, text):
+        # each antecedent is inquisitive by syntax, but the meets of its &
+        # leave it one member, its truth mask; so the implication maps its
+        # consequent's two members, and a query answers it by them
+        program = lower_formula(parse_formula(text))
+        rows = row_formulas(program)
+        rng = random.Random(2503)
+        for n in (7, 8, 9):
+            plain = InformationModel(n, 3, tuple(InfoState(rng.randrange(1 << n), n) for _ in range(3)), None)
+            for m in (plain, sparse_modal_model(rng, n)):
+                if m.sigma is None and "box" in text:
+                    continue
+                table = support_table(program, m)
+                assert len(table.families[program.left[program.root]]) == 1
+                assert len(table.families[program.root]) == 2
+                for s in [(1 << n) - 1] + [rng.randrange(1 << n) for _ in range(40)]:
+                    for r, g in enumerate(rows):
+                        assert table.holds(r, s) == naive_at(m, g, s), (n, s, g)
 
     def test_least_failure_matches_naive(self):
         # wherever _least_failure(g, s) gives m, the substates of s that
@@ -386,7 +443,7 @@ class TestAlternatives:
                             continue
                         if least is None:
                             continue
-                        fired += not table.declarative[r]
+                        fired += len(family) > 1
                         assert least & ~s == 0, (s, least, g)
                         t = s
                         while True:
@@ -396,7 +453,7 @@ class TestAlternatives:
                             if not t:
                                 break
                             t = (t - 1) & s
-        # fired counts only rows that are not declarative
+        # fired counts only rows with two or more members
         assert fired >= 200 and declined >= 200, (fired, declined)
 
     def test_least_failure_fires_where_maximal_members_leave_one_world(self):
@@ -425,14 +482,15 @@ class TestAlternatives:
 
     def test_dominated_member_builds_no_lattice(self, monkeypatch):
         # p0 ior (p0 & p1) has the family (V0, V0 & V1), whose second member
-        # lies inside its first, and the antecedent has no family; wherever
-        # V0 leaves at most one world of s out, the query is answered by the
-        # least failure or at once, without a lattice row
+        # lies inside its first, and the antecedent, out of a question into
+        # one, has no family, so neither has the root; wherever V0 leaves at
+        # most one world of s out, the query is answered by the least
+        # failure or at once, without a lattice row
         def no_lattice(self, r, worlds, memo):
             raise AssertionError(f"lattice row {r} over {len(worlds)} worlds")
 
         monkeypatch.setattr(kernels.SupportTable, "_lattice_row", no_lattice)
-        f = parse_formula("(?p2 -> p1) -> (p0 ior (p0 & p1))")
+        f = parse_formula("(?p2 -> ?p1) -> (p0 ior (p0 & p1))")
         program = lower_formula(f)
         consequent = program.right[program.root]
         rng = random.Random(1811)
@@ -441,6 +499,7 @@ class TestAlternatives:
             n = rng.randint(4, 8)
             m = InformationModel(n, 3, tuple(InfoState(rng.randrange(1 << n), n) for _ in range(3)), None)
             table = support_table(program, m)
+            assert table.families[program.left[program.root]] is None and table.families[program.root] is None
             v0, v01 = table.families[consequent]
             assert v01 & ~v0 == 0
             for s in range(1 << n):
@@ -455,8 +514,8 @@ class TestAlternatives:
         # the wrapper (D_k -> X) -> S_k of each branching quantifier is
         # answered at a k-switching s, the one substate of s that fails
         # S_k, by asking D_k -> X there; D_k has alternatives, so every
-        # implication of a compiled query is answered by descent and none
-        # by closing a lattice row upward
+        # implication of a compiled query is answered by its family or by
+        # descent, and none by closing a lattice row upward
         def no_lattice(self, r, worlds, memo):
             raise AssertionError(f"lattice row {r} over {len(worlds)} worlds")
 
