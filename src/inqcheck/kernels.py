@@ -16,16 +16,16 @@ Three facts decide support (Ciardelli & Roelofsen, "Inquisitive logic",
 J. Philos. Logic 40, 2011; Ciardelli, Groenendijk & Roelofsen,
 Inquisitive Semantics, OUP 2018, ch. 2-3):
 
-- Support by a covering family. A formula built from declaratives with
-  &, ior and -> out of a declarative is supported exactly by the subsets
-  of the members of a family of world masks that does not depend on the
-  state: every member supports it, and every supporting state lies inside
-  a member. The maximal members are its alternatives; the family may hold
-  others inside them. A declarative has one member, its truth mask: bot,
-  atoms, box, wbox, & of declaratives and -> into one. ior concatenates
-  the families, & meets them pairwise and keeps the maximal meets, and
-  alpha -> g with alpha declarative maps each member B of g to B plus the
-  worlds outside alpha.
+- Support by a covering family. Every formula is the inquisitive
+  disjunction of its resolutions, so it is supported exactly by the
+  subsets of the members of a family of world masks that does not depend
+  on the state (the maximal members are its alternatives; others may lie
+  inside them). bot, atoms, box and wbox have one member, their truth
+  mask. ior concatenates the families, & keeps the maximal pairwise
+  meets, and f -> g has one member if g has, else the meets of one
+  factor per member A of f: g's members joined with the worlds outside
+  A. Only size leaves a row without a family: it, or the product of ->,
+  passes max_family members, or a row below it has none.
 - The covering form of ->. By persistence, t supports f -> g iff t & A
   supports g for every member A of f's family.
 - The least failure of ->. A substate of s fails g iff it meets every out
@@ -359,6 +359,11 @@ def _local(v: int, worlds: list[int]) -> int:
     return local
 
 
+def _meet(fa: tuple[int, ...], fb: tuple[int, ...]) -> tuple[int, ...]:
+    """The family of f & g from f's and g's: their maximal pairwise meets."""
+    return (fa[0] & fb[0],) if len(fa) == len(fb) == 1 else _maximal([u & v for u in fa for v in fb])
+
+
 def _maximal(masks) -> tuple[int, ...]:
     """The distinct masks that lie inside no other one."""
     kept: list[int] = []
@@ -562,24 +567,22 @@ def support_table(program: Program, m: InformationModel) -> SupportTable:
     box or wbox row asks whether its body holds at each world's anchor
     states.
 
-    Each family follows the rules of the module docstring, so a member
-    may lie inside another: only the pairwise meets of & are cut down to
-    their maximal ones. bot, atoms, box and wbox have their truth mask,
-    and so do & of two such rows and -> into one. An implication gets
-    None unless its consequent has one member, or its antecedent has one
-    and its consequent a family; so does every & or ior above a None, and
-    every row past max_family members."""
+    One family rule per connective: bot, atoms, box and wbox have their
+    truth mask, ior concatenates, & is the _meet of its parts, and -> has
+    its truth mask into one member, else the _meet of its factors.
+    A row gets None only past max_family members, for the family or the
+    |G| ** |F| product of ->, or above a row that has None."""
     val_masks, union_masks, gen_masks = model_masks(m)
     # a box's one anchor per world is the union of its generators
     box_anchors = [(u,) for u in union_masks]
     table = SupportTable(program)
     left, right, truth, families, refs = table.left, table.right, table.truth, table.families, table.refs
-    # past this many members a row gets no family, which bounds the
-    # pairwise meets of &; a query then neither descends out of the row
-    # nor takes its least failure. On the four benchmark workloads' seed-1
-    # queries, under caps of at most 15, 27, 30 and 18, the largest families
-    # have 15, 25, 4 and 14 members (21 and 35 on verify-small and
-    # compiled-deep without the cap), and no query closes a lattice
+    # past this many members a row gets no family, which bounds the meets
+    # of & and ->; a query then neither descends out of the row nor takes
+    # its least failure. On the four benchmark workloads' seed-1 queries,
+    # under caps of at most 15, 27, 30 and 18, the largest families read
+    # have 15, 24, 4 and 14 members (13, 26, 4 and 14 uncapped, when the
+    # first two build families of 21 and 35); no query closes a lattice
     max_family = 3 * m.n // 2
     payload = program.payload.tolist()
     all_worlds = (1 << m.n) - 1
@@ -594,19 +597,19 @@ def support_table(program: Program, m: InformationModel) -> SupportTable:
             if op == OP_AND:
                 t = truth[a] & truth[b]
                 if fa is not None and fb is not None:
-                    family = (t,) if len(fa) == len(fb) == 1 else _maximal([u & v for u in fa for v in fb])
+                    family = _meet(fa, fb)
             elif op == OP_IVEE:
                 t = truth[a] | truth[b]
                 if fa is not None and fb is not None:
                     family = fa + fb
             else:
-                # the worlds outside the antecedent
-                outside = all_worlds & ~truth[a]
-                t = outside | truth[b]
+                t = all_worlds & ~truth[a] | truth[b]
                 if fb is not None and len(fb) == 1:
                     family = (t,)
-                elif fa is not None and len(fa) == 1 and fb is not None:
-                    family = tuple([outside | v for v in fb])
+                elif fa is not None and fb is not None and len(fb) ** len(fa) <= max_family:
+                    # t supports f -> g iff t & u lies inside a member of g's
+                    # family for each member u of f's: one factor per u
+                    family = reduce(_meet, [tuple([all_worlds & ~u | v for v in fb]) for u in fa])
         else:
             # the body must hold at each of a world's anchors. The first two
             # tests of holds are made before a walk starts: an anchor with a

@@ -87,17 +87,17 @@ MUTANTS = [
         KERNEL,
     ),
     Mutant(
-        "implication-family-without-outside",
+        "implication-product-drops-a-factor",
         "src/inqcheck/kernels.py",
-        "tuple([outside | v for v in fb])",
-        "tuple([v for v in fb])",
+        "for v in fb]) for u in fa])",
+        "for v in fb]) for u in fa[1:] or fa])",
         KERNEL,
     ),
     Mutant(
-        "implication-family-any-antecedent",
+        "implication-factor-without-outside",
         "src/inqcheck/kernels.py",
-        "elif fa is not None and len(fa) == 1 and fb is not None:",
-        "elif fb is not None:",
+        "tuple([all_worlds & ~u | v for v in fb])",
+        "tuple([v for v in fb])",
         KERNEL,
     ),
     Mutant(

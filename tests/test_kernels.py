@@ -29,7 +29,7 @@ from inqcheck.kernels import (
 from inqcheck.model import InfoState, InformationModel
 from inqcheck.qbf import eval_qbf, random_qbf
 from inqcheck.reduction import reduce_tqbf
-from inqcheck.syntax import And, Atom, Bottom, Box, IVee, Implies, WBox, parse_formula, render_formula, subformulas
+from inqcheck.syntax import And, Atom, Bottom, Box, IVee, Implies, WBox, parse_formula, question, render_formula, subformulas
 
 from conftest import bits, printing_corpus, question_formula, random_formula, random_model, shared_formula
 
@@ -185,14 +185,22 @@ class TestTables:
         # and 256 across machine-word boundaries
         rng = random.Random(31 * n)
         m = random_model(rng, n_max=n, n_min=n, l_max=3)
+        # x has four members, so x -> c takes a product of 2 ** 4, past the
+        # cap of at most 13: it has no family, nor has the implication out
+        # of it, whose lattice row closes x -> c's
+        x, c = IVee(question(Atom(0)), question(Atom(m.l - 1))), question(Atom(m.l // 2))
+        nested = Implies(Implies(x, c), IVee(x, c))
         checked = 0
         while checked < 6:
             # question formulas nest more implications per level; depth 4
             # keeps the naive reference to a second
             f = random_formula(rng, m.l, 5, True) if checked % 2 else question_formula(rng, m.l, 4)
-            program = lower_formula(f)
-            if list(program.ops).count(OP_IMPLIES) < 3:
+            if list(lower_formula(f).ops).count(OP_IMPLIES) < 3:
                 continue
+            # random formulas rarely hold an implication without a family,
+            # so the first one is joined with the nested one
+            f = And(f, nested) if checked == 0 else f
+            program = lower_formula(f)
             checked += 1
             table = support_table(program, m)
             masks = [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(32)]
@@ -268,15 +276,25 @@ class TestTables:
             "((?p0 -> ?p0) ior p1) & (?p0 -> ?p0)",
             "(?p1 -> ((?p0 -> ?p1) ior (bot -> bot))) & (?p0 -> ?p1)",
             "(((?p0 -> ?p1) -> ?p1) ior (bot -> bot)) & ((?p0 -> ?p1) -> ?p1)",
+            "let y = (?p0 ior ?p1) -> ?p1; (y ior (bot -> bot)) & y",
+            "let x = ?p0 ior ?p1; ((x -> x) ior p1) & (x -> x)",
+            "let y = (?p0 ior ?p1) -> ?p1; (?p1 -> (y ior (bot -> bot))) & y",
+            "let z = ((?p0 ior ?p1) -> ?p1) -> ?p1; (z ior (bot -> bot)) & z",
         ],
     )
     def test_an_implication_met_again_keeps_its_answer(self, demo_model, text):
-        # a query answers an implication at a state once: in the first two
-        # formulas the ior catches the first answer and the right conjunct
-        # meets the same row at the same state, and in the third it meets
-        # it at the parts the left conjunct reached. In the fourth the
-        # repeated row holds at {w0, w2} and fails at {w1, w2}, each answered
-        # by asking its antecedent at its consequent's least failing substate
+        # a query answers an implication without a family at a state once.
+        # ?p0 ior ?p1 has four members, so an implication out of it into a
+        # question has a product of 2 ** 4 or more, past the demo model's
+        # cap of 4, and no family. In the fifth and sixth formulas the ior
+        # catches the first answer and the right conjunct meets the same
+        # row at the same state, and in the seventh it meets it at the
+        # parts the left conjunct reached. In the eighth the repeated row
+        # holds at {w0, w2} and fails at {w1, w2}, each answered by asking
+        # its antecedent, which has no family either, at its consequent's
+        # least failing substate. The first four are the same shapes over
+        # ?p0 -> ?p1, which has a family, 2 ** 2 products, and is
+        # answered by its members
         f = parse_formula(text)
         for s in range(1 << demo_model.n):
             q = CheckQuery(demo_model, InfoState(s, demo_model.n), f)
@@ -298,8 +316,10 @@ class TestTables:
 class TestSharedRows:
     def test_library_dag_is_answered_at_once(self, demo_model):
         # H_{i+1} = H_i & H_i holds where H_0 does: 2^60 leaves as a tree,
-        # and the query keeps the answer of each shared row at each state
-        h0 = parse_formula("?p0 -> ?p1")
+        # and the query keeps the answer of each shared row at each state.
+        # H_0 has no family (a product of 2 ** 4, past the cap of 4), so
+        # neither has any H_i
+        h0 = parse_formula("(?p0 ior ?p1) -> ?p1")
         h = h0
         for _ in range(60):
             h = And(h, h)
@@ -314,20 +334,23 @@ class TestSharedRows:
                 assert got == want, s
 
     def test_refs_count_inquisitive_parents(self, demo_model):
-        # rows in postorder: p0, bot, p0 -> bot, x, x -> x, p1, x -> p1, &,
-        # root. x -> x, out of the two members of x into two, has no
-        # family, and nor do the & and the ior above it. x is held twice by
-        # x -> x; x -> x counts two for itself and one from each of the &
-        # and the ior. Rows with a family (x, x -> p1 into a declarative)
-        # refer to nothing, since a query answers them by their members
-        f = parse_formula("let x = ?p0; (((x -> x) & (x -> p1)) ior (x -> x))")
+        # rows in postorder: p0, bot, p0 -> bot, ?p0, p1, p1 -> bot, ?p1,
+        # x, x -> x, x -> p1, &, root. x has four members, so the product
+        # of x -> x would have 4 ** 4, past the demo model's cap of 4: it
+        # has no family, and nor do the & and the ior above it. x is held
+        # twice by x -> x; x -> x counts two for itself and one from each of
+        # the & and the ior. Rows with a family (x, x -> p1 into a
+        # declarative) refer to nothing, since a query answers them by
+        # their members
+        f = parse_formula("let x = ?p0 ior ?p1; (((x -> x) & (x -> p1)) ior (x -> x))")
         program = lower_formula(f)
         assert list(program.ops) == [
-            OP_ATOM, OP_BOT, OP_IMPLIES, OP_IVEE, OP_IMPLIES, OP_ATOM, OP_IMPLIES, OP_AND, OP_IVEE
+            OP_ATOM, OP_BOT, OP_IMPLIES, OP_IVEE, OP_ATOM, OP_IMPLIES, OP_IVEE, OP_IVEE,
+            OP_IMPLIES, OP_IMPLIES, OP_AND, OP_IVEE,
         ]
         table = support_table(program, demo_model)
-        assert [family is None for family in table.families] == [False] * 4 + [True, False, False, True, True]
-        assert table.refs == [0, 0, 0, 2, 4, 0, 1, 1, 0]
+        assert [family is None for family in table.families] == [False] * 8 + [True, False, True, True]
+        assert table.refs == [0, 0, 0, 0, 0, 0, 0, 2, 4, 1, 1, 0]
 
     def test_shared_formulas_match_naive(self):
         # DAGs whose objects repeat at many places: the table, with and
@@ -356,9 +379,12 @@ class TestAlternatives:
         families = descents = 0
         for _ in range(12):
             m = random_model(rng, n_max=n, n_min=n, l_max=3)
-            # implications between two inquisitive disjunctions, which have
-            # no family when both sides have two or more members
-            x, y = (IVee(question_formula(rng, m.l, 1), question_formula(rng, m.l, 1)) for _ in range(2))
+            # implications between two inquisitive disjunctions of polar
+            # questions, of four and six members: products of 6 ** 4 and
+            # 4 ** 6 pass the cap, so neither implication has a family
+            a, b, c = (question(Atom(rng.randrange(m.l))) for _ in range(3))
+            x = IVee(a, b)
+            y = IVee(x, c)
             for f in formulas(rng, m.l, 4) + [And(Implies(x, y), Implies(y, x))]:
                 program = lower_formula(f)
                 table = support_table(program, m)
@@ -398,25 +424,85 @@ class TestAlternatives:
         # that a query descends through
         assert families >= 30 and descents >= 60, (families, descents)
 
-    @pytest.mark.parametrize("text", ["(?p0 & p0) -> ?p1", "((p0 -> ?p1) & p1) -> ?p2", "((wbox p1 -> ?p0) & p0) -> ?p2"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(?p0 & p0) -> ?p1",
+            "((p0 -> ?p1) & p1) -> ?p2",
+            "((wbox p1 -> ?p0) & p0) -> ?p2",
+            "?p0 -> ?p1",
+            "(?p0 ior ?p1) -> ?p2",
+            "(wbox p1 -> ?p0) -> ?p2",
+        ],
+    )
     def test_implication_out_of_a_semantic_declarative_has_a_family(self, text):
-        # each antecedent is inquisitive by syntax, but the meets of its &
-        # leave it one member, its truth mask; so the implication maps its
-        # consequent's two members, and a query answers it by them
+        # the first three antecedents are inquisitive by syntax, but the
+        # meets of their & leave them one member, their truth mask; so the
+        # implication maps its consequent's two members. The others meet,
+        # over the antecedent's members A, the consequent's members widened
+        # by the worlds outside A: ?p0 -> ?p1 takes a product of 2 ** 2,
+        # and (?p0 ior ?p1) -> ?p2 one of 2 ** 4, which passes the cap of
+        # 3n/2 on 7-10 worlds but not on 11 or 12. Every implication whose
+        # parts have families and whose product is under the cap has a
+        # family, whose members support the row and cover it
         program = lower_formula(parse_formula(text))
         rows = row_formulas(program)
         rng = random.Random(2503)
-        for n in (7, 8, 9):
+        products = 0
+        for n in range(7, 13):
             plain = InformationModel(n, 3, tuple(InfoState(rng.randrange(1 << n), n) for _ in range(3)), None)
             for m in (plain, sparse_modal_model(rng, n)):
                 if m.sigma is None and "box" in text:
                     continue
                 table = support_table(program, m)
-                assert len(table.families[program.left[program.root]]) == 1
-                assert len(table.families[program.root]) == 2
+                families = table.families
+                if "&" in text:
+                    assert len(families[program.left[program.root]]) == 1
+                    assert len(families[program.root]) == 2
+                for r, (op, a, b) in enumerate(zip(program.ops, program.left, program.right)):
+                    fa, fb = families[a], families[b]
+                    if op == OP_IMPLIES and fa is not None and fb is not None and len(fb) ** len(fa) <= 3 * n // 2:
+                        assert families[r] is not None, (n, rows[r])
+                        products += len(fa) > 1 and len(fb) > 1
+                for g, family in zip(rows, families):
+                    if family is None:
+                        continue
+                    # every member supports the row, and a state supports it
+                    # iff it lies inside a member: probed at random states
+                    # and at members with one more world
+                    assert all(naive_at(m, g, v) for v in family), (n, g)
+                    probes = [rng.randrange(1 << n) for _ in range(8)]
+                    probes += [v | 1 << w for v in family for w in range(n) if not v >> w & 1][:12]
+                    for t in probes:
+                        assert naive_at(m, g, t) == any(t & ~v == 0 for v in family), (n, t, g)
                 for s in [(1 << n) - 1] + [rng.randrange(1 << n) for _ in range(40)]:
                     for r, g in enumerate(rows):
                         assert table.holds(r, s) == naive_at(m, g, s), (n, s, g)
+        # the last three implications take a product of two or more factors
+        # of two or more members on some model
+        assert products > 0 or "&" in text
+
+    def test_box_over_a_wide_generator_is_read_off_its_body_family(self):
+        # only world 29 has a wide generator, of 26 worlds. The box's body
+        # and its antecedent ?p0 -> ?p1 have families by the product, so the
+        # table decides the box at that anchor by its body's members and
+        # builds no lattice over the anchor's 2^26 substates
+        rng = random.Random(5)
+        n = 30
+        valuation = tuple(InfoState(rng.randrange(1 << n), n) for _ in range(3))
+        sigma = tuple(
+            (InfoState(sum(1 << v for v in rng.sample(range(n), 26 if w == n - 1 else rng.randint(1, 3))), n),)
+            for w in range(n)
+        )
+        m = InformationModel(n, 3, valuation, sigma)
+        q = CheckQuery(m, InfoState(0b111, n), parse_formula("box ((?p0 -> ?p1) -> ?p0)"))
+        want = evaluate(q, engine="naive").value
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert evaluate(q, engine="table").value == want
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 0.01, seconds
 
     def test_least_failure_matches_naive(self):
         # wherever _least_failure(g, s) gives m, the substates of s that
@@ -482,15 +568,16 @@ class TestAlternatives:
 
     def test_dominated_member_builds_no_lattice(self, monkeypatch):
         # p0 ior (p0 & p1) has the family (V0, V0 & V1), whose second member
-        # lies inside its first, and the antecedent, out of a question into
-        # one, has no family, so neither has the root; wherever V0 leaves at
-        # most one world of s out, the query is answered by the least
-        # failure or at once, without a lattice row
+        # lies inside its first. The antecedent, out of four members into
+        # two, would have a product of 2 ** 4, past the cap of at most 12 on
+        # 4-8 worlds, so it has no family, and neither has the root;
+        # wherever V0 leaves at most one world of s out, the query is
+        # answered by the least failure or at once, without a lattice row
         def no_lattice(self, r, worlds, memo):
             raise AssertionError(f"lattice row {r} over {len(worlds)} worlds")
 
         monkeypatch.setattr(kernels.SupportTable, "_lattice_row", no_lattice)
-        f = parse_formula("(?p2 -> ?p1) -> (p0 ior (p0 & p1))")
+        f = parse_formula("((?p2 ior ?p0) -> ?p1) -> (p0 ior (p0 & p1))")
         program = lower_formula(f)
         consequent = program.right[program.root]
         rng = random.Random(1811)
