@@ -56,7 +56,6 @@ from .kernels import (
     formula_of,
     lower_formula,
     model_masks,
-    program_key,
     support_table,
     table_bytes,
 )
@@ -108,11 +107,10 @@ class MemoCache:
     for, so their ids stay valid, and keeps only that one alias, so
     callers passing fresh equal objects do not grow the cache. Otherwise
     it lowers the formula and looks the entry up by the model and the
-    program's rows, which are canonical for the formula and hash without
-    recursion, so equal formulas of any depth share one entry. A Program
-    is looked up by its rows, which every program of a DAG shares: a
-    formula, its compiled program and the program parsed from its text
-    share one entry.
+    program, a value whose rows are canonical for the formula and hash
+    without recursion, so equal formulas of any depth share one entry.
+    Every program of a DAG is one value: a formula, its compiled program
+    and the program parsed from its text share one entry.
     """
 
     def __init__(self) -> None:
@@ -127,7 +125,7 @@ class MemoCache:
         if entry is not None:
             return entry
         program = formula if type(formula) is Program else lower_formula(formula)
-        key = (model, *program_key(program))
+        key = (model, program)
         entry = self._roots.get(key)
         if entry is None:
             entry = _RootEntry(program=program)
@@ -239,10 +237,8 @@ def _eval_memo_sparse(q: CheckQuery, entry: _RootEntry) -> tuple[bool, int]:
     """Memoized recursion over program rows; misses counted as visits."""
     m = q.model
     prog = entry.program
-    ops, left, right, payload = (a.tolist() for a in (prog.ops, prog.left, prog.right, prog.payload))
-    vmasks, union_masks, gen_masks = model_masks(m)
-    # a box's one anchor per world is the union of its generators
-    box_anchors = [(u,) for u in union_masks]
+    ops, left, right, payload = map(list, (prog.ops, prog.left, prog.right, prog.payload))
+    vmasks, box_anchors, gen_masks = model_masks(m)
     values = entry.values
     misses = 0
 

@@ -23,7 +23,6 @@ import math
 import random
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
 # check_support_memo is no longer called here, but stays a name of this
@@ -186,11 +185,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
     if not cases:
         return _diag("nothing to verify: give QBF paths or --random N")
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_verify_case, (theta for _, theta in cases)))
-    else:
-        results = [_verify_case(theta) for _, theta in cases]
+    results = [_verify_case(theta) for _, theta in cases]
     bare = len(cases) == 1
     disagreements = 0
     last_line = ""
@@ -314,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0, help="seed for --random")
     verify.add_argument("--max-l", type=int, default=4, help="largest variable count for --random")
     verify.add_argument("--matrix-nodes", type=int, default=10, help="matrix node budget for --random")
-    verify.add_argument("--jobs", type=int, default=1, metavar="N", help="verify cases on N threads")
+    verify.add_argument("--jobs", type=int, default=1, metavar="N", help="accepted and ignored: cases run one after another")
     verify.add_argument("--rename", action="store_true", help="renumber arbitrary variable names by binding order")
     verify.add_argument("--json", action="store_true", help="machine-readable report")
     verify.set_defaults(run=cmd_verify)

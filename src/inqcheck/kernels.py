@@ -2,12 +2,15 @@
 
 A program is a formula as flat rows, one per distinct subformula
 (structurally equal subtrees share a row), numbered in the root's
-postorder, so one DAG has one program. The compiler and the parser
-build rows through a RowBuilder. A Formula reaches rows through one walk
-by object identity, _object_rows, which lower_formula numbers in one
-pass and syntax.render_formula prints; formula_of turns rows back into
-Formula objects. The table kernel gives
-every row, in one bottom-up pass, an n-bit truth mask (the worlds w at
+postorder, so one DAG has one program. A program is a value: its
+columns are int tuples, so two programs are == and hash alike exactly
+when their rows are equal, and a program is the key of its formula in
+MemoCache and in Formula equality. The compiler and the parser build
+rows through a RowBuilder. A Formula reaches rows through one walk by
+object identity, _object_rows, which lower_formula numbers in one pass
+and syntax.render_formula prints; formula_of turns rows back into
+Formula objects. The table kernel gives every row, in one bottom-up
+pass, an n-bit truth mask (the worlds w at
 which the singleton {w} supports it) and a covering family (below).
 Support is downward persistent, so a state with a world outside that
 mask never supports the row.
@@ -58,7 +61,6 @@ width, so models of any size share one code path.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cache, reduce
 from operator import or_
@@ -160,16 +162,15 @@ class Program:
     formulas give equal programs, whichever builds them.
 
     payload holds the atom index for OP_ATOM rows and 0 elsewhere; left
-    and right hold child row numbers (right is 0 for unary rows). _pack
-    makes the columns array("q"), payload a list when an index does not
-    fit one: program_key hashes the columns' bytes, and perfbench's
-    tracer calls .tolist() on ops, left and right.
+    and right hold child row numbers (right is 0 for unary rows). The
+    columns are tuples of ints of any size, so the dataclass's own ==
+    and hash compare programs by their rows.
     """
 
-    ops: array
-    left: array
-    right: array
-    payload: array
+    ops: tuple[int, ...]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    payload: tuple[int, ...]
 
     @property
     def root(self) -> int:
@@ -180,12 +181,14 @@ class Program:
         return len(self.ops)
 
 
-def program_key(p: Program) -> tuple[int, bytes, bytes | tuple]:
-    """Root, rows (one column length) and payload: its bytes, or its
-    values when _pack could not pack them. Programs have
-    equal keys exactly for equal formulas, lowered, parsed or compiled."""
-    rows = b"".join(a.tobytes() for a in (p.ops, p.left, p.right))
-    return p.root, rows, p.payload.tobytes() if type(p.payload) is array else tuple(p.payload)
+class _Column(tuple):
+    """A program column: a tuple with tolist(), which perfbench's tracer
+    calls on the columns."""
+
+    __slots__ = ()
+
+    def tolist(self) -> list[int]:
+        return list(self)
 
 
 class RowBuilder:
@@ -242,7 +245,7 @@ class RowBuilder:
             if not parents:
                 break
             r = parents.pop()
-        return _pack(ops, left, right, payload)
+        return Program(*map(_Column, (ops, left, right, payload)))
 
 
 def lower_formula(f: Formula) -> Program:
@@ -260,17 +263,7 @@ def lower_formula(f: Formula) -> Program:
             # a unary row's right is 0, and row 0, a leaf, is number 0
             a, b = number[a], number[b]
         number.append(rows.setdefault((op, a, b, x), len(rows)))
-    return _pack(*zip(*rows))
-
-
-def _pack(ops, left, right, payload) -> Program:
-    """The columns as array("q"), payload a list when an atom index is past
-    it (no model has such atoms, so validating a query refuses it)."""
-    try:
-        packed = array("q", payload)
-    except OverflowError:
-        packed = list(payload)
-    return Program(ops=array("q", ops), left=array("q", left), right=array("q", right), payload=packed)
+    return Program(*map(_Column, zip(*rows)))
 
 
 def formula_of(p: Program) -> Formula:
@@ -306,13 +299,14 @@ def tree_size(p: Program) -> int:
     return sizes[p.root]
 
 
-def model_masks(m: InformationModel) -> tuple[list[int], list[int], list[list[int]]]:
-    """The model as world masks: each atom's valuation, each world's
-    generator union (the box anchor) and each world's generator list (the
-    wbox anchors). A plain model gives every world no generators."""
+def model_masks(m: InformationModel) -> tuple[list[int], list[tuple[int]], list[list[int]]]:
+    """The model as world masks: each atom's valuation, and each world's
+    anchors, the states at which a modal body must hold: for box one, the
+    union of its generators, as (union,), and for wbox its generator list.
+    A plain model gives every world no generators."""
     val_masks = [v.mask for v in m.valuation]
     gen_masks = [[g.mask for g in gens] for gens in m.sigma or ((),) * m.n]
-    return val_masks, [reduce(or_, gens, 0) for gens in gen_masks], gen_masks
+    return val_masks, [(reduce(or_, gens, 0),) for gens in gen_masks], gen_masks
 
 
 @cache
@@ -412,9 +406,11 @@ class SupportTable:
     __slots__ = ("ops", "left", "right", "truth", "refs", "families")
 
     def __init__(self, program: Program) -> None:
-        self.ops = program.ops.tolist()
-        self.left = program.left.tolist()
-        self.right = program.right.tolist()
+        # list copies: CPython 3.11 specializes indexing only for exact
+        # lists and tuples, and holds indexes these columns on every step
+        self.ops = list(program.ops)
+        self.left = list(program.left)
+        self.right = list(program.right)
         self.truth: list[int] = []
         self.refs = [0] * len(self.ops)
         self.families: list[tuple[int, ...] | None] = []
@@ -572,9 +568,7 @@ def support_table(program: Program, m: InformationModel) -> SupportTable:
     its truth mask into one member, else the _meet of its factors.
     A row gets None only past max_family members, for the family or the
     |G| ** |F| product of ->, or above a row that has None."""
-    val_masks, union_masks, gen_masks = model_masks(m)
-    # a box's one anchor per world is the union of its generators
-    box_anchors = [(u,) for u in union_masks]
+    val_masks, box_anchors, gen_masks = model_masks(m)
     table = SupportTable(program)
     left, right, truth, families, refs = table.left, table.right, table.truth, table.families, table.refs
     # past this many members a row gets no family, which bounds the meets
@@ -584,7 +578,7 @@ def support_table(program: Program, m: InformationModel) -> SupportTable:
     # have 15, 24, 4 and 14 members (13, 26, 4 and 14 uncapped, when the
     # first two build families of 21 and 35); no query closes a lattice
     max_family = 3 * m.n // 2
-    payload = program.payload.tolist()
+    payload = program.payload
     all_worlds = (1 << m.n) - 1
     for r, op in enumerate(table.ops):
         a, b = left[r], right[r]

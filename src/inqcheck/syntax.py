@@ -56,7 +56,7 @@ from dataclasses import dataclass
 @dataclass(frozen=True, slots=True, eq=False)
 class Formula:
     """Base class for formula nodes. Instances are immutable values, equal
-    when their trees are: equality and the hash read the lowered rows."""
+    when their trees are: equality and the hash are the lowered program's."""
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Formula):
@@ -67,11 +67,12 @@ class Formula:
         return hash(_key(self))
 
 
-def _key(f: Formula) -> tuple:
-    # kernels imports this module, so its lowering is imported on first use
-    from .kernels import lower_formula, program_key
+def _key(f: Formula):
+    # f's program, a value; kernels imports this module, so its lowering
+    # is imported on first use
+    from .kernels import lower_formula
 
-    return program_key(lower_formula(f))
+    return lower_formula(f)
 
 
 def _plain_int(value, what: str) -> int:
@@ -347,7 +348,7 @@ def render_formula(f) -> str:
     that is no formula node, and ValueError, naming the atom by the bit
     length of its index, on an index with more digits than str() prints."""
     if not isinstance(f, Formula):
-        return _render_rows(f.ops.tolist(), f.left.tolist(), f.right.tolist(), f.payload, f.root)
+        return _render_rows(f.ops, f.left, f.right, f.payload, f.root)
     from .kernels import _object_rows
 
     return _render_rows(*_object_rows(f))

@@ -140,6 +140,14 @@ MUTANTS = [
         "                for u in anchors[:1]:\n",
         KERNEL,
     ),
+    # a MemoCache entry is keyed on the whole program
+    Mutant(
+        "memo-key-drops-payload",
+        "src/inqcheck/checker.py",
+        "        key = (model, program)\n",
+        "        key = (model, program.ops, program.left, program.right)\n",
+        ("tests/test_checker.py::TestMemoCache",),
+    ),
     # one row order: every program numbered in its root's postorder
     Mutant(
         "lowered-key-drops-payload",
@@ -165,14 +173,8 @@ MUTANTS = [
         "            if r in reached and built[r][0] not in (Atom, Bottom):\n"
         "                reached.update(built[r][1:] if built[r][0] not in (Box, WBox) else built[r][1:2])\n"
         "        if len(reached) == len(built):\n"
-        "            ops, left, right, payload = zip(\n"
-        "                *[(OP_ATOM, 0, 0, a) if cls is Atom else (_OP_OF_TYPE[cls], a, b, 0) for cls, a, b in built]\n"
-        "            )\n"
-        "            try:\n"
-        '                payload = array("q", payload)\n'
-        "            except OverflowError:\n"
-        "                pass\n"
-        '            return Program(array("q", ops), array("q", left), array("q", right), payload)\n',
+        "            rows = [(OP_ATOM, 0, 0, a) if cls is Atom else (_OP_OF_TYPE[cls], a, b, 0) for cls, a, b in built]\n"
+        "            return Program(*map(_Column, zip(*rows)))\n",
         ("tests/test_syntax.py::TestRowParse", "tests/test_syntax.py::TestProgramRender"),
     ),
 ]

@@ -149,7 +149,7 @@ class TestQueryValidation:
     def test_program_rows_name_their_faults(self, demo_model):
         with pytest.raises(QueryError, match="state width 2 does not match world count 3"):
             evaluate(CheckQuery(demo_model, bits("11"), rows("p0")))
-        # an index past array("q"): the rows keep it, and validation names it
+        # an index past 64 bits: the rows keep it, and validation names it
         with pytest.raises(QueryError, match="atom index 99999999999999999999 out of range, model has 2 atoms"):
             evaluate(CheckQuery(demo_model, bits("110"), rows("p99999999999999999999 & ?p0")))
 
@@ -403,6 +403,13 @@ class TestMemoCache:
         # w1 is outside V(p0) and inside V(p1)
         assert not check_support_memo(CheckQuery(demo_model, bits("010"), f), cache)
         assert check_support_memo(CheckQuery(other, bits("010"), f), cache)
+        assert len(cache._roots) == 2
+
+    def test_atoms_keep_their_own_entries(self, demo_model):
+        # p0 and p1 differ only in their payload column
+        cache = MemoCache()
+        assert not check_support_memo(CheckQuery(demo_model, bits("010"), parse_formula("p0")), cache)
+        assert check_support_memo(CheckQuery(demo_model, bits("010"), parse_formula("p1")), cache)
         assert len(cache._roots) == 2
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import lexer_corpus, printing_corpus, question_formula, random_formula, shared_formula
 from inqcheck.checker import CheckQuery, MemoCache, evaluate
-from inqcheck.kernels import OP_ATOM, OP_BOT, OP_IMPLIES, OP_IVEE, RowBuilder, formula_of, lower_formula, program_key
+from inqcheck.kernels import OP_ATOM, OP_BOT, OP_IMPLIES, OP_IVEE, RowBuilder, formula_of, lower_formula
 from inqcheck.model import InfoState
 from inqcheck.qbf import Var, random_qbf
 from inqcheck.reduction import reduce_tqbf
@@ -310,9 +310,9 @@ class TestDefinitions:
         assert a == b == 3
         program = node.program(a)
         # p1, bot, p1 -> bot, p1 ior (p1 -> bot)
-        assert program.ops.tolist() == [OP_ATOM, OP_BOT, OP_IMPLIES, OP_IVEE]
-        assert program.left.tolist() == [0, 0, 0, 0] and program.right.tolist() == [0, 0, 1, 2]
-        assert program.payload.tolist() == [1, 0, 0, 0]
+        assert program.ops == (OP_ATOM, OP_BOT, OP_IMPLIES, OP_IVEE)
+        assert program.left == (0, 0, 0, 0) and program.right == (0, 0, 1, 2)
+        assert program.payload == (1, 0, 0, 0)
         assert formula_of(program) == question(Atom(1))
 
 
@@ -379,7 +379,7 @@ class TestRowParse:
     @given(formulas(max_depth=5))
     def test_hypothesis_formulas(self, f):
         text = render_formula(f)
-        assert program_key(parsed_rows(text)) == program_key(lower_formula(parse_formula(text)))
+        assert parsed_rows(text) == lower_formula(parse_formula(text))
 
     def test_texts_with_definitions(self):
         rng = random.Random(1515)
@@ -389,7 +389,7 @@ class TestRowParse:
             text = render_formula(f)
             defined += "let " in text
             program = parsed_rows(text)
-            assert program_key(program) == program_key(lower_formula(parse_formula(text))) == program_key(lower_formula(f))
+            assert program == lower_formula(parse_formula(text)) == lower_formula(f)
             # the text's DAG, interned: one row per distinct subformula
             assert program.num_nodes == lower_formula(f).num_nodes
         assert defined >= 30
@@ -399,7 +399,7 @@ class TestRowParse:
         instance = reduce_tqbf(random_qbf(70 + l, l, 100))
         text = render_formula(instance.formula)
         program = parsed_rows(text)
-        assert program_key(program) == program_key(lower_formula(parse_formula(text))) == program_key(instance.program)
+        assert program == lower_formula(parse_formula(text)) == instance.program
 
     @pytest.mark.parametrize(
         "text, rows",
@@ -414,7 +414,7 @@ class TestRowParse:
     def test_unused_definitions_leave_no_rows(self, text, rows):
         program = parsed_rows(text)
         assert program.num_nodes == rows
-        assert program_key(program) == program_key(lower_formula(parse_formula(text)))
+        assert program == lower_formula(parse_formula(text))
 
     def test_build_order_does_not_show(self):
         # p1 is built first here and p0 first there: one DAG, one program
@@ -519,17 +519,21 @@ class TestProgramRender:
         text = render_formula(program)
         assert text == render_formula(formula_of(program))
         back = parsed_rows(text)
-        assert back == program and program_key(back) == program_key(program)
+        assert back == program and hash(back) == hash(program)
         return back
 
     @pytest.mark.parametrize("l", range(1, 25))
     def test_compiled_programs(self, l):
         instance = reduce_tqbf(random_qbf(160 + l, l, 40 + 5 * l))
         back = self.assert_round_trip(instance.program)
-        # the compiled rows, their formula and their text are one entry
+        # compiled, parsed and lowered, one DAG is one value and one entry
+        lowered = lower_formula(instance.formula)
+        assert instance.program == back == lowered
+        assert hash(instance.program) == hash(back) == hash(lowered)
         cache, model = MemoCache(), instance.model.model
         entry = cache.root(model, instance.program)
         assert cache.root(model, instance.formula) is entry and cache.root(model, back) is entry
+        assert cache.root(model, lowered) is entry
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -541,7 +545,7 @@ class TestProgramRender:
             a, b = rows[a % len(rows)], rows[b % len(rows)]
             rows.append(node(kind, a) if kind in (Box, WBox) else node(kind, a, b))
         program = node.program(rows[-1])
-        assert program_key(program) == program_key(lower_formula(formula_of(program)))
+        assert program == lower_formula(formula_of(program))
         self.assert_round_trip(program)
 
     def test_shared_leaves_and_both_sides(self):
@@ -579,13 +583,17 @@ class TestDeepValues:
         assert Atom(0) != 0 and And(Atom(0), Atom(0)) != (Atom(0), Atom(0))
 
     def test_atoms_past_64_bits_compare_and_hash(self):
-        # their payload is no array("q"), so it is keyed by its values
+        # a payload column holds ints of any size
         big = 10**20
         assert Atom(big) == Atom(big) and hash(Atom(big)) == hash(Atom(big))
         assert Atom(big) != Atom(big + 1) and Atom(big) != Atom(0)
         assert And(Atom(big), Atom(0)) == And(Atom(big), Atom(0))
         assert And(Atom(big), Atom(0)) != And(Atom(0), Atom(big))
         assert len({Atom(big), Atom(big), Atom(big + 1), Atom(0)}) == 3
+        text = "p99999999999999999999 & p0"
+        lowered, parsed = lower_formula(parse_formula(text)), parsed_rows(text)
+        assert lowered == parsed and hash(lowered) == hash(parsed)
+        assert lowered.payload == (99999999999999999999, 0, 0)
 
 
 # valid texts that cover the whole grammar, which lexer_corpus cuts,
