@@ -22,18 +22,19 @@ outside s), with no caching and no pruning. check_support_memo is the
 fast path: when the byte cap allows, it builds one support table per
 (model, formula) through the kernels module (per-world truth masks of
 every subformula) and answers each query from it, building lattice rows
-only over the substates of the query state; otherwise it reuses results
-per (subformula, state) pair. Both paths must and do agree; the test
-suite holds them against each other.
+only over the substates of the query state; otherwise it runs the
+baseline's clauses over the program's rows as formula objects, one per
+row, with a memo of (subformula, state) answers. Both paths must and do
+agree; the test suite holds them against each other.
 
 A query's formula is a Formula or a Program. One rule set refuses a bad
 query in either form, in this order: a state whose width is not the
 model's world count, an atom index past the model's atoms (the largest,
 when several are), a box or wbox over a plain model. A Formula is walked
 once for its largest atom index and any modality, refusing a node that
-is no formula node, then lowered; a Program, as the parser and the
-compiler build it through a kernels.RowBuilder, gives both off its
-columns and is decided as it stands; naive reads it through formula_of.
+is no formula node, then lowered; a Program, whose construction refuses
+rows that no formula has, gives both off its columns and is decided as
+it stands; naive reads it through formula_of.
 
 The table's rules for implications are in the kernels module docstring.
 """
@@ -43,19 +44,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .kernels import (
-    OP_AND,
     OP_ATOM,
     OP_BOT,
     OP_BOX,
-    OP_IMPLIES,
-    OP_IVEE,
     OP_WBOX,
     Program,
     SupportTable,
     _OP_OF_TYPE,
     formula_of,
     lower_formula,
-    model_masks,
     support_table,
     table_bytes,
 )
@@ -84,11 +81,14 @@ class CheckQuery:
 @dataclass(slots=True, eq=False)
 class _RootEntry:
     """Per-(model, formula) cache body: the lowered program plus either a
-    support table or a sparse map of computed pairs. model and formula are
-    the objects the entry was last asked for, its one alias."""
+    support table, or the sparse engine's nodes, the program's formula with
+    one object per row, and values, its memo keyed by (id(node), state).
+    model and formula are the objects the entry was last asked for, its
+    one alias."""
 
     program: Program
     table: SupportTable | None = None
+    nodes: Formula | None = None
     values: dict[tuple[int, int], bool] = field(default_factory=dict)
     model: InformationModel | None = None
     formula: Formula | Program | None = None
@@ -144,7 +144,7 @@ def _facts(f: Formula | Program) -> tuple[int, bool]:
     object once, left children in place, and refuses a non-formula node."""
     if type(f) is Program:
         ops = f.ops
-        # payload is 0 on every row but an atom's
+        # a program has payload 0 on every row but an atom's
         return max(f.payload) if OP_ATOM in ops else -1, OP_BOX in ops or OP_WBOX in ops
     top, modal = -1, False
     seen: set[int] = set()  # ids of the composite objects visited
@@ -194,88 +194,54 @@ def _submasks(s: int):
         t = (t - 1) & s
 
 
-def _eval_naive(q: CheckQuery) -> tuple[bool, int]:
+def _eval_naive(q: CheckQuery, memo: dict[tuple[int, int], bool] | None = None) -> tuple[bool, int]:
+    """The clauses over q's formula objects, counting each evaluation. With
+    a memo, each (id(node), state) answer is looked up and stored there, and
+    only misses count; the memo's keys hold while its nodes live."""
     m = q.model
     vmasks = [v.mask for v in m.valuation]
-    union_masks = [sigma_union(m, w).mask for w in range(m.n)] if m.is_modal else None
+    # per world, the states where a box body must hold, and a wbox body's
+    unions = [(sigma_union(m, w).mask,) for w in range(m.n)] if m.is_modal else None
+    gens = [[g.mask for g in gs] for gs in m.sigma] if m.is_modal else None
     visits = 0
 
     def go(f: Formula, s: int) -> bool:
         nonlocal visits
+        if memo is not None:
+            key = (id(f), s)
+            value = memo.get(key)
+            if value is not None:
+                return value
         visits += 1
         if isinstance(f, Bottom):
-            return s == 0
-        if isinstance(f, Atom):
-            return s & ~vmasks[f.index] == 0
-        if isinstance(f, And):
-            return go(f.left, s) and go(f.right, s)
-        if isinstance(f, IVee):
-            return go(f.left, s) or go(f.right, s)
-        if isinstance(f, Implies):
+            value = s == 0
+        elif isinstance(f, Atom):
+            value = s & ~vmasks[f.index] == 0
+        elif isinstance(f, And):
+            value = go(f.left, s) and go(f.right, s)
+        elif isinstance(f, IVee):
+            value = go(f.left, s) or go(f.right, s)
+        elif isinstance(f, Implies):
+            value = True
             for t in _submasks(s):
                 if go(f.left, t) and not go(f.right, t):
-                    return False
-            return True
-        if isinstance(f, Box):
-            for w in range(m.n):
-                if s >> w & 1 and not go(f.body, union_masks[w]):
-                    return False
-            return True
-        if isinstance(f, WBox):
-            for w in range(m.n):
-                if s >> w & 1:
-                    for g in m.sigma[w]:
-                        if not go(f.body, g.mask):
-                            return False
-            return True
-        raise TypeError(f"not a formula node: {f!r}")
+                    value = False
+                    break
+        elif isinstance(f, (Box, WBox)):
+            value = True
+            for w, anchors in enumerate(unions if isinstance(f, Box) else gens):
+                if value and s >> w & 1:
+                    for u in anchors:
+                        if not go(f.body, u):
+                            value = False
+                            break
+        else:
+            raise TypeError(f"not a formula node: {f!r}")
+        if memo is not None:
+            memo[key] = value
+        return value
 
     return go(q.formula, q.state.mask), visits
-
-
-def _eval_memo_sparse(q: CheckQuery, entry: _RootEntry) -> tuple[bool, int]:
-    """Memoized recursion over program rows; misses counted as visits."""
-    m = q.model
-    prog = entry.program
-    ops, left, right, payload = map(list, (prog.ops, prog.left, prog.right, prog.payload))
-    vmasks, box_anchors, gen_masks = model_masks(m)
-    values = entry.values
-    misses = 0
-
-    def go(r: int, s: int) -> bool:
-        nonlocal misses
-        key = (r, s)
-        hit = values.get(key)
-        if hit is not None:
-            return hit
-        misses += 1
-        op = ops[r]
-        if op == OP_BOT:
-            result = s == 0
-        elif op == OP_ATOM:
-            result = s & ~vmasks[payload[r]] == 0
-        elif op == OP_AND:
-            result = go(left[r], s) and go(right[r], s)
-        elif op == OP_IVEE:
-            result = go(left[r], s) or go(right[r], s)
-        elif op == OP_IMPLIES:
-            result = True
-            for t in _submasks(s):
-                if go(left[r], t) and not go(right[r], t):
-                    result = False
-                    break
-        else:
-            result = True
-            for w, anchors in enumerate(box_anchors if op == OP_BOX else gen_masks):
-                if result and s >> w & 1:
-                    for u in anchors:
-                        if not go(left[r], u):
-                            result = False
-                            break
-        values[key] = result
-        return result
-
-    return go(prog.root, q.state.mask), misses
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,14 +251,6 @@ class CheckOutcome:
     engine: str
 
 
-def _too_deep(engine: str, fn, *args):
-    """fn(*args), reporting that it ran out of Python frames as a QueryError."""
-    try:
-        return fn(*args)
-    except RecursionError:
-        raise QueryError(f"formula nests too deeply for the {engine} engine") from None
-
-
 def evaluate(
     q: CheckQuery,
     engine: str = "auto",
@@ -300,15 +258,16 @@ def evaluate(
 ) -> CheckOutcome:
     """Evaluate a query with an explicit engine choice.
 
-    Engines: "naive" is the baseline recursion; "sparse" the memoized
-    recursion; "table" the truth-mask kernel evaluator; "auto" picks
-    "table" when the table fits the byte cap and "sparse" otherwise.
-    nodes_visited counts clause evaluations (naive), cache misses
-    (sparse), or freshly computed table rows (table). A query whose
-    formula is a Program is decided on its rows, and "naive" reads it
-    through formula_of. A given cache is looked up
-    by the identity of the query's model and formula, then by the
-    program's rows, so its key never recurses. Past about
+    Engines: "naive" is the baseline recursion; "sparse" the same
+    recursion with a memo, over the lowered program's rows as formula
+    objects (formula_of), which the cache entry keeps with the memo;
+    "table" the truth-mask kernel evaluator; "auto" picks "table" when
+    the table fits the byte cap and "sparse" otherwise. nodes_visited
+    counts clause evaluations (naive), memo misses (sparse), or freshly
+    computed table rows (table). A query whose formula is a Program is
+    decided on its rows, and "naive" reads it through formula_of. A given
+    cache is looked up by the identity of the query's model and formula,
+    then by the program's rows, so its key never recurses. Past about
     1000 levels of nesting, "naive" and "sparse" raise QueryError;
     "table" answers formulas of any depth, with or without a cache. An
     engine outside ENGINES raises ValueError before any work.
@@ -317,27 +276,31 @@ def evaluate(
         raise ValueError(f"unknown engine {engine!r}")
     _validate(q)
     rows = type(q.formula) is Program
-    if engine == "naive":
-        if rows:
-            q = CheckQuery(q.model, q.state, formula_of(q.formula))
-        value, visits = _too_deep(engine, _eval_naive, q)
-        return CheckOutcome(value, visits, "naive")
-    if cache is None:
-        entry = _RootEntry(program=q.formula if rows else lower_formula(q.formula))
-    else:
-        entry = cache.root(q.model, q.formula)
-    if engine == "auto":
-        engine = "table" if table_bytes(entry.program, q.model) <= DEFAULT_TABLE_BYTE_CAP else "sparse"
-    if engine == "table":
-        if entry.table is None:
-            entry.table = support_table(entry.program, q.model)
-            visited = entry.program.num_nodes
+    memo = None
+    if engine != "naive":
+        if cache is None:
+            entry = _RootEntry(program=q.formula if rows else lower_formula(q.formula))
         else:
-            visited = 0
-        value = entry.table.holds(entry.program.root, q.state.mask)
-        return CheckOutcome(value, visited, "table")
-    value, misses = _too_deep(engine, _eval_memo_sparse, q, entry)
-    return CheckOutcome(value, misses, "sparse")
+            entry = cache.root(q.model, q.formula)
+        if engine == "auto":
+            engine = "table" if table_bytes(entry.program, q.model) <= DEFAULT_TABLE_BYTE_CAP else "sparse"
+        if engine == "table":
+            if entry.table is None:
+                entry.table = support_table(entry.program, q.model)
+                visited = entry.program.num_nodes
+            else:
+                visited = 0
+            return CheckOutcome(entry.table.holds(entry.program.root, q.state.mask), visited, "table")
+        if entry.nodes is None:
+            entry.nodes = formula_of(entry.program)
+        q, memo = CheckQuery(q.model, q.state, entry.nodes), entry.values
+    elif rows:
+        q = CheckQuery(q.model, q.state, formula_of(q.formula))
+    try:
+        value, visits = _eval_naive(q, memo)
+    except RecursionError:
+        raise QueryError(f"formula nests too deeply for the {engine} engine") from None
+    return CheckOutcome(value, visits, engine)
 
 
 def check_support(q: CheckQuery) -> bool:

@@ -63,7 +63,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
-from operator import or_
+from itertools import compress
+from operator import lt, or_
 
 from .model import InformationModel
 from .syntax import And, Atom, Bottom, Box, Formula, IVee, Implies, WBox
@@ -96,6 +97,14 @@ _OP_OF_TYPE = {
 
 # the node class of each op, indexed by op
 _TYPE_OF_OP = (Bottom, Atom, And, IVee, Implies, Box, WBox)
+
+# Program.__post_init__ reads the ops column as bytes: the ops that exist,
+# and tables that translate an op to 1 where a row of it is no atom, has a
+# left child or has a right child, else to 0
+_OPS = bytes(range(OP_BOT, OP_WBOX + 1))
+_NOT_ATOM = bytes(op != OP_ATOM for op in range(256))
+_HAS_LEFT = bytes(OP_AND <= op <= OP_WBOX for op in range(256))
+_HAS_RIGHT = bytes(OP_AND <= op < OP_BOX for op in range(256))
 
 # stacked under a composite object's children in _object_rows
 _UP = object()
@@ -171,6 +180,33 @@ class Program:
     left: tuple[int, ...]
     right: tuple[int, ...]
     payload: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        """Refuse columns that no formula has, naming the fault: columns of
+        unequal length or without rows, an op outside OP_BOT..OP_WBOX, a
+        payload other than 0 on a row that is no atom, a negative atom
+        index, a negative left or right, or a child of a row r outside
+        0..r-1. reduce and check build a program per case, so each rule
+        is a C-level scan of the columns, not a loop over the rows."""
+        ops, left, right, payload = columns = self.ops, self.left, self.right, self.payload
+        if not 0 < len(ops) == len(left) == len(right) == len(payload):
+            raise ValueError(f"program columns need one length of one or more rows, got {[*map(len, columns)]}")
+        try:
+            kinds = bytes(ops)
+        except ValueError:  # an op outside 0..255
+            kinds = b"\xff"
+        if kinds.translate(None, _OPS):
+            raise ValueError(f"unknown op {next(op for op in ops if not OP_BOT <= op <= OP_WBOX)}")
+        if any(compress(payload, kinds.translate(_NOT_ATOM))):
+            raise ValueError("payload must be 0 on a row that is no atom")
+        if (low := min(payload)) < 0:
+            raise ValueError(f"atom index must be non-negative, got {low}")
+        rows = range(len(ops))
+        for name, column, has in (("left", left, _HAS_LEFT), ("right", right, _HAS_RIGHT)):
+            has = kinds.translate(has)
+            if min(column) < 0 or not all(compress(map(lt, column, rows), has)):
+                r = next(r for r in rows if column[r] < 0 or has[r] and column[r] >= r)
+                raise ValueError(f"row {r}'s {name} child {column[r]} is not an earlier row")
 
     @property
     def root(self) -> int:

@@ -36,8 +36,11 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-VALIDATION = ("tests/test_checker.py",)
-KERNEL = ("tests/test_kernels.py", "tests/test_laws.py", "tests/test_checker.py")
+# the narrowest tests that kill each group: every test a mutant names runs
+# on the unchanged copy and on the mutant, within CI's timeout
+VALIDATION = ("tests/test_checker.py::TestQueryValidation",)
+TABLE = ("tests/test_kernels.py::TestTables::test_full_table_matches_naive",)
+SPARSE = ("tests/test_checker.py::TestEngines",)
 
 MUTANTS = [
     # the one rule set that refuses a query, whichever form it takes
@@ -69,7 +72,10 @@ MUTANTS = [
         "            elif (r, s) in answered:\n                value = answered[r, s]\n",
         "            elif (hit := next((v for (x, _), v in answered.items() if x == r), None)) is not None:\n"
         "                value = hit\n",
-        KERNEL,
+        (
+            "tests/test_kernels.py::TestAlternatives::test_compiled_instances_build_no_lattice",
+            "tests/test_laws.py::TestLaws::test_duplicating_a_world_changes_no_answer",
+        ),
     ),
     Mutant(
         "closure-over-proper-substates",
@@ -77,28 +83,28 @@ MUTANTS = [
         "    bad = a & ~b\n    if bad:\n",
         "    bad = a & ~b\n    if bad:\n"
         "        bad = reduce(or_, ((bad & low) << (1 << i) for i, low in enumerate(_low_masks(k))), 0)\n",
-        KERNEL,
+        ("tests/test_kernels.py::TestTables::test_wide_lattice_matches_naive_and_sparse[6]",),
     ),
     Mutant(
         "ior-families-met",
         "src/inqcheck/kernels.py",
         "                    family = fa + fb\n",
         "                    family = _maximal([u & v for u in fa for v in fb])\n",
-        KERNEL,
+        TABLE,
     ),
     Mutant(
         "implication-product-drops-a-factor",
         "src/inqcheck/kernels.py",
         "for v in fb]) for u in fa])",
         "for v in fb]) for u in fa[1:] or fa])",
-        KERNEL,
+        TABLE,
     ),
     Mutant(
         "implication-factor-without-outside",
         "src/inqcheck/kernels.py",
         "tuple([all_worlds & ~u | v for v in fb])",
         "tuple([v for v in fb])",
-        KERNEL,
+        TABLE,
     ),
     Mutant(
         "family-row-skips-containment",
@@ -109,21 +115,24 @@ MUTANTS = [
         "                        value = True\n"
         "                        break\n",
         "                value = True\n",
-        KERNEL,
+        TABLE,
     ),
     Mutant(
         "least-failure-ors-wide-outs",
         "src/inqcheck/kernels.py",
         "            if out & (out - 1):\n                wide.append(out)\n            elif out:\n",
         "            if out:\n",
-        KERNEL,
+        (
+            "tests/test_kernels.py::TestAlternatives::test_least_failure_fires_where_maximal_members_leave_one_world",
+            "tests/test_kernels.py::TestAlternatives::test_least_failure_matches_naive",
+        ),
     ),
     Mutant(
         "and-truth-as-or",
         "src/inqcheck/kernels.py",
         "t = truth[a] & truth[b]",
         "t = truth[a] | truth[b]",
-        KERNEL,
+        TABLE,
     ),
     # box reads a world's generator union, wbox each of its generators
     Mutant(
@@ -131,14 +140,17 @@ MUTANTS = [
         "src/inqcheck/kernels.py",
         "enumerate(box_anchors if op == OP_BOX else gen_masks)",
         "enumerate(gen_masks)",
-        KERNEL,
+        (
+            "tests/test_laws.py::TestLaws::test_box_and_wbox_differ_on_two_generators",
+            "tests/test_kernels.py::TestTables::test_wide_model_small_states_match_naive",
+        ),
     ),
     Mutant(
         "modal-reads-first-anchor",
         "src/inqcheck/kernels.py",
         "                for u in anchors:\n",
         "                for u in anchors[:1]:\n",
-        KERNEL,
+        TABLE,
     ),
     # a MemoCache entry is keyed on the whole program
     Mutant(
@@ -147,6 +159,21 @@ MUTANTS = [
         "        key = (model, program)\n",
         "        key = (model, program.ops, program.left, program.right)\n",
         ("tests/test_checker.py::TestMemoCache",),
+    ),
+    # sparse is naive's clauses with a (node, state) memo
+    Mutant(
+        "sparse-memo-drops-state",
+        "src/inqcheck/checker.py",
+        "            key = (id(f), s)\n",
+        "            key = id(f)\n",
+        SPARSE,
+    ),
+    Mutant(
+        "sparse-memo-not-stored",
+        "src/inqcheck/checker.py",
+        "        if memo is not None:\n            memo[key] = value\n",
+        "",
+        SPARSE,
     ),
     # one row order: every program numbered in its root's postorder
     Mutant(
@@ -161,20 +188,20 @@ MUTANTS = [
         "src/inqcheck/kernels.py",
         "child = a if number[a] < 0 else b if op < OP_BOX and number[b] < 0 else -1",
         "child = b if op < OP_BOX and number[b] < 0 else a if number[a] < 0 else -1",
-        ("tests/test_kernels.py::TestLowering", "tests/test_syntax.py::TestDefinitions"),
+        ("tests/test_syntax.py::TestDefinitions::test_row_builder_shares_equal_nodes",),
     ),
     Mutant(
         "program-keeps-build-order",
         "src/inqcheck/kernels.py",
-        '            raise ValueError(f"atom index must be non-negative, got {low}")\n',
-        '            raise ValueError(f"atom index must be non-negative, got {low}")\n'
+        "        number = [-1] * len(built)  # a built row's number, once finished\n",
         "        reached = {root}\n"
         "        for r in range(root, -1, -1):\n"
         "            if r in reached and built[r][0] not in (Atom, Bottom):\n"
         "                reached.update(built[r][1:] if built[r][0] not in (Box, WBox) else built[r][1:2])\n"
         "        if len(reached) == len(built):\n"
         "            rows = [(OP_ATOM, 0, 0, a) if cls is Atom else (_OP_OF_TYPE[cls], a, b, 0) for cls, a, b in built]\n"
-        "            return Program(*map(_Column, zip(*rows)))\n",
+        "            return Program(*map(_Column, zip(*rows)))\n"
+        "        number = [-1] * len(built)  # a built row's number, once finished\n",
         ("tests/test_syntax.py::TestRowParse", "tests/test_syntax.py::TestProgramRender"),
     ),
 ]

@@ -7,6 +7,7 @@ that shares no code with the bitmask evaluators.
 from __future__ import annotations
 
 import random
+import re
 import time
 
 import pytest
@@ -23,7 +24,7 @@ from inqcheck.checker import (
     evaluate,
     render_result,
 )
-from inqcheck.kernels import RowBuilder
+from inqcheck.kernels import Program, RowBuilder, lower_formula
 from inqcheck.model import InfoState, InformationModel, downward_closure, write_model_file
 from inqcheck.syntax import And, Atom, Bottom, Box, WBox, parse_formula, render_formula
 
@@ -152,6 +153,28 @@ class TestQueryValidation:
         # an index past 64 bits: the rows keep it, and validation names it
         with pytest.raises(QueryError, match="atom index 99999999999999999999 out of range, model has 2 atoms"):
             evaluate(CheckQuery(demo_model, bits("110"), rows("p99999999999999999999 & ?p0")))
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (((1,), (0,), (0,), (-1,)), "atom index must be non-negative, got -1"),
+            (((9,), (0,), (0,), (0,)), "unknown op 9"),
+            (((-1,), (0,), (0,), (0,)), "unknown op -1"),
+            (((1 << 70,), (0,), (0,), (0,)), f"unknown op {1 << 70}"),
+            (((0,), (0,), (0,), (3,)), "payload must be 0 on a row that is no atom"),
+            # a child after its parent, a row its own child, a negative child
+            (((2, 1), (1, 0), (1, 0), (0, 0)), "row 0's left child 1 is not an earlier row"),
+            (((1, 5), (0, 1), (0, 0), (0, 0)), "row 1's left child 1 is not an earlier row"),
+            (((1, 1, 4), (0, 0, 0), (0, 0, -1), (0, 1, 0)), "row 2's right child -1 is not an earlier row"),
+            (((), (), (), ()), "one or more rows, got [0, 0, 0, 0]"),
+            (((1, 1, 2), (0, 0, 0), (0, 0, 1), (0, 1)), "one length of one or more rows, got [3, 3, 3, 2]"),
+        ],
+    )
+    def test_hand_built_programs_are_refused(self, columns, message):
+        # the engines would read such rows differently or crash on them, so
+        # the program refuses them where it is built
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Program(*columns)
 
     def test_unused_definitions_are_not_validated(self, demo_model):
         plain = InformationModel(demo_model.n, demo_model.l, demo_model.valuation, None)
@@ -301,6 +324,22 @@ class TestEngines:
         assert first.nodes_visited > 0
         assert second.nodes_visited == 0
 
+    def test_sparse_answers_shared_rows_once(self, demo_model):
+        # H_i = H_{i-1} & H_{i-1}: a tree of 2^16 copies of H_0 in 16 rows
+        # more than H_0's, which the memo answers at each state at most once
+        # per row. H_0 holds at {w0, w1}, inside V(p1), so every & reads
+        # both sides
+        h = parse_formula("(?p0 ior ?p1) -> ?p1")
+        assert evaluate(CheckQuery(demo_model, bits("110"), h), engine="naive").value
+        for _ in range(16):
+            h = And(h, h)
+        program = lower_formula(h)
+        outcomes = [evaluate(CheckQuery(demo_model, bits("110"), f), engine="sparse", cache=MemoCache()) for f in (h, program)]
+        assert outcomes[0].value
+        assert 0 < outcomes[0].nodes_visited <= program.num_nodes << demo_model.n
+        # a formula and its program are one set of rows to the memo
+        assert outcomes[1] == outcomes[0]
+
     def test_warm_table_reuses_everything(self, demo_model):
         cache = MemoCache()
         query = q(demo_model, "110", "p0 ior not p0")
@@ -436,3 +475,5 @@ class TestDeepFormulas:
             return
         with pytest.raises(QueryError, match=f"formula nests too deeply for the {engine} engine"):
             evaluate(query, engine=engine, cache=cache)
+        # one Python frame per level: 900 levels still fit
+        assert not evaluate(q(demo_model, "101", "box " * 900 + "p0"), engine=engine, cache=cache).value
