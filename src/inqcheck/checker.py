@@ -16,16 +16,16 @@ Evaluating the wbox clause over generators instead of their downward
 closures is sound: support is downward persistent, so a universally
 quantified clause cannot distinguish a family from its closure.
 
-check_support is the trusted baseline: plain structural recursion, its
-implication clause enumerating the subsets of s directly (never states
-outside s), with no caching and no pruning. check_support_memo is the
-fast path: when the byte cap allows, it builds one support table per
-(model, formula) through the kernels module (per-world truth masks of
-every subformula) and answers each query from it, building lattice rows
-only over the substates of the query state; otherwise it runs the
-baseline's clauses over the program's rows as formula objects, one per
-row, with a memo of (subformula, state) answers. Both paths must and do
-agree; the test suite holds them against each other.
+check_support is the trusted baseline: plain structural recursion over
+the program's rows, its implication clause enumerating the subsets of s
+directly (never states outside s), with no caching and no pruning.
+check_support_memo is the fast path: when the byte cap allows, it builds
+one support table per (model, formula) through the kernels module
+(per-world truth masks of every subformula) and answers each query from
+it, building lattice rows only over the substates of the query state;
+otherwise it runs the baseline's clauses with a memo of (row, state)
+answers. Both paths must and do agree; the test suite holds them against
+each other.
 
 A query's formula is a Formula or a Program. One rule set refuses a bad
 query in either form, in this order: a state whose width is not the
@@ -34,7 +34,7 @@ when several are), a box or wbox over a plain model. A Formula is walked
 once for its largest atom index and any modality, refusing a node that
 is no formula node, then lowered; a Program, whose construction refuses
 rows that no formula has, gives both off its columns and is decided as
-it stands; naive reads it through formula_of.
+it stands. Every engine reads the program's rows.
 
 The table's rules for implications are in the kernels module docstring.
 """
@@ -44,20 +44,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .kernels import (
+    OP_AND,
     OP_ATOM,
     OP_BOT,
     OP_BOX,
+    OP_IMPLIES,
+    OP_IVEE,
     OP_WBOX,
     Program,
     SupportTable,
     _OP_OF_TYPE,
-    formula_of,
     lower_formula,
     support_table,
     table_bytes,
 )
 from .model import InfoState, InformationModel, sigma_union
-from .syntax import And, Atom, Bottom, Box, Formula, IVee, Implies, WBox
+from .syntax import Formula
 
 DEFAULT_TABLE_BYTE_CAP = 1 << 27
 
@@ -80,24 +82,22 @@ class CheckQuery:
 
 @dataclass(slots=True, eq=False)
 class _RootEntry:
-    """Per-(model, formula) cache body: the lowered program plus either a
-    support table, or the sparse engine's nodes, the program's formula with
-    one object per row, and values, its memo keyed by (id(node), state).
-    model and formula are the objects the entry was last asked for, its
-    one alias."""
+    """Per-(model, formula) cache body: the lowered program, its support
+    table once built, and values, the sparse engine's memo keyed by
+    (row, state). model and formula are the objects the entry was last
+    asked for, its one alias."""
 
     program: Program
     table: SupportTable | None = None
-    nodes: Formula | None = None
     values: dict[tuple[int, int], bool] = field(default_factory=dict)
     model: InformationModel | None = None
     formula: Formula | Program | None = None
 
 
 class MemoCache:
-    """Support values keyed by subformula identity and state bits.
+    """Support values keyed by program row and state bits.
 
-    Subformula identities are row numbers of the lowered program, assigned
+    Rows are the row numbers of the lowered program, assigned
     once per distinct (model, root formula) pair; structurally equal
     subtrees share an identity. A support table, when present, stands for
     the total map of its pairs.
@@ -194,54 +194,55 @@ def _submasks(s: int):
         t = (t - 1) & s
 
 
-def _eval_naive(q: CheckQuery, memo: dict[tuple[int, int], bool] | None = None) -> tuple[bool, int]:
-    """The clauses over q's formula objects, counting each evaluation. With
-    a memo, each (id(node), state) answer is looked up and stored there, and
-    only misses count; the memo's keys hold while its nodes live."""
-    m = q.model
+def _eval_naive(
+    p: Program, m: InformationModel, state: int, memo: dict[tuple[int, int], bool] | None = None
+) -> tuple[bool, int]:
+    """The clauses over p's rows at state, counting each evaluation. With
+    a memo, each (row, state) answer is looked up and stored there, and
+    only misses count."""
+    ops, left, right, payload = p.ops, p.left, p.right, p.payload
     vmasks = [v.mask for v in m.valuation]
     # per world, the states where a box body must hold, and a wbox body's
     unions = [(sigma_union(m, w).mask,) for w in range(m.n)] if m.is_modal else None
     gens = [[g.mask for g in gs] for gs in m.sigma] if m.is_modal else None
     visits = 0
 
-    def go(f: Formula, s: int) -> bool:
+    def go(r: int, s: int) -> bool:
         nonlocal visits
         if memo is not None:
-            key = (id(f), s)
+            key = (r, s)
             value = memo.get(key)
             if value is not None:
                 return value
         visits += 1
-        if isinstance(f, Bottom):
+        op = ops[r]
+        if op == OP_BOT:
             value = s == 0
-        elif isinstance(f, Atom):
-            value = s & ~vmasks[f.index] == 0
-        elif isinstance(f, And):
-            value = go(f.left, s) and go(f.right, s)
-        elif isinstance(f, IVee):
-            value = go(f.left, s) or go(f.right, s)
-        elif isinstance(f, Implies):
+        elif op == OP_ATOM:
+            value = s & ~vmasks[payload[r]] == 0
+        elif op == OP_AND:
+            value = go(left[r], s) and go(right[r], s)
+        elif op == OP_IVEE:
+            value = go(left[r], s) or go(right[r], s)
+        elif op == OP_IMPLIES:
             value = True
             for t in _submasks(s):
-                if go(f.left, t) and not go(f.right, t):
+                if go(left[r], t) and not go(right[r], t):
                     value = False
                     break
-        elif isinstance(f, (Box, WBox)):
+        else:
             value = True
-            for w, anchors in enumerate(unions if isinstance(f, Box) else gens):
+            for w, anchors in enumerate(unions if op == OP_BOX else gens):
                 if value and s >> w & 1:
                     for u in anchors:
-                        if not go(f.body, u):
+                        if not go(left[r], u):
                             value = False
                             break
-        else:
-            raise TypeError(f"not a formula node: {f!r}")
         if memo is not None:
             memo[key] = value
         return value
 
-    return go(q.formula, q.state.mask), visits
+    return go(p.root, state), visits
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,46 +259,37 @@ def evaluate(
 ) -> CheckOutcome:
     """Evaluate a query with an explicit engine choice.
 
-    Engines: "naive" is the baseline recursion; "sparse" the same
-    recursion with a memo, over the lowered program's rows as formula
-    objects (formula_of), which the cache entry keeps with the memo;
+    Engines: "naive" is the baseline recursion over the program's rows;
+    "sparse" the same recursion with a memo, which the cache entry keeps;
     "table" the truth-mask kernel evaluator; "auto" picks "table" when
     the table fits the byte cap and "sparse" otherwise. nodes_visited
     counts clause evaluations (naive), memo misses (sparse), or freshly
-    computed table rows (table). A query whose formula is a Program is
-    decided on its rows, and "naive" reads it through formula_of. A given
-    cache is looked up by the identity of the query's model and formula,
-    then by the program's rows, so its key never recurses. Past about
-    1000 levels of nesting, "naive" and "sparse" raise QueryError;
-    "table" answers formulas of any depth, with or without a cache. An
-    engine outside ENGINES raises ValueError before any work.
+    computed table rows (table). A Formula is lowered; a Program is
+    decided on its rows. Every engine looks its entry up in a given
+    cache, by the identity of the query's model and formula, then by
+    the program's rows, so its key never recurses; "naive" never builds
+    a table. Past about 1000 levels of nesting, "naive" and "sparse"
+    raise QueryError; "table" answers formulas of any depth. An engine
+    outside ENGINES raises ValueError before any work.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     _validate(q)
-    rows = type(q.formula) is Program
-    memo = None
-    if engine != "naive":
-        if cache is None:
-            entry = _RootEntry(program=q.formula if rows else lower_formula(q.formula))
+    if cache is None:
+        entry = _RootEntry(program=q.formula if type(q.formula) is Program else lower_formula(q.formula))
+    else:
+        entry = cache.root(q.model, q.formula)
+    if engine == "auto":
+        engine = "table" if table_bytes(entry.program, q.model) <= DEFAULT_TABLE_BYTE_CAP else "sparse"
+    if engine == "table":
+        if entry.table is None:
+            entry.table = support_table(entry.program, q.model)
+            visited = entry.program.num_nodes
         else:
-            entry = cache.root(q.model, q.formula)
-        if engine == "auto":
-            engine = "table" if table_bytes(entry.program, q.model) <= DEFAULT_TABLE_BYTE_CAP else "sparse"
-        if engine == "table":
-            if entry.table is None:
-                entry.table = support_table(entry.program, q.model)
-                visited = entry.program.num_nodes
-            else:
-                visited = 0
-            return CheckOutcome(entry.table.holds(entry.program.root, q.state.mask), visited, "table")
-        if entry.nodes is None:
-            entry.nodes = formula_of(entry.program)
-        q, memo = CheckQuery(q.model, q.state, entry.nodes), entry.values
-    elif rows:
-        q = CheckQuery(q.model, q.state, formula_of(q.formula))
+            visited = 0
+        return CheckOutcome(entry.table.holds(entry.program.root, q.state.mask), visited, "table")
     try:
-        value, visits = _eval_naive(q, memo)
+        value, visits = _eval_naive(entry.program, q.model, q.state.mask, entry.values if engine == "sparse" else None)
     except RecursionError:
         raise QueryError(f"formula nests too deeply for the {engine} engine") from None
     return CheckOutcome(value, visits, engine)

@@ -100,11 +100,12 @@ _TYPE_OF_OP = (Bottom, Atom, And, IVee, Implies, Box, WBox)
 
 # Program.__post_init__ reads the ops column as bytes: the ops that exist,
 # and tables that translate an op to 1 where a row of it is no atom, has a
-# left child or has a right child, else to 0
+# left child or has a right child, else to 0; _FLIP swaps those 0 and 1
 _OPS = bytes(range(OP_BOT, OP_WBOX + 1))
 _NOT_ATOM = bytes(op != OP_ATOM for op in range(256))
 _HAS_LEFT = bytes(OP_AND <= op <= OP_WBOX for op in range(256))
 _HAS_RIGHT = bytes(OP_AND <= op < OP_BOX for op in range(256))
+_FLIP = b"\x01" + bytes(255)
 
 # stacked under a composite object's children in _object_rows
 _UP = object()
@@ -171,8 +172,8 @@ class Program:
     formulas give equal programs, whichever builds them.
 
     payload holds the atom index for OP_ATOM rows and 0 elsewhere; left
-    and right hold child row numbers (right is 0 for unary rows). The
-    columns are tuples of ints of any size, so the dataclass's own ==
+    and right hold child row numbers, 0 where a row takes no such child.
+    The columns are tuples of ints of any size, so the dataclass's own ==
     and hash compare programs by their rows.
     """
 
@@ -185,7 +186,8 @@ class Program:
         """Refuse columns that no formula has, naming the fault: columns of
         unequal length or without rows, an op outside OP_BOT..OP_WBOX, a
         payload other than 0 on a row that is no atom, a negative atom
-        index, a negative left or right, or a child of a row r outside
+        index, a nonzero left on a leaf row or right on a leaf or unary
+        row, a negative left or right, or a child of a row r outside
         0..r-1. reduce and check build a program per case, so each rule
         is a C-level scan of the columns, not a loop over the rows."""
         ops, left, right, payload = columns = self.ops, self.left, self.right, self.payload
@@ -204,6 +206,9 @@ class Program:
         rows = range(len(ops))
         for name, column, has in (("left", left, _HAS_LEFT), ("right", right, _HAS_RIGHT)):
             has = kinds.translate(has)
+            if any(compress(column, has.translate(_FLIP))):
+                r = next(r for r in rows if column[r] and not has[r])
+                raise ValueError(f"row {r} has op {ops[r]}, which takes no {name} child, got {column[r]}")
             if min(column) < 0 or not all(compress(map(lt, column, rows), has)):
                 r = next(r for r in rows if column[r] < 0 or has[r] and column[r] >= r)
                 raise ValueError(f"row {r}'s {name} child {column[r]} is not an earlier row")

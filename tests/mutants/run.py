@@ -160,12 +160,12 @@ MUTANTS = [
         "        key = (model, program.ops, program.left, program.right)\n",
         ("tests/test_checker.py::TestMemoCache",),
     ),
-    # sparse is naive's clauses with a (node, state) memo
+    # sparse is naive's clauses with a (row, state) memo
     Mutant(
         "sparse-memo-drops-state",
         "src/inqcheck/checker.py",
-        "            key = (id(f), s)\n",
-        "            key = id(f)\n",
+        "            key = (r, s)\n",
+        "            key = r\n",
         SPARSE,
     ),
     Mutant(
@@ -182,6 +182,15 @@ MUTANTS = [
         "rows.setdefault((op, a, b, x), len(rows))",
         "rows.setdefault((op, a, b, 0), len(rows))",
         ("tests/test_kernels.py::TestLowering",),
+    ),
+    # naive reads the lowered program, so the set oracle, which never
+    # lowers, checks lowering too
+    Mutant(
+        "lower-drops-atom-index",
+        "src/inqcheck/kernels.py",
+        "rows.setdefault((op, a, b, x), len(rows))",
+        "rows.setdefault((op, a, b, 0), len(rows))",
+        ("tests/test_checker.py::TestSemanticLaws::test_against_set_oracle",),
     ),
     Mutant(
         "program-numbered-right-first",

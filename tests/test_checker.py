@@ -166,6 +166,10 @@ class TestQueryValidation:
             (((2, 1), (1, 0), (1, 0), (0, 0)), "row 0's left child 1 is not an earlier row"),
             (((1, 5), (0, 1), (0, 0), (0, 0)), "row 1's left child 1 is not an earlier row"),
             (((1, 1, 4), (0, 0, 0), (0, 0, -1), (0, 1, 0)), "row 2's right child -1 is not an earlier row"),
+            # a child on a row whose op takes none: an atom's left past the
+            # last row, a box's right, which would give its formula two keys
+            (((1,), (3,), (0,), (0,)), "row 0 has op 1, which takes no left child, got 3"),
+            (((1, 5), (0, 0), (0, 7), (0, 0)), "row 1 has op 5, which takes no right child, got 7"),
             (((), (), (), ()), "one or more rows, got [0, 0, 0, 0]"),
             (((1, 1, 2), (0, 0, 0), (0, 0, 1), (0, 1)), "one length of one or more rows, got [3, 3, 3, 2]"),
         ],
@@ -302,9 +306,11 @@ class TestEngines:
             f = random_formula(rng, m.l, depth=3, modal=True)
             s = random_state(rng, m.n)
             query = CheckQuery(m, s, f)
-            reference = evaluate(query, engine="naive").value
+            reference = evaluate(query, engine="naive")
+            # naive reads a formula's lowered program, and a program as it is
+            assert evaluate(CheckQuery(m, s, lower_formula(f)), engine="naive") == reference
             for engine in ("sparse", "table", "auto"):
-                assert evaluate(query, engine=engine).value == reference
+                assert evaluate(query, engine=engine).value == reference.value
 
     def test_memo_equals_naive(self, demo_model):
         rng = random.Random(12)
@@ -431,9 +437,15 @@ class TestMemoCache:
         # a fresh parse into rows: equal rows, one entry, no lowering
         second = evaluate(CheckQuery(demo_model, bits("111"), rows(text)), engine="table", cache=cache)
         assert first.nodes_visited > 0 and second.nodes_visited == 0
-        assert first.value == second.value == evaluate(q(demo_model, "111", text), engine="naive").value
         assert len(cache._roots) == 1 and len(cache._aliases) == 1
         assert lowered == []
+        # naive lowers a formula once into the cache's entry, and the next
+        # query reads that entry's program
+        f = parse_formula(text)
+        reference = evaluate(CheckQuery(demo_model, bits("111"), f), engine="naive", cache=cache)
+        assert evaluate(CheckQuery(demo_model, bits("111"), f), engine="naive", cache=cache) == reference
+        assert first.value == second.value == reference.value
+        assert len(cache._roots) == 1 and lowered == [f]
 
     def test_models_keep_their_own_entries(self, demo_model):
         cache = MemoCache()
