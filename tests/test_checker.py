@@ -166,12 +166,12 @@ class TestQueryValidation:
             (((2, 1), (1, 0), (1, 0), (0, 0)), "row 0's left child 1 is not an earlier row"),
             (((1, 5), (0, 1), (0, 0), (0, 0)), "row 1's left child 1 is not an earlier row"),
             (((1, 1, 4), (0, 0, 0), (0, 0, -1), (0, 1, 0)), "row 2's right child -1 is not an earlier row"),
+            (((), (), (), ()), "one or more rows, got [0, 0, 0, 0]"),
+            (((1, 1, 2), (0, 0, 0), (0, 0, 1), (0, 1)), "one length of one or more rows, got [3, 3, 3, 2]"),
             # a child on a row whose op takes none: an atom's left past the
             # last row, a box's right, which would give its formula two keys
             (((1,), (3,), (0,), (0,)), "row 0 has op 1, which takes no left child, got 3"),
             (((1, 5), (0, 0), (0, 7), (0, 0)), "row 1 has op 5, which takes no right child, got 7"),
-            (((), (), (), ()), "one or more rows, got [0, 0, 0, 0]"),
-            (((1, 1, 2), (0, 0, 0), (0, 0, 1), (0, 1)), "one length of one or more rows, got [3, 3, 3, 2]"),
         ],
     )
     def test_hand_built_programs_are_refused(self, columns, message):
