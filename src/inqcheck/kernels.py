@@ -6,7 +6,8 @@ postorder, so one DAG has one program. A program is a value: its
 columns are int tuples, so two programs are == and hash alike exactly
 when their rows are equal, and a program is the key of its formula in
 MemoCache and in Formula equality. The compiler and the parser build
-rows through a RowBuilder. A Formula reaches rows through one walk by
+rows through a RowBuilder; the compiler builds in its root's postorder
+and takes the rows as built. A Formula reaches rows through one walk by
 object identity, _object_rows, which lower_formula numbers in one pass
 and syntax.render_formula prints; formula_of turns rows back into
 Formula objects. The table kernel gives every row, in one bottom-up
@@ -64,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import compress
-from operator import lt, or_
+from operator import lt, mul, or_
 
 from .model import InformationModel
 from .syntax import And, Atom, Bottom, Box, Formula, IVee, Implies, WBox
@@ -98,11 +99,13 @@ _OP_OF_TYPE = {
 # the node class of each op, indexed by op
 _TYPE_OF_OP = (Bottom, Atom, And, IVee, Implies, Box, WBox)
 
-# Program.__post_init__ reads the ops column as bytes: the ops that exist,
-# and tables that translate an op to 1 where a row of it is no atom, has a
-# left child or has a right child, else to 0; _FLIP swaps those 0 and 1
+# Program.__post_init__ and RowBuilder.program_as_built read the ops column
+# as bytes: the ops that exist, and tables that translate an op to 1 where
+# a row of it is no atom, is an atom, has a left child or has a right
+# child, else to 0; _FLIP swaps those 0 and 1
 _OPS = bytes(range(OP_BOT, OP_WBOX + 1))
 _NOT_ATOM = bytes(op != OP_ATOM for op in range(256))
+_IS_ATOM = bytes(op == OP_ATOM for op in range(256))
 _HAS_LEFT = bytes(OP_AND <= op <= OP_WBOX for op in range(256))
 _HAS_RIGHT = bytes(OP_AND <= op < OP_BOX for op in range(256))
 _FLIP = b"\x01" + bytes(255)
@@ -175,6 +178,11 @@ class Program:
     and right hold child row numbers, 0 where a row takes no such child.
     The columns are tuples of ints of any size, so the dataclass's own ==
     and hash compare programs by their rows.
+
+    Only a program built by hand, Program(ops, left, right, payload), is
+    checked. RowBuilder.program, RowBuilder.program_as_built and
+    lower_formula number children before parents by construction, and
+    make their programs through _built_program, which skips the check.
     """
 
     ops: tuple[int, ...]
@@ -188,8 +196,8 @@ class Program:
         payload other than 0 on a row that is no atom, a negative atom
         index, a nonzero left on a leaf row or right on a leaf or unary
         row, a negative left or right, or a child of a row r outside
-        0..r-1. reduce and check build a program per case, so each rule
-        is a C-level scan of the columns, not a loop over the rows."""
+        0..r-1. Each rule is a C-level scan of the columns, not a loop
+        over the rows."""
         ops, left, right, payload = columns = self.ops, self.left, self.right, self.payload
         if not 0 < len(ops) == len(left) == len(right) == len(payload):
             raise ValueError(f"program columns need one length of one or more rows, got {[*map(len, columns)]}")
@@ -232,6 +240,15 @@ class _Column(tuple):
         return list(self)
 
 
+def _built_program(ops, left, right, payload) -> Program:
+    """The program of columns that a builder numbered, children before
+    parents: valid by construction, so made without Program's check."""
+    program = object.__new__(Program)
+    for name, column in zip(("ops", "left", "right", "payload"), (ops, left, right, payload)):
+        object.__setattr__(program, name, _Column(column))
+    return program
+
+
 class RowBuilder:
     """A node builder that returns one program row per distinct node, so
     that equal subformulas built through it share a row (hash-consing:
@@ -239,9 +256,11 @@ class RowBuilder:
     2006). It takes the arguments of the node builders of syntax and
     switching, node(cls, a=None, b=None), with rows for children and the
     index for an atom, so a row is keyed on its class and its children's
-    rows and building never hashes a subtree. program(root) numbers the
-    rows root reaches in root's postorder, so the order of the calls
-    does not show in the program."""
+    rows and building never hashes a subtree. Rows are numbered in the
+    order built. program(root) renumbers the rows root reaches in root's
+    postorder, so the order of the calls does not show in the program;
+    program_as_built(root) keeps the build order, for a caller that
+    built in root's postorder, as the QBF compiler does."""
 
     __slots__ = ("rows",)
 
@@ -286,7 +305,29 @@ class RowBuilder:
             if not parents:
                 break
             r = parents.pop()
-        return Program(*map(_Column, (ops, left, right, payload)))
+        return _built_program(ops, left, right, payload)
+
+    def program_as_built(self, root: int) -> Program:
+        """Every row built, numbered in the order built. That is
+        program(root) when the calls built the rows in root's postorder:
+        children before parents, left before right, a row on its first
+        finish, and no row that root does not reach. Only the last of
+        these is checked, and only as far as root being the last row
+        built; the rest is the caller's precondition.
+
+        Raises ValueError when root is not the last row built, or on a
+        negative atom index in any row built.
+        """
+        if root != len(self.rows) - 1:
+            raise ValueError(f"row {root} is not the last row built, {len(self.rows) - 1}")
+        classes, a, b = zip(*self.rows)
+        ops = bytes(map(_OP_OF_TYPE.__getitem__, classes))
+        payload = tuple(map(mul, a, ops.translate(_IS_ATOM)))
+        if (low := min(payload)) < 0:
+            raise ValueError(f"atom index must be non-negative, got {low}")
+        left = map(mul, a, ops.translate(_HAS_LEFT))
+        right = map(mul, b, ops.translate(_HAS_RIGHT))
+        return _built_program(ops, left, right, payload)
 
 
 def lower_formula(f: Formula) -> Program:
@@ -304,7 +345,7 @@ def lower_formula(f: Formula) -> Program:
             # a unary row's right is 0, and row 0, a leaf, is number 0
             a, b = number[a], number[b]
         number.append(rows.setdefault((op, a, b, x), len(rows)))
-    return Program(*map(_Column, zip(*rows)))
+    return _built_program(*zip(*rows))
 
 
 def formula_of(p: Program) -> Formula:

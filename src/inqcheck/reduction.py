@@ -28,14 +28,23 @@ and the formula files that `reduce` writes hold that DAG, with `let`
 definitions for its shared parts. The default builder makes fresh
 objects, shared only where the translation reuses a piece it built.
 
+Build order: translate_qbf makes its builder calls in the postorder of
+the formula it returns. It builds every splitter D_k first, in
+ascending k, then the matrix, then the wrappers from the inside out;
+each S_k comes right after its wrapper's (D_k -> body), and the first
+one built builds the escape pieces of every pair, in its own postorder.
+So a RowBuilder numbers the rows as RowBuilder.program would, and
+reduce_tqbf takes them as built, with no numbering walk.
+
 Size accounting: translated_size is the weighted size of the formula's
 tree, every shared part counted at each of its places, though the file
-holds the DAG. The tree grows by one splitter and at most one escape
-formula per quantifier, and the escape formulas dominate at l*l log(l)
-weighted size. The reported ratio divides the compiled size
-by l*l*log2(l+2) + matrix size; the default bound on that ratio is a
-regression constant measured on an alternating-prefix sweep at first
-build, not a theoretical value.
+holds the DAG. It is read off the program on first use, so verify,
+which never prints it, never computes it. The tree grows by one
+splitter and at most one escape formula per quantifier, and the escape
+formulas dominate at l*l log(l) weighted size. The reported ratio
+divides the compiled size by l*l*log2(l+2) + matrix size; the default
+bound on that ratio is a regression constant measured on an
+alternating-prefix sweep at first build, not a theoretical value.
 """
 
 from __future__ import annotations
@@ -47,15 +56,7 @@ from math import log2
 from .kernels import Program, RowBuilder, formula_of, tree_size
 from .model import InfoState
 from .qbf import FORALL, PAnd, POr, PropFormula, Qbf, _check_prefix, _postorder, _postorder_size
-from .switching import (
-    SwitchingModel,
-    atom_p,
-    atom_q,
-    build_switching_model,
-    escape_pieces,
-    formula_D,
-    formula_S,
-)
+from .switching import SwitchingModel, atom_p, atom_q, build_switching_model, formula_D, formula_S
 from .syntax import And, Formula, IVee, Implies, fresh, neg
 
 __all__ = [
@@ -84,7 +85,12 @@ class ReductionInstance:
     program: Program
     l: int
     matrix_size: int
-    translated_size: int
+
+    @cached_property
+    def translated_size(self) -> int:
+        """The weighted size of the compiled formula's tree, read off the
+        program on first use."""
+        return tree_size(self.program)
 
     @cached_property
     def formula(self) -> Formula:
@@ -134,10 +140,11 @@ def _translate_prop(nodes: list, positive: bool, l: int, node):
         elif x in literals:
             parts.append(literals[x])
         else:
-            # x_i is i and its negation ~i
+            # x_i is i and its negation ~i; q_i is built before the body
             i = x if x >= 0 else ~x
+            q = atom_q(i, l, node)
             body = atom_p(i, node) if positive == (x >= 0) else neg(atom_p(i, node), node)
-            parts.append(literals.setdefault(x, node(Implies, atom_q(i, l, node), body)))
+            parts.append(literals.setdefault(x, node(Implies, q, body)))
     return parts[0]
 
 
@@ -146,8 +153,9 @@ def translate_qbf(theta: Qbf, polarity: str, l: int, node=fresh):
     for the k its prefix starts at (an empty prefix means k = l).
 
     polarity "P" tracks truth, "N" falsity, of the suffix at matching
-    switchings. The result is built with node, which builds the escape
-    pieces once; with a RowBuilder it is the row of the formula, and
+    switchings. The result is built with node, in its postorder (the
+    module docstring), and node builds the escape pieces once; with a
+    RowBuilder it is the row of the formula, the last row built, and
     each distinct subformula is one row.
 
     Raises:
@@ -162,14 +170,15 @@ def translate_qbf(theta: Qbf, polarity: str, l: int, node=fresh):
     # falsity, whatever the polarity of the quantifier itself
     polarities = [polarity] + ["P" if quant == FORALL else "N" for quant, _ in theta.prefix]
     nodes = theta._nodes if l == theta.l else _postorder(theta.matrix, l)
+    # the splitters lead the postorder, outermost first
+    splitters = [formula_D(k, l, node) for _, k in theta.prefix]
     f = _translate_prop(nodes, polarities[-1] == "P", l, node)
-    pieces = None
-    for (quant, k), tracked in zip(reversed(theta.prefix), reversed(polarities[:-1])):
+    pieces: list = []
+    for (quant, k), d, tracked in zip(reversed(theta.prefix), reversed(splitters), reversed(polarities[:-1])):
         if (quant == FORALL) == (tracked == "P"):
-            f = node(Implies, formula_D(k, l, node), f)
+            f = node(Implies, d, f)
         else:
-            pieces = pieces or escape_pieces(l, node)
-            f = node(Implies, node(Implies, formula_D(k, l, node), f), formula_S(k, l, node, pieces))
+            f = node(Implies, node(Implies, d, f), formula_S(k, l, node, pieces))
     return f
 
 
@@ -182,15 +191,14 @@ def reduce_tqbf(theta: Qbf) -> ReductionInstance:
     if l == 0:
         raise ValueError("formula must bind at least one variable")
     node = RowBuilder()
-    program = node.program(translate_qbf(theta, "P", l, node))
-    switching = build_switching_model(l)
+    # translate_qbf builds in postorder, so the rows are numbered as built
+    program = node.program_as_built(translate_qbf(theta, "P", l, node))
     return ReductionInstance(
-        model=switching,
+        model=build_switching_model(l),
         state=InfoState.full(2 * l),
         program=program,
         l=l,
         matrix_size=_postorder_size(theta._nodes),
-        translated_size=tree_size(program),
     )
 
 

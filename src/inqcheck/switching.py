@@ -26,12 +26,16 @@ Gadget formulas over this model:
 
 Each gadget builds its nodes with the node builder it is given: afresh
 by default, or as rows of a kernels.RowBuilder, so that a compiled
-program holds each piece once however often it uses it.
+program holds each piece once however often it uses it. Every gadget
+makes its builder calls in its formula's postorder, children before
+parents and left before right, which is the order in which a compiled
+program numbers its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .model import InfoState, InformationModel
 from .syntax import And, Atom, Formula, IVee, Implies, fresh, neg, question
@@ -71,8 +75,10 @@ def world_minus(i: int) -> int:
     return 2 * i + 1
 
 
+@cache
 def build_switching_model(l: int) -> SwitchingModel:
-    """Construct the degree-l switching model; l must be at least 1."""
+    """The degree-l switching model; l must be at least 1. The model is
+    frozen, so each degree is built once and then shared."""
     if l < 1:
         raise ValueError(f"switching model needs l >= 1, got {l}")
     n = 2 * l
@@ -146,24 +152,23 @@ def formula_D(k: int, l: int, node=fresh) -> Formula:
     return node(Implies, atom_q(k, l, node), question(atom_p(k, node), node))
 
 
-def escape_pieces(l: int, node=fresh) -> list[tuple[Formula, Formula]]:
-    """(not C+, not C-) of every pair, in ascending pair order: the
-    pieces every formula_S of degree l is made of."""
-    return [
-        (neg(formula_C(i, "+", l, node), node), neg(formula_C(i, "-", l, node), node))
-        for i in range(l)
-    ]
-
-
 def formula_S(k: int, l: int, node=fresh, pieces: list | None = None) -> Formula:
     """Big inquisitive disjunction, left-nested in ascending pair order:
     pairs below k contribute (not C+ & not C-), pairs from k on
-    contribute (not C+ ior not C-). pieces, escape_pieces(l, node) when
-    not given, lets the formulas S of one degree build them once."""
+    contribute (not C+ ior not C-). pieces, a list shared by the formulas
+    S of one degree and builder, holds each pair's (not C+, not C-); the
+    first formula S to reach a pair builds its pieces and appends them,
+    in its postorder, so the pieces are built once and inside the first
+    escape formula built."""
     if not 0 <= k <= l or l < 1:
         raise ValueError(f"need 0 <= k <= l and l >= 1, got k={k}, l={l}")
+    if pieces is None:
+        pieces = []
     result = None
-    for i, (nplus, nminus) in enumerate(pieces or escape_pieces(l, node)):
+    for i in range(l):
+        if i == len(pieces):
+            pieces.append((neg(formula_C(i, "+", l, node), node), neg(formula_C(i, "-", l, node), node)))
+        nplus, nminus = pieces[i]
         disjunct = node(And if i < k else IVee, nplus, nminus)
         result = disjunct if result is None else node(IVee, result, disjunct)
     return result

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 VALIDATION = ("tests/test_checker.py::TestQueryValidation",)
 TABLE = ("tests/test_kernels.py::TestTables::test_full_table_matches_naive",)
 SPARSE = ("tests/test_checker.py::TestEngines",)
+COMPILED = ("tests/test_syntax.py::TestProgramRender::test_compiled_programs",)
 
 MUTANTS = [
     # the one rule set that refuses a query, whichever form it takes
@@ -212,6 +213,30 @@ MUTANTS = [
         "            return Program(*map(_Column, zip(*rows)))\n"
         "        number = [-1] * len(built)  # a built row's number, once finished\n",
         ("tests/test_syntax.py::TestRowParse", "tests/test_syntax.py::TestProgramRender"),
+    ),
+    # the compiler builds in its root's postorder, and reduce_tqbf takes
+    # the rows in the order built
+    Mutant(
+        "splitters-built-in-wrapper-loop",
+        "src/inqcheck/reduction.py",
+        "    splitters = [formula_D(k, l, node) for _, k in theta.prefix]\n"
+        "    f = _translate_prop(nodes, polarities[-1] == \"P\", l, node)\n"
+        "    pieces: list = []\n"
+        "    for (quant, k), d, tracked in zip(reversed(theta.prefix), reversed(splitters), reversed(polarities[:-1])):\n",
+        "    f = _translate_prop(nodes, polarities[-1] == \"P\", l, node)\n"
+        "    pieces: list = []\n"
+        "    for (quant, k), tracked in zip(reversed(theta.prefix), reversed(polarities[:-1])):\n"
+        "        d = formula_D(k, l, node)\n",
+        COMPILED,
+    ),
+    Mutant(
+        "escape-pieces-built-up-front",
+        "src/inqcheck/switching.py",
+        "    if pieces is None:\n        pieces = []\n",
+        "    if pieces is None:\n        pieces = []\n"
+        "    if not pieces:\n"
+        "        pieces += [(neg(formula_C(i, \"+\", l, node), node), neg(formula_C(i, \"-\", l, node), node)) for i in range(l)]\n",
+        COMPILED,
     ),
 ]
 

@@ -230,6 +230,8 @@ class TestInstances:
         instance = reduce_tqbf(theta)
         assert instance.l == 1
         assert instance.matrix_size == 2
+        # the size is read off the rows on first use, not by reduce_tqbf
+        assert "translated_size" not in vars(instance)
         assert instance.translated_size == formula_size(instance.formula)
 
     @pytest.mark.parametrize("l", range(1, 10))

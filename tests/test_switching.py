@@ -65,6 +65,10 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_switching_model(0)
 
+    def test_each_degree_is_built_once(self):
+        assert build_switching_model(3) is build_switching_model(3)
+        assert build_switching_model(3) != build_switching_model(4)
+
     def test_atom_helpers(self):
         assert atom_p(1).index == 1
         assert atom_q(1, 4).index == 5
@@ -242,6 +246,23 @@ class TestGadgetS:
                         if jk != j:
                             continue
                         assert supports(l, s.mask, f)
+
+    def test_shared_pieces_are_built_by_the_first_ladder(self):
+        built = []
+
+        def node(cls, *fields):
+            built.append(cls)
+            return cls(*fields)
+
+        pieces = []
+        first = formula_S(2, 3, node, pieces)
+        assert len(pieces) == 3 and first == formula_S(2, 3)
+        calls = len(built)
+        # a later ladder reads the pieces: it builds its disjuncts and ors
+        second = formula_S(0, 3, node, pieces)
+        assert len(pieces) == 3 and second == formula_S(0, 3)
+        assert len(built) - calls == 5
+        assert second.right.left is pieces[2][0] and second.right.right is pieces[2][1]
 
     def test_full_state_fails_every_ladder_below_l(self):
         # the 0-switching also fails S_k for every k: no pair is missing

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import lexer_corpus, printing_corpus, question_formula, random_formula, shared_formula
 from inqcheck.checker import CheckQuery, MemoCache, evaluate
-from inqcheck.kernels import OP_ATOM, OP_BOT, OP_IMPLIES, OP_IVEE, RowBuilder, formula_of, lower_formula
+from inqcheck.kernels import OP_ATOM, OP_BOT, OP_IMPLIES, OP_IVEE, Program, RowBuilder, formula_of, lower_formula
 from inqcheck.model import InfoState
 from inqcheck.qbf import Var, random_qbf
 from inqcheck.reduction import reduce_tqbf
@@ -429,6 +429,20 @@ class TestRowParse:
         with pytest.raises(ValueError, match="atom index must be non-negative, got -1"):
             node.program(node(Atom, 0))
 
+    def test_rows_as_built(self):
+        # built in the root's postorder, the rows need no renumbering
+        node = RowBuilder()
+        p0 = node(Atom, 0)
+        root = node(Implies, node(Box, p0), node(IVee, p0, node(Bottom)))
+        program = node.program(root)
+        assert node.program_as_built(root) == program == lower_formula(formula_of(program))
+        # the root must be the last row built, and atom indices non-negative
+        with pytest.raises(ValueError, match="row 1 is not the last row built, 4"):
+            node.program_as_built(1)
+        node(Atom, -1)
+        with pytest.raises(ValueError, match="atom index must be non-negative, got -1"):
+            node.program_as_built(5)
+
     @pytest.mark.parametrize("text", MALFORMED)
     def test_malformed_texts_fail_alike(self, text):
         with pytest.raises(ParseError) as objects:
@@ -525,6 +539,9 @@ class TestProgramRender:
     @pytest.mark.parametrize("l", range(1, 25))
     def test_compiled_programs(self, l):
         instance = reduce_tqbf(random_qbf(160 + l, l, 40 + 5 * l))
+        p = instance.program
+        # taken as built, unchecked, and still a program the check accepts
+        assert Program(p.ops, p.left, p.right, p.payload) == p
         back = self.assert_round_trip(instance.program)
         # compiled, parsed and lowered, one DAG is one value and one entry
         lowered = lower_formula(instance.formula)
@@ -546,6 +563,7 @@ class TestProgramRender:
             rows.append(node(kind, a) if kind in (Box, WBox) else node(kind, a, b))
         program = node.program(rows[-1])
         assert program == lower_formula(formula_of(program))
+        assert Program(program.ops, program.left, program.right, program.payload) == program
         self.assert_round_trip(program)
 
     def test_shared_leaves_and_both_sides(self):
