@@ -265,13 +265,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process.
 
     It holds configuration only: parse_args returns a fresh Namespace per
     call and no default is mutable, so calls to main share it safely.
     """
+    return _parsers()[0]
+
+
+@cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = _Parser(
         prog="inqcheck",
         description="Support checking for inquisitive formulas and QBF compilation onto switching models.",
@@ -329,13 +333,22 @@ def build_parser() -> argparse.ArgumentParser:
     rand.add_argument("--kind", choices=("inqm", "inqb"), default="inqm")
     rand.set_defaults(run=cmd_random_model)
 
-    return parser
+    return parser, commands.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv) in one pass: a subcommand first is
+    parsed by its parser alone, but for "--=...", which the full one refuses."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None or any(arg.startswith("--=") for arg in argv):
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(verbose=0, command=argv[0]))
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if e.code not in (0, None) else 0

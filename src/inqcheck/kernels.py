@@ -195,9 +195,10 @@ class Program:
         unequal length or without rows, an op outside OP_BOT..OP_WBOX, a
         payload other than 0 on a row that is no atom, a negative atom
         index, a nonzero left on a leaf row or right on a leaf or unary
-        row, a negative left or right, or a child of a row r outside
-        0..r-1. Each rule is a C-level scan of the columns, not a loop
-        over the rows."""
+        row, a negative left or right, a child of a row r outside 0..r-1,
+        a row equal to an earlier row, or a row the root does not reach.
+        The last two are one pass down the rows from the root, the others
+        C-level scans of the columns."""
         ops, left, right, payload = columns = self.ops, self.left, self.right, self.payload
         if not 0 < len(ops) == len(left) == len(right) == len(payload):
             raise ValueError(f"program columns need one length of one or more rows, got {[*map(len, columns)]}")
@@ -220,6 +221,17 @@ class Program:
             if min(column) < 0 or not all(compress(map(lt, column, rows), has)):
                 r = next(r for r in rows if column[r] < 0 or has[r] and column[r] >= r)
                 raise ValueError(f"row {r}'s {name} child {column[r]} is not an earlier row")
+        reached, seen = bytearray(len(ops)), {}
+        reached[-1] = 1
+        has_left, has_right = kinds.translate(_HAS_LEFT), kinds.translate(_HAS_RIGHT)
+        for r, key in zip(reversed(rows), reversed([*zip(*columns)])):
+            if key in seen:
+                raise ValueError(f"row {seen[key]} repeats row {r}")
+            if not reached[r]:
+                raise ValueError(f"row {r} is not reached from the root, row {len(ops) - 1}")
+            seen[key] = r
+            reached[left[r]] |= has_left[r]
+            reached[right[r]] |= has_right[r]
 
     @property
     def root(self) -> int:

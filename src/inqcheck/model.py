@@ -126,6 +126,19 @@ class InfoState:
         return self.mask.bit_count()
 
 
+_SET_MASK, _SET_WIDTH = InfoState.mask.__set__, InfoState.width.__set__
+
+
+def _state(mask: int, width: int) -> InfoState:
+    """The state of a mask read off width checked bits: valid by
+    construction, so its fields are set by their slots, without
+    InfoState's check."""
+    state = object.__new__(InfoState)
+    _SET_MASK(state, mask)
+    _SET_WIDTH(state, width)
+    return state
+
+
 @dataclass(frozen=True, slots=True)
 class InformationModel:
     """n worlds, l atoms, per-atom extensions, optional state-map generators.
@@ -230,23 +243,18 @@ def decode_model(delta: str, epsilons: list[str], n: int, l: int) -> Information
             raise CodecError("alphabet", f"epsilon {i} must be over 0/1")
         if len(eps) == 0 or eps[-1] != "1":
             raise CodecError("terminator", f"epsilon {i} does not end with the terminal 1")
-        body = eps[:-1]
-        if len(body) % (n + 1) != 0:
+        if (len(eps) - 1) % (n + 1) != 0:
             raise CodecError(
                 "terminator",
                 f"epsilon {i} has length {len(eps)}, expected (n+1)*k + 1 for some k",
             )
-        # body[::n+1] holds the separator bit of every block
-        bad = body[:: n + 1].find("1")
+        # eps[:-1:n+1] holds the separator bit of every block
+        bad = eps[: -1 : n + 1].find("1")
         if bad >= 0:
             off = bad * (n + 1)
             raise CodecError("separator", f"epsilon {i} block at bit {off} does not start with 0")
-        sigma.append(
-            tuple(
-                InfoState(_bits_to_mask(body[off + 1 : off + 1 + n]), n)
-                for off in range(0, len(body), n + 1)
-            )
-        )
+        # one reversed slice reads the n bits after the separator at off
+        sigma.append(tuple(_state(int(eps[off + n : off : -1], 2), n) for off in range(0, len(eps) - 1, n + 1)))
     m = InformationModel(n, l, valuation, tuple(sigma))
     validate_model(m)
     return m
@@ -338,17 +346,15 @@ def read_model_file(text: str) -> InformationModel:
         CodecError: on any layout problem, naming the line number.
         ValidationError: when the decoded model violates an invariant.
     """
-    rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((lineno, line))
+    # (line number, words before any comment) of each line that has words
+    lines = enumerate(text.splitlines(), start=1)
+    rows = ((lineno, parts) for lineno, raw in lines if (parts := raw.split("#", 1)[0].split()))
 
     def take(expect: str) -> tuple[int, list[str]]:
-        if not rows:
+        row = next(rows, None)
+        if row is None:
             raise CodecError("format", f"missing {expect} line")
-        lineno, line = rows.pop(0)
-        return lineno, line.split()
+        return row
 
     lineno, parts = take("header")
     if parts != ["inqmodel", "v1"]:
@@ -366,8 +372,7 @@ def read_model_file(text: str) -> InformationModel:
         raise CodecError("format", f"line {lineno}: expected 'delta <bits>'")
     delta = parts[1] if len(parts) == 2 else ""
     epsilons: list[str] = []
-    while rows:
-        lineno, parts = take("epsilon")
+    for lineno, parts in rows:
         world = _decimal(parts[1]) if len(parts) == 3 and parts[0] == "epsilon" else None
         if world is None:
             raise CodecError("format", f"line {lineno}: expected 'epsilon <world> <bits>'")

@@ -238,6 +238,22 @@ MUTANTS = [
         "        pieces += [(neg(formula_C(i, \"+\", l, node), node), neg(formula_C(i, \"-\", l, node), node)) for i in range(l)]\n",
         COMPILED,
     ),
+    # check's front end: each generator block read by one reversed slice,
+    # and a subcommand first parsed by its own parser alone
+    Mutant(
+        "epsilon-block-read-one-bit-left",
+        "src/inqcheck/model.py",
+        "int(eps[off + n : off : -1], 2)",
+        "int(eps[off + n - 1 : off - 1 : -1], 2)",
+        ("tests/test_model.py::TestCodec::test_decode_inverts_padded_demo_model",),
+    ),
+    Mutant(
+        "dispatched-namespace-verbose",
+        "src/inqcheck/cli.py",
+        "argparse.Namespace(verbose=0, command=argv[0])",
+        "argparse.Namespace(verbose=1, command=argv[0])",
+        ("tests/test_cli.py::TestParserReuse::test_calls_do_not_leak_state",),
+    ),
 ]
 
 

@@ -172,6 +172,10 @@ class TestQueryValidation:
             # last row, a box's right, which would give its formula two keys
             (((1,), (3,), (0,), (0,)), "row 0 has op 1, which takes no left child, got 3"),
             (((1, 5), (0, 0), (0, 7), (0, 0)), "row 1 has op 5, which takes no right child, got 7"),
+            # p0 twice, and a p0 under a root p1 that does not reach it:
+            # each would be a second program of its formula
+            (((1, 1), (0, 0), (0, 0), (0, 0)), "row 1 repeats row 0"),
+            (((1, 1), (0, 0), (0, 0), (0, 1)), "row 0 is not reached from the root, row 1"),
         ],
     )
     def test_hand_built_programs_are_refused(self, columns, message):

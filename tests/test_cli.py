@@ -5,22 +5,25 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
 import textwrap
 import time
+from collections import Counter
 
 import pytest
 
 import inqcheck
 from inqcheck import cli
-from inqcheck.model import read_model_file, write_model_file
+from inqcheck.model import CodecError, ValidationError, read_model_file, write_model_file
 from inqcheck.qbf import Qbf, Var, FORALL, parse_qbf, random_qbf, render_qbf
 from inqcheck.reduction import reduce_tqbf
 from inqcheck.syntax import parse_formula
 
+from conftest import random_model
 from test_syntax import doubling_chain, tree_text
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -512,9 +515,52 @@ class TestRandomModel:
         assert cli.main(["random-model", "--seed", "1", "--worlds", "2", "--atoms", "0"]) == 2
 
 
+# argv shapes that a subcommand first sends through its own parser alone,
+# and shapes that go through the full parser, for the test below
+ROUTED_ARGV = [
+    ["check", "m.im", "110", "--formula", "p0"],
+    ["check", "m.im", "110", "--formula-file", "f", "--naive", "--json"],
+    ["check", "m.im", "110", "--formula=p0", "--js"],
+    ["check", "m.im", "110"],
+    ["check", "m.im", "110", "--formula", "p0", "--formula-file", "f"],
+    ["check", "m.im", "110", "--formula"],
+    ["check", "m.im", "110", "--formula", "p0", "extra", "--bogus"],
+    ["check", "-v", "m.im", "110", "--formula", "p0"],
+    ["check", "--", "m.im", "110", "--formula", "p0"],
+    ["check", "m.im", "110", "--formula", "p0", "--=x"],
+    ["check"],
+    ["verify"],
+    ["verify", "a.qbf", "b.qbf", "--random", "3", "--seed", "-2", "--max-l", "2"],
+    ["verify", "--random", "x"],
+    ["reduce", "a.qbf", "out", "--bound", "1e-3", "--rename", "--json"],
+    ["stats", "a.qbf", "--bound"],
+    ["qbf-eval", "a.qbf", "--ren", "--json"],
+    ["random-model", "--worlds=3", "--atoms", "2", "--kind", "bogus"],
+    *([command, "--help"] for command in ("check", "reduce", "qbf-eval", "verify", "stats", "random-model")),
+    ["check", "-h"],
+    ["-v", "check", "m.im", "110", "--formula", "p0"],
+    ["-vv", "verify"],
+    ["--", "verify"],
+    ["--help"],
+    ["frobnicate", "x"],
+    ["Check"],
+    [],
+]
+
+
 class TestParserReuse:
     def test_parser_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("argv", ROUTED_ARGV, ids=lambda argv: " ".join(argv) or "no arguments")
+    def test_one_pass_parses_as_the_full_parser(self, argv, capsys):
+        def parse(route):
+            try:
+                return route(list(argv)), None
+            except SystemExit as e:
+                return None, (e.code, *capsys.readouterr())
+
+        assert parse(cli._parse) == parse(cli.build_parser().parse_args)
 
     def test_calls_do_not_leak_state(self, demo_file, tmp_path, capsys):
         check = ["check", demo_file, "110", "--formula", "p1"]
@@ -634,6 +680,52 @@ class TestEntryPoint:
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
+
+
+def mutated_texts(text: str, count: int, seed: int):
+    """count seeded one-place faults in text: a character replaced, deleted
+    or inserted, or a line deleted, repeated, swapped with the next or cut
+    short."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        kind = rng.randrange(7)
+        if kind < 3:
+            at, c = rng.randrange(len(text)), rng.choice("0011 \n#2x²٠")
+            yield (text[:at] + c + text[at + 1 :], text[:at] + text[at + 1 :], text[:at] + c + text[at:])[kind]
+            continue
+        lines = text.splitlines(keepends=True)
+        i = rng.randrange(len(lines))
+        if kind == 3:
+            del lines[i]
+        elif kind == 4:
+            lines.insert(i, lines[i])
+        elif kind == 5:
+            j = (i + 1) % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[i] = lines[i][: rng.randrange(len(lines[i]))] + "\n"
+        yield "".join(lines)
+
+
+class TestModelFileFuzz:
+    def test_mutated_model_files_are_input_errors(self, tmp_path, capsys):
+        # a model file with one fault decodes to a model or names its fault,
+        # and check on it answers or exits 2, never as an internal error
+        text = write_model_file(random_model(random.Random(31), n_min=5, n_max=5, l_max=1))
+        path = tmp_path / "m.im"
+        codes = Counter()
+        for mutant in mutated_texts(text, 200, seed=31):
+            try:
+                read_model_file(mutant)
+            except (CodecError, ValidationError):
+                pass
+            path.write_text(mutant, encoding="utf-8")
+            code = cli.main(["check", str(path), "11010", "--formula", "box ?p0 -> wbox p0"])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (mutant, err)
+            codes[code] += 1
+        # the faults reach both sides: most are refused, some still decode
+        assert codes[2] and codes[0] + codes[1], codes
 
 
 def readme_sessions(*sections: str) -> list[tuple[str, list[str]]]:

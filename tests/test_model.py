@@ -210,7 +210,7 @@ class TestCodec:
             decode_model("0", [text], 1, 1)
         assert info.value.what == "alphabet"
 
-    @given(st.integers(1, 20), st.integers(0, 10), st.booleans(), st.data())
+    @given(st.integers(1, 70), st.integers(0, 10), st.booleans(), st.data())
     @settings(max_examples=200)
     def test_decode_matches_reference(self, n, l, modal, data):
         delta = data.draw(st.text("01", min_size=n * l, max_size=n * l))
@@ -219,7 +219,9 @@ class TestCodec:
             InfoState(reference_mask("".join(delta[l * i + j] for i in range(n))), n)
             for j in range(l)
         )
-        blocks = st.text("01", min_size=n, max_size=n)
+        # a block drawn as an int costs n / 8 bytes of hypothesis's buffer,
+        # so that a modal model of more than 64 worlds fits in it
+        blocks = st.integers(0, (1 << n) - 1).map(lambda mask: format(mask, f"0{n}b"))
         lists = [
             data.draw(st.lists(blocks, min_size=1, max_size=min(3, 1 << n), unique=True))
             for _ in range(n if modal else 0)
