@@ -22,10 +22,10 @@ directly (never states outside s), with no caching and no pruning.
 check_support_memo is the fast path: when the byte cap allows, it builds
 one support table per (model, formula) through the kernels module
 (per-world truth masks of every subformula) and answers each query from
-it, building lattice rows only over the substates of the query state;
-otherwise it runs the baseline's clauses with a memo of (row, state)
-answers. Both paths must and do agree; the test suite holds them against
-each other.
+it, reading families relative to the query state where a row has no
+family of its own; otherwise it runs the baseline's clauses with a memo
+of (row, state) answers. Both paths must and do agree; the test suite
+holds them against each other.
 
 A query's formula is a Formula or a Program. One rule set refuses a bad
 query in either form, in this order: a state whose width is not the
@@ -52,6 +52,7 @@ from .kernels import (
     OP_IVEE,
     OP_WBOX,
     Program,
+    QueryError,
     SupportTable,
     _OP_OF_TYPE,
     lower_formula,
@@ -64,10 +65,6 @@ from .syntax import Formula
 DEFAULT_TABLE_BYTE_CAP = 1 << 27
 
 ENGINES = ("auto", "table", "sparse", "naive")
-
-
-class QueryError(Exception):
-    """A check query violates an invariant; raised before evaluation."""
 
 
 @dataclass(frozen=True, slots=True)

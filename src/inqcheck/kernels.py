@@ -38,6 +38,10 @@ Inquisitive Semantics, OUP 2018, ch. 2-3):
   exactly the supersets of m. By persistence s then supports f -> g iff m
   does not support f. A member with an empty out holds s, and s supports
   f -> g outright.
+- Families relative to a state. The normal form holds inside any state
+  s: the substates of s that support a formula are the subsets of its
+  maximal ones, which the same rules give with s for all worlds. A row
+  with a family has its members cut to s, kept maximal.
 
 A query at state s answers a row with a family by whether s lies inside
 a member, descends through the conjunctions and inquisitive disjunctions
@@ -49,21 +53,20 @@ parents share at a state at most once:
 - s lies inside a member of g's family: s supports f -> g;
 - g's family gives s a least failure m: ask f at m and negate the
   answer;
-- otherwise close: s supports f -> g iff no substate supports f and
-  fails g, read off bitsets over the 2^|s| sub-lattice of s, with a row
-  that has a family as the union of its members' down-sets. The
-  substates where f holds and g fails are closed under supersets with
-  one masked shift per world, O(k * 2^k) bit operations for k = |s|;
-  states outside s are never touched.
+- otherwise descend to each member of f's family relative to s, built
+  bottom-up over the rows without a family under f and kept maximal
+  after each step. A step that would keep more than RELATIVE_BOUND masks
+  maximal refuses the query with a QueryError. States outside s are
+  never touched.
 
-States, truth masks and lattice rows are plain Python ints, which have no
-width, so models of any size share one code path.
+States, truth masks and family members are plain Python ints, which have
+no width, so models of any size share one code path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from itertools import compress
 from operator import lt, mul, or_
 
@@ -72,6 +75,19 @@ from .syntax import And, Atom, Bottom, Box, Formula, IVee, Implies, WBox
 
 # numba is no longer used; the constant stays for callers that import it.
 HAS_NUMBA = False
+
+# the most masks that one step of a family relative to a query state may
+# keep maximal (SupportTable._relative_family); past it the query is
+# refused. _maximal is quadratic in an antichain: at 4096 masks a step takes
+# about 0.45 s at 24 worlds and 0.8 s at 32 (Python 3.11, 2-vCPU Xeon KVM
+# guest), so a family of 2^12 members inside a state is answered and one of
+# 2^13 is refused after that much work
+RELATIVE_BOUND = 4096
+
+
+class QueryError(Exception):
+    """A check query violates an invariant, or a family relative to its
+    state passes RELATIVE_BOUND."""
 
 
 OP_BOT = 0
@@ -196,9 +212,9 @@ class Program:
         payload other than 0 on a row that is no atom, a negative atom
         index, a nonzero left on a leaf row or right on a leaf or unary
         row, a negative left or right, a child of a row r outside 0..r-1,
-        a row equal to an earlier row, or a row the root does not reach.
-        The last two are one pass down the rows from the root, the others
-        C-level scans of the columns."""
+        a row equal to an earlier row, a row the root does not reach, or a
+        row numbered out of the root's postorder. The last two are one walk
+        from the root, the others C-level scans of the columns."""
         ops, left, right, payload = columns = self.ops, self.left, self.right, self.payload
         if not 0 < len(ops) == len(left) == len(right) == len(payload):
             raise ValueError(f"program columns need one length of one or more rows, got {[*map(len, columns)]}")
@@ -221,17 +237,31 @@ class Program:
             if min(column) < 0 or not all(compress(map(lt, column, rows), has)):
                 r = next(r for r in rows if column[r] < 0 or has[r] and column[r] >= r)
                 raise ValueError(f"row {r}'s {name} child {column[r]} is not an earlier row")
-        reached, seen = bytearray(len(ops)), {}
-        reached[-1] = 1
+        keys = [*zip(*columns)]
+        if len(set(keys)) < len(keys):
+            seen: dict[tuple, int] = {}
+            r = next(r for r, key in enumerate(keys) if seen.setdefault(key, r) != r)
+            raise ValueError(f"row {r} repeats row {seen[keys[r]]}")
+        # RowBuilder.program's walk: the rows the root reaches, in the order
+        # they are first finished, left child before right
         has_left, has_right = kinds.translate(_HAS_LEFT), kinds.translate(_HAS_RIGHT)
-        for r, key in zip(reversed(rows), reversed([*zip(*columns)])):
-            if key in seen:
-                raise ValueError(f"row {seen[key]} repeats row {r}")
-            if not reached[r]:
-                raise ValueError(f"row {r} is not reached from the root, row {len(ops) - 1}")
-            seen[key] = r
-            reached[left[r]] |= has_left[r]
-            reached[right[r]] |= has_right[r]
+        order: list[int] = []
+        finished = bytearray(len(ops))
+        stack = [len(ops) - 1]
+        while stack:
+            r = stack[-1]
+            if has_left[r] and not finished[left[r]]:
+                stack.append(left[r])
+            elif has_right[r] and not finished[right[r]]:
+                stack.append(right[r])
+            else:
+                finished[r] = 1
+                order.append(stack.pop())
+        if len(order) < len(ops):
+            raise ValueError(f"row {finished.index(0)} is not reached from the root, row {len(ops) - 1}")
+        if order != [*rows]:
+            k = next(k for k in rows if order[k] != k)
+            raise ValueError(f"row {order[k]} is out of the root's postorder, which numbers it {k}")
 
     @property
     def root(self) -> int:
@@ -403,50 +433,6 @@ def model_masks(m: InformationModel) -> tuple[list[int], list[tuple[int]], list[
     return val_masks, [(reduce(or_, gens, 0),) for gens in gen_masks], gen_masks
 
 
-@cache
-def _low_masks(k: int) -> tuple[int, ...]:
-    """LOW[i]: the bitset of the states (out of 2^k) that lack world i,
-    i.e. runs of 2^i set bits alternating with 2^i clear bits. Cached for
-    every k a query asks for; the masks for one k take k * 2^k bits."""
-    size = 1 << k
-    low = []
-    for i in range(k):
-        width = 2 << i
-        x = (1 << (1 << i)) - 1
-        while width < size:
-            x |= x << width
-            width <<= 1
-        low.append(x)
-    return tuple(low)
-
-
-@cache
-def _all_states(k: int) -> int:
-    """The bitset of all 2^k states of a k-world lattice."""
-    return (1 << (1 << k)) - 1
-
-
-def _down_set(v: int, k: int) -> int:
-    """Bitset of the states, out of 2^k, that are subsets of local world
-    mask v: every state, less those holding a world outside v."""
-    x = _all_states(k)
-    for i, low in enumerate(_low_masks(k)):
-        if not v >> i & 1:
-            x &= low
-    return x
-
-
-def _local(v: int, worlds: list[int]) -> int:
-    """World mask v as a mask over the positions of `worlds`."""
-    # a loop, not sum() over a generator, which costs twice as much on the
-    # few worlds of most states
-    local = 0
-    for i, w in enumerate(worlds):
-        if v >> w & 1:
-            local |= 1 << i
-    return local
-
-
 def _meet(fa: tuple[int, ...], fb: tuple[int, ...]) -> tuple[int, ...]:
     """The family of f & g from f's and g's: their maximal pairwise meets."""
     return (fa[0] & fb[0],) if len(fa) == len(fb) == 1 else _maximal([u & v for u in fa for v in fb])
@@ -466,16 +452,11 @@ def _maximal(masks) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def _closure(a: int, b: int, k: int) -> int:
-    """Lattice row of f -> g over 2^k states from the rows a of f and b of
-    g: the substates where f holds and g fails, then every superset of
-    one, complemented. Sweep i moves each marked substate without world i
-    to the one with it."""
-    bad = a & ~b
-    if bad:
-        for i, low in enumerate(_low_masks(k)):
-            bad |= (bad & low) << (1 << i)
-    return _all_states(k) ^ bad
+def _within(r: int, size: int) -> None:
+    """Refuse a list of size masks to keep maximal in row r's family
+    relative to a query state when it passes RELATIVE_BOUND."""
+    if size > RELATIVE_BOUND:
+        raise QueryError(f"row {r}'s family inside the query state passes the bound of {RELATIVE_BOUND} masks")
 
 
 def active_kernel() -> str:
@@ -513,13 +494,16 @@ class SupportTable:
         """Whether state s supports row r. A row with a family is answered
         by its members. Below the others, the right side of a & or an ior
         waits on a stack until its left side leaves the answer open, and so
-        does the consequent of an implication at each part s & A. The walk
-        answers each implication and each shared row at a state at most
-        once, so shared parts cost their distinct rows, not their paths."""
+        does the consequent of an implication at each part s & A, for the
+        members A of its antecedent's family or, without one, of that
+        family relative to s. The walk answers each implication and each
+        shared row at a state at most once, so shared parts cost their
+        distinct rows, not their paths. Raises QueryError where a family
+        relative to s passes RELATIVE_BOUND (_relative_family)."""
         truth, families, refs, ops, left, right = self.truth, self.families, self.refs, self.ops, self.left, self.right
-        # the lattice rows over the substates of each state, kept for the
-        # other implications closed at that state
-        memos: dict[int, dict[int, int]] = {}
+        # the families relative to a state that the walk has built, kept
+        # for the other implications that need them at that state
+        relative: dict[tuple[int, int], tuple[int, ...]] = {}
         # (kind, row, state): kind AND or IVEE waits as the right side of a
         # & or an ior. A marker DONE lies under the parts of a shared row or
         # an implication r at s, and NOT under an implication's antecedent
@@ -569,7 +553,12 @@ class SupportTable:
                 r, s = left[r], least
                 continue
             else:
-                value = self._implication_holds(r, s, memos.setdefault(s, {}))
+                # as from a family, with f's family relative to s: the
+                # maximal substates of s that support f
+                waiting.append((DONE, r, s))
+                for v in self._relative_family(left[r], s, relative):
+                    waiting.append((AND, right[r], v))
+                value = True
             # a true left side decides an ior, a false one a &
             while waiting:
                 kind, r, s = waiting.pop()
@@ -582,16 +571,6 @@ class SupportTable:
                 answered[r, s] = value
             else:
                 return value
-
-    def _implication_holds(self, r: int, s: int, memo: dict[int, int]) -> bool:
-        """Whether s supports the implication row r out of an antecedent
-        without a family: whether no substate of s supports the
-        antecedent and fails the consequent, read off lattice rows over the
-        substates of s that memo keeps. It is apart from holds because a
-        generator there would make cells of holds's locals on every call."""
-        worlds = [w for w in range(s.bit_length()) if s >> w & 1]
-        consequent = self._lattice_row(self.right[r], worlds, memo)
-        return self._lattice_row(self.left[r], worlds, memo) & ~consequent == 0
 
     def _least_failure(self, r: int, s: int) -> int | None:
         """The least substate of s that fails row r, read off r's covering
@@ -619,36 +598,43 @@ class SupportTable:
                 return None
         return least
 
-    def _lattice_row(self, r: int, worlds: list[int], memo: dict[int, int]) -> int:
-        """Row r over the 2^k substates of the state made of the k
-        `worlds`, in ascending order: bit j is set iff the substate of the
-        worlds[i] with bit i set in j supports row r."""
+    def _relative_family(self, r: int, s: int, relative: dict[tuple[int, int], tuple[int, ...]]) -> tuple[int, ...]:
+        """Row r's family relative to s: the maximal substates of s that
+        support r. The rules of the global family hold inside s, with s for
+        all worlds: a row with a family has its members cut to s, & meets,
+        ior concatenates, and f -> g meets one factor (s & ~u) | v over g's
+        members v per member u of f, as t <= s & ~u | v iff t & u <= v for
+        t <= s. Built children first on an explicit stack, each family kept
+        maximal and in `relative` by (row, s) for the rest of the walk.
+
+        Raises QueryError where a list of masks to keep maximal would pass
+        RELATIVE_BOUND."""
         families, ops, left, right = self.families, self.ops, self.left, self.right
-        k = len(worlds)
-        # the rows r needs that memo lacks; children precede parents in a
-        # program, so building in ascending row order builds children first
-        needed = set()
         stack = [r]
         while stack:
             x = stack.pop()
-            if x in needed or x in memo:
+            if (x, s) in relative:
                 continue
-            needed.add(x)
-            if families[x] is None:
-                stack += (left[x], right[x])
-        for x in sorted(needed):
-            op = ops[x]
             if (family := families[x]) is not None:
-                # the substates inside a member
-                row = reduce(or_, [_down_set(_local(v, worlds), k) for v in family])
-            elif op == OP_AND:
-                row = memo[left[x]] & memo[right[x]]
-            elif op == OP_IVEE:
-                row = memo[left[x]] | memo[right[x]]
+                _within(x, len(family))
+                got = _maximal([s & v for v in family])
+            elif (fa := relative.get((left[x], s))) is None or (fb := relative.get((right[x], s))) is None:
+                # x again once its children are built
+                stack += (x, left[x], right[x])
+                continue
+            elif ops[x] == OP_IVEE:
+                _within(x, len(fa) + len(fb))
+                got = _maximal(fa + fb)
+            elif ops[x] == OP_AND:
+                _within(x, len(fa) * len(fb))
+                got = _meet(fa, fb)
             else:
-                row = _closure(memo[left[x]], memo[right[x]], k)
-            memo[x] = row
-        return memo[r]
+                got = (s,)
+                for u in fa:
+                    _within(x, len(got) * len(fb))
+                    got = _meet(got, [s & ~u | v for v in fb])
+            relative[x, s] = got
+        return relative[r, s]
 
 
 def support_table(program: Program, m: InformationModel) -> SupportTable:
@@ -670,7 +656,8 @@ def support_table(program: Program, m: InformationModel) -> SupportTable:
     # its least failure. On the four benchmark workloads' seed-1 queries,
     # under caps of at most 15, 27, 30 and 18, the largest families read
     # have 15, 24, 4 and 14 members (13, 26, 4 and 14 uncapped, when the
-    # first two build families of 21 and 35); no query closes a lattice
+    # first two build families of 21 and 35); no query takes the relative
+    # rule
     max_family = 3 * m.n // 2
     payload = program.payload
     all_worlds = (1 << m.n) - 1
@@ -729,6 +716,7 @@ def support_table(program: Program, m: InformationModel) -> SupportTable:
 def table_bytes(program: Program, m: InformationModel) -> int:
     """Rows times 2^n, one byte per state per row: the unit of the auto
     engine's byte cap. It is no longer what the table engine holds (n-bit
-    truth masks plus lattice rows over the query state's substates); the
-    cap is to be reworked together with the benchmark (ROADMAP item 3)."""
+    truth masks and families per row, plus families relative to the query
+    state, bounded by RELATIVE_BOUND); the cap is to be reworked together
+    with the benchmark (ROADMAP item 3)."""
     return program.num_nodes << m.n

@@ -11,6 +11,7 @@ from itertools import chain, combinations
 
 import pytest
 
+from inqcheck import kernels
 from inqcheck.model import InfoState, InformationModel
 from inqcheck.syntax import And, Atom, Bottom, Box, Formula, IVee, Implies, WBox
 
@@ -70,6 +71,21 @@ def demo_model() -> InformationModel:
             (bits("110"), bits("101")),
         ),
     )
+
+
+@pytest.fixture
+def relative_states(monkeypatch) -> list[int]:
+    """Records the state of every family relative to a state that the table
+    builds for an implication."""
+    states = []
+
+    def recorded(self, r, s, relative):
+        states.append(s)
+        return relative_family(self, r, s, relative)
+
+    relative_family = kernels.SupportTable._relative_family
+    monkeypatch.setattr(kernels.SupportTable, "_relative_family", recorded)
+    return states
 
 
 @pytest.fixture

@@ -42,6 +42,7 @@ VALIDATION = ("tests/test_checker.py::TestQueryValidation",)
 TABLE = ("tests/test_kernels.py::TestTables::test_full_table_matches_naive",)
 SPARSE = ("tests/test_checker.py::TestEngines",)
 COMPILED = ("tests/test_syntax.py::TestProgramRender::test_compiled_programs",)
+RELATIVE = ("tests/test_kernels.py::TestRelativeFamilies::test_relative_rule_matches_naive",)
 
 MUTANTS = [
     # the one rule set that refuses a query, whichever form it takes
@@ -78,13 +79,20 @@ MUTANTS = [
             "tests/test_laws.py::TestLaws::test_duplicating_a_world_changes_no_answer",
         ),
     ),
+    # families relative to the query state
     Mutant(
-        "closure-over-proper-substates",
+        "relative-factor-without-outside",
         "src/inqcheck/kernels.py",
-        "    bad = a & ~b\n    if bad:\n",
-        "    bad = a & ~b\n    if bad:\n"
-        "        bad = reduce(or_, ((bad & low) << (1 << i) for i, low in enumerate(_low_masks(k))), 0)\n",
-        ("tests/test_kernels.py::TestTables::test_wide_lattice_matches_naive_and_sparse[6]",),
+        "got = _meet(got, [s & ~u | v for v in fb])",
+        "got = _meet(got, [v for v in fb])",
+        RELATIVE,
+    ),
+    Mutant(
+        "relative-members-not-cut",
+        "src/inqcheck/kernels.py",
+        "got = _maximal([s & v for v in family])",
+        "got = _maximal(family)",
+        RELATIVE,
     ),
     Mutant(
         "ior-families-met",
@@ -213,6 +221,13 @@ MUTANTS = [
         "            return Program(*map(_Column, zip(*rows)))\n"
         "        number = [-1] * len(built)  # a built row's number, once finished\n",
         ("tests/test_syntax.py::TestRowParse", "tests/test_syntax.py::TestProgramRender"),
+    ),
+    Mutant(
+        "hand-built-program-skips-postorder",
+        "src/inqcheck/kernels.py",
+        "        if order != [*rows]:\n",
+        "        if False:\n",
+        ("tests/test_checker.py::TestQueryValidation::test_hand_built_programs_are_refused",),
     ),
     # the compiler builds in its root's postorder, and reduce_tqbf takes
     # the rows in the order built

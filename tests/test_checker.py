@@ -176,6 +176,8 @@ class TestQueryValidation:
             # each would be a second program of its formula
             (((1, 1), (0, 0), (0, 0), (0, 0)), "row 1 repeats row 0"),
             (((1, 1), (0, 0), (0, 0), (0, 1)), "row 0 is not reached from the root, row 1"),
+            # p1, then p0, then p0 & p1: the root's postorder numbers p0 first
+            (((1, 1, 2), (0, 0, 1), (0, 0, 0), (1, 0, 0)), "row 1 is out of the root's postorder, which numbers it 0"),
         ],
     )
     def test_hand_built_programs_are_refused(self, columns, message):

@@ -11,7 +11,7 @@ from operator import or_
 
 import pytest
 
-from inqcheck.checker import DEFAULT_TABLE_BYTE_CAP, CheckQuery, MemoCache, check_support, evaluate
+from inqcheck.checker import DEFAULT_TABLE_BYTE_CAP, CheckQuery, MemoCache, QueryError, check_support, evaluate
 from inqcheck import kernels
 from inqcheck.kernels import (
     OP_AND,
@@ -143,10 +143,6 @@ def syntactic_declaratives(program):
     return out
 
 
-def row_bits(row, n):
-    return [bool(row >> s & 1) for s in range(1 << n)]
-
-
 def formulas(rng, l, depth):
     """One formula of each generator."""
     return [random_formula(rng, l, depth=depth, modal=True), question_formula(rng, l, depth)]
@@ -190,14 +186,13 @@ class TestTables:
 
     @pytest.mark.parametrize("n", [6, 7, 8, 9])
     def test_wide_lattice_matches_naive_and_sparse(self, n):
-        # states of 7..9 worlds give sub-lattices of 128..512 bits, so the
-        # upward closure of a nested implication shifts rows by 64, 128
-        # and 256 across machine-word boundaries
+        # every implication row at every substate of the full state of 6..9
+        # worlds, against sparse
         rng = random.Random(31 * n)
         m = random_model(rng, n_max=n, n_min=n, l_max=3)
         # x has four members, so x -> c takes a product of 2 ** 4, past the
         # cap of at most 13: it has no family, nor has the implication out
-        # of it, whose lattice row closes x -> c's
+        # of it, which descends by x -> c's family relative to the state
         x, c = IVee(question(Atom(0)), question(Atom(m.l - 1))), question(Atom(m.l // 2))
         nested = Implies(Implies(x, c), IVee(x, c))
         checked = 0
@@ -223,17 +218,15 @@ class TestTables:
                 for s in range(1 << n)
             ]
             assert [table.holds(program.root, s) for s in range(1 << n)] == sparse
-            # a query reads a nested implication's lattice row only where
-            # the enclosing one needs it, so pin every implication row over
-            # all substates of the full state directly
-            everything = list(range(n))
+            # a query asks a nested implication only where the enclosing
+            # one needs it, so pin every implication row at every substate
+            # of the full state directly
             for r, g in enumerate(row_formulas(program)):
                 if program.ops[r] == OP_IMPLIES:
-                    row = table._lattice_row(r, everything, {})
                     cache = MemoCache()
-                    assert row_bits(row, n) == [
-                        evaluate(CheckQuery(m, InfoState(s, n), g), engine="sparse", cache=cache).value
-                        for s in range(1 << n)
+                    assert [table.holds(r, t) for t in range(1 << n)] == [
+                        evaluate(CheckQuery(m, InfoState(t, n), g), engine="sparse", cache=cache).value
+                        for t in range(1 << n)
                     ], g
 
     @pytest.mark.parametrize("n", [40, 70])
@@ -582,11 +575,12 @@ class TestAlternatives:
         # two, would have a product of 2 ** 4, past the cap of at most 12 on
         # 4-8 worlds, so it has no family, and neither has the root;
         # wherever V0 leaves at most one world of s out, the query is
-        # answered by the least failure or at once, without a lattice row
-        def no_lattice(self, r, worlds, memo):
-            raise AssertionError(f"lattice row {r} over {len(worlds)} worlds")
+        # answered by the least failure or at once, without a family
+        # relative to s
+        def no_relative(self, r, s, relative):
+            raise AssertionError(f"row {r}'s family relative to {s:b}")
 
-        monkeypatch.setattr(kernels.SupportTable, "_lattice_row", no_lattice)
+        monkeypatch.setattr(kernels.SupportTable, "_relative_family", no_relative)
         f = parse_formula("((?p2 ior ?p0) -> ?p1) -> (p0 ior (p0 & p1))")
         program = lower_formula(f)
         consequent = program.right[program.root]
@@ -612,17 +606,165 @@ class TestAlternatives:
         # answered at a k-switching s, the one substate of s that fails
         # S_k, by asking D_k -> X there; D_k has alternatives, so every
         # implication of a compiled query is answered by its family or by
-        # descent, and none by closing a lattice row upward
-        def no_lattice(self, r, worlds, memo):
-            raise AssertionError(f"lattice row {r} over {len(worlds)} worlds")
+        # descent, and none by a family relative to the state
+        def no_relative(self, r, s, relative):
+            raise AssertionError(f"row {r}'s family relative to {s:b}")
 
-        monkeypatch.setattr(kernels.SupportTable, "_lattice_row", no_lattice)
+        monkeypatch.setattr(kernels.SupportTable, "_relative_family", no_relative)
         for l in range(2, 17):
             for seed in range(6):
                 theta = random_qbf(100 * l + seed, l, 110)
                 instance = reduce_tqbf(theta)
                 q = CheckQuery(instance.model.model, instance.state, instance.formula)
                 assert evaluate(q, engine="table").value == eval_qbf(theta), (l, seed)
+
+
+def wide_implication(rng, l, modal):
+    """x -> c for x = ?pa ior ?pb: x has four members, so the product of
+    2 ** 4 or more for an inquisitive c passes the cap of 3n/2 on up to 10
+    worlds, and the implication has no family."""
+    x = IVee(question(Atom(rng.randrange(l))), question(Atom(rng.randrange(l))))
+    return Implies(x, question_formula(rng, l, 2, modal))
+
+
+def relative_formula(rng, l, modal):
+    """Implications out of antecedents without a family (a wide implication,
+    alone or under & or ior) into inquisitive consequents, the second one
+    inside the first one's consequent, so that a query asks each
+    antecedent's family relative to the state it is asked at."""
+
+    def antecedent():
+        w, q = wide_implication(rng, l, modal), question_formula(rng, l, 1, modal)
+        return rng.choice([w, And(w, q), IVee(w, q)])
+
+    d = IVee(question(Atom(rng.randrange(l))), question_formula(rng, l, 1, modal))
+    f = Implies(antecedent(), IVee(d, Implies(antecedent(), d)))
+    other = question_formula(rng, l, 2, modal)
+    return rng.choice([f, And(f, other), IVee(other, f), Implies(other, f), Implies(f, other)])
+
+
+def kinds_model(m):
+    """The plain model with one world per distinct column of m's valuation.
+    A state of m supports a formula iff its image there does (duplicating a
+    world changes no answer), so m's full state answers as this model's."""
+    columns = sorted({tuple(v.mask >> w & 1 for v in m.valuation) for w in range(m.n)})
+    k = len(columns)
+    valuation = tuple(InfoState(sum(column[a] << i for i, column in enumerate(columns)), k) for a in range(m.l))
+    return InformationModel(k, m.l, valuation, None)
+
+
+def cell_model(c):
+    """2c worlds in c cells of two, cell i the worlds where p0-p3 read i in
+    binary; p4 holds at the first world of each cell and p5 at the first c
+    worlds. At the full state, ((?p0 & ?p1 & ?p2 & ?p3) -> ?p4) -> ?p5
+    descends by its antecedent's family relative to the state: one world
+    of each cell, 2 ** c members. Some of them join a p5 world and a world
+    without p5, so the formula fails there."""
+    n = 2 * c
+    val = [0] * 6
+    for i in range(c):
+        for w in (2 * i, 2 * i + 1):
+            for a in range(4):
+                val[a] |= (i >> a & 1) << w
+        val[4] |= 1 << 2 * i
+    val[5] = (1 << c) - 1
+    return InformationModel(n, 6, tuple(InfoState(v, n) for v in val), None)
+
+
+def best_of_three(q):
+    """q's answer on the table, checked the same each time, and the least
+    of three timings in seconds."""
+    seconds, values = [], set()
+    for _ in range(3):
+        start = time.perf_counter()
+        values.add(evaluate(q, engine="table").value)
+        seconds.append(time.perf_counter() - start)
+    assert len(values) == 1
+    return values.pop(), min(seconds)
+
+
+class TestRelativeFamilies:
+    def test_relative_rule_matches_naive(self, relative_states):
+        # plain and modal models of 4-10 worlds, at states of 3-6 worlds
+        rng = random.Random(3211)
+        wide = 0
+        for i in range(250):
+            m = random_model(rng, n_max=10, n_min=4, l_max=3, modal=i % 2 == 1)
+            f = relative_formula(rng, m.l, m.is_modal)
+            program = lower_formula(f)
+            table = support_table(program, m)
+            wide += None in table.families
+            for _ in range(4):
+                s = sum(1 << w for w in rng.sample(range(m.n), rng.randint(3, min(m.n, 6))))
+                assert table.holds(program.root, s) == naive_at(m, f, s), (s, f)
+        assert wide >= 200 and len(relative_states) >= 200, (wide, len(relative_states))
+
+    @pytest.mark.parametrize("n", [24, 64])
+    def test_nested_implications_at_a_wide_state(self, n, relative_states):
+        # the full state of a 3-atom plain model has at most 8 kinds of
+        # worlds. Under the cap of 36 on 24 worlds the upper implications
+        # have no family, and are decided by families relative to the
+        # state; under the cap of 96 on 64 worlds they have one
+        rng = random.Random(n)
+        m = InformationModel(n, 3, tuple(InfoState(rng.randrange(1 << n), n) for _ in range(3)), None)
+        f = parse_formula("((((?p0 -> ?p1) -> ?p2) -> ?p0) -> ?p1) -> ?p2")
+        small = kinds_model(m)
+        value, seconds = best_of_three(CheckQuery(m, InfoState((1 << n) - 1, n), f))
+        assert value == naive_at(small, f, (1 << small.n) - 1)
+        assert bool(relative_states) == (n == 24)
+        assert seconds < 0.01, seconds
+
+    @pytest.mark.parametrize("atoms", [6, 8])
+    def test_box_over_a_wide_generator_with_families_past_the_cap(self, atoms, relative_states):
+        # the model of the box test above, with a body whose implications
+        # from ((?p0 -> ?p1) -> ?p2) up have no family: it is decided at the
+        # 26-world anchor by families relative to it
+        rng = random.Random(5)
+        n = 30
+        valuation = tuple(InfoState(rng.randrange(1 << n), n) for _ in range(atoms))
+        sigma = tuple(
+            (InfoState(sum(1 << v for v in rng.sample(range(n), 26 if w == n - 1 else rng.randint(1, 3))), n),)
+            for w in range(n)
+        )
+        m = InformationModel(n, atoms, valuation, sigma)
+        body = "?p0"
+        for a in range(1, atoms):
+            body = f"({body} -> ?p{a})"
+        q = CheckQuery(m, InfoState(0b111, n), parse_formula(f"box {body}"))
+        value, seconds = best_of_three(q)
+        assert value == evaluate(q, engine="naive").value
+        assert relative_states
+        assert seconds < 0.01, seconds
+
+    @pytest.mark.parametrize("c", [4, 6, 8, 10, 11, 12])
+    def test_relative_family_within_the_bound(self, c, relative_states):
+        # the antecedent's product of 2 ** c passes the cap of 3c, and its
+        # family relative to the full state has 2 ** c members, kept
+        # maximal one factor at a time; at c = 12 the last step keeps
+        # 4096 masks maximal, RELATIVE_BOUND
+        m = cell_model(c)
+        q = CheckQuery(m, InfoState((1 << m.n) - 1, m.n), parse_formula("((?p0 & ?p1 & ?p2 & ?p3) -> ?p4) -> ?p5"))
+        assert evaluate(q, engine="table").value is False
+        if c <= 4:
+            assert evaluate(q, engine="naive").value is False
+        assert relative_states == [(1 << m.n) - 1]
+
+    @pytest.mark.parametrize("c", [14, 16])
+    def test_relative_family_past_the_bound_is_refused(self, c):
+        # the step past 4096 masks raises before it is built, after the
+        # work of c = 12; best of two
+        m = cell_model(c)
+        f = parse_formula("((?p0 & ?p1 & ?p2 & ?p3) -> ?p4) -> ?p5")
+        program = lower_formula(f)
+        want = f"row {program.left[program.root]}'s family inside the query state passes the bound of 4096 masks"
+        seconds = []
+        for _ in range(2):
+            start = time.perf_counter()
+            with pytest.raises(QueryError) as info:
+                evaluate(CheckQuery(m, InfoState((1 << m.n) - 1, m.n), program), engine="table")
+            seconds.append(time.perf_counter() - start)
+            assert str(info.value) == want
+        assert min(seconds) < 1, seconds
 
 
 class TestSelection:

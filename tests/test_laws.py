@@ -2,8 +2,8 @@
 
 Each law is tested on models of 12-13 worlds made by duplicating worlds
 of a model of at most 6, so that the table descends through implications
-and closes lattice rows over 12 or more worlds while naive answers on
-the small model: duplicating a world changes no answer, because a
+by families relative to states of 12 or more worlds while naive answers
+on the small model: duplicating a world changes no answer, because a
 state supports a formula iff its image in the small model does. The
 modal law box f == wbox f, on models where each world has one generator,
 is checked on every engine at every state.
@@ -13,9 +13,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
-from inqcheck import kernels
 from inqcheck.checker import ENGINES, CheckQuery, evaluate
 from inqcheck.model import InfoState, InformationModel
 from inqcheck.syntax import And, Atom, Bottom, Box, Implies, IVee, WBox, classical_or, neg
@@ -92,30 +89,18 @@ def assert_equivalent(lhs, rhs, m, copies, big, states):
         assert answer(big, s, rhs, "table") == expected, (s, rhs)
 
 
-@pytest.fixture
-def lattice_widths(monkeypatch):
-    """Records the width, in worlds, of every lattice row the table builds."""
-    widths = []
-
-    def recorded(self, r, worlds, memo):
-        widths.append(len(worlds))
-        return lattice_row(self, r, worlds, memo)
-
-    lattice_row = kernels.SupportTable._lattice_row
-    monkeypatch.setattr(kernels.SupportTable, "_lattice_row", recorded)
-    return widths
-
-
 class TestLaws:
-    def test_duplicating_a_world_changes_no_answer(self, lattice_widths):
+    def test_duplicating_a_world_changes_no_answer(self, relative_states):
         rng = random.Random(1213)
         for m, copies, big, states in wide_cases(rng, 60):
             for f in (random_formula(rng, m.l, 4, m.is_modal), question_formula(rng, m.l, 5, m.is_modal)):
                 for s in states:
                     expected = answer(m, image(s, m, copies), f, "naive")
                     assert answer(big, s, f, "table") == expected, (s, f)
-        # some implication was closed over a lattice of 12 or more worlds
-        assert any(k >= 12 for k in lattice_widths), lattice_widths
+        # some implication descended by a family relative to a state of 12
+        # or more worlds
+        widths = [s.bit_count() for s in relative_states]
+        assert any(k >= 12 for k in widths), widths
 
     def test_duplication_on_naive_itself(self):
         rng = random.Random(77)
