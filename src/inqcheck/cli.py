@@ -20,7 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
+import stat
 import sys
 import traceback
 from functools import cache
@@ -129,11 +131,37 @@ def _bad_bound(bound: float) -> bool:
     return not 0 < bound < math.inf
 
 
+def _overwrite(path: str, data: bytes) -> None:
+    """Write data to path as open(path, "wb") would, without O_TRUNC.
+
+    On ext4, truncating a file that holds data and then writing it makes
+    close() start writeback (auto_da_alloc), about 0.1 ms per file; so
+    the file is written over in place, then cut to the written length.
+    Only a regular file longer than data is cut: a character device such
+    as /dev/null refuses ftruncate. No fsync: nothing is promised to
+    survive a crash.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def cmd_reduce(args: argparse.Namespace) -> int:
     if _bad_bound(args.bound):
         return _diag("--bound must be a positive finite number")
-    instance = reduce_tqbf(_read_input(args.qbf, parse_qbf, rename=args.rename))
     stem = args.out_stem
+    # an empty stem, or one that ends in a path separator, would name the
+    # hidden files .im, .state and .formula of a directory
+    if not os.path.basename(stem):
+        return _diag(f"out_stem {stem!r}: must end in a file name")
+    instance = reduce_tqbf(_read_input(args.qbf, parse_qbf, rename=args.rename))
     outputs = {
         f"{stem}.im": write_model_file(instance.model.model),
         f"{stem}.state": instance.state.bits() + "\n",
@@ -141,8 +169,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     }
     for path, text in outputs.items():
         try:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            _overwrite(path, text.encode("utf-8"))
         except OSError as e:
             return _diag(f"{path}: {e}")
     _print_report(instance, args)

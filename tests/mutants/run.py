@@ -269,6 +269,14 @@ MUTANTS = [
         "argparse.Namespace(verbose=1, command=argv[0])",
         ("tests/test_cli.py::TestParserReuse::test_calls_do_not_leak_state",),
     ),
+    # reduce writes its outputs in place, then cuts each to its length
+    Mutant(
+        "reduce-keeps-stale-tail",
+        "src/inqcheck/cli.py",
+        "            os.ftruncate(fd, len(data))\n",
+        "            pass\n",
+        ("tests/test_cli.py::TestReduce::test_overwrite_leaves_no_stale_tail",),
+    ),
 ]
 
 

@@ -253,6 +253,60 @@ class TestReduce:
         qpath = write(tmp_path, "t.qbf", "exists x0 : x0 & x1\n")
         assert cli.main(["reduce", qpath, str(tmp_path / "o")]) == 2
 
+    # reduce writes its outputs over any old bytes in place and then cuts
+    # them to length, rather than truncating first
+    SUFFIXES = (".im", ".state", ".formula")
+
+    def reduce_into(self, tmp_path, l, stem):
+        qpath = write(tmp_path, f"t{l}.qbf", render_qbf(random_qbf(l, l, 120)) + "\n")
+        assert cli.main(["reduce", qpath, str(tmp_path / stem)]) == 0
+        return [(tmp_path / f"{stem}{suffix}").read_bytes() for suffix in self.SUFFIXES]
+
+    def test_overwrite_leaves_no_stale_tail(self, tmp_path, capsys):
+        big = self.reduce_into(tmp_path, 9, "inst")
+        small = self.reduce_into(tmp_path, 1, "inst")
+        assert small == self.reduce_into(tmp_path, 1, "fresh")
+        assert all(len(s) < len(b) for s, b in zip(small, big))
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs symlinks and /dev/null")
+    def test_formula_linked_to_dev_null(self, tmp_path, capsys):
+        # a character device cannot be cut to length, and need not be
+        link = tmp_path / "inst.formula"
+        link.symlink_to(os.devnull)
+        assert self.reduce_into(tmp_path, 3, "inst")[2] == b""
+        assert os.readlink(link) == os.devnull
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs symlinks")
+    def test_symlinked_output_is_written_through(self, tmp_path, capsys):
+        target = tmp_path / "target.im"
+        target.write_bytes(b"#" * 100_000)
+        link = tmp_path / "inst.im"
+        link.symlink_to(target)
+        written = self.reduce_into(tmp_path, 2, "inst")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == written[0] == self.reduce_into(tmp_path, 2, "fresh")[0]
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_new_output_mode_follows_the_umask(self, tmp_path, capsys):
+        old = os.umask(0o027)
+        try:
+            self.reduce_into(tmp_path, 1, "inst")
+        finally:
+            os.umask(old)
+        for suffix in self.SUFFIXES:
+            assert (tmp_path / f"inst{suffix}").stat().st_mode & 0o777 == 0o666 & ~0o027
+
+    @pytest.mark.parametrize("stem", ["", "dir" + os.sep], ids=["empty", "trailing-separator"])
+    def test_stem_naming_no_file_writes_nothing(self, tmp_path, capsys, monkeypatch, stem):
+        (tmp_path / "dir").mkdir()
+        qpath = write(tmp_path, "t.qbf", "exists x0 : x0\n")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["reduce", qpath, stem]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: out_stem {stem!r}: must end in a file name"]
+        assert sorted(os.listdir(tmp_path)) == ["dir", "t.qbf"]
+        assert os.listdir(tmp_path / "dir") == []
+
 
 class TestQbfEval:
     def test_true(self, tmp_path, capsys):
@@ -618,13 +672,14 @@ class TestEntryPoint:
             "check-model-long-count",
             "stats",
             "verify",
+            "reduce-stem-dir",
         ],
     )
     def test_input_errors_exit_two(self, case, tmp_path, demo_file, capsys):
         # a file that is not UTF-8, an output directory that does not
-        # exist, a digit that str.isdigit accepts and int() does not, or
-        # more digits than int() reads, is the user's input error, not a
-        # crash (exit 4)
+        # exist, an output stem that names a directory, a digit that
+        # str.isdigit accepts and int() does not, or more digits than
+        # int() reads, is the user's input error, not a crash (exit 4)
         bad = str(tmp_path / "latin1.txt")
         with open(bad, "wb") as handle:
             handle.write("caf\xe9\n".encode("latin-1"))
@@ -648,6 +703,10 @@ class TestEntryPoint:
             "check-model-long-count": (["check", long_model, "110", "--formula", "p0"], long_model),
             "stats": (["stats", bad], bad),
             "verify": (["verify", bad], bad),
+            "reduce-stem-dir": (
+                ["reduce", write(tmp_path, "t.qbf", "exists x0 : x0\n"), str(tmp_path) + os.sep],
+                f"out_stem {str(tmp_path) + os.sep!r}",
+            ),
         }[case]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err.splitlines()
