@@ -131,8 +131,9 @@ def _bad_bound(bound: float) -> bool:
     return not 0 < bound < math.inf
 
 
-def _overwrite(path: str, data: bytes) -> None:
-    """Write data to path as open(path, "wb") would, without O_TRUNC.
+def _overwrite(fd: int, data: bytes) -> None:
+    """Write data over the file open at fd, as open(path, "wb") would
+    leave it, without O_TRUNC.
 
     On ext4, truncating a file that holds data and then writing it makes
     close() start writeback (auto_da_alloc), about 0.1 ms per file; so
@@ -141,25 +142,22 @@ def _overwrite(path: str, data: bytes) -> None:
     as /dev/null refuses ftruncate. No fsync: nothing is promised to
     survive a crash.
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view) :]
-        info = os.fstat(fd)
-        if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
-            os.ftruncate(fd, len(data))
-    finally:
-        os.close(fd)
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+    info = os.fstat(fd)
+    if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+        os.ftruncate(fd, len(data))
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     if _bad_bound(args.bound):
         return _diag("--bound must be a positive finite number")
     stem = args.out_stem
-    # an empty stem, or one that ends in a path separator, would name the
-    # hidden files .im, .state and .formula of a directory
-    if not os.path.basename(stem):
+    # an empty stem, one that ends in a path separator, and one whose last
+    # part is . or .. would name the hidden files .im, .state and .formula
+    # of a directory, or ..im and the like
+    if os.path.basename(stem) in ("", ".", ".."):
         return _diag(f"out_stem {stem!r}: must end in a file name")
     instance = reduce_tqbf(_read_input(args.qbf, parse_qbf, rename=args.rename))
     outputs = {
@@ -167,11 +165,20 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         f"{stem}.state": instance.state.bits() + "\n",
         f"{stem}.formula": render_formula(instance.program) + "\n",
     }
-    for path, text in outputs.items():
+    # every output is opened before any byte is written, so that an output
+    # that cannot be opened leaves the existing ones as they were
+    fds: list[int] = []
+    try:
         try:
-            _overwrite(path, text.encode("utf-8"))
-        except OSError as e:
-            return _diag(f"{path}: {e}")
+            for path in outputs:
+                fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+            for (path, text), fd in zip(outputs.items(), fds):
+                _overwrite(fd, text.encode("utf-8"))
+        finally:
+            for fd in fds:
+                os.close(fd)
+    except OSError as e:
+        return _diag(f"{path}: {e}")
     _print_report(instance, args)
     return 0
 

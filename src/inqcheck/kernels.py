@@ -67,8 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
-from operator import lt, mul, or_
+from operator import mul, or_
 
 from .model import InformationModel
 from .syntax import And, Atom, Bottom, Box, Formula, IVee, Implies, WBox
@@ -115,16 +114,12 @@ _OP_OF_TYPE = {
 # the node class of each op, indexed by op
 _TYPE_OF_OP = (Bottom, Atom, And, IVee, Implies, Box, WBox)
 
-# Program.__post_init__ and RowBuilder.program_as_built read the ops column
-# as bytes: the ops that exist, and tables that translate an op to 1 where
-# a row of it is no atom, is an atom, has a left child or has a right
-# child, else to 0; _FLIP swaps those 0 and 1
-_OPS = bytes(range(OP_BOT, OP_WBOX + 1))
-_NOT_ATOM = bytes(op != OP_ATOM for op in range(256))
+# RowBuilder.program_as_built reads the ops column as bytes, through tables
+# that translate an op to 1 where a row of it is an atom, has a left child
+# or has a right child, else to 0
 _IS_ATOM = bytes(op == OP_ATOM for op in range(256))
 _HAS_LEFT = bytes(OP_AND <= op <= OP_WBOX for op in range(256))
 _HAS_RIGHT = bytes(OP_AND <= op < OP_BOX for op in range(256))
-_FLIP = b"\x01" + bytes(255)
 
 # stacked under a composite object's children in _object_rows
 _UP = object()
@@ -196,9 +191,9 @@ class Program:
     and hash compare programs by their rows.
 
     Only a program built by hand, Program(ops, left, right, payload), is
-    checked. RowBuilder.program, RowBuilder.program_as_built and
-    lower_formula number children before parents by construction, and
-    make their programs through _built_program, which skips the check.
+    checked, by a replay through a RowBuilder. RowBuilder.program,
+    RowBuilder.program_as_built and lower_formula make their programs
+    through _built_program, which skips the check.
     """
 
     ops: tuple[int, ...]
@@ -207,61 +202,40 @@ class Program:
     payload: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        """Refuse columns that no formula has, naming the fault: columns of
-        unequal length or without rows, an op outside OP_BOT..OP_WBOX, a
-        payload other than 0 on a row that is no atom, a negative atom
-        index, a nonzero left on a leaf row or right on a leaf or unary
-        row, a negative left or right, a child of a row r outside 0..r-1,
-        a row equal to an earlier row, a row the root does not reach, or a
-        row numbered out of the root's postorder. The last two are one walk
-        from the root, the others C-level scans of the columns."""
+        """Refuse columns that no formula has, naming the first faulty
+        row's fault: columns of unequal length or without rows, an op
+        outside OP_BOT..OP_WBOX, a payload other than 0 on a row that is no
+        atom, a negative atom index, a nonzero left on a leaf row or right
+        on a leaf or unary row, a child of a row r outside 0..r-1, or a row
+        that a RowBuilder fed the rows in turn finds equal to an earlier
+        one. Then RowBuilder.program's numbering of them refuses a row the
+        root does not reach, or one out of the root's postorder."""
         ops, left, right, payload = columns = self.ops, self.left, self.right, self.payload
         if not 0 < len(ops) == len(left) == len(right) == len(payload):
             raise ValueError(f"program columns need one length of one or more rows, got {[*map(len, columns)]}")
-        try:
-            kinds = bytes(ops)
-        except ValueError:  # an op outside 0..255
-            kinds = b"\xff"
-        if kinds.translate(None, _OPS):
-            raise ValueError(f"unknown op {next(op for op in ops if not OP_BOT <= op <= OP_WBOX)}")
-        if any(compress(payload, kinds.translate(_NOT_ATOM))):
-            raise ValueError("payload must be 0 on a row that is no atom")
-        if (low := min(payload)) < 0:
-            raise ValueError(f"atom index must be non-negative, got {low}")
-        rows = range(len(ops))
-        for name, column, has in (("left", left, _HAS_LEFT), ("right", right, _HAS_RIGHT)):
-            has = kinds.translate(has)
-            if any(compress(column, has.translate(_FLIP))):
-                r = next(r for r in rows if column[r] and not has[r])
-                raise ValueError(f"row {r} has op {ops[r]}, which takes no {name} child, got {column[r]}")
-            if min(column) < 0 or not all(compress(map(lt, column, rows), has)):
-                r = next(r for r in rows if column[r] < 0 or has[r] and column[r] >= r)
-                raise ValueError(f"row {r}'s {name} child {column[r]} is not an earlier row")
-        keys = [*zip(*columns)]
-        if len(set(keys)) < len(keys):
-            seen: dict[tuple, int] = {}
-            r = next(r for r, key in enumerate(keys) if seen.setdefault(key, r) != r)
-            raise ValueError(f"row {r} repeats row {seen[keys[r]]}")
-        # RowBuilder.program's walk: the rows the root reaches, in the order
-        # they are first finished, left child before right
-        has_left, has_right = kinds.translate(_HAS_LEFT), kinds.translate(_HAS_RIGHT)
-        order: list[int] = []
-        finished = bytearray(len(ops))
-        stack = [len(ops) - 1]
-        while stack:
-            r = stack[-1]
-            if has_left[r] and not finished[left[r]]:
-                stack.append(left[r])
-            elif has_right[r] and not finished[right[r]]:
-                stack.append(right[r])
-            else:
-                finished[r] = 1
-                order.append(stack.pop())
-        if len(order) < len(ops):
-            raise ValueError(f"row {finished.index(0)} is not reached from the root, row {len(ops) - 1}")
-        if order != [*rows]:
-            k = next(k for k in rows if order[k] != k)
-            raise ValueError(f"row {order[k]} is out of the root's postorder, which numbers it {k}")
+        node = RowBuilder()
+        for r, (op, a, b, x) in enumerate(zip(*columns)):
+            # by range alone, so that an op that is no int raises TypeError
+            if not OP_BOT <= op <= OP_WBOX:
+                raise ValueError(f"unknown op {op}")
+            if x and op != OP_ATOM:
+                raise ValueError("payload must be 0 on a row that is no atom")
+            if x < 0:
+                raise ValueError(f"atom index must be non-negative, got {x}")
+            for name, child, takes in (("left", a, op >= OP_AND), ("right", b, OP_AND <= op < OP_BOX)):
+                if child and not takes:
+                    raise ValueError(f"row {r} has op {op}, which takes no {name} child, got {child}")
+                if takes and not 0 <= child < r:
+                    raise ValueError(f"row {r}'s {name} child {child} is not an earlier row")
+            if (k := node(_TYPE_OF_OP[op], x or a, b)) != r:
+                raise ValueError(f"row {r} repeats row {k}")
+        number = node._numbered(len(ops) - 1)[0]
+        if number != [*range(len(ops))]:
+            # a row the root does not reach numbers -1, so it comes first
+            k, r = min((k, r) for r, k in enumerate(number) if k != r)
+            if k < 0:
+                raise ValueError(f"row {r} is not reached from the root, row {len(ops) - 1}")
+            raise ValueError(f"row {r} is out of the root's postorder, which numbers it {k}")
 
     @property
     def root(self) -> int:
@@ -322,6 +296,12 @@ class RowBuilder:
 
         Raises ValueError on a negative atom index in any row built.
         """
+        return _built_program(*self._numbered(root)[1:])
+
+    def _numbered(self, root: int) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+        """program(root)'s columns (ops, left, right, payload), after
+        number: number[r] is built row r's place in root's postorder, or -1
+        where root does not reach it."""
         built = list(self.rows)
         low = min([a for cls, a, _ in built if cls is Atom], default=0)
         if low < 0:
@@ -347,7 +327,7 @@ class RowBuilder:
             if not parents:
                 break
             r = parents.pop()
-        return _built_program(ops, left, right, payload)
+        return number, ops, left, right, payload
 
     def program_as_built(self, root: int) -> Program:
         """Every row built, numbered in the order built. That is

@@ -43,6 +43,10 @@ TABLE = ("tests/test_kernels.py::TestTables::test_full_table_matches_naive",)
 SPARSE = ("tests/test_checker.py::TestEngines",)
 COMPILED = ("tests/test_syntax.py::TestProgramRender::test_compiled_programs",)
 RELATIVE = ("tests/test_kernels.py::TestRelativeFamilies::test_relative_rule_matches_naive",)
+HAND_BUILT = (
+    "tests/test_checker.py::TestQueryValidation::test_hand_built_programs_are_refused",
+    "tests/test_checker.py::TestQueryValidation::test_hand_built_program_builds_iff_it_is_lowered_afresh",
+)
 
 MUTANTS = [
     # the one rule set that refuses a query, whichever form it takes
@@ -218,16 +222,24 @@ MUTANTS = [
         "                reached.update(built[r][1:] if built[r][0] not in (Box, WBox) else built[r][1:2])\n"
         "        if len(reached) == len(built):\n"
         "            rows = [(OP_ATOM, 0, 0, a) if cls is Atom else (_OP_OF_TYPE[cls], a, b, 0) for cls, a, b in built]\n"
-        "            return Program(*map(_Column, zip(*rows)))\n"
+        "            return [*range(len(built))], *map(list, zip(*rows))\n"
         "        number = [-1] * len(built)  # a built row's number, once finished\n",
         ("tests/test_syntax.py::TestRowParse", "tests/test_syntax.py::TestProgramRender"),
     ),
+    # a hand-built program is checked by a replay through a RowBuilder
     Mutant(
         "hand-built-program-skips-postorder",
         "src/inqcheck/kernels.py",
-        "        if order != [*rows]:\n",
-        "        if False:\n",
-        ("tests/test_checker.py::TestQueryValidation::test_hand_built_programs_are_refused",),
+        "            raise ValueError(f\"row {r} is out of the root's postorder, which numbers it {k}\")\n",
+        "",
+        HAND_BUILT,
+    ),
+    Mutant(
+        "hand-built-program-skips-reach",
+        "src/inqcheck/kernels.py",
+        "            if k < 0:\n",
+        "            if False:\n",
+        HAND_BUILT,
     ),
     # the compiler builds in its root's postorder, and reduce_tqbf takes
     # the rows in the order built
@@ -273,8 +285,8 @@ MUTANTS = [
     Mutant(
         "reduce-keeps-stale-tail",
         "src/inqcheck/cli.py",
-        "            os.ftruncate(fd, len(data))\n",
-        "            pass\n",
+        "        os.ftruncate(fd, len(data))\n",
+        "        pass\n",
         ("tests/test_cli.py::TestReduce::test_overwrite_leaves_no_stale_tail",),
     ),
 ]

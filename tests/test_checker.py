@@ -24,8 +24,10 @@ from inqcheck.checker import (
     evaluate,
     render_result,
 )
-from inqcheck.kernels import Program, RowBuilder, lower_formula
+from inqcheck.kernels import OP_AND, OP_ATOM, OP_BOX, Program, RowBuilder, _built_program, formula_of, lower_formula
 from inqcheck.model import InfoState, InformationModel, downward_closure, write_model_file
+from inqcheck.qbf import random_qbf
+from inqcheck.reduction import reduce_tqbf
 from inqcheck.syntax import And, Atom, Bottom, Box, WBox, parse_formula, render_formula
 
 from conftest import (
@@ -34,6 +36,7 @@ from conftest import (
     random_model,
     random_state,
     set_support,
+    shared_formula,
     state_set,
 )
 
@@ -46,6 +49,48 @@ def rows(formula_text):
     """The program that the text parses to through a RowBuilder."""
     node = RowBuilder()
     return node.program(parse_formula(formula_text, node=node))
+
+
+def with_atom_repeated(columns, i, j):
+    """The columns with atom row j's payload set to atom row i's."""
+    payload = [*columns[3]]
+    payload[j] = payload[i]
+    return (*columns[:3], tuple(payload))
+
+
+def with_leaf_inserted(columns, p):
+    """The columns with an atom of a new index inserted as row p, before
+    the root, so that nothing reaches it."""
+    ops, left, right, payload = columns
+    left = tuple(a + (a >= p) if op >= OP_AND else 0 for op, a in zip(ops, left))
+    right = tuple(b + (b >= p) if OP_AND <= op < OP_BOX else 0 for op, b in zip(ops, right))
+    return tuple(
+        column[:p] + (leaf,) + column[p:]
+        for column, leaf in zip((ops, left, right, payload), (OP_ATOM, 0, 0, max(payload) + 1))
+    )
+
+
+def with_children_swapped(columns, flip):
+    """The rows renumbered in the root's postorder but for row flip, whose
+    right subtree is finished before its left one."""
+    ops, left, right, payload = columns
+    number: dict[int, int] = {}
+    stack = [len(ops) - 1]
+    while stack:
+        r = stack[-1]
+        kids = (left[r], right[r]) if OP_AND <= ops[r] < OP_BOX else (left[r],) if ops[r] >= OP_BOX else ()
+        todo = [c for c in (kids[::-1] if r == flip else kids) if c not in number]
+        if todo:
+            stack.append(todo[0])
+        else:
+            number[stack.pop()] = len(number)
+    order = sorted(number, key=number.get)
+    return (
+        tuple(ops[r] for r in order),
+        tuple(number[left[r]] if ops[r] >= OP_AND else 0 for r in order),
+        tuple(number[right[r]] if OP_AND <= ops[r] < OP_BOX else 0 for r in order),
+        tuple(payload[r] for r in order),
+    )
 
 
 class TestNamedCases:
@@ -185,6 +230,43 @@ class TestQueryValidation:
         # the program refuses them where it is built
         with pytest.raises(ValueError, match=re.escape(message)):
             Program(*columns)
+
+    def test_hand_built_program_builds_iff_it_is_lowered_afresh(self):
+        # the trusted side numbers the same rows afresh: the formula of the
+        # columns, lowered. Columns are a program exactly when they are
+        # that one, and perturbed columns must be refused with their fault
+        def built(columns, fault=None):
+            lowered = lower_formula(formula_of(_built_program(*columns)))
+            want = columns == (lowered.ops, lowered.left, lowered.right, lowered.payload)
+            try:
+                Program(*columns)
+            except ValueError as e:
+                assert not want and (fault is None or re.fullmatch(fault, str(e))), (columns, e)
+                return False
+            assert want, columns
+            return True
+
+        start = time.perf_counter()
+        rng = random.Random(3434)
+        programs = [lower_formula(random_formula(rng, 3, depth=4, modal=True)) for _ in range(40)]
+        programs += [lower_formula(shared_formula(rng, 4 + i % 12, 3, i % 2 == 1, questions=True)) for i in range(40)]
+        programs.append(reduce_tqbf(random_qbf(3, 24, 160)).program)
+        swapped = 0
+        for program in programs:
+            columns = (program.ops, program.left, program.right, program.payload)
+            assert built(columns)
+            atoms = [r for r, op in enumerate(columns[0]) if op == OP_ATOM]
+            if len(atoms) > 1:
+                i, j = sorted(rng.sample(atoms, 2))
+                assert not built(with_atom_repeated(columns, i, j), f"row {j} repeats row {i}")
+            p = rng.randrange(len(columns[0]))
+            assert not built(with_leaf_inserted(columns, p), rf"row {p} is not reached from the root, row \d+")
+            binary = [r for r, op in enumerate(columns[0]) if OP_AND <= op < OP_BOX]
+            fault = r"row \d+ is out of the root's postorder, which numbers it \d+"
+            for flip in rng.sample(binary, min(3, len(binary))):
+                swapped += not built(with_children_swapped(columns, flip), fault)
+        assert swapped > 50
+        assert time.perf_counter() - start < 1
 
     def test_unused_definitions_are_not_validated(self, demo_model):
         plain = InformationModel(demo_model.n, demo_model.l, demo_model.valuation, None)

@@ -296,7 +296,11 @@ class TestReduce:
         for suffix in self.SUFFIXES:
             assert (tmp_path / f"inst{suffix}").stat().st_mode & 0o777 == 0o666 & ~0o027
 
-    @pytest.mark.parametrize("stem", ["", "dir" + os.sep], ids=["empty", "trailing-separator"])
+    @pytest.mark.parametrize(
+        "stem",
+        ["", "dir" + os.sep, "dir" + os.sep + ".", ".."],
+        ids=["empty", "trailing-separator", "dot", "dotdot"],
+    )
     def test_stem_naming_no_file_writes_nothing(self, tmp_path, capsys, monkeypatch, stem):
         (tmp_path / "dir").mkdir()
         qpath = write(tmp_path, "t.qbf", "exists x0 : x0\n")
@@ -306,6 +310,20 @@ class TestReduce:
         assert err == [f"error: out_stem {stem!r}: must end in a file name"]
         assert sorted(os.listdir(tmp_path)) == ["dir", "t.qbf"]
         assert os.listdir(tmp_path / "dir") == []
+
+    def test_output_that_cannot_be_opened_changes_no_other(self, tmp_path, capsys):
+        # every output is opened before any is written, so an old instance
+        # under the stem keeps its bytes when one of its files cannot be
+        old = self.reduce_into(tmp_path, 3, "inst")
+        (tmp_path / "inst.state").unlink()
+        (tmp_path / "inst.state").mkdir()
+        qpath = write(tmp_path, "t1.qbf", render_qbf(random_qbf(1, 1, 120)) + "\n")
+        capsys.readouterr()
+        assert cli.main(["reduce", qpath, str(tmp_path / "inst")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / 'inst.state'}: ")
+        assert (tmp_path / "inst.im").read_bytes() == old[0]
+        assert (tmp_path / "inst.formula").read_bytes() == old[2]
 
 
 class TestQbfEval:
@@ -673,11 +691,14 @@ class TestEntryPoint:
             "stats",
             "verify",
             "reduce-stem-dir",
+            "reduce-stem-dot",
+            "reduce-stem-dotdot",
         ],
     )
     def test_input_errors_exit_two(self, case, tmp_path, demo_file, capsys):
         # a file that is not UTF-8, an output directory that does not
-        # exist, an output stem that names a directory, a digit that
+        # exist, an output stem that names a directory or ends in . or
+        # .., a digit that
         # str.isdigit accepts and int() does not, or more digits than
         # int() reads, is the user's input error, not a crash (exit 4)
         bad = str(tmp_path / "latin1.txt")
@@ -706,6 +727,14 @@ class TestEntryPoint:
             "reduce-stem-dir": (
                 ["reduce", write(tmp_path, "t.qbf", "exists x0 : x0\n"), str(tmp_path) + os.sep],
                 f"out_stem {str(tmp_path) + os.sep!r}",
+            ),
+            "reduce-stem-dot": (
+                ["reduce", write(tmp_path, "t.qbf", "exists x0 : x0\n"), str(tmp_path) + os.sep + "."],
+                f"out_stem {str(tmp_path) + os.sep + '.'!r}",
+            ),
+            "reduce-stem-dotdot": (
+                ["reduce", write(tmp_path, "t.qbf", "exists x0 : x0\n"), str(tmp_path) + os.sep + ".."],
+                f"out_stem {str(tmp_path) + os.sep + '..'!r}",
             ),
         }[case]
         assert cli.main(argv) == 2
