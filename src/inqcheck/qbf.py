@@ -14,25 +14,28 @@ Variables are written x0, x1, ... and must be bound in ascending index
 order starting at 0; a closed formula binds every matrix variable. The
 rename option relaxes both: arbitrary identifiers are accepted and
 renumbered by binding order. An IDENT is a letter or `_`, then letters,
-digits and `_`; text is lexed as formula text is.
+digits and `_`; text is lexed as formula text is, by the one lexer of
+syntax.
 
 Two independent evaluation routes exist on purpose: eval_qbf searches
 the prefix depth first with short-circuiting, eval_qbf_table folds a
 fully materialized assignment table without short-circuiting. They are
 held against each other by the tests. Neither recurses, on the matrix or
 on the prefix. Both, and reduce_tqbf, read the one postorder list of
-its matrix that a Qbf builds on first use, so verify walks it once.
+its matrix that a Qbf holds: parse_qbf writes that list as it reads the
+text and makes no matrix objects, which a parsed Qbf builds from the
+list on first use of its matrix; a Qbf built by hand from matrix objects
+builds the list on first use. So verify walks a matrix at most once.
 """
 
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
 from .switching import BoolValuation
-from .syntax import _BLANKS, ParseError, _locate, _Stop, subformulas
+from .syntax import ParseError, _Lexer, _Stop, subformulas
 
 FORALL = "forall"
 EXISTS = "exists"
@@ -122,16 +125,40 @@ def render_prop(f: PropFormula) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
 class Qbf:
-    """Quantifier prefix over x_0..x_{l-1} in order, plus an NNF matrix."""
+    """Quantifier prefix over x_0..x_{l-1} in order, plus an NNF matrix.
+
+    Immutable, and equal to another Qbf when their prefixes and matrix
+    trees are. Qbf(prefix, matrix) holds matrix objects built by hand,
+    and builds its _postorder list on first use; a Qbf that parse_qbf
+    returns holds the list it read, and builds its matrix on first use."""
 
     prefix: tuple[tuple[str, int], ...]
-    matrix: PropFormula
+
+    def __init__(self, prefix: tuple[tuple[str, int], ...], matrix: PropFormula):
+        self.__dict__.update(prefix=prefix, matrix=matrix)
+
+    @classmethod
+    def _read(cls, prefix: tuple[tuple[str, int], ...], nodes: list) -> Qbf:
+        """The Qbf of a _postorder list checked against the prefix."""
+        q = cls.__new__(cls)
+        q.__dict__.update(prefix=prefix, _nodes=nodes)
+        return q
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Qbf")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Qbf")
 
     @property
     def l(self) -> int:
         return len(self.prefix)
+
+    @cached_property
+    def matrix(self) -> PropFormula:
+        """A parsed Qbf's matrix objects, built from its list on first use."""
+        return _from_postorder(self._nodes)
 
     @cached_property
     def _nodes(self) -> list:
@@ -139,13 +166,29 @@ class Qbf:
         use; until it is, each read raises what _postorder raises."""
         return _postorder(self.matrix, self.l)
 
+    def _tree(self) -> list:
+        """The matrix's _postorder list, unchecked unless already built."""
+        nodes = self.__dict__.get("_nodes")
+        return _postorder(self.matrix) if nodes is None else nodes
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Qbf):
+            return NotImplemented
+        return self is other or (self.prefix == other.prefix and self._tree() == other._tree())
+
+    def __hash__(self) -> int:
+        # the hash of (prefix, matrix), as PropFormula's hash reads the _postorder
+        return hash((self.prefix, tuple(self._tree())))
+
+    def __repr__(self) -> str:
+        return f"Qbf(prefix={self.prefix!r}, matrix={self.matrix!r})"
+
 
 def render_qbf(q: Qbf) -> str:
     head = " ".join(f"{quant} x{i}" for quant, i in q.prefix)
     return f"{head} : {render_prop(q.matrix)}" if head else f": {render_prop(q.matrix)}"
 
 
-_QBF_TOKEN = re.compile(_BLANKS + r"(\w+|.|\Z)")
 _QBF_PUNCT = frozenset("()&|~:")
 
 
@@ -155,6 +198,9 @@ def _qbf_lex_error(word: str, offset: int) -> ParseError | None:
     if word[:1].isalpha() or word[:1] == "_" or word in _QBF_PUNCT or not word:
         return None
     return ParseError(offset, frozenset({*_QUANTIFIERS, "identifier", *_QBF_PUNCT}), repr(word[0]))
+
+
+_QBF_LEXER = _Lexer(r"(\w+|.|\Z)", r"[\w \t\r\n()&|~:]*", _QBF_PUNCT, _qbf_lex_error)
 
 
 def _is_identifier(word: str) -> bool:
@@ -174,7 +220,7 @@ def parse_qbf(text: str, rename: bool = False) -> Qbf:
             variable names.
         ClosureError: a matrix variable the prefix does not bind.
     """
-    tokens = _QBF_TOKEN.findall(text)
+    tokens = _QBF_LEXER.tokens(text)
     try:
         names: dict[str, int] = {}
         binding_error = None
@@ -195,27 +241,32 @@ def parse_qbf(text: str, rename: bool = False) -> Qbf:
             i += 2
         if tokens[i] != ":":
             raise _Stop(i, frozenset({FORALL, EXISTS, ":"}))
-        matrix, unbound, i = _read_matrix(tokens, i + 1, names)
+        nodes: list = []
+        unbound, i = _read_matrix(tokens, i + 1, names, nodes)
         if tokens[i]:
             raise _Stop(i, frozenset({"&", "|", "end of input"}))
         if binding_error is not None:
             raise binding_error
     except _Stop as stop:
-        raise _locate(_QBF_TOKEN, text, _qbf_lex_error, stop) from None
+        raise _QBF_LEXER.locate(text, stop) from None
     if unbound is not None:
         raise ClosureError(unbound)
-    return Qbf(tuple(prefix), matrix)
+    return Qbf._read(tuple(prefix), nodes)
 
 
-def _read_matrix(tokens: list[str], i: int, names: dict[str, int]) -> tuple[PropFormula, str | None, int]:
-    """The grammar's `or` at token i straight into NNF, the first name in
-    it that `names` does not bind, and the index of the token after it.
-    `~` is a polarity flag that negates variables and swaps PAnd with
-    POr. As in parse_formula, one level per open parenthesis is kept on a
-    stack: its polarity, disjunction and conjunction."""
+def _read_matrix(tokens: list[str], i: int, names: dict[str, int], nodes: list) -> tuple[str | None, int]:
+    """Append the grammar's `or` at token i to nodes, in NNF and as its
+    _postorder list; return the first name in it that `names` does not
+    bind, and the index of the token after it. `~` is a polarity flag
+    that negates variables and swaps PAnd with POr. Each literal is
+    appended as it is read, and each connective as it folds its operands,
+    which are then the last appended. As in parse_formula, one level per
+    open parenthesis is kept on a stack: its polarity, and whether it
+    has a disjunction and a conjunction so far."""
+    append = nodes.append
     unbound = None
     levels = []
-    negate, disj, conj = False, None, None
+    negate, disj, conj = False, False, False
     while True:
         literal_negate = negate
         word = tokens[i]
@@ -226,7 +277,7 @@ def _read_matrix(tokens: list[str], i: int, names: dict[str, int]) -> tuple[Prop
             i += 1
         if word == "(":
             levels.append((negate, disj, conj))
-            negate, disj, conj = literal_negate, None, None
+            negate, disj, conj = literal_negate, False, False
             continue
         index = names.get(word)
         if index is None:
@@ -235,24 +286,26 @@ def _read_matrix(tokens: list[str], i: int, names: dict[str, int]) -> tuple[Prop
             if unbound is None:
                 unbound = word
             index = 0
-        f = (NegVar if literal_negate else Var)(index)
-        # f is a whole literal: fold it into the open level, and close
-        # levels for as long as a ")" follows a whole disjunction
+        append(~index if literal_negate else index)
+        # a whole literal is appended: fold it into the open level, and
+        # close levels for as long as a ")" follows a whole disjunction
         while True:
-            conj = f if conj is None else (POr if negate else PAnd)(conj, f)
+            if conj:
+                append(POr if negate else PAnd)
+            conj = True
             word = tokens[i]
             i += 1
             if word == "&":
                 break
-            disj = conj if disj is None else (PAnd if negate else POr)(disj, conj)
-            conj = None
+            if disj:
+                append(PAnd if negate else POr)
+            disj, conj = True, False
             if word == "|":
                 break
             if not levels:
-                return disj, unbound, i - 1
+                return unbound, i - 1
             if word != ")":
                 raise _Stop(i - 1, frozenset({")", "&", "|"}))
-            f = disj
             negate, disj, conj = levels.pop()
 
 
@@ -282,6 +335,18 @@ def _postorder(f: PropFormula, k: int | None = None) -> list:
         else:
             raise TypeError(f"matrix must be in negation normal form: {g!r}")
     return nodes
+
+
+def _from_postorder(nodes: list) -> PropFormula:
+    """The matrix objects of a _postorder list."""
+    stack: list = []
+    for node in nodes:
+        if node is PAnd or node is POr:
+            right = stack.pop()
+            stack[-1] = node(stack[-1], right)
+        else:
+            stack.append(Var(node) if node >= 0 else NegVar(~node))
+    return stack[0]
 
 
 def _postorder_size(nodes: list) -> int:

@@ -21,9 +21,10 @@ shared objects, prints without definitions.
 The parser, like neg, question and classical_or, builds each node with
 a node builder, node(cls, a=None, b=None): `fresh` makes Formula
 objects, and kernels.RowBuilder program rows, one per distinct node.
-It indexes the token strings that one compiled regular expression
-finds, as qbf's parser does; a token's offset is found only for a
-ParseError.
+It indexes the token strings of the text, which a _Lexer gives as
+qbf's parser gets them: plain ASCII text is split at blanks once its
+punctuation is spaced out, and any other text is lexed by one compiled
+regular expression; a token's offset is found only for a ParseError.
 
 Grammar (whitespace-insensitive, `#` starts a comment to end of line):
 
@@ -176,7 +177,6 @@ class ParseError(Exception):
 # In a str pattern \w is exactly a character that isalnum() or "_", so a
 # word runs as far as the words of both grammars do.
 _BLANKS = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
-_FORMULA_TOKEN = re.compile(_BLANKS + r"(->|\w+|.|\Z)")
 
 _KEYWORDS = frozenset({"bot", "not", "ior", "or", "box", "wbox", "let"})
 _PUNCT = frozenset({"(", ")", "->", "&", "?", "=", ";"})
@@ -185,22 +185,50 @@ _WORDS = _KEYWORDS | {"p<index>", "name"}
 
 class _Stop(Exception):
     """A parse error at a token's index, as (index, expected) and a reason
-    if any, which _locate turns into a ParseError at the token's offset."""
+    if any, which _Lexer.locate turns into a ParseError at the token's offset."""
 
 
-def _locate(token: re.Pattern, text: str, lex_error, stop: _Stop) -> ParseError:
-    """The ParseError that stop stands for in text, split by token: the
-    first token that lex_error refuses, wherever the parser stopped, as a
-    text is lexed before it is parsed; else stop's, at its token's offset."""
-    index, expected, *reason = stop.args
-    for i, match in enumerate(token.finditer(text)):
-        word, offset = match[1], match.start(1)
-        error = lex_error(word, offset)
-        if error is not None:
-            return error
-        if i == index:
-            at, found = offset, repr(word) if word else "end of input"
-    return ParseError(at, expected, found, *reason)
+class _Lexer:
+    """The tokens of one grammar's text, and the place of a parse error.
+
+    token matches blanks and comments, then one token as its group 1;
+    plain matches (as a whole) text of ASCII words, blanks and punct
+    only, with no comment, which splits at blanks into the same tokens
+    once each punct is spaced out; lex_error(word, offset) is the
+    ParseError of a token that no grammar rule may read, or None."""
+
+    def __init__(self, token: str, plain: str, punct, lex_error):
+        self.token = re.compile(_BLANKS + token)
+        self.plain = re.compile(plain, re.ASCII)
+        self.punct = tuple(punct)
+        self.lex_error = lex_error
+
+    def tokens(self, text: str) -> list[str]:
+        """The tokens of text, as self.token.findall(text) gives them up
+        to and including the first "", which ends them: a parser reads no
+        token past it."""
+        if self.plain.fullmatch(text) is None:
+            return self.token.findall(text)
+        for p in self.punct:
+            text = text.replace(p, f" {p} ")
+        tokens = text.split()
+        tokens.append("")
+        return tokens
+
+    def locate(self, text: str, stop: _Stop) -> ParseError:
+        """The ParseError that stop stands for in text, split by token: the
+        first token that lex_error refuses, wherever the parser stopped, as
+        a text is lexed before it is parsed; else stop's, at its token's
+        offset. It lexes by self.token, which gives every token's offset."""
+        index, expected, *reason = stop.args
+        for i, match in enumerate(self.token.finditer(text)):
+            word, offset = match[1], match.start(1)
+            error = self.lex_error(word, offset)
+            if error is not None:
+                return error
+            if i == index:
+                at, found = offset, repr(word) if word else "end of input"
+        return ParseError(at, expected, found, *reason)
 
 
 def _formula_lex_error(word: str, offset: int) -> ParseError | None:
@@ -213,6 +241,12 @@ def _formula_lex_error(word: str, offset: int) -> ParseError | None:
     if word == "-":
         return ParseError(offset, _PUNCT, repr(word))
     return ParseError(offset, _KEYWORDS | _PUNCT, repr(word[0]))
+
+
+# `-` and `>` are plain only as "->"
+_FORMULA_LEXER = _Lexer(
+    r"(->|\w+|.|\Z)", r"[\w \t\r\n()&?=;]*(?:->[\w \t\r\n()&?=;]*)*", _PUNCT, _formula_lex_error
+)
 
 
 def _is_name(word: str) -> bool:
@@ -240,7 +274,7 @@ def parse_formula(text: str, node=fresh):
             acceptable tokens at that point; on an undefined or twice
             defined name.
     """
-    tokens = _FORMULA_TOKEN.findall(text)
+    tokens = _FORMULA_LEXER.tokens(text)
     try:
         definitions: dict[str, Formula] = {}
         i = 0
@@ -255,7 +289,7 @@ def parse_formula(text: str, node=fresh):
             definitions[name], i = _read_formula(tokens, i + 3, definitions, ";", node)
         return _read_formula(tokens, i, definitions, "", node)[0]
     except _Stop as stop:
-        raise _locate(_FORMULA_TOKEN, text, _formula_lex_error, stop) from None
+        raise _FORMULA_LEXER.locate(text, stop) from None
 
 
 def _read_formula(tokens: list[str], i: int, definitions: dict, end: str, node):

@@ -284,6 +284,30 @@ LEXER_PIECES = [
 ]
 
 
+# what a one-place fault puts in a text that the plain lexer would take:
+# a comment, blanks that str.split() splits at and the lexers do not
+# skip, halves of "->", and word characters past ASCII
+FAULT_PIECES = ["#", "\x0b", "\x0c", "\xa0", "-", ">", "é", "²", "٣", "\t", "\r"]
+
+
+def one_place_faults(seed: int, texts: list[str], count: int) -> list[str]:
+    """count texts drawn from seed, each one of texts with one character
+    replaced by a FAULT_PIECES piece, deleted, or with a piece inserted."""
+    rng = random.Random(seed)
+    faults = []
+    for _ in range(count):
+        text = rng.choice(texts)
+        at, piece = rng.randrange(len(text) + 1), rng.choice(FAULT_PIECES)
+        kind = rng.randrange(3)
+        faults.append(text[:at] + (piece if kind != 1 else "") + text[at + (kind != 2) :])
+    return faults
+
+
+def lexed(tokens: list[str]) -> list[str]:
+    """tokens up to and including the first "", where a parser stops."""
+    return tokens[: tokens.index("") + 1]
+
+
 def lexer_corpus(seed: int, texts: list[str], count: int = 300) -> list[str]:
     """count texts drawn from seed, most of them malformed: each of texts,
     then those texts cut short, with one character changed or with

@@ -289,6 +289,28 @@ MUTANTS = [
         "        pass\n",
         ("tests/test_cli.py::TestReduce::test_overwrite_leaves_no_stale_tail",),
     ),
+    # one lexer for both grammars splits plain text at blanks, and
+    # parse_qbf writes the matrix's postorder list as it reads it
+    Mutant(
+        "plain-qbf-text-takes-comments",
+        "src/inqcheck/qbf.py",
+        'r"[\\w \\t\\r\\n()&|~:]*"',
+        'r"[\\w \\t\\r\\n()&|~:#]*"',
+        (
+            "tests/test_qbf.py::TestLexer::test_plain_text_lexes_as_the_regex_does",
+            "tests/test_qbf.py::TestParse::test_comments",
+        ),
+    ),
+    Mutant(
+        "negated-conjunction-not-swapped",
+        "src/inqcheck/qbf.py",
+        "append(POr if negate else PAnd)",
+        "append(PAnd)",
+        (
+            "tests/test_qbf.py::TestParsedPostorder::test_parsed_list_is_the_matrix_postorder",
+            "tests/test_qbf.py::TestParse::test_negation_normalized_at_parse",
+        ),
+    ),
 ]
 
 

@@ -816,6 +816,48 @@ class TestModelFileFuzz:
         assert codes[2] and codes[0] + codes[1], codes
 
 
+class TestQbfFileFuzz:
+    def test_mutated_qbf_files_are_input_errors(self, tmp_path, capsys):
+        # a QBF file with one fault parses or names its fault, and each
+        # command that reads one answers or exits 2, never as an internal
+        # error
+        path = str(tmp_path / "t.qbf")
+        stem = str(tmp_path / "out")
+        codes = Counter()
+        # a true and a false formula, over lines, after a comment
+        for seed in (40, 42):
+            text = render_qbf(random_qbf(seed, 3, 30)).replace(" : ", " :\n").replace(" & ", " &\n")
+            for mutant in mutated_texts(f"# fuzz\n{text}\n", 200, seed=seed):
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(mutant)
+                for argv in (["qbf-eval", path], ["verify", path], ["reduce", path, stem], ["stats", path]):
+                    code = cli.main(argv)
+                    err = capsys.readouterr().err
+                    assert code in (0, 1, 2), (argv[0], mutant, err)
+                    codes[code] += 1
+        assert codes[2] and codes[0] and codes[1], codes
+
+    def test_mutated_formula_files_are_input_errors(self, tmp_path, capsys):
+        # the formula file that reduce writes, with one fault, checked
+        # against the model and state reduce writes beside it
+        stem = str(tmp_path / "ci")
+        write(tmp_path, "t.qbf", render_qbf(random_qbf(38, 3, 30)) + "\n")
+        assert cli.main(["reduce", str(tmp_path / "t.qbf"), stem]) == 0
+        capsys.readouterr()
+        state = (tmp_path / "ci.state").read_text().strip()
+        text = (tmp_path / "ci.formula").read_text()
+        path = str(tmp_path / "m.formula")
+        codes = Counter()
+        for mutant in mutated_texts(text, 200, seed=36):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(mutant)
+            code = cli.main(["check", f"{stem}.im", state, "--formula-file", path])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (mutant, err)
+            codes[code] += 1
+        assert codes[2] and codes[0] + codes[1], codes
+
+
 def readme_sessions(*sections: str) -> list[tuple[str, list[str]]]:
     """Each `$ ` command in the code blocks of the named README sections,
     with the lines printed under it."""

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 import time
 from dataclasses import dataclass
 from itertools import product
 
 import pytest
 
-from conftest import lexer_corpus
+from conftest import lexed, lexer_corpus, one_place_faults
+from inqcheck import qbf as qbf_module
 from inqcheck.qbf import (
     EXISTS,
     FORALL,
@@ -286,6 +288,70 @@ class TestDeepMatrices:
         assert Var(0) != 0
 
 
+def _dual(f):
+    """The NNF of the negation of f."""
+    if isinstance(f, (Var, NegVar)):
+        return (NegVar if isinstance(f, Var) else Var)(f.index)
+    return (POr if isinstance(f, PAnd) else PAnd)(_dual(f.left), _dual(f.right))
+
+
+def _rewritten(f, rng) -> str:
+    """Text that parses to f, with `~~x`, `~(...)` and `~~(...)` in
+    place of some of its literals and connectives."""
+    if isinstance(f, (Var, NegVar)):
+        text = render_prop(f)
+        return "~~" + text if rng.random() < 0.3 else text
+    kind = rng.randrange(3)
+    if kind == 1:
+        # ~(a' op' b') for the duals a', b' and the other connective
+        return "~" + _rewritten(_dual(f), rng)
+    text = f"({_rewritten(f.left, rng)} {'&' if isinstance(f, PAnd) else '|'} {_rewritten(f.right, rng)})"
+    return "~~" + text if kind == 2 else text
+
+
+class TestParsedPostorder:
+    # parse_qbf writes the matrix's postorder list and no matrix objects;
+    # its matrix is built from the list on first use
+    def test_parsed_list_is_the_matrix_postorder(self):
+        rng = random.Random(35)
+        rewrites = 0
+        for _ in range(3000):
+            l = rng.randint(1, 5)
+            theta = random_qbf(rng.randrange(1 << 30), l, rng.randint(1, 40))
+            text = render_qbf(theta).split(":")[0] + ": " + _rewritten(theta.matrix, rng)
+            rewrites += "~~" in text or "~(" in text
+            parsed = parse_qbf(text)
+            assert parsed._nodes == qbf_module._postorder(parsed.matrix, l)
+            assert parsed._nodes == qbf_module._postorder(theta.matrix, l), text
+            assert parsed.matrix == theta.matrix
+        assert rewrites > 2000, rewrites
+
+    def test_parsed_and_hand_built_compare_and_hash(self):
+        prefix = ((FORALL, 0), (EXISTS, 1))
+        hand = Qbf(prefix, POr(NegVar(0), PAnd(Var(1), NegVar(1))))
+        for built in (False, True):
+            parsed = parse_qbf("forall x0 exists x1 : ~(x0 & ~(x1 & ~x1))")
+            assert "matrix" not in vars(parsed)
+            if built:
+                assert parsed.matrix == hand.matrix
+            assert parsed == hand and hand == parsed and parsed is not hand
+            assert hash(parsed) == hash(hand)
+            assert len({parsed, hand, Qbf(prefix, hand.matrix)}) == 1
+        assert parse_qbf("exists x0 exists x1 : ~(x0 & ~(x1 & ~x1))") != hand
+        assert parse_qbf("forall x0 exists x1 : ~(x0 & ~(x1 | ~x1))") != hand
+        assert hand != hand.matrix and parse_qbf("forall x0 : x0") != (((FORALL, 0),), Var(0))
+
+    def test_qbfs_are_immutable(self):
+        for theta in (parse_qbf("forall x0 : x0"), Qbf(((FORALL, 0),), Var(0))):
+            with pytest.raises(AttributeError):
+                theta.prefix = ()
+            with pytest.raises(AttributeError):
+                theta.matrix = Var(1)
+            with pytest.raises(AttributeError):
+                del theta.prefix
+            assert theta == Qbf(((FORALL, 0),), Var(0))
+
+
 # valid texts that cover the whole grammar, which lexer_corpus cuts,
 # mutates and splices
 QBF_TEXTS = [
@@ -321,6 +387,22 @@ class TestLexer:
         digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
         # the outcomes of the character-by-character lexer this one replaced
         assert digest == "16fc1018c9b2275fe5246e8c30383570740b86226c1ee3eb69c0e4c31b6b6848"
+
+    def test_plain_text_lexes_as_the_regex_does(self, monkeypatch):
+        # rendered formulas, all plain, and one-place faults of them, some
+        # plain and most not: the tokens, and what the parser makes of
+        # them, are the regex's
+        texts = [render_qbf(random_qbf(seed, 1 + seed % 5, 1 + seed % 40)) for seed in range(60)]
+        texts += [text + "\n" for text in texts[::3]] + QBF_TEXTS
+        corpus = texts + one_place_faults(3536, texts, 1500)
+        lexer = qbf_module._QBF_LEXER
+        plain = sum(lexer.plain.fullmatch(text) is not None for text in corpus)
+        assert 300 < plain < len(corpus) - 600, plain
+        for text in corpus:
+            assert lexed(lexer.tokens(text)) == lexed(lexer.token.findall(text)), text
+        outcomes = [qbf_outcome(text) for text in corpus]
+        monkeypatch.setattr(lexer, "plain", re.compile("(?!)"))
+        assert [qbf_outcome(text) for text in corpus] == outcomes
 
     def test_a_million_blanks_lex_fast(self):
         blanks = ("  \t\r\n# a comment # \n" * 50_000)[:1_000_000] + "\n"

@@ -4,12 +4,22 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import lexer_corpus, printing_corpus, question_formula, random_formula, shared_formula
+from conftest import (
+    lexed,
+    lexer_corpus,
+    one_place_faults,
+    printing_corpus,
+    question_formula,
+    random_formula,
+    shared_formula,
+)
+from inqcheck import syntax
 from inqcheck.checker import CheckQuery, MemoCache, evaluate
 from inqcheck.kernels import OP_ATOM, OP_BOT, OP_IMPLIES, OP_IVEE, Program, RowBuilder, formula_of, lower_formula
 from inqcheck.model import InfoState
@@ -644,6 +654,23 @@ class TestLexer:
         digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
         # the outcomes of the character-by-character lexer this one replaced
         assert digest == "208f1623d97fdb34ed947a030d41b63acfeb8aa78cd0bc51cd29df4dc9e6e67f"
+
+    def test_plain_text_lexes_as_the_regex_does(self, monkeypatch):
+        # rendered library and compiled formulas, most of them plain, and
+        # one-place faults of them, some plain and most not: the tokens,
+        # and what the parser makes of them, are the regex's
+        texts = [render_formula(f) for f in printing_corpus()[::5]]
+        texts += [render_formula(reduce_tqbf(random_qbf(seed, 3, 30)).program) + "\n" for seed in range(5)]
+        texts += FORMULA_TEXTS
+        corpus = texts + one_place_faults(3535, texts, 1500)
+        lexer = syntax._FORMULA_LEXER
+        plain = sum(lexer.plain.fullmatch(text) is not None for text in corpus)
+        assert 300 < plain < len(corpus) - 600, plain
+        for text in corpus:
+            assert lexed(lexer.tokens(text)) == lexed(lexer.token.findall(text)), text
+        outcomes = [formula_outcome(text) for text in corpus]
+        monkeypatch.setattr(lexer, "plain", re.compile("(?!)"))
+        assert [formula_outcome(text) for text in corpus] == outcomes
 
     @pytest.mark.parametrize("end", ["p0", "", "p0 $"])
     def test_a_million_blanks_lex_fast(self, end):
