@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import stat
 import sys
 import traceback
+from dataclasses import asdict
 from functools import cache
 
 # check_support_memo is no longer called here, but stays a name of this
@@ -47,7 +47,7 @@ from .model import (
     write_model_file,
 )
 from .qbf import ClosureError, Qbf, eval_qbf, parse_qbf, random_qbf
-from .reduction import DEFAULT_SIZE_RATIO_BOUND, reduce_tqbf, size_report
+from .reduction import reduce_tqbf, size_report
 from .syntax import ParseError, parse_formula, render_formula
 
 
@@ -104,31 +104,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def _print_report(instance, args: argparse.Namespace) -> None:
     """The size report of reduce and stats, as text or one JSON line."""
-    report = size_report(instance, bound=args.bound)
+    report = size_report(instance)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "l": report.l,
-                    "matrix_size": report.matrix_size,
-                    "translated_size": report.translated_size,
-                    "ratio": report.ratio,
-                    "result": "ok" if report.within_bound else "bound-exceeded",
-                }
-            )
-        )
+        print(json.dumps(asdict(report)))
         return
     print(f"l: {report.l}")
     print(f"matrix size: {report.matrix_size}")
     print(f"translated size: {report.translated_size}")
     print(f"ratio: {report.ratio:.4f}")
-    print(f"bound: {report.bound:.4f} ({'ok' if report.within_bound else 'bound exceeded'})")
-
-
-def _bad_bound(bound: float) -> bool:
-    """A size ratio bound that no ratio can be read against: nan, infinite,
-    zero or negative."""
-    return not 0 < bound < math.inf
 
 
 def _overwrite(fd: int, data: bytes) -> None:
@@ -151,8 +134,6 @@ def _overwrite(fd: int, data: bytes) -> None:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    if _bad_bound(args.bound):
-        return _diag("--bound must be a positive finite number")
     stem = args.out_stem
     # an empty stem, one that ends in a path separator, and one whose last
     # part is . or .. would name the hidden files .im, .state and .formula
@@ -249,8 +230,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    if _bad_bound(args.bound):
-        return _diag("--bound must be a positive finite number")
     theta = _read_input(args.qbf, parse_qbf, rename=args.rename)
     _print_report(reduce_tqbf(theta), args)
     return 0
@@ -331,7 +310,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     reduce_cmd.add_argument("qbf", help="QBF file")
     reduce_cmd.add_argument("out_stem", help="output path stem for .im/.state/.formula")
     reduce_cmd.add_argument("--rename", action="store_true", help="renumber arbitrary variable names by binding order")
-    reduce_cmd.add_argument("--bound", type=float, default=DEFAULT_SIZE_RATIO_BOUND, help="size ratio bound for the report")
     reduce_cmd.add_argument("--json", action="store_true", help="machine-readable report")
     reduce_cmd.set_defaults(run=cmd_reduce)
 
@@ -355,7 +333,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     stats = commands.add_parser("stats", help="size report for a QBF compilation")
     stats.add_argument("qbf", help="QBF file")
     stats.add_argument("--rename", action="store_true", help="renumber arbitrary variable names by binding order")
-    stats.add_argument("--bound", type=float, default=DEFAULT_SIZE_RATIO_BOUND, help="size ratio bound for the report")
     stats.add_argument("--json", action="store_true", help="machine-readable report")
     stats.set_defaults(run=cmd_stats)
 

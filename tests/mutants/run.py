@@ -265,6 +265,18 @@ MUTANTS = [
         "        pieces += [(neg(formula_C(i, \"+\", l, node), node), neg(formula_C(i, \"-\", l, node), node)) for i in range(l)]\n",
         COMPILED,
     ),
+    # the compiled tree is exactly the sum of its parts: a wrapper that
+    # keeps support but grows the tree shows in the sizes alone
+    Mutant(
+        "non-branching-wrapper-doubled",
+        "src/inqcheck/reduction.py",
+        "            f = node(Implies, d, f)\n",
+        "            f = node(Implies, d, node(Implies, d, f))\n",
+        (
+            "tests/test_reduction.py::TestSizes::test_translated_size_is_the_sum_of_its_parts",
+            "tests/test_acceptance.py::test_size_ratio_regression",
+        ),
+    ),
     # check's front end: each generator block read by one reversed slice,
     # and a subcommand first parsed by its own parser alone
     Mutant(

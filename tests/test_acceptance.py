@@ -42,7 +42,6 @@ from inqcheck.qbf import (
     random_qbf,
 )
 from inqcheck.reduction import (
-    DEFAULT_SIZE_RATIO_BOUND,
     reduce_tqbf,
     size_report,
     translate_prop,
@@ -65,6 +64,12 @@ from conftest import (
     random_state,
     supports_ladder_flat,
 )
+
+# criterion 7's bound on the translation size ratio: the maximum of its
+# fixed-matrix alternating sweep l = 2..12, reached at l = 6 and measured
+# at first build. It is a regression constant, not a theoretical value;
+# test_reduction.py::TestSizes pins the compiled sizes exactly.
+SIZE_RATIO_BOUND = 930 / 122
 
 
 @pytest.mark.acceptance(1, "model codec emits and inverts the pinned strings")
@@ -254,10 +259,10 @@ def test_size_ratio_regression():
         report = size_report(instance)
         sizes.append(instance.translated_size)
         ratios.append(report.ratio)
-        assert report.within_bound
+        assert report.ratio <= SIZE_RATIO_BOUND
     assert all(a < b for a, b in zip(sizes, sizes[1:]))
     # the sweep's maximum IS the pinned constant, exactly
-    assert max(ratios) == DEFAULT_SIZE_RATIO_BOUND
+    assert max(ratios) == SIZE_RATIO_BOUND
     assert time.perf_counter() - start < 5.0
 
 

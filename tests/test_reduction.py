@@ -8,6 +8,7 @@ depth, then end-to-end agreement of the two oracles.
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import product
 
 import pytest
@@ -29,9 +30,9 @@ from inqcheck.qbf import (
     eval_qbf_table,
     parse_qbf,
     random_qbf,
+    render_qbf,
 )
 from inqcheck.reduction import (
-    DEFAULT_SIZE_RATIO_BOUND,
     reduce_tqbf,
     size_report,
     translate_prop,
@@ -48,6 +49,8 @@ from inqcheck.switching import (
 )
 from inqcheck.kernels import lower_formula
 from inqcheck.syntax import Atom, Implies, formula_size, neg, parse_formula, render_formula, subformulas
+
+from test_acceptance import SIZE_RATIO_BOUND
 
 
 def supports(l, state, formula, cache=None):
@@ -324,14 +327,7 @@ class TestSizes:
 
     def test_ratio_below_pinned_bound(self):
         for inst in self.fixed_instances():
-            report = size_report(inst)
-            assert report.bound == DEFAULT_SIZE_RATIO_BOUND
-            assert report.within_bound
-
-    def test_custom_bound_flags_violation(self):
-        inst = next(iter(self.fixed_instances(l_max=2)))
-        report = size_report(inst, bound=0.1)
-        assert not report.within_bound
+            assert size_report(inst).ratio <= SIZE_RATIO_BOUND
 
     def test_report_fields(self):
         inst = next(iter(self.fixed_instances(l_max=2)))
@@ -340,6 +336,47 @@ class TestSizes:
         assert report.matrix_size == 14
         assert report.translated_size == inst.translated_size
         assert report.ratio > 0
+
+    def test_translated_size_is_the_sum_of_its_parts(self):
+        # the tree of translate_qbf's output is the matrix translation, one
+        # wrapper D_k -> body per quantifier, and, for a branching one,
+        # one more -> with the escape formula S_k:
+        # |M'| + sum_k (1 + |D_k|) + sum_{branching k} (1 + |S_k|)
+        rng = random.Random(18)
+        cases = [random_qbf(rng.randrange(1 << 30), 1 + i % 12, rng.randint(1, 60)) for i in range(300)]
+        cases += [random_qbf(rng.randrange(1 << 30), l, 40) for l in (24, 32, 64)]
+        for theta in cases:
+            l = theta.l
+            # the polarity each quantifier's wrapper tracks: truth for the
+            # outermost, then that of the body of the quantifier before it
+            tracked = ["P"] + ["P" if quant == FORALL else "N" for quant, _ in theta.prefix[:-1]]
+            innermost = "p" if theta.prefix[-1][0] == FORALL else "n"
+            expected = formula_size(translate_prop(theta.matrix, innermost, l))
+            for (quant, k), polarity in zip(theta.prefix, tracked):
+                expected += 1 + splitter_size(k, l)
+                if (quant == FORALL) != (polarity == "P"):
+                    expected += 1 + escape_size(k, l)
+            assert reduce_tqbf(theta).translated_size == expected, render_qbf(theta)
+
+    def test_part_sizes_are_pinned(self):
+        # so that a gadget that grows cannot hide inside the sum above
+        for l, escape, splitters in (
+            (4, 97, {12, 14, 17}),
+            (8, 219, {13, 15, 17, 20}),
+            (16, 493, {14, 16, 18, 20, 23}),
+        ):
+            assert {escape_size(k, l) for k in range(l + 1)} == {escape}
+            assert {splitter_size(k, l) for k in range(l)} == splitters
+
+
+@cache
+def splitter_size(k, l):
+    return formula_size(formula_D(k, l))
+
+
+@cache
+def escape_size(k, l):
+    return formula_size(formula_S(k, l))
 
 
 class TestSharedTranslation:
