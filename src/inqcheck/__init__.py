@@ -2,196 +2,29 @@
 plus a compiler that turns quantified Boolean formulas into support queries
 on switching models. A brute-force QBF evaluator serves as the independent
 oracle for cross-validation.
+
+Each module's __all__ is its public part; the package re-exports them all.
 """
 
 from __future__ import annotations
 
-from .checker import (
-    DEFAULT_TABLE_BYTE_CAP,
-    CheckOutcome,
-    CheckQuery,
-    MemoCache,
-    QueryError,
-    check_anti_support,
-    check_support,
-    check_support_memo,
-    evaluate,
-    render_result,
-)
-from .kernels import HAS_NUMBA, Program, RowBuilder, active_kernel, formula_of, lower_formula, support_table
-from .model import (
-    KIND_INQB,
-    KIND_INQM,
-    CodecError,
-    InfoState,
-    InformationModel,
-    ValidationError,
-    decode_model,
-    downward_closure,
-    encode_model,
-    read_model_file,
-    sigma_image,
-    sigma_union,
-    validate_model,
-    write_model_file,
-)
-from .qbf import (
-    EXISTS,
-    FORALL,
-    ClosureError,
-    PAnd,
-    POr,
-    PropFormula,
-    Qbf,
-    Var,
-    NegVar,
-    eval_prop,
-    eval_qbf,
-    eval_qbf_table,
-    parse_qbf,
-    prop_node_count,
-    prop_size,
-    prop_vars,
-    random_qbf,
-    render_prop,
-    render_qbf,
-)
-from .reduction import (
-    ReductionInstance,
-    SizeReport,
-    reduce_tqbf,
-    size_report,
-    translate_prop,
-    translate_qbf,
-)
-from .switching import (
-    BoolValuation,
-    SwitchingModel,
-    atom_p,
-    atom_q,
-    build_switching_model,
-    formula_C,
-    formula_D,
-    formula_S,
-    is_k_switching,
-    switching_from_valuation,
-    valuation_from_switching,
-    world_minus,
-    world_plus,
-)
-from .syntax import (
-    And,
-    Atom,
-    Bottom,
-    Box,
-    Formula,
-    Implies,
-    IVee,
-    ParseError,
-    WBox,
-    classical_or,
-    formula_size,
-    neg,
-    parse_formula,
-    question,
-    render_formula,
-    subformulas,
-)
+from . import checker, kernels, model, qbf, reduction, switching, syntax
+from .checker import *
+from .kernels import *
+from .model import *
+from .qbf import *
+from .reduction import *
+from .switching import *
+from .syntax import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # syntax
-    "Formula",
-    "Bottom",
-    "Atom",
-    "And",
-    "IVee",
-    "Implies",
-    "Box",
-    "WBox",
-    "neg",
-    "classical_or",
-    "question",
-    "ParseError",
-    "parse_formula",
-    "render_formula",
-    "formula_size",
-    "subformulas",
-    # model
-    "KIND_INQB",
-    "KIND_INQM",
-    "InfoState",
-    "InformationModel",
-    "ValidationError",
-    "CodecError",
-    "validate_model",
-    "encode_model",
-    "decode_model",
-    "sigma_union",
-    "sigma_image",
-    "downward_closure",
-    "write_model_file",
-    "read_model_file",
-    # checker
-    "CheckQuery",
-    "CheckOutcome",
-    "MemoCache",
-    "QueryError",
-    "evaluate",
-    "check_support",
-    "check_anti_support",
-    "check_support_memo",
-    "render_result",
-    "DEFAULT_TABLE_BYTE_CAP",
-    # kernels
-    "HAS_NUMBA",
-    "Program",
-    "RowBuilder",
-    "formula_of",
-    "lower_formula",
-    "support_table",
-    "active_kernel",
-    # switching
-    "SwitchingModel",
-    "BoolValuation",
-    "world_plus",
-    "world_minus",
-    "build_switching_model",
-    "atom_p",
-    "atom_q",
-    "is_k_switching",
-    "switching_from_valuation",
-    "valuation_from_switching",
-    "formula_C",
-    "formula_D",
-    "formula_S",
-    # qbf
-    "FORALL",
-    "EXISTS",
-    "ClosureError",
-    "PropFormula",
-    "Var",
-    "NegVar",
-    "PAnd",
-    "POr",
-    "Qbf",
-    "prop_vars",
-    "prop_node_count",
-    "prop_size",
-    "render_prop",
-    "render_qbf",
-    "parse_qbf",
-    "eval_prop",
-    "eval_qbf",
-    "eval_qbf_table",
-    "random_qbf",
-    # reduction
-    "ReductionInstance",
-    "SizeReport",
-    "translate_prop",
-    "translate_qbf",
-    "reduce_tqbf",
-    "size_report",
-]
+# one += per module is the form that static checkers read as a re-export
+__all__ = ["__version__"]
+__all__ += syntax.__all__
+__all__ += model.__all__
+__all__ += checker.__all__
+__all__ += kernels.__all__
+__all__ += switching.__all__
+__all__ += qbf.__all__
+__all__ += reduction.__all__

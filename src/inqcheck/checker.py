@@ -62,6 +62,19 @@ from .kernels import (
 from .model import InfoState, InformationModel, sigma_union
 from .syntax import Formula
 
+__all__ = [
+    "CheckQuery",
+    "CheckOutcome",
+    "MemoCache",
+    "QueryError",
+    "evaluate",
+    "check_support",
+    "check_anti_support",
+    "check_support_memo",
+    "render_result",
+    "DEFAULT_TABLE_BYTE_CAP",
+]
+
 DEFAULT_TABLE_BYTE_CAP = 1 << 27
 
 ENGINES = ("auto", "table", "sparse", "naive")

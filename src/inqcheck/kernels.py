@@ -72,7 +72,17 @@ from operator import mul, or_
 from .model import InformationModel
 from .syntax import And, Atom, Bottom, Box, Formula, IVee, Implies, WBox
 
-# numba is no longer used; the constant stays for callers that import it.
+__all__ = [
+    "HAS_NUMBA",
+    "Program",
+    "RowBuilder",
+    "formula_of",
+    "lower_formula",
+    "support_table",
+    "active_kernel",
+]
+
+# no kernel here is compiled; perfbench's environment line records this
 HAS_NUMBA = False
 
 # the most masks that one step of a family relative to a query state may
@@ -101,18 +111,9 @@ OP_WBOX = 6
 # the value of a left side that decides the & or the ior
 AND, IVEE, DONE, NOT = 0, 1, 2, 3
 
-_OP_OF_TYPE = {
-    Bottom: OP_BOT,
-    Atom: OP_ATOM,
-    And: OP_AND,
-    IVee: OP_IVEE,
-    Implies: OP_IMPLIES,
-    Box: OP_BOX,
-    WBox: OP_WBOX,
-}
-
-# the node class of each op, indexed by op
+# the node class of each op, indexed by op, and the op of each class
 _TYPE_OF_OP = (Bottom, Atom, And, IVee, Implies, Box, WBox)
+_OP_OF_TYPE = {cls: op for op, cls in enumerate(_TYPE_OF_OP)}
 
 # RowBuilder.program_as_built reads the ops column as bytes, through tables
 # that translate an op to 1 where a row of it is an atom, has a left child
@@ -440,7 +441,8 @@ def _within(r: int, size: int) -> None:
 
 
 def active_kernel() -> str:
-    """Name of the table kernel; there is one, over packed bitset rows."""
+    """Name of the table kernel, for perfbench's environment line; there is
+    one, over packed bitset rows."""
     return "packed"
 
 

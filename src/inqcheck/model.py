@@ -29,8 +29,20 @@ from dataclasses import dataclass
 
 from .syntax import _plain_int
 
-KIND_INQB = "InqB"
-KIND_INQM = "InqM"
+__all__ = [
+    "InfoState",
+    "InformationModel",
+    "ValidationError",
+    "CodecError",
+    "validate_model",
+    "encode_model",
+    "decode_model",
+    "sigma_union",
+    "sigma_image",
+    "downward_closure",
+    "write_model_file",
+    "read_model_file",
+]
 
 # str.translate with this table leaves exactly the characters that are not
 # 0/1; the check runs before int(..., 2), which also accepts "_", "+",
@@ -152,10 +164,6 @@ class InformationModel:
     l: int
     valuation: tuple[InfoState, ...]
     sigma: tuple[tuple[InfoState, ...], ...] | None = None
-
-    @property
-    def kind(self) -> str:
-        return KIND_INQB if self.sigma is None else KIND_INQM
 
     @property
     def is_modal(self) -> bool:

@@ -37,6 +37,28 @@ from functools import cached_property
 from .switching import BoolValuation
 from .syntax import ParseError, _Lexer, _Stop, subformulas
 
+__all__ = [
+    "FORALL",
+    "EXISTS",
+    "ClosureError",
+    "PropFormula",
+    "Var",
+    "NegVar",
+    "PAnd",
+    "POr",
+    "Qbf",
+    "prop_vars",
+    "prop_node_count",
+    "prop_size",
+    "render_prop",
+    "render_qbf",
+    "parse_qbf",
+    "eval_prop",
+    "eval_qbf",
+    "eval_qbf_table",
+    "random_qbf",
+]
+
 FORALL = "forall"
 EXISTS = "exists"
 _QUANTIFIERS = (FORALL, EXISTS)

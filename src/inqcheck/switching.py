@@ -40,6 +40,22 @@ from functools import cache
 from .model import InfoState, InformationModel
 from .syntax import And, Atom, Formula, IVee, Implies, fresh, neg, question
 
+__all__ = [
+    "SwitchingModel",
+    "BoolValuation",
+    "world_plus",
+    "world_minus",
+    "build_switching_model",
+    "atom_p",
+    "atom_q",
+    "is_k_switching",
+    "switching_from_valuation",
+    "valuation_from_switching",
+    "formula_C",
+    "formula_D",
+    "formula_S",
+]
+
 
 @dataclass(frozen=True, slots=True)
 class SwitchingModel:

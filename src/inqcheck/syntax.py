@@ -53,6 +53,25 @@ import operator
 import re
 from dataclasses import dataclass
 
+__all__ = [
+    "Formula",
+    "Bottom",
+    "Atom",
+    "And",
+    "IVee",
+    "Implies",
+    "Box",
+    "WBox",
+    "neg",
+    "classical_or",
+    "question",
+    "ParseError",
+    "parse_formula",
+    "render_formula",
+    "formula_size",
+    "subformulas",
+]
+
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Formula:

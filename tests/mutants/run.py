@@ -2,10 +2,11 @@
 
 A mutant names a file under src/, an exact old text that must occur
 there once, the new text, and the tests (files, classes or test ids)
-that must fail on it. The script copies src/ and tests/ to a temporary
-directory, runs each mutant's tests once on the unchanged copy (they
-must pass), then applies each mutant in turn and runs its tests with the
-copy's src/ first on the import path. It exits 1 when a mutant
+that must fail on it. The script copies src/, tests/, perfbench/ and
+README.md (tests/test_api.py reads the last two) to a temporary directory, runs
+every test that any mutant names in one pytest call on the unchanged copy
+(each must pass), then applies each mutant in turn and runs its tests
+with the copy's src/ first on the import path. It exits 1 when a mutant
 survives, when its old text is missing or occurs more than once (a
 refactor moved it: re-anchor the mutant), or when its tests do not fail
 cleanly (a pytest exit code other than 1, such as a collection error,
@@ -323,6 +324,14 @@ MUTANTS = [
             "tests/test_qbf.py::TestParse::test_negation_normalized_at_parse",
         ),
     ),
+    # perfbench's environment line imports active_kernel from inqcheck
+    Mutant(
+        "kernels-all-drops-active-kernel",
+        "src/inqcheck/kernels.py",
+        '    "active_kernel",\n',
+        "",
+        ("tests/test_api.py::test_all_covers_what_callers_import",),
+    ),
 ]
 
 
@@ -344,8 +353,9 @@ def main() -> int:
     failures = 0
     with tempfile.TemporaryDirectory(prefix="inqcheck-mutants-") as tmp:
         copy = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "README.md", copy)
         probe = subprocess.run(
             [sys.executable, "-c", "import inqcheck; print(inqcheck.__file__)"],
             env=dict(os.environ, PYTHONPATH=str(copy / "src")),
@@ -355,11 +365,11 @@ def main() -> int:
         if not probe.stdout.startswith(str(copy)):
             print(f"the copy's package is not the one imported: {probe.stdout.strip() or probe.stderr}", file=sys.stderr)
             return 1
-        for tests in dict.fromkeys(m.tests for m in MUTANTS):
-            code, seconds = run_tests(copy, tests)
-            print(f"unchanged copy: {' '.join(tests)}: exit {code} ({seconds:.1f} s)")
-            if code != 0:
-                return 1
+        named = tuple(dict.fromkeys(test for m in MUTANTS for test in m.tests))
+        code, seconds = run_tests(copy, named)
+        print(f"unchanged copy: {len(named)} named tests: exit {code} ({seconds:.1f} s)")
+        if code != 0:
+            return 1
         for m in MUTANTS:
             target = copy / m.path
             original = target.read_text(encoding="utf-8")
