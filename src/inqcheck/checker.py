@@ -24,8 +24,8 @@ one support table per (model, formula) through the kernels module
 (per-world truth masks of every subformula) and answers each query from
 it, reading families relative to the query state where a row has no
 family of its own; otherwise it runs the baseline's clauses with a memo
-of (row, state) answers. Both paths must and do agree; the test suite
-holds them against each other.
+of (row, state) answers, which lasts one query. Both paths must and do
+agree; the test suite holds them against each other.
 
 A query's formula is a Formula or a Program. One rule set refuses a bad
 query in either form, in this order: a state whose width is not the
@@ -33,15 +33,17 @@ model's world count, an atom index past the model's atoms (the largest,
 when several are), a box or wbox over a plain model. A Formula is walked
 once for its largest atom index and any modality, refusing a node that
 is no formula node, then lowered; a Program, whose construction refuses
-rows that no formula has, gives both off its columns and is decided as
-it stands. Every engine reads the program's rows.
+rows that no formula has, gives both off its columns (an atom row's
+left is its index) and is decided as it stands. Every engine reads the
+program's rows.
 
 The table's rules for implications are in the kernels module docstring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 
 from .kernels import (
     OP_AND,
@@ -92,25 +94,22 @@ class CheckQuery:
 
 @dataclass(slots=True, eq=False)
 class _RootEntry:
-    """Per-(model, formula) cache body: the lowered program, its support
-    table once built, and values, the sparse engine's memo keyed by
-    (row, state). model and formula are the objects the entry was last
-    asked for, its one alias."""
+    """Per-(model, formula) cache body: the lowered program and its
+    support table once built. model and formula are the objects the entry
+    was last asked for, its one alias."""
 
     program: Program
     table: SupportTable | None = None
-    values: dict[tuple[int, int], bool] = field(default_factory=dict)
     model: InformationModel | None = None
     formula: Formula | Program | None = None
 
 
 class MemoCache:
-    """Support values keyed by program row and state bits.
-
-    Rows are the row numbers of the lowered program, assigned
-    once per distinct (model, root formula) pair; structurally equal
-    subtrees share an identity. A support table, when present, stands for
-    the total map of its pairs.
+    """The lowered program of each distinct (model, root formula) pair,
+    and its support table once the table engine builds it; structurally
+    equal subtrees share a row. The table answers every later query of
+    the pair. The sparse engine keeps no memo here: its (row, state)
+    answers last one query.
 
     root never hashes a formula. It first looks the pair up by object
     identity: each entry keeps the model and formula it was last asked
@@ -154,8 +153,8 @@ def _facts(f: Formula | Program) -> tuple[int, bool]:
     object once, left children in place, and refuses a non-formula node."""
     if type(f) is Program:
         ops = f.ops
-        # a program has payload 0 on every row but an atom's
-        return max(f.payload) if OP_ATOM in ops else -1, OP_BOX in ops or OP_WBOX in ops
+        # an atom row's left is its index, any other row's a row number
+        return max(compress(f.left, map(OP_ATOM.__eq__, ops)), default=-1), OP_BOX in ops or OP_WBOX in ops
     top, modal = -1, False
     seen: set[int] = set()  # ids of the composite objects visited
     stack = []
@@ -210,7 +209,7 @@ def _eval_naive(
     """The clauses over p's rows at state, counting each evaluation. With
     a memo, each (row, state) answer is looked up and stored there, and
     only misses count."""
-    ops, left, right, payload = p.ops, p.left, p.right, p.payload
+    ops, left, right = p.ops, p.left, p.right
     vmasks = [v.mask for v in m.valuation]
     # per world, the states where a box body must hold, and a wbox body's
     unions = [(sigma_union(m, w).mask,) for w in range(m.n)] if m.is_modal else None
@@ -229,7 +228,7 @@ def _eval_naive(
         if op == OP_BOT:
             value = s == 0
         elif op == OP_ATOM:
-            value = s & ~vmasks[payload[r]] == 0
+            value = s & ~vmasks[left[r]] == 0
         elif op == OP_AND:
             value = go(left[r], s) and go(right[r], s)
         elif op == OP_IVEE:
@@ -270,7 +269,7 @@ def evaluate(
     """Evaluate a query with an explicit engine choice.
 
     Engines: "naive" is the baseline recursion over the program's rows;
-    "sparse" the same recursion with a memo, which the cache entry keeps;
+    "sparse" the same recursion with a memo for the one query;
     "table" the truth-mask kernel evaluator; "auto" picks "table" when
     the table fits the byte cap and "sparse" otherwise. nodes_visited
     counts clause evaluations (naive), memo misses (sparse), or freshly
@@ -299,7 +298,7 @@ def evaluate(
             visited = 0
         return CheckOutcome(entry.table.holds(entry.program.root, q.state.mask), visited, "table")
     try:
-        value, visits = _eval_naive(entry.program, q.model, q.state.mask, entry.values if engine == "sparse" else None)
+        value, visits = _eval_naive(entry.program, q.model, q.state.mask, {} if engine == "sparse" else None)
     except RecursionError:
         raise QueryError(f"formula nests too deeply for the {engine} engine") from None
     return CheckOutcome(value, visits, engine)

@@ -2,15 +2,17 @@
 
 A program is a formula as flat rows, one per distinct subformula
 (structurally equal subtrees share a row), numbered in the root's
-postorder, so one DAG has one program. A program is a value: its
-columns are int tuples, so two programs are == and hash alike exactly
-when their rows are equal, and a program is the key of its formula in
-MemoCache and in Formula equality. The compiler and the parser build
-rows through a RowBuilder; the compiler builds in its root's postorder
-and takes the rows as built. A Formula reaches rows through one walk by
-object identity, _object_rows, which lower_formula numbers in one pass
-and syntax.render_formula prints; formula_of turns rows back into
-Formula objects. The table kernel gives every row, in one bottom-up
+postorder, so one DAG has one program. A row is three ints (op, left,
+right), the key a RowBuilder interns it on: an atom row keeps its index
+in left, and a composite row its children's row numbers in left and
+right. A program is a value: its columns are int tuples, so two
+programs are == and hash alike exactly when their rows are equal, and a
+program is the key of its formula in MemoCache and in Formula equality.
+The compiler and the parser build rows through a RowBuilder; the
+compiler builds in its root's postorder and takes the rows as built. A
+Formula reaches rows through one walk by object identity, _object_rows,
+which lower_formula numbers in one pass and syntax.render_formula
+prints; formula_of turns rows back into Formula objects. The table kernel gives every row, in one bottom-up
 pass, an n-bit truth mask (the worlds w at
 which the singleton {w} supports it) and a covering family (below).
 Support is downward persistent, so a state with a world outside that
@@ -67,7 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import mul, or_
+from operator import or_
 
 from .model import InformationModel
 from .syntax import And, Atom, Bottom, Box, Formula, IVee, Implies, WBox
@@ -115,28 +117,21 @@ AND, IVEE, DONE, NOT = 0, 1, 2, 3
 _TYPE_OF_OP = (Bottom, Atom, And, IVee, Implies, Box, WBox)
 _OP_OF_TYPE = {cls: op for op, cls in enumerate(_TYPE_OF_OP)}
 
-# RowBuilder.program_as_built reads the ops column as bytes, through tables
-# that translate an op to 1 where a row of it is an atom, has a left child
-# or has a right child, else to 0
-_IS_ATOM = bytes(op == OP_ATOM for op in range(256))
-_HAS_LEFT = bytes(OP_AND <= op <= OP_WBOX for op in range(256))
-_HAS_RIGHT = bytes(OP_AND <= op < OP_BOX for op in range(256))
-
 # stacked under a composite object's children in _object_rows
 _UP = object()
 
 
-def _object_rows(f: Formula) -> tuple[list[int], list[int], list[int], list, int]:
-    """f's rows by identity as columns (ops, left, right, payload) and a
-    root: one row per composite node object, which a repeat finds by id,
-    and one per leaf occurrence, so rows are shared exactly where objects
+def _object_rows(f: Formula) -> tuple[list[int], list[int], list[int], int]:
+    """f's rows by identity as columns (ops, left, right) and a root:
+    one row per composite node object, which a repeat finds by id, and
+    one per leaf occurrence, so rows are shared exactly where objects
     are. Rows come in the tree's postorder, children before parents and
     left before right. Raises TypeError on a node that is no formula node.
 
     The walk descends left children in place and stacks right ones, with
     _UP under the children of a composite object kept on `parents`; the
     row of each finished child waits on `done`."""
-    ops, left, right, payload = [], [], [], []
+    ops, left, right = [], [], []
     rows: dict[int, int] = {}  # id of a composite object -> its row
     done, parents, stack = [], [], []
     g = f
@@ -147,9 +142,8 @@ def _object_rows(f: Formula) -> tuple[list[int], list[int], list[int], list, int
         if op < OP_AND:
             row = len(ops)
             ops.append(op)
-            left.append(0)
+            left.append(g.index if op == OP_ATOM else 0)
             right.append(0)
-            payload.append(g.index if op == OP_ATOM else 0)
         else:
             row = rows.get(id(g))
             if row is None:
@@ -172,10 +166,9 @@ def _object_rows(f: Formula) -> tuple[list[int], list[int], list[int], list, int
             ops.append(op)
             left.append(done.pop())
             right.append(b)
-            payload.append(0)
             done.append(row)
         else:
-            return ops, left, right, payload, row
+            return ops, left, right, row
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,13 +179,14 @@ class Program:
     lower_formula and RowBuilder.program both number rows so: equal
     formulas give equal programs, whichever builds them.
 
-    payload holds the atom index for OP_ATOM rows and 0 elsewhere; left
-    and right hold child row numbers, 0 where a row takes no such child.
-    The columns are tuples of ints of any size, so the dataclass's own ==
-    and hash compare programs by their rows.
+    A row is the (op, left, right) that a RowBuilder keys it on: left
+    holds an atom row's index or a composite row's first child, right a
+    binary row's second child. Children are row numbers, and left or
+    right is 0 where a row has no such field. The columns are tuples of ints of any size, so the
+    dataclass's own == and hash compare programs by their rows.
 
-    Only a program built by hand, Program(ops, left, right, payload), is
-    checked, by a replay through a RowBuilder. RowBuilder.program,
+    Only a program built by hand, Program(ops, left, right), is checked,
+    by a replay through a RowBuilder. RowBuilder.program,
     RowBuilder.program_as_built and lower_formula make their programs
     through _built_program, which skips the check.
     """
@@ -200,35 +194,33 @@ class Program:
     ops: tuple[int, ...]
     left: tuple[int, ...]
     right: tuple[int, ...]
-    payload: tuple[int, ...]
 
     def __post_init__(self) -> None:
         """Refuse columns that no formula has, naming the first faulty
         row's fault: columns of unequal length or without rows, an op
-        outside OP_BOT..OP_WBOX, a payload other than 0 on a row that is no
-        atom, a negative atom index, a nonzero left on a leaf row or right
-        on a leaf or unary row, a child of a row r outside 0..r-1, or a row
-        that a RowBuilder fed the rows in turn finds equal to an earlier
-        one. Then RowBuilder.program's numbering of them refuses a row the
-        root does not reach, or one out of the root's postorder."""
-        ops, left, right, payload = columns = self.ops, self.left, self.right, self.payload
-        if not 0 < len(ops) == len(left) == len(right) == len(payload):
+        outside OP_BOT..OP_WBOX, a negative atom index, a nonzero left on a
+        bot row or right on a leaf or unary row, a child of a row r outside
+        0..r-1, or a row that a RowBuilder fed the rows in turn finds equal
+        to an earlier one. Then RowBuilder.program's numbering of them
+        refuses a row the root does not reach, or one out of the root's
+        postorder."""
+        ops, left, right = columns = self.ops, self.left, self.right
+        if not 0 < len(ops) == len(left) == len(right):
             raise ValueError(f"program columns need one length of one or more rows, got {[*map(len, columns)]}")
         node = RowBuilder()
-        for r, (op, a, b, x) in enumerate(zip(*columns)):
+        for r, (op, a, b) in enumerate(zip(*columns)):
             # by range alone, so that an op that is no int raises TypeError
             if not OP_BOT <= op <= OP_WBOX:
                 raise ValueError(f"unknown op {op}")
-            if x and op != OP_ATOM:
-                raise ValueError("payload must be 0 on a row that is no atom")
-            if x < 0:
-                raise ValueError(f"atom index must be non-negative, got {x}")
-            for name, child, takes in (("left", a, op >= OP_AND), ("right", b, OP_AND <= op < OP_BOX)):
+            if op == OP_ATOM and a < 0:
+                raise ValueError(f"atom index must be non-negative, got {a}")
+            # an atom's left is its index, which no child rule reads
+            for name, child, takes in (("left", a, op >= OP_AND), ("right", b, OP_AND <= op < OP_BOX))[op == OP_ATOM :]:
                 if child and not takes:
                     raise ValueError(f"row {r} has op {op}, which takes no {name} child, got {child}")
                 if takes and not 0 <= child < r:
                     raise ValueError(f"row {r}'s {name} child {child} is not an earlier row")
-            if (k := node(_TYPE_OF_OP[op], x or a, b)) != r:
+            if (k := node(_TYPE_OF_OP[op], a, b)) != r:
                 raise ValueError(f"row {r} repeats row {k}")
         number = node._numbered(len(ops) - 1)[0]
         if number != [*range(len(ops))]:
@@ -257,11 +249,11 @@ class _Column(tuple):
         return list(self)
 
 
-def _built_program(ops, left, right, payload) -> Program:
+def _built_program(ops, left, right) -> Program:
     """The program of columns that a builder numbered, children before
     parents: valid by construction, so made without Program's check."""
     program = object.__new__(Program)
-    for name, column in zip(("ops", "left", "right", "payload"), (ops, left, right, payload)):
+    for name, column in zip(("ops", "left", "right"), (ops, left, right)):
         object.__setattr__(program, name, _Column(column))
     return program
 
@@ -273,11 +265,12 @@ class RowBuilder:
     2006). It takes the arguments of the node builders of syntax and
     switching, node(cls, a=None, b=None), with rows for children and the
     index for an atom, so a row is keyed on its class and its children's
-    rows and building never hashes a subtree. Rows are numbered in the
-    order built. program(root) renumbers the rows root reaches in root's
-    postorder, so the order of the calls does not show in the program;
-    program_as_built(root) keeps the build order, for a caller that
-    built in root's postorder, as the QBF compiler does."""
+    rows, or its index, and building never hashes a subtree. That key,
+    with the class as its op, is the row of the program. Rows are
+    numbered in the order built. program(root) renumbers the rows root
+    reaches in root's postorder, so the order of the calls does not show
+    in the program; program_as_built(root) keeps the build order, for a
+    caller that built in root's postorder, as the QBF compiler does."""
 
     __slots__ = ("rows",)
 
@@ -299,16 +292,16 @@ class RowBuilder:
         """
         return _built_program(*self._numbered(root)[1:])
 
-    def _numbered(self, root: int) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
-        """program(root)'s columns (ops, left, right, payload), after
-        number: number[r] is built row r's place in root's postorder, or -1
-        where root does not reach it."""
+    def _numbered(self, root: int) -> tuple[list[int], list[int], list[int], list[int]]:
+        """program(root)'s columns (ops, left, right), after number:
+        number[r] is built row r's place in root's postorder, or -1 where
+        root does not reach it."""
         built = list(self.rows)
         low = min([a for cls, a, _ in built if cls is Atom], default=0)
         if low < 0:
             raise ValueError(f"atom index must be non-negative, got {low}")
         number = [-1] * len(built)  # a built row's number, once finished
-        ops, left, right, payload = [], [], [], []
+        ops, left, right = [], [], []
         parents = []  # the rows waiting on a child, innermost last
         r = root
         while True:
@@ -322,13 +315,12 @@ class RowBuilder:
                     continue
             number[r] = len(ops)
             ops.append(op)
-            left.append(number[a] if op >= OP_AND else 0)
+            left.append(number[a] if op >= OP_AND else a)
             right.append(number[b] if OP_AND <= op < OP_BOX else 0)
-            payload.append(0 if op >= OP_AND else a)
             if not parents:
                 break
             r = parents.pop()
-        return number, ops, left, right, payload
+        return number, ops, left, right
 
     def program_as_built(self, root: int) -> Program:
         """Every row built, numbered in the order built. That is
@@ -336,38 +328,37 @@ class RowBuilder:
         children before parents, left before right, a row on its first
         finish, and no row that root does not reach. Only the last of
         these is checked, and only as far as root being the last row
-        built; the rest is the caller's precondition.
+        built; the rest is the caller's precondition. So is that a leaf or
+        unary row was built with no b, as the node builders build them:
+        each row is taken as it was keyed.
 
         Raises ValueError when root is not the last row built, or on a
         negative atom index in any row built.
         """
         if root != len(self.rows) - 1:
             raise ValueError(f"row {root} is not the last row built, {len(self.rows) - 1}")
-        classes, a, b = zip(*self.rows)
-        ops = bytes(map(_OP_OF_TYPE.__getitem__, classes))
-        payload = tuple(map(mul, a, ops.translate(_IS_ATOM)))
-        if (low := min(payload)) < 0:
+        classes, left, right = zip(*self.rows)
+        # children are earlier rows, so only an atom's index can be negative
+        if (low := min(left)) < 0:
             raise ValueError(f"atom index must be non-negative, got {low}")
-        left = map(mul, a, ops.translate(_HAS_LEFT))
-        right = map(mul, b, ops.translate(_HAS_RIGHT))
-        return _built_program(ops, left, right, payload)
+        return _built_program(map(_OP_OF_TYPE.__getitem__, classes), left, right)
 
 
 def lower_formula(f: Formula) -> Program:
     """Intern a formula into a Program, sharing equal subtrees: each
-    distinct (op, left, right, payload) of _object_rows, children
-    renumbered, gets the next number where it first occurs. Those rows
-    come in the tree's postorder, repeated objects skipped, so that is
+    distinct (op, left, right) of _object_rows, children renumbered,
+    gets the next number where it first occurs. Those rows come in the
+    tree's postorder, repeated objects skipped, so that is
     RowBuilder.program's numbering, and a formula costs its distinct
     objects. Raises TypeError on a node that is no formula node."""
-    ops, left, right, payload, _ = _object_rows(f)
-    rows: dict[tuple[int, int, int, int], int] = {}  # key of each row -> its number
+    ops, left, right, _ = _object_rows(f)
+    rows: dict[tuple[int, int, int], int] = {}  # key of each row -> its number
     number: list[int] = []  # the number of each of f's rows
-    for op, a, b, x in zip(ops, left, right, payload):
+    for op, a, b in zip(ops, left, right):
         if op >= OP_AND:
             # a unary row's right is 0, and row 0, a leaf, is number 0
             a, b = number[a], number[b]
-        number.append(rows.setdefault((op, a, b, x), len(rows)))
+        number.append(rows.setdefault((op, a, b), len(rows)))
     return _built_program(*zip(*rows))
 
 
@@ -375,9 +366,9 @@ def formula_of(p: Program) -> Formula:
     """The formula of a program, one Formula object per row, so that a
     row shared in the program is one object shared in the formula."""
     nodes: list[Formula] = []
-    for op, a, b, x in zip(p.ops, p.left, p.right, p.payload):
+    for op, a, b in zip(p.ops, p.left, p.right):
         if op == OP_ATOM:
-            nodes.append(Atom(x))
+            nodes.append(Atom(a))
         elif op == OP_BOT:
             nodes.append(Bottom())
         elif op >= OP_BOX:
@@ -392,9 +383,9 @@ def tree_size(p: Program) -> int:
     each row is measured once and counts at each place it holds in the
     tree."""
     sizes: list[int] = []
-    for op, a, b, x in zip(p.ops, p.left, p.right, p.payload):
+    for op, a, b in zip(p.ops, p.left, p.right):
         if op == OP_ATOM:
-            sizes.append(1 + (x + 1).bit_length())
+            sizes.append(1 + (a + 1).bit_length())
         elif op == OP_BOT:
             sizes.append(1)
         elif op >= OP_BOX:
@@ -639,15 +630,15 @@ def support_table(program: Program, m: InformationModel) -> SupportTable:
     # under caps of at most 15, 27, 30 and 18, the largest families read
     # have 15, 24, 4 and 14 members (13, 26, 4 and 14 uncapped, when the
     # first two build families of 21 and 35); no query takes the relative
-    # rule
-    max_family = 3 * m.n // 2
-    payload = program.payload
+    # rule. It is at least 1, so that a leaf keeps its one member and a
+    # query never descends out of it, also over a model without worlds
+    max_family = max(1, 3 * m.n // 2)
     all_worlds = (1 << m.n) - 1
     for r, op in enumerate(table.ops):
         a, b = left[r], right[r]
         family = None
         if op < OP_AND:
-            t = val_masks[payload[r]] if op == OP_ATOM else 0
+            t = val_masks[a] if op == OP_ATOM else 0
             family = (t,)
         elif op < OP_BOX:
             fa, fb = families[a], families[b]

@@ -13,10 +13,11 @@ with definitions, `let NAME = formula;` lines before the formula, each
 of whose uses stands for the one object the definition built. One
 printer writes text off program rows, naming every row that two or more
 references of its parents hold. A kernels.Program prints off its own
-columns; a Formula off rows that one identity walk gives it, a row per
-composite node object and per leaf occurrence, so its definitions name
-exactly the objects it reaches twice or more, and a tree, one with no
-shared objects, prints without definitions.
+three columns, an atom's index read off its left; a Formula off rows
+that one identity walk gives it, a row per composite node object and
+per leaf occurrence, so its definitions name exactly the objects it
+reaches twice or more, and a tree, one with no shared objects, prints
+without definitions.
 
 The parser, like neg, question and classical_or, builds each node with
 a node builder, node(cls, a=None, b=None): `fresh` makes Formula
@@ -401,7 +402,7 @@ def render_formula(f) -> str:
     that is no formula node, and ValueError, naming the atom by the bit
     length of its index, on an index with more digits than str() prints."""
     if not isinstance(f, Formula):
-        return _render_rows(f.ops, f.left, f.right, f.payload, f.root)
+        return _render_rows(f.ops, f.left, f.right, f.root)
     from .kernels import _object_rows
 
     return _render_rows(*_object_rows(f))
@@ -411,13 +412,15 @@ def render_formula(f) -> str:
 _FORMS = (None, None, " & ", " ior ", " -> ", "box ", "wbox ")
 
 
-def _render_rows(ops, left, right, payload, root: int) -> str:
-    """The text of the formula at row root of the columns, its tokens
-    off one stack in output order, joined once. A row that its parents
-    reference twice or more, counted up front, is a definition: it keeps
-    an empty slot at its first place, and an (out, slot, row) entry under
-    its parts names it once they are printed, so definitions end, and
-    are numbered, children first."""
+def _render_rows(ops, left, right, root: int) -> str:
+    """The text of the formula at row root of the columns (ops, left,
+    right), where an atom row's left is its index and a composite row's
+    left and right its children, its tokens off one stack in output
+    order, joined once. A row that its parents reference twice or more,
+    counted up front, is a definition: it keeps an empty slot at its
+    first place, and an (out, slot, row) entry under its parts names it
+    once they are printed, so definitions end, and are numbered,
+    children first."""
     from .kernels import OP_AND, OP_ATOM, OP_BOX
 
     parents = [0] * len(ops)
@@ -440,10 +443,10 @@ def _render_rows(ops, left, right, payload, root: int) -> str:
             out = outer
         elif ops[r] < OP_AND:
             try:
-                out.append(f"p{payload[r]}" if ops[r] == OP_ATOM else "bot")
+                out.append(f"p{left[r]}" if ops[r] == OP_ATOM else "bot")
             except ValueError:
                 # str() refuses more digits than sys.get_int_max_str_digits()
-                raise ValueError(f"cannot print the atom with a {payload[r].bit_length()}-bit index: "
+                raise ValueError(f"cannot print the atom with a {left[r].bit_length()}-bit index: "
                                  "it has more digits than str() prints") from None
         else:
             if parents[r] > 1:

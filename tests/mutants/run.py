@@ -72,6 +72,14 @@ MUTANTS = [
         "OP_BOX in ops",
         VALIDATION,
     ),
+    # only an atom row's left is an atom index; the others are row numbers
+    Mutant(
+        "program-facts-read-every-left",
+        "src/inqcheck/checker.py",
+        "max(compress(f.left, map(OP_ATOM.__eq__, ops)), default=-1)",
+        "max(f.left)",
+        ("tests/test_checker.py::TestQueryValidation::test_program_facts_match_its_formula",),
+    ),
     # the table's implication rules
     Mutant(
         "answered-keyed-on-the-row-alone",
@@ -168,11 +176,11 @@ MUTANTS = [
     ),
     # a MemoCache entry is keyed on the whole program
     Mutant(
-        "memo-key-drops-payload",
+        "memo-key-drops-left",
         "src/inqcheck/checker.py",
         "        key = (model, program)\n",
-        "        key = (model, program.ops, program.left, program.right)\n",
-        ("tests/test_checker.py::TestMemoCache",),
+        "        key = (model, program.ops, program.right)\n",
+        ("tests/test_checker.py::TestMemoCache::test_atoms_keep_their_own_entries",),
     ),
     # sparse is naive's clauses with a (row, state) memo
     Mutant(
@@ -191,10 +199,10 @@ MUTANTS = [
     ),
     # one row order: every program numbered in its root's postorder
     Mutant(
-        "lowered-key-drops-payload",
+        "lowered-key-drops-atom-index",
         "src/inqcheck/kernels.py",
-        "rows.setdefault((op, a, b, x), len(rows))",
-        "rows.setdefault((op, a, b, 0), len(rows))",
+        "rows.setdefault((op, a, b), len(rows))",
+        "rows.setdefault((op, a if op >= OP_AND else 0, b), len(rows))",
         ("tests/test_kernels.py::TestLowering",),
     ),
     # naive reads the lowered program, so the set oracle, which never
@@ -202,8 +210,8 @@ MUTANTS = [
     Mutant(
         "lower-drops-atom-index",
         "src/inqcheck/kernels.py",
-        "rows.setdefault((op, a, b, x), len(rows))",
-        "rows.setdefault((op, a, b, 0), len(rows))",
+        "rows.setdefault((op, a, b), len(rows))",
+        "rows.setdefault((op, a if op >= OP_AND else 0, b), len(rows))",
         ("tests/test_checker.py::TestSemanticLaws::test_against_set_oracle",),
     ),
     Mutant(
@@ -222,7 +230,7 @@ MUTANTS = [
         "            if r in reached and built[r][0] not in (Atom, Bottom):\n"
         "                reached.update(built[r][1:] if built[r][0] not in (Box, WBox) else built[r][1:2])\n"
         "        if len(reached) == len(built):\n"
-        "            rows = [(OP_ATOM, 0, 0, a) if cls is Atom else (_OP_OF_TYPE[cls], a, b, 0) for cls, a, b in built]\n"
+        "            rows = [(_OP_OF_TYPE[cls], a, b) for cls, a, b in built]\n"
         "            return [*range(len(built))], *map(list, zip(*rows))\n"
         "        number = [-1] * len(built)  # a built row's number, once finished\n",
         ("tests/test_syntax.py::TestRowParse", "tests/test_syntax.py::TestProgramRender"),

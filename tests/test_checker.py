@@ -23,6 +23,7 @@ from inqcheck.checker import (
     check_support_memo,
     evaluate,
     render_result,
+    _facts,
 )
 from inqcheck.kernels import OP_AND, OP_ATOM, OP_BOX, Program, RowBuilder, _built_program, formula_of, lower_formula
 from inqcheck.model import InfoState, InformationModel, downward_closure, write_model_file
@@ -32,6 +33,7 @@ from inqcheck.syntax import And, Atom, Bottom, Box, WBox, parse_formula, render_
 
 from conftest import (
     bits,
+    printing_corpus,
     random_formula,
     random_model,
     random_state,
@@ -52,28 +54,26 @@ def rows(formula_text):
 
 
 def with_atom_repeated(columns, i, j):
-    """The columns with atom row j's payload set to atom row i's."""
-    payload = [*columns[3]]
-    payload[j] = payload[i]
-    return (*columns[:3], tuple(payload))
+    """The columns with atom row j's index, its left, set to atom row i's."""
+    left = [*columns[1]]
+    left[j] = left[i]
+    return columns[0], tuple(left), columns[2]
 
 
 def with_leaf_inserted(columns, p):
     """The columns with an atom of a new index inserted as row p, before
     the root, so that nothing reaches it."""
-    ops, left, right, payload = columns
-    left = tuple(a + (a >= p) if op >= OP_AND else 0 for op, a in zip(ops, left))
+    ops, left, right = columns
+    index = max((a for op, a in zip(ops, left) if op == OP_ATOM), default=-1) + 1
+    left = tuple(a + (a >= p) if op >= OP_AND else a for op, a in zip(ops, left))
     right = tuple(b + (b >= p) if OP_AND <= op < OP_BOX else 0 for op, b in zip(ops, right))
-    return tuple(
-        column[:p] + (leaf,) + column[p:]
-        for column, leaf in zip((ops, left, right, payload), (OP_ATOM, 0, 0, max(payload) + 1))
-    )
+    return tuple(column[:p] + (leaf,) + column[p:] for column, leaf in zip((ops, left, right), (OP_ATOM, index, 0)))
 
 
 def with_children_swapped(columns, flip):
     """The rows renumbered in the root's postorder but for row flip, whose
     right subtree is finished before its left one."""
-    ops, left, right, payload = columns
+    ops, left, right = columns
     number: dict[int, int] = {}
     stack = [len(ops) - 1]
     while stack:
@@ -87,9 +87,8 @@ def with_children_swapped(columns, flip):
     order = sorted(number, key=number.get)
     return (
         tuple(ops[r] for r in order),
-        tuple(number[left[r]] if ops[r] >= OP_AND else 0 for r in order),
+        tuple(number[left[r]] if ops[r] >= OP_AND else left[r] for r in order),
         tuple(number[right[r]] if OP_AND <= ops[r] < OP_BOX else 0 for r in order),
-        tuple(payload[r] for r in order),
     )
 
 
@@ -202,27 +201,28 @@ class TestQueryValidation:
     @pytest.mark.parametrize(
         "columns, message",
         [
-            (((1,), (0,), (0,), (-1,)), "atom index must be non-negative, got -1"),
-            (((9,), (0,), (0,), (0,)), "unknown op 9"),
-            (((-1,), (0,), (0,), (0,)), "unknown op -1"),
-            (((1 << 70,), (0,), (0,), (0,)), f"unknown op {1 << 70}"),
-            (((0,), (0,), (0,), (3,)), "payload must be 0 on a row that is no atom"),
+            (((1,), (-1,), (0,)), "atom index must be non-negative, got -1"),
+            (((9,), (0,), (0,)), "unknown op 9"),
+            (((-1,), (0,), (0,)), "unknown op -1"),
+            (((1 << 70,), (0,), (0,)), f"unknown op {1 << 70}"),
+            # a field on a row whose op takes none: a bot's left, an atom's
+            # or a box's right, which would give its formula two keys
+            (((0,), (3,), (0,)), "row 0 has op 0, which takes no left child, got 3"),
             # a child after its parent, a row its own child, a negative child
-            (((2, 1), (1, 0), (1, 0), (0, 0)), "row 0's left child 1 is not an earlier row"),
-            (((1, 5), (0, 1), (0, 0), (0, 0)), "row 1's left child 1 is not an earlier row"),
-            (((1, 1, 4), (0, 0, 0), (0, 0, -1), (0, 1, 0)), "row 2's right child -1 is not an earlier row"),
-            (((), (), (), ()), "one or more rows, got [0, 0, 0, 0]"),
-            (((1, 1, 2), (0, 0, 0), (0, 0, 1), (0, 1)), "one length of one or more rows, got [3, 3, 3, 2]"),
-            # a child on a row whose op takes none: an atom's left past the
-            # last row, a box's right, which would give its formula two keys
-            (((1,), (3,), (0,), (0,)), "row 0 has op 1, which takes no left child, got 3"),
-            (((1, 5), (0, 0), (0, 7), (0, 0)), "row 1 has op 5, which takes no right child, got 7"),
+            (((2, 1), (1, 0), (1, 0)), "row 0's left child 1 is not an earlier row"),
+            (((1, 5), (0, 1), (0, 0)), "row 1's left child 1 is not an earlier row"),
+            (((1, 1, 4), (0, 1, 0), (0, 0, -1)), "row 2's right child -1 is not an earlier row"),
+            (((), (), ()), "one or more rows, got [0, 0, 0]"),
+            (((1, 1, 2), (0, 1, 0), (0, 1)), "one length of one or more rows, got [3, 3, 2]"),
+            (((1,), (0,), (3,)), "row 0 has op 1, which takes no right child, got 3"),
+            (((1, 5), (0, 0), (0, 7)), "row 1 has op 5, which takes no right child, got 7"),
             # p0 twice, and a p0 under a root p1 that does not reach it:
             # each would be a second program of its formula
-            (((1, 1), (0, 0), (0, 0), (0, 0)), "row 1 repeats row 0"),
-            (((1, 1), (0, 0), (0, 0), (0, 1)), "row 0 is not reached from the root, row 1"),
+            (((1, 1), (0, 0), (0, 0)), "row 1 repeats row 0"),
+            (((1, 1), (0, 1), (0, 0)), "row 0 is not reached from the root, row 1"),
             # p1, then p0, then p0 & p1: the root's postorder numbers p0 first
-            (((1, 1, 2), (0, 0, 1), (0, 0, 0), (1, 0, 0)), "row 1 is out of the root's postorder, which numbers it 0"),
+            (((1, 1, 2), (1, 0, 1), (0, 0, 0)), "row 1 is out of the root's postorder, which numbers it 0"),
+            (((1, 5), (0, -1), (0, 0)), "row 1's left child -1 is not an earlier row"),
         ],
     )
     def test_hand_built_programs_are_refused(self, columns, message):
@@ -231,13 +231,34 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match=re.escape(message)):
             Program(*columns)
 
+    def test_an_atom_row_keeps_its_index_in_left(self):
+        # an atom's left is no child: p3 past the last row is a program
+        assert Program((1,), (3,), (0,)) == lower_formula(Atom(3))
+        assert Program((1, 1, 2), (3, 0, 0), (0, 0, 1)) == lower_formula(And(Atom(3), Atom(0)))
+
+    def test_program_facts_match_its_formula(self):
+        # a program's largest atom index and modality are read off its
+        # columns, where an atom row's left is its index and any other
+        # row's a row number, and must be what the walk over its formula
+        # finds. Chains nest rows past every atom index, on either side
+        programs = [lower_formula(f) for f in printing_corpus()]
+        programs += [reduce_tqbf(random_qbf(seed, 1 + seed % 4, 20 + seed % 20)).program for seed in range(200)]
+        for n in (1, 2, 7, 40):
+            right = left = Atom(1)
+            boxed = Bottom()
+            for _ in range(n):
+                right, left, boxed = And(Atom(0), right), And(left, Atom(0)), Box(boxed)
+            programs += map(lower_formula, (right, left, boxed))
+        for program in programs:
+            assert _facts(program) == _facts(formula_of(program)), render_formula(program)
+
     def test_hand_built_program_builds_iff_it_is_lowered_afresh(self):
         # the trusted side numbers the same rows afresh: the formula of the
         # columns, lowered. Columns are a program exactly when they are
         # that one, and perturbed columns must be refused with their fault
         def built(columns, fault=None):
             lowered = lower_formula(formula_of(_built_program(*columns)))
-            want = columns == (lowered.ops, lowered.left, lowered.right, lowered.payload)
+            want = columns == (lowered.ops, lowered.left, lowered.right)
             try:
                 Program(*columns)
             except ValueError as e:
@@ -253,7 +274,7 @@ class TestQueryValidation:
         programs.append(reduce_tqbf(random_qbf(3, 24, 160)).program)
         swapped = 0
         for program in programs:
-            columns = (program.ops, program.left, program.right, program.payload)
+            columns = (program.ops, program.left, program.right)
             assert built(columns)
             atoms = [r for r, op in enumerate(columns[0]) if op == OP_ATOM]
             if len(atoms) > 1:
@@ -278,7 +299,7 @@ class TestQueryValidation:
 
     @pytest.mark.parametrize("modal", [False, True])
     def test_model_without_atoms(self, modal):
-        # no atom row, so the largest payload, 0, is no atom's index
+        # no atom row, so no left, 0 included, is an atom's index
         sigma = ((bits("01"),), (bits("00"),)) if modal else None
         m = InformationModel(2, 0, (), sigma)
         texts = ["bot", "bot -> bot", "box bot", "wbox bot"] if modal else ["bot", "bot -> bot"]
@@ -409,14 +430,16 @@ class TestEngines:
             query = CheckQuery(demo_model, s, f)
             assert check_support_memo(query, cache) == check_support(query)
 
-    def test_warm_cache_reuses_everything(self, demo_model):
+    def test_sparse_memo_lasts_one_query(self, demo_model):
+        # the cache keeps the program; sparse's (row, state) memo is the
+        # query's own, so a repeat recomputes every answer
         cache = MemoCache()
         query = q(demo_model, "111", "box (p0 ior not p1) -> wbox p0")
         first = evaluate(query, engine="sparse", cache=cache)
         second = evaluate(query, engine="sparse", cache=cache)
-        assert first.value == second.value
+        assert first == second
         assert first.nodes_visited > 0
-        assert second.nodes_visited == 0
+        assert len(cache._roots) == 1
 
     def test_sparse_answers_shared_rows_once(self, demo_model):
         # H_i = H_{i-1} & H_{i-1}: a tree of 2^16 copies of H_0 in 16 rows
@@ -545,7 +568,7 @@ class TestMemoCache:
         assert len(cache._roots) == 2
 
     def test_atoms_keep_their_own_entries(self, demo_model):
-        # p0 and p1 differ only in their payload column
+        # p0 and p1 differ only in their left column
         cache = MemoCache()
         assert not check_support_memo(CheckQuery(demo_model, bits("010"), parse_formula("p0")), cache)
         assert check_support_memo(CheckQuery(demo_model, bits("010"), parse_formula("p1")), cache)

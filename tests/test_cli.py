@@ -868,6 +868,30 @@ class TestQbfFileFuzz:
         assert codes[2] and codes[0] + codes[1], codes
 
 
+class TestStateArgumentFuzz:
+    def test_seeded_state_strings_are_answered_or_input_errors(self, tmp_path, capsys):
+        # check's state argument, mostly bits with stray tokens among them:
+        # each answers, or exits 2 with one error line, on either engine
+        path = tmp_path / "m.im"
+        path.write_text(write_model_file(random_model(random.Random(31), n_min=5, n_max=5, l_max=1)), encoding="utf-8")
+        tokens = ("0", "1", "2", "\u0661", "\u0660", "_", "0b", "+", "-", "\xa0", "\xb2", "#", " ", "\t")
+        rng = random.Random(8)
+        states = ["", " ", "\t", "1" * 70]
+        for _ in range(400):
+            size = rng.choice((5, 5, rng.randrange(1, 9)))
+            states.append("".join(rng.choice("01") if rng.random() < 0.8 else rng.choice(tokens) for _ in range(size)))
+        codes = Counter()
+        for state in states:
+            for naive in ([], ["--naive"]):
+                code = cli.main(["check", str(path), state, "--formula", "p0 ior wbox p0", *naive])
+                out, err = capsys.readouterr()
+                assert code in (0, 1, 2), (state, err)
+                if code == 2:
+                    assert not out and len(err.splitlines()) == 1 and err.startswith("error: "), (state, out, err)
+                codes[code] += 1
+        assert codes[0] and codes[1] and codes[2], codes
+
+
 def readme_sessions(*sections: str) -> list[tuple[str, list[str]]]:
     """Each `$ ` command in the code blocks of the named README sections,
     with the lines printed under it."""

@@ -66,17 +66,21 @@ class TestLowering:
             assert lower_formula(shared) == lower_formula(twin)
 
     def test_library_programs_are_pinned(self):
-        # the rows, their order and the payload of every lowered program:
-        # MemoCache keys and Formula equality read them. The digest is of
-        # the key the columns had as array("q"): the root, the bytes of
-        # ops, left and right, and the payload's bytes, or its values when
-        # an index is past 64 bits
+        # the rows, their order and the atom indexes of every lowered
+        # program: MemoCache keys and Formula equality read them. The
+        # digest is of the key the rows had as four array("q") columns,
+        # when an atom's index sat in a payload column of its own and its
+        # left was 0: the root, the bytes of ops, left and right, and the
+        # payload's bytes, or its values when an index is past 64 bits
         def packed_key(p):
+            atom = [op == OP_ATOM for op in p.ops]
+            left = tuple(0 if x else a for x, a in zip(atom, p.left))
+            payload = tuple(a if x else 0 for x, a in zip(atom, p.left))
             try:
-                payload = array("q", p.payload).tobytes()
+                payload = array("q", payload).tobytes()
             except OverflowError:
-                payload = tuple(p.payload)
-            return p.root, array("q", p.ops + p.left + p.right).tobytes(), payload
+                pass
+            return p.root, array("q", p.ops + left + p.right).tobytes(), payload
 
         formulas = printing_corpus() + [shared_formula(random.Random(seed), 3 + seed % 18) for seed in range(60)]
         keys = [repr(packed_key(lower_formula(f))) for f in formulas]
@@ -116,11 +120,11 @@ def reference_row(model, formula):
 def row_formulas(program):
     """The subformula each program row stands for, rebuilt from the rows."""
     out = []
-    for op, a, b, p in zip(program.ops, program.left, program.right, program.payload):
+    for op, a, b in zip(program.ops, program.left, program.right):
         if op == OP_BOT:
             out.append(Bottom())
         elif op == OP_ATOM:
-            out.append(Atom(int(p)))
+            out.append(Atom(a))
         elif op in (OP_BOX, OP_WBOX):
             out.append((Box if op == OP_BOX else WBox)(out[a]))
         else:
@@ -166,6 +170,19 @@ def sparse_modal_model(rng, n, atoms=3):
 
 
 class TestTables:
+    def test_model_without_worlds_matches_naive(self):
+        # one state, the empty one. The family cap stays at least 1, so
+        # each leaf keeps its member and a query never descends out of it
+        rng = random.Random(4040)
+        m = InformationModel(0, 2, (InfoState(0, 0),) * 2, ())
+        for _ in range(20):
+            for f in formulas(rng, m.l, 3):
+                program = lower_formula(f)
+                table = support_table(program, m)
+                assert all(family is not None for op, family in zip(program.ops, table.families) if op < OP_AND)
+                for r, g in enumerate(row_formulas(program)):
+                    assert table.holds(r, 0) == naive_at(m, g, 0), g
+
     def test_full_table_matches_naive(self):
         rng = random.Random(2718)
         for _ in range(40):

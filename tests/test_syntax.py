@@ -321,8 +321,7 @@ class TestDefinitions:
         program = node.program(a)
         # p1, bot, p1 -> bot, p1 ior (p1 -> bot)
         assert program.ops == (OP_ATOM, OP_BOT, OP_IMPLIES, OP_IVEE)
-        assert program.left == (0, 0, 0, 0) and program.right == (0, 0, 1, 2)
-        assert program.payload == (1, 0, 0, 0)
+        assert program.left == (1, 0, 0, 0) and program.right == (0, 0, 1, 2)
         assert formula_of(program) == question(Atom(1))
 
 
@@ -551,7 +550,7 @@ class TestProgramRender:
         instance = reduce_tqbf(random_qbf(160 + l, l, 40 + 5 * l))
         p = instance.program
         # taken as built, unchecked, and still a program the check accepts
-        assert Program(p.ops, p.left, p.right, p.payload) == p
+        assert Program(p.ops, p.left, p.right) == p
         back = self.assert_round_trip(instance.program)
         # compiled, parsed and lowered, one DAG is one value and one entry
         lowered = lower_formula(instance.formula)
@@ -573,7 +572,7 @@ class TestProgramRender:
             rows.append(node(kind, a) if kind in (Box, WBox) else node(kind, a, b))
         program = node.program(rows[-1])
         assert program == lower_formula(formula_of(program))
-        assert Program(program.ops, program.left, program.right, program.payload) == program
+        assert Program(program.ops, program.left, program.right) == program
         self.assert_round_trip(program)
 
     def test_shared_leaves_and_both_sides(self):
@@ -611,7 +610,7 @@ class TestDeepValues:
         assert Atom(0) != 0 and And(Atom(0), Atom(0)) != (Atom(0), Atom(0))
 
     def test_atoms_past_64_bits_compare_and_hash(self):
-        # a payload column holds ints of any size
+        # a left column holds atom indexes of any size
         big = 10**20
         assert Atom(big) == Atom(big) and hash(Atom(big)) == hash(Atom(big))
         assert Atom(big) != Atom(big + 1) and Atom(big) != Atom(0)
@@ -621,7 +620,7 @@ class TestDeepValues:
         text = "p99999999999999999999 & p0"
         lowered, parsed = lower_formula(parse_formula(text)), parsed_rows(text)
         assert lowered == parsed and hash(lowered) == hash(parsed)
-        assert lowered.payload == (99999999999999999999, 0, 0)
+        assert lowered.left == (99999999999999999999, 0, 0)
 
 
 # valid texts that cover the whole grammar, which lexer_corpus cuts,
